@@ -44,13 +44,16 @@ from .projective import (
 from .cocycle import (
     ConvergenceCert,
     MatrixSequence,
+    ProductSweep,
     ScaledProduct,
     backward_scan,
     dump_sequence,
+    estimate_fields,
     estimate_splitting,
     forward_scan,
     invariance_residual,
     load_sequence,
+    product_sweep,
     sn,
     un,
     window_product,

@@ -18,14 +18,12 @@ import sys
 
 from . import __version__
 from .avalanche import ap_report
-from .cocycle import MatrixSequence, estimate_splitting, invariance_residual, load_sequence
+from .cocycle import MatrixSequence, estimate_fields, invariance_residual, load_sequence
 from .conditions import Thresholds, check_domination, fi_profile, svg_profile
 from .errors import (
     DomsplitError,
     InvalidSpec,
-    NoConvergence,
     NotUnimodular,
-    ProductVanished,
     WindowExceeded,
 )
 from .generators import GeneratorSpec, build_with_truth
@@ -269,23 +267,14 @@ def _cmd_profile(args, command: str) -> int:
 
 def _cmd_split(args) -> int:
     seq, cfg = _resolve_sequence(args)
-    lo, hi = seq.window
-    jrange = tuple(args.jrange) if args.jrange else (lo + 4, hi - 3)
-    if jrange[0] < lo or jrange[1] > hi:
-        raise WindowExceeded(f"jrange {jrange} outside window {seq.window}")
+    sweep = estimate_fields(seq, args.jrange, args.nmax, args.tol)
+    jrange = sweep.jrange
+    es, eu, failed = sweep.es, sweep.eu, sweep.failed
     cfg.update({"nmax": args.nmax, "tol": args.tol, "jrange": list(jrange)})
 
     fields = []
-    es: dict[int, ProjPoint] = {}
-    eu: dict[int, ProjPoint] = {}
-    failed: list[int] = []
-    for j in range(jrange[0], jrange[1] + 1):
-        try:
-            s_pt, u_pt, cert = estimate_splitting(seq, j, args.nmax, args.tol)
-        except (NoConvergence, ProductVanished):
-            failed.append(j)
-            continue
-        es[j], eu[j] = s_pt, u_pt
+    for j, cert in sweep.certs.items():
+        s_pt, u_pt = es[j], eu[j]
         rec = {
             "j": j,
             "Es": "inf" if s_pt.affine is None else [s_pt.affine.real, s_pt.affine.imag],
@@ -351,8 +340,7 @@ def _cmd_dom(args) -> int:
         n_cap=args.ncap,
         split_tol=args.tol,
     )
-    jrange = tuple(args.jrange) if args.jrange else None
-    report = check_domination(seq, thresholds, jrange=jrange)
+    report = check_domination(seq, thresholds, jrange=args.jrange)
     cfg.update({"nmax": args.nmax, "tol": args.tol, "thresholds": thresholds.to_json_dict()})
     result = report.to_json_dict(include_table=args.table)
 

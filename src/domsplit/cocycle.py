@@ -6,14 +6,22 @@ sigma1, so products that decay or grow geometrically never leave the
 representable range.  log|det| is accumulated factor by factor, which keeps
 sigma2 of a product exact in the log domain far below the entrywise noise
 floor of the core determinant.
+
+Two engines share that recurrence.  ``ScaledProduct`` and the scans build
+one product at a time from ``Mat2C`` values; ``product_sweep`` builds depth n
+for every start j at once as numpy arrays, and is what the certificate runs
+on.  The scalar path stays as the per-site API and as the sweep's oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .errors import (
     Degenerate,
@@ -22,7 +30,18 @@ from .errors import (
     ProductVanished,
     WindowExceeded,
 )
-from .matrix2c import IDENTITY, Mat2C, Svd2, det, mul, singular_values, svd2
+from .matrix2c import (
+    DEGENERATE_REL_TOL,
+    DET_REL_TOL,
+    ENTRY_ZERO_TOL,
+    IDENTITY,
+    Mat2C,
+    Svd2,
+    det,
+    mul,
+    singular_values,
+    svd2,
+)
 from .projective import (
     ProjPoint,
     act,
@@ -31,6 +50,7 @@ from .projective import (
     image_line,
     kernel_line,
     most_contracted,
+    project,
 )
 from .errors import KernelHit
 
@@ -40,8 +60,9 @@ NEG_INF = float("-inf")
 class MatrixSequence:
     """A finite window j -> B(j) of nonzero matrices with a uniform norm bound.
 
-    Entries are validated once at construction: every matrix nonzero and
-    sigma1(B(j)) < bound_M.  Instances are immutable and safe to share.
+    Entries are validated once at construction: every entry finite, every
+    matrix nonzero and sigma1(B(j)) < bound_M, with bound_M finite and
+    positive.  Instances are immutable and safe to share.
     """
 
     __slots__ = ("_entries", "_lo", "_hi", "bound_M", "source")
@@ -54,11 +75,16 @@ class MatrixSequence:
     ):
         if not entries:
             raise InvalidSpec("sequence window is empty")
+        if not (math.isfinite(bound_M) and bound_M > 0.0):
+            raise InvalidSpec(f"bound_M must be finite and positive, got {bound_M}")
         js = sorted(entries)
         lo, hi = js[0], js[-1]
         if js != list(range(lo, hi + 1)):
             raise InvalidSpec("sequence window has gaps")
         for j, m in entries.items():
+            if not (cmath.isfinite(m.a) and cmath.isfinite(m.b)
+                    and cmath.isfinite(m.c) and cmath.isfinite(m.d)):
+                raise InvalidSpec(f"entry at j={j} is not finite")
             if m.is_zero():
                 raise InvalidSpec(f"entry at j={j} is the zero matrix")
             s1, _ = singular_values(m)
@@ -295,19 +321,33 @@ class ConvergenceCert:
         }
 
 
+# Chordal steps at or below this are rounding noise of the metric (diameter
+# 2) and carry no rate signal.
+STEP_NOISE_FLOOR = 1e-13
+
+
+def _fit_rates(steps: np.ndarray) -> np.ndarray:
+    """Least-squares slope of log d against n down each column of ``steps``,
+    where row n holds the step d(pt_n, pt_{n+1}) and nan marks no step; nan
+    where fewer than two steps clear STEP_NOISE_FLOOR."""
+    use = steps > STEP_NOISE_FLOOR  # False on nan
+    count = use.sum(axis=0)
+    ns = np.arange(len(steps), dtype=float)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):  # columns with no points
+        y = np.log(np.where(use, steps, 1.0))
+        dx = np.where(use, ns - (use * ns).sum(axis=0) / count, 0.0)
+        dy = np.where(use, y - y.sum(axis=0) / count, 0.0)
+        sxx = (dx * dx).sum(axis=0)
+        rate = (dx * dy).sum(axis=0) / sxx
+    return np.where((count >= 2) & (sxx > 0.0), rate, np.nan)
+
+
 def _fit_rate(steps: dict[int, float]) -> float | None:
-    # steps at the rounding floor of the chordal metric carry no rate signal
-    pts = [(n, math.log(d)) for n, d in steps.items() if 1e-13 < d and math.isfinite(d)]
-    if len(pts) < 2:
-        return None
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    if sxx == 0.0:
-        return None
-    return sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+    column = np.full((max(steps, default=0) + 1, 1), np.nan)
+    for n, d in steps.items():
+        column[n, 0] = d
+    rate = float(_fit_rates(column)[0])
+    return None if rate != rate else rate
 
 
 def _direction_run(
@@ -380,6 +420,241 @@ def estimate_splitting(
         tol=tol,
     )
     return s_pts[n_star_s], u_pts[n_star_u], cert
+
+
+# -- the batched engine ------------------------------------------------------
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    # np.hypot is the C library's, as in abs(complex); np.abs rounds differently
+    return np.hypot(z.real, z.imag)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _ldexp_c(z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    out.real = np.ldexp(z.real, k)
+    out.imag = np.ldexp(z.imag, k)
+    return out
+
+
+def _gram(a, b, c, d):
+    """The Gram-matrix quadratic of ``singular_values`` over arrays of
+    matrices [[a, b], [c, d]]: (p, r, q, sigma1^2, sigma1)."""
+    p = _abs2(a) + _abs2(c)
+    r = _abs2(b) + _abs2(d)
+    q = np.conj(a) * b + np.conj(c) * d
+    s1sq = 0.5 * (p + r + np.hypot(p - r, 2.0 * _abs(q)))
+    return p, r, q, s1sq, np.sqrt(s1sq)
+
+
+class _DirectionRuns:
+    """The Cauchy stopping rule of ``_direction_run`` for one side (s or u)
+    at K sites at once: per-site run counters, the point opening the current
+    run, and every consecutive distance.  Layer n is fed by ``advance``."""
+
+    def __init__(self, n_sites: int, n_max: int):
+        self.run = np.zeros(n_sites, dtype=np.int64)
+        self.done = np.zeros(n_sites, dtype=bool)  # stopped or vanished
+        self.n_star = np.full(n_sites, -1, dtype=np.int64)
+        self.prev_ok = np.zeros(n_sites, dtype=bool)  # prev holds a point
+        self.prev = (np.zeros(n_sites, dtype=complex), np.zeros(n_sites, dtype=complex))
+        self.cand = (np.zeros(n_sites, dtype=complex), np.zeros(n_sites, dtype=complex))
+        self.steps = np.full((n_max, n_sites), np.nan)  # [n - 1]: d(pt_{n-1}, pt_n)
+
+    def advance(self, n, room, vanished, degenerate, x, y, tol):
+        """Layer n at each site: room says the site may look at depth n; x, y
+        is its unit direction, meaningful where neither flag is set."""
+        live = room & ~self.done
+        # the scalar scan raises ProductVanished before it reads this layer
+        self.done |= live & vanished
+        live &= ~vanished
+        ok = live & ~degenerate
+        step = ok & self.prev_ok
+        d = 2.0 * _abs(self.prev[0] * y - self.prev[1] * x)
+        if n >= 2:
+            self.steps[n - 1] = np.where(step, d, np.nan)
+        close = step & (d < tol)
+        opening = close & (self.run == 0)
+        self.cand = tuple(np.where(opening, p, c) for p, c in zip(self.prev, self.cand))
+        self.run = np.where(close, self.run + 1, np.where(live, 0, self.run))
+        stop = close & (self.run >= 3)
+        self.n_star[stop] = n - 3
+        self.done |= stop
+        self.prev = tuple(np.where(ok, v, p) for v, p in zip((x, y), self.prev))
+        self.prev_ok = np.where(live, ok, self.prev_ok)
+
+    @property
+    def stopped(self) -> np.ndarray:
+        return self.n_star >= 0
+
+    def certified(self, ks: np.ndarray) -> tuple[list[ProjPoint], list[dict], list]:
+        """Chosen points, steps up to the stopping index, and fitted rates at
+        the stopped sites ks, in the form ``estimate_splitting`` returns."""
+        upto = self.n_star[ks] + 3
+        steps = self.steps[:, ks]
+        steps[np.arange(len(steps))[:, None] >= upto] = np.nan
+        rates = [None if r != r else r for r in _fit_rates(steps).tolist()]
+        tables = [
+            {n: d for n, d in enumerate(row[:stop]) if d == d}
+            for row, stop in zip(steps.T.tolist(), upto.tolist())
+        ]
+        points = [project(v) for v in zip(self.cand[0][ks].tolist(), self.cand[1][ks].tolist())]
+        return points, tables, rates
+
+
+@dataclass(frozen=True)
+class ProductSweep:
+    """Everything one ``product_sweep`` yields.
+
+    ``log_s1[n]`` and ``log_s2[n]`` hold log sigma1 and log sigma2 of B_n(j)
+    for j = lo .. hi - n + 1, n = 0 .. n_max + 1 (layer 0 is the identity and
+    has one start more, hi + 1); -inf marks a vanished product.  At the sites
+    of ``jrange`` the sweep also holds the estimated fields, their
+    certificates and the sites where estimation failed.
+    """
+
+    window: tuple[int, int]
+    n_max: int
+    log_s1: list[np.ndarray] = field(repr=False)
+    log_s2: list[np.ndarray] = field(repr=False)
+    jrange: tuple[int, int] | None
+    es: dict[int, ProjPoint] = field(repr=False)
+    eu: dict[int, ProjPoint] = field(repr=False)
+    certs: dict[int, ConvergenceCert] = field(repr=False)
+    failed: list[int]
+
+
+def product_sweep(
+    seq: MatrixSequence,
+    n_max: int,
+    jrange: tuple[int, int] | None = None,
+    tol: float = 0.0,
+) -> ProductSweep:
+    """B_n(j) for every start j, depth by depth, n = 1 .. n_max + 1.
+
+    Layer n is B(j+n-1) . core_{n-1}(j), renormalized by sigma1: the
+    recurrence of ``ScaledProduct.left_multiply``, with the same Gram
+    quadratic, power-of-two prescale and degeneracy test, over numpy arrays.
+    Only O(L) core data is held at a time.  With a ``jrange`` the sweep also
+    runs ``estimate_splitting``'s stopping rule at its sites, to depth n_max:
+    s_n(j) is read from layer n at start j and u_n(j) from layer n at start
+    j - n, since B_n(j - n) is the forward product starting there.  A site
+    fails when either side runs out of room or its product vanishes at or
+    before the depth where its run stops.
+    """
+    if n_max < 1:
+        raise InvalidSpec(f"n_max must be at least 1, got {n_max}")
+    lo, hi = seq.window
+    if jrange is not None and (jrange[0] < lo or jrange[1] > hi):
+        raise WindowExceeded(f"jrange [{jrange[0]}, {jrange[1]}] outside window [{lo}, {hi}]")
+    size = len(seq)
+    mats = [seq[j] for j in seq.indices()]
+    fa, fb, fc, fd = (np.array([getattr(m, e) for m in mats], dtype=complex) for e in "abcd")
+    fdet = [abs(det(m)) for m in mats]
+    flog_det = np.array([math.log(x) if x > 0.0 else NEG_INF for x in fdet])
+
+    sites = np.arange(jrange[0] - lo, jrange[1] - lo + 1) if jrange is not None else np.arange(0)
+    n_sites = len(sites)
+    runs_s = _DirectionRuns(n_sites, n_max)
+    runs_u = _DirectionRuns(n_sites, n_max)
+
+    log_s1 = [np.zeros(size + 1)]
+    log_s2 = [np.zeros(size + 1)]
+    a, d = np.ones(size, dtype=complex), np.ones(size, dtype=complex)
+    b, c = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
+    log_scale = np.zeros(size)
+    log_det = np.zeros(size)
+    for n in range(1, n_max + 2):
+        m = max(size - n + 1, 0)  # starts lo .. hi - n + 1
+        xa, xb, xc, xd = fa[n - 1:], fb[n - 1:], fc[n - 1:], fd[n - 1:]
+        a, b, c, d = a[:m], b[:m], c[:m], d[:m]
+        raw = (xa * a + xb * c, xa * b + xb * d, xc * a + xd * c, xc * b + xd * d)
+        biggest = np.maximum(np.maximum(_abs(raw[0]), _abs(raw[1])),
+                             np.maximum(_abs(raw[2]), _abs(raw[3])))
+        vanished = biggest <= ENTRY_ZERO_TOL
+        scaled = ~vanished & ((biggest <= 1e-120) | (biggest >= 1e120))
+        if scaled.any():
+            k = np.zeros(m, dtype=np.int64)
+            k[scaled] = -np.floor(np.log2(biggest[scaled])).astype(np.int64)
+            s1 = np.ldexp(_gram(*(_ldexp_c(z, k) for z in raw))[4], -k)
+        else:
+            s1 = _gram(*raw)[4]
+        s1[vanished] = 1.0
+        inv = 1.0 / s1
+        inv[vanished] = 0.0  # a vanished core stays zero, so the row stays vanished
+        a, b, c, d = (z * inv for z in raw)
+        log_scale = log_scale[:m] + np.log(s1)
+        log_det = log_det[:m] + flog_det[n - 1:]
+
+        p, r, q, s1sq, s1c = _gram(a, b, c, d)
+        s1c[vanished] = 1.0
+        ls1 = log_scale + np.log(s1c)
+        ls2 = log_det - ls1
+        ls1[vanished] = NEG_INF
+        ls2[vanished] = NEG_INF
+        log_s1.append(ls1)
+        log_s2.append(ls2)
+
+        if n > n_max or m == 0 or n_sites == 0 or (runs_s.done.all() and runs_u.done.all()):
+            continue
+        adet = _abs(a * d - b * c)
+        s2c = np.where(adet > DET_REL_TOL * s1c * s1c, np.minimum(adet / s1c, s1c), 0.0)
+        degenerate = (s1c - s2c) <= DEGENERATE_REL_TOL * s1c
+        # top right singular vector from the Gram row with the larger pivot
+        pivot_p = p >= r
+        w0 = np.where(pivot_p, s1sq - r, q)
+        w1 = np.where(pivot_p, np.conj(q), s1sq - p)
+        nw = np.hypot(_abs(w0), _abs(w1))
+        nw[nw == 0.0] = 1.0  # degenerate or vanished rows only
+        v0, v1 = w0 / nw, w1 / nw
+        ux, uy = a * v0 + b * v1, c * v0 + d * v1
+        nu = np.hypot(_abs(ux), _abs(uy))
+        nu[nu == 0.0] = 1.0
+        ux, uy = ux / nu, uy / nu
+        sx, sy = -np.conj(v1), np.conj(v0)
+
+        rows = np.minimum(sites, m - 1)
+        runs_s.advance(n, sites < m, vanished[rows], degenerate[rows], sx[rows], sy[rows], tol)
+        rows = np.maximum(sites - n, 0)
+        runs_u.advance(n, sites >= n, vanished[rows], degenerate[rows], ux[rows], uy[rows], tol)
+
+    converged = runs_s.stopped & runs_u.stopped
+    ks = np.flatnonzero(converged)
+    js = (lo + sites[ks]).tolist()
+    es_pts, s_tables, s_rates = runs_s.certified(ks)
+    eu_pts, u_tables, u_rates = runs_u.certified(ks)
+    certs = {
+        j: ConvergenceCert(ns, nu, st, ut, rs, ru, tol)
+        for j, ns, nu, st, ut, rs, ru in zip(
+            js, runs_s.n_star[ks].tolist(), runs_u.n_star[ks].tolist(),
+            s_tables, u_tables, s_rates, u_rates,
+        )
+    }
+    es = dict(zip(js, es_pts))
+    eu = dict(zip(js, eu_pts))
+    failed = [lo + int(o) for o in sites[~converged]]
+    return ProductSweep((lo, hi), n_max, log_s1, log_s2, jrange, es, eu, certs, failed)
+
+
+def estimate_fields(
+    seq: MatrixSequence,
+    jrange: tuple[int, int] | None,
+    n_max: int,
+    tol: float,
+) -> ProductSweep:
+    """``estimate_splitting`` at every site of jrange, from one product sweep.
+
+    jrange defaults to the window less four sites at its low end and three
+    at its high end.  The returned sweep also carries the log-sigma layers
+    to depth n_max + 1 for the gap and invertibility profiles.
+    """
+    if jrange is None:
+        jrange = (seq.lo + 4, seq.hi - 3)
+    return product_sweep(seq, n_max, tuple(jrange), tol)
 
 
 def invariance_residual(

@@ -11,14 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
+import numpy as np
+
 from .cocycle import (
     ConvergenceCert,
     MatrixSequence,
-    estimate_splitting,
-    forward_scan,
+    ProductSweep,
+    estimate_fields,
     invariance_residual,
+    product_sweep,
 )
-from .errors import NoConvergence, NotUnimodular, ProductVanished, WindowExceeded
+from .errors import NotUnimodular, WindowExceeded
 from .matrix2c import det
 from .projective import ProjPoint, dist
 
@@ -111,67 +114,37 @@ def _fit_line(points: list[tuple[int, float]]) -> tuple[float, float, float]:
     return slope, intercept, resid
 
 
-def _scan_logs(seq: MatrixSequence, n_max: int) -> dict[int, tuple[list[float], list[float]]]:
-    """Per-site lists of log sigma1(B_n(j)), log sigma2(B_n(j)), n = 0..cap."""
-    out: dict[int, tuple[list[float], list[float]]] = {}
-    for j in seq.indices():
-        cap = min(n_max + 1, seq.hi - j + 1)
-        ls1 = [0.0]
-        ls2 = [0.0]
-        try:
-            for n, prod in enumerate(forward_scan(seq, j, cap)):
-                if n == 0:
-                    continue
-                ls1.append(prod.log_sigma1)
-                ls2.append(prod.log_sigma2)
-        except ProductVanished:
-            while len(ls1) < cap + 1:
-                ls1.append(NEG_INF)
-                ls2.append(NEG_INF)
-        out[j] = (ls1, ls2)
-    return out
+def _log_ratios(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """max(num(j), num(j+1)) - denom(j) in the log domain, +inf where the
+    denominator product vanished; num has one start more than denom."""
+    m = len(denom)
+    vanished = denom == NEG_INF
+    r = np.maximum(num[:m], num[1:m + 1]) - np.where(vanished, 0.0, denom)
+    r[vanished] = INF
+    return r
 
 
-def _svg_fi_fits(
-    seq: MatrixSequence,
-    n_max: int,
-    thresholds: Thresholds,
-    scans: dict[int, tuple[list[float], list[float]]],
-) -> tuple[RateFit, RateFit]:
-    lo, hi = seq.window
-    svg_sup: dict[int, float] = {}
-    svg_table: dict[tuple[int, int], float] = {}
-    fi_sup: dict[int, float] = {}
-    fi_table: dict[tuple[int, int], float] = {}
-
-    for n in range(0, n_max + 1):
-        best_svg = NEG_INF
-        best_fi = NEG_INF
-        for j in range(lo, hi - n + 1):
-            ls1_j, ls2_j = scans[j]
-            denom = ls1_j[n + 1]
-            r_svg = max(ls2_j[n] - denom, scans[j + 1][1][n] - denom) if j + 1 <= hi else ls2_j[n] - denom
-            if denom == NEG_INF:
-                r_svg = INF
-            svg_table[(j, n)] = r_svg
-            if r_svg > best_svg:
-                best_svg = r_svg
-            if n >= 1:
-                r_fi = max(ls1_j[n] - denom, scans[j + 1][0][n] - denom) if j + 1 <= hi else ls1_j[n] - denom
-                if denom == NEG_INF:
-                    r_fi = INF
-                fi_table[(j, n)] = r_fi
-                if r_fi > best_fi:
-                    best_fi = r_fi
-        svg_sup[n] = best_svg
-        if n >= 1:
-            fi_sup[n] = best_fi
+def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, RateFit]:
+    lo, hi = sweep.window
+    n_max = sweep.n_max
+    ls1, ls2 = sweep.log_s1, sweep.log_s2
+    svg_rows = [_log_ratios(ls2[n], ls1[n + 1]) for n in range(n_max + 1)]
+    fi_rows = [_log_ratios(ls1[n], ls1[n + 1]) for n in range(1, n_max + 1)]
+    svg_sup = {n: float(r.max()) if r.size else NEG_INF for n, r in enumerate(svg_rows)}
+    fi_sup = {n: float(r.max()) if r.size else NEG_INF for n, r in enumerate(fi_rows, start=1)}
+    keys = [(j, n) for n in range(n_max + 1) for j in range(lo, hi - n + 1)]
+    n0 = hi - lo + 1  # the n = 0 block of keys, absent from the FI table
+    svg_table = dict(zip(keys, np.concatenate(svg_rows).tolist()))
+    fi_table = dict(zip(keys[n0:], np.concatenate(fi_rows).tolist())) if fi_rows else {}
 
     n_lo = max(thresholds.fit_n_lo, 0)
     svg_pts = [(n, v) for n, v in svg_sup.items() if n >= n_lo]
     slope, intercept, resid = _fit_line(svg_pts)
+    # a fit over no n at all is no evidence; one whose ratios are all exactly
+    # zero (rank one, -inf in the log) is, and passes
     svg_ok = (
-        -slope > math.log(thresholds.mu_min)
+        bool(svg_pts)
+        and -slope > math.log(thresholds.mu_min)
         and not any(v == INF for v in svg_sup.values())
     )
     svg_fit = RateFit(slope, intercept, n_lo, n_max, resid, svg_sup, svg_table, svg_ok)
@@ -180,7 +153,8 @@ def _svg_fi_fits(
     fslope, fintercept, fresid = _fit_line(fi_pts)
     svg_log_mu = -slope
     fi_ok = (
-        fslope < (1.0 - thresholds.epsilon) * svg_log_mu
+        bool(fi_pts)
+        and fslope < (1.0 - thresholds.epsilon) * svg_log_mu
         and fintercept <= thresholds.fi_log_c_max
         and not any(v == INF for v in fi_sup.values())
     )
@@ -198,8 +172,7 @@ def _require_window(seq: MatrixSequence, n_max: int) -> None:
 def svg_profile(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
     """Worst-case gap ratios sigma2(B_n)/sigma1(B_{n+1}) and their decay fit."""
     _require_window(seq, n_max)
-    scans = _scan_logs(seq, n_max)
-    svg_fit, _ = _svg_fi_fits(seq, n_max, thresholds, scans)
+    svg_fit, _ = _svg_fi_fits(product_sweep(seq, n_max), thresholds)
     return svg_fit
 
 
@@ -217,24 +190,18 @@ def fi_profile(
     _require_window(seq, n_max)
     if epsilon is not None:
         thresholds = replace(thresholds, epsilon=epsilon)
-    scans = _scan_logs(seq, n_max)
-    _, fi_fit = _svg_fi_fits(seq, n_max, thresholds, scans)
+    _, fi_fit = _svg_fi_fits(product_sweep(seq, n_max), thresholds)
     return fi_fit
 
 
 def norm_floor(seq: MatrixSequence, n_max: int) -> dict[int, float]:
     """{n: inf_j log sigma1(B_n(j))} for n = 1 .. n_max."""
     _require_window(seq, n_max)
-    scans = _scan_logs(seq, n_max)
-    return _norm_floor_from_scans(seq, n_max, scans)
+    return _norm_floor(product_sweep(seq, n_max))
 
 
-def _norm_floor_from_scans(seq, n_max, scans) -> dict[int, float]:
-    lo, hi = seq.window
-    floor: dict[int, float] = {}
-    for n in range(1, n_max + 1):
-        floor[n] = min(scans[j][0][n] for j in range(lo, hi - n + 2))
-    return floor
+def _norm_floor(sweep: ProductSweep) -> dict[int, float]:
+    return {n: float(sweep.log_s1[n].min()) for n in range(1, sweep.n_max + 1)}
 
 
 def ueg_check(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
@@ -243,11 +210,10 @@ def ueg_check(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Threshol
         if abs(det(seq[j]) - 1.0) > 1e-10:
             raise NotUnimodular(f"det(B({j})) differs from 1 beyond 1e-10")
     _require_window(seq, n_max)
-    scans = _scan_logs(seq, n_max)
-    floor = _norm_floor_from_scans(seq, n_max, scans)
+    floor = _norm_floor(product_sweep(seq, n_max))
     pts = [(n, v) for n, v in floor.items() if n >= max(thresholds.fit_n_lo, 1)]
     slope, intercept, resid = _fit_line(pts)
-    passed = slope >= math.log(thresholds.ueg_lambda_min) and all(
+    passed = bool(pts) and slope >= math.log(thresholds.ueg_lambda_min) and all(
         math.isfinite(v) for v in floor.values()
     )
     return RateFit(slope, intercept, max(thresholds.fit_n_lo, 1), n_max, resid,
@@ -380,36 +346,28 @@ def check_domination(
 ) -> DominationReport:
     """Runs the whole pipeline: profiles, field estimation, separation,
     domination-gap search, and norm floors, returning a structured verdict."""
-    lo, hi = seq.window
     notes: list[str] = []
-    witnesses: list[str] = []
-
     n_max = thresholds.n_max
-    if len(seq) < n_max + 2:
+    if n_max >= 1 and len(seq) < n_max + 2:
         n_max = max(1, len(seq) - 2)
         notes.append(f"n_max capped to {n_max} by window length {len(seq)}")
+    sweep = estimate_fields(seq, jrange, n_max, thresholds.split_tol)
+    return _certificate(seq, thresholds, sweep, notes)
 
-    scans = _scan_logs(seq, n_max)
-    svg_fit, fi_fit = _svg_fi_fits(seq, n_max, thresholds, scans)
-    floor = _norm_floor_from_scans(seq, n_max, scans)
 
-    if jrange is None:
-        jrange = (lo + 4, hi - 3)
-    j_lo, j_hi = jrange
-    if j_lo < lo or j_hi > hi:
-        raise WindowExceeded(f"jrange [{j_lo}, {j_hi}] outside window [{lo}, {hi}]")
-
-    es: dict[int, ProjPoint] = {}
-    eu: dict[int, ProjPoint] = {}
-    certs: dict[int, ConvergenceCert] = {}
-    failed: list[int] = []
-    for j in range(j_lo, j_hi + 1):
-        try:
-            s_pt, u_pt, cert = estimate_splitting(seq, j, n_max, thresholds.split_tol)
-        except (NoConvergence, ProductVanished):
-            failed.append(j)
-            continue
-        es[j], eu[j], certs[j] = s_pt, u_pt, cert
+def _certificate(
+    seq: MatrixSequence,
+    thresholds: Thresholds,
+    sweep: ProductSweep,
+    notes: list[str],
+) -> DominationReport:
+    """The verdict from one sweep's log-sigma layers and fields."""
+    lo, hi = seq.window
+    witnesses: list[str] = []
+    svg_fit, fi_fit = _svg_fi_fits(sweep, thresholds)
+    floor = _norm_floor(sweep)
+    j_lo, j_hi = sweep.jrange
+    es, eu, certs, failed = sweep.es, sweep.eu, sweep.certs, sweep.failed
 
     edge_failures = [j for j in failed if min(j - lo, hi - j + 1) < 12]
     if edge_failures:

@@ -236,3 +236,46 @@ class TestReportContract:
         assert code == 0
         assert json.loads(out.read_text())["command"] == "svg"
         assert not (tmp_path / "rep.json.tmp").exists()
+
+
+class TestBoundaryValidation:
+    def _seq_file(self, tmp_path, capsys, value):
+        path = tmp_path / "s.json"
+        run(capsys, "gen", "--family", "conjugated_dominated", "--seed", "3",
+            "--window", "-20", "20", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["entries"][5]["m"][1][0] = value
+        path.write_text(json.dumps(doc))  # writes the non-JSON tokens Infinity / NaN
+        return str(path)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_entry_exit2(self, tmp_path, capsys, value):
+        path = self._seq_file(tmp_path, capsys, value)
+        code, _, err = run(capsys, "dom", "--input", path)
+        assert code == 2
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("bound", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_bad_bound_exit2(self, tmp_path, capsys, bound):
+        path = tmp_path / "s.json"
+        run(capsys, "gen", "--family", "diagonal", "--window", "0", "9", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["bound_M"] = bound
+        path.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "svg", "--input", str(path), "--nmax", "3")
+        assert code == 2
+
+    @pytest.mark.parametrize("verb,nmax", [("svg", "0"), ("fi", "0"), ("dom", "0"),
+                                           ("dom", "-3"), ("split", "0")])
+    def test_nmax_below_one_exit2(self, capsys, verb, nmax):
+        code, _, err = run(capsys, verb, "--family", "diagonal", "--window", "-20", "20",
+                           "--nmax", nmax)
+        assert code == 2
+        assert "n_max" in err
+
+    def test_empty_fit_does_not_pass(self, capsys):
+        # n <= 1 leaves no n >= fit_n_lo = 2 to fit: no evidence either way
+        code, out, _ = run(capsys, "svg", "--family", "example1", "--window", "-20", "20",
+                           "--nmax", "1", "--format", "json")
+        assert code == 3
+        assert json.loads(out)["result"]["passed"] is False

@@ -60,6 +60,17 @@ class TestMatrixSequence:
         with pytest.raises(InvalidSpec):
             MatrixSequence({0: Mat2C(3.0, 0, 0, 1)}, 2.0)
 
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(0, math.inf),
+                                   complex(1, math.nan)])
+    def test_rejects_non_finite_entry(self, z):
+        with pytest.raises(InvalidSpec):
+            MatrixSequence({0: Mat2C(1.0, z, 0, 1)}, 2.0)
+
+    @pytest.mark.parametrize("bound", [math.inf, math.nan, 0.0, -2.0])
+    def test_rejects_bad_bound(self, bound):
+        with pytest.raises(InvalidSpec):
+            MatrixSequence({0: Mat2C(1.0, 0, 0, 1)}, bound)
+
     def test_json_roundtrip(self, tmp_path, ex1):
         path = tmp_path / "seq.json"
         dump_sequence(ex1, str(path))

@@ -214,3 +214,25 @@ class TestCheckDomination:
         assert doc["verdict"] == "dominated"
         assert doc["thresholds"]["mu_min"] == 1.05
         assert isinstance(doc["fields"], list) and doc["fields"]
+
+
+class TestEmptyFits:
+    """A fit over no n at all is no evidence; a fit over n whose ratios are
+    all exactly zero (rank one) is, and passes."""
+
+    def test_svg_and_fi(self):
+        seq = family("diagonal", (-25, 25))
+        assert not svg_profile(seq, 1).passed
+        assert not fi_profile(seq, 1).passed
+        assert svg_profile(seq, 3).passed and fi_profile(seq, 3).passed
+
+    def test_ueg(self):
+        seq = family("diagonal", (0, 30), params={"lplus": 2.0, "lminus": 0.5})
+        assert not ueg_check(seq, 1, Thresholds(fit_n_lo=2)).passed
+        assert ueg_check(seq, 3, Thresholds(fit_n_lo=2)).passed
+
+    def test_rank_one_ratios_still_pass(self):
+        entries = {j: Mat2C(1.0, 0.0, 0.0, 0.0) for j in range(0, 12)}
+        fit = svg_profile(MatrixSequence(entries, 2.0), 8)
+        assert all(v == -math.inf for n, v in fit.sup_log.items() if n >= fit.n_lo)
+        assert fit.passed
