@@ -11,8 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .cocycle import MatrixSequence, backward_scan, forward_scan
-from .errors import Degenerate, WindowExceeded
+import numpy as np
+
+from .cocycle import (
+    MatrixSequence,
+    _factor_arrays,
+    _fit_rate,
+    _singular_values,
+    backward_scan,
+    forward_scan,
+    product_sweep,
+)
+from .errors import Degenerate, ProductVanished, WindowExceeded, ZeroMatrix
 from .matrix2c import Mat2C, mul, singular_values, svd2
 from .projective import dist, expanding_image, most_contracted
 
@@ -36,6 +46,22 @@ def _pair_log_norm(seq: MatrixSequence, j: int) -> float:
     return _log_sigma1(mul(seq[j + 1], seq[j]))
 
 
+def _window_norms(seq: MatrixSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log sigma1 and log sigma2 of B(j) for j = lo .. hi, and log sigma1 of
+    B(j+1) B(j) for j = lo .. hi - 1, each as one array over the window.
+    Raises ZeroMatrix when a pair product is the zero matrix."""
+    a, b, c, d = _factor_arrays(seq)
+    s1, s2, _ = _singular_values(a, b, c, d)
+    x, y = slice(1, None), slice(None, -1)  # B(j+1) and B(j)
+    pair = (a[x] * a[y] + b[x] * c[y], a[x] * b[y] + b[x] * d[y],
+            c[x] * a[y] + d[x] * c[y], c[x] * b[y] + d[x] * d[y])
+    p1, _, zero = _singular_values(*pair)
+    if zero.any():
+        raise ZeroMatrix("singular values of the zero matrix")
+    with np.errstate(divide="ignore"):  # sigma2 = 0 on rank-one factors
+        return np.log(s1), np.log(s2), np.log(p1)
+
+
 def ap_conditions(seq: MatrixSequence, mu: float) -> tuple[float, float, bool]:
     """Worst single-step gap ratio and pairwise norm-product ratio.
 
@@ -44,16 +70,9 @@ def ap_conditions(seq: MatrixSequence, mu: float) -> tuple[float, float, bool]:
     """
     if mu <= 1.0:
         raise ValueError("mu must exceed 1")
-    lo, hi = seq.window
-    ap3_log = NEG_INF
-    ap4_log = NEG_INF
-    for j in range(lo, hi + 1):
-        s1, s2 = singular_values(seq[j])
-        r = math.log(s2) - math.log(s1) if s2 > 0.0 else NEG_INF
-        ap3_log = max(ap3_log, r)
-    for j in range(lo, hi):
-        r = _log_sigma1(seq[j + 1]) + _log_sigma1(seq[j]) - _pair_log_norm(seq, j)
-        ap4_log = max(ap4_log, r)
+    log_s1, log_s2, log_pair = _window_norms(seq)
+    ap3_log = float(np.max(log_s2 - log_s1))  # -inf where sigma2 = 0
+    ap4_log = float(np.max(log_s1[1:] + log_s1[:-1] - log_pair, initial=NEG_INF))
     ok = ap3_log <= -math.log(mu) and ap4_log <= 0.25 * math.log(mu)
     return math.exp(ap3_log), math.exp(ap4_log), ok
 
@@ -137,23 +156,6 @@ class DriftTables:
     rate_u: float | None
 
 
-# Chordal distances below this are rounding noise (diameter is 2); they are
-# excluded from decay-rate fits so a converged plateau cannot flatten them.
-DRIFT_NOISE_FLOOR = 1e-13
-
-
-def _drift_rate(steps: dict[int, float]) -> float | None:
-    pts = [(n, math.log(d)) for n, d in steps.items() if d > DRIFT_NOISE_FLOOR]
-    if len(pts) < 2:
-        return None
-    xbar = sum(n for n, _ in pts) / len(pts)
-    ybar = sum(y for _, y in pts) / len(pts)
-    sxx = sum((n - xbar) ** 2 for n, _ in pts)
-    if sxx == 0.0:
-        return None
-    return sum((n - xbar) * (y - ybar) for n, y in pts) / sxx
-
-
 def direction_drift(seq: MatrixSequence, j: int, n_max: int) -> DriftTables:
     """Per-n drift of the contracted/expanding directions at site j."""
     n_s = min(n_max, seq.hi - j + 1)
@@ -179,7 +181,7 @@ def direction_drift(seq: MatrixSequence, j: int, n_max: int) -> DriftTables:
         if cur is not None and prev is not None:
             u_steps[n] = dist(cur, prev)
         prev = cur
-    return DriftTables(s_steps, u_steps, _drift_rate(s_steps), _drift_rate(u_steps))
+    return DriftTables(s_steps, u_steps, _fit_rate(s_steps), _fit_rate(u_steps))
 
 
 @dataclass(frozen=True)
@@ -221,34 +223,52 @@ def ap_report(
     n_max: int,
     envelope: float = RESIDUAL_ENVELOPE,
 ) -> ApReport:
-    """Checks the hypotheses and fills the residual grid for n in [3, n_max]."""
+    """Checks the hypotheses and fills the residual grid for n in [3, n_max].
+
+    Every forward norm log sigma1(B_n(j)) comes from one ``product_sweep``;
+    the single and pair norms are computed once for the window, and the
+    residual is built depth by depth for every start j at once.  Raises
+    ZeroMatrix when a pair product vanishes and ProductVanished, for the
+    lowest start and then the shortest length, when a longer one does.
+    """
     if n_max < 3:
         raise ValueError("avalanche audit needs n_max >= 3")
     lo, hi = seq.window
     ap3, ap4, ok = ap_conditions(seq, mu)
 
-    residuals: dict[tuple[int, int], float] = {}
-    per_n_max: dict[int, float] = {}
-    for j in range(lo, hi - 2 + 1):
-        room = hi - j + 1
-        prods = list(forward_scan(seq, j, min(n_max, room)))
-        lpairs = [_pair_log_norm(seq, j + k) for k in range(min(n_max, room) - 1)]
-        singles = [_log_sigma1(seq[j + k]) for k in range(min(n_max, room))]
-        mids = 0.0
-        pairs = lpairs[0] if lpairs else 0.0
-        for n in range(3, min(n_max, room) + 1):
-            mids += singles[n - 2]
-            pairs += lpairs[n - 2]
-            r = abs(prods[n].log_sigma1 + mids - pairs)
-            residuals[(j, n)] = r
-            if n not in per_n_max or r > per_n_max[n]:
-                per_n_max[n] = r
+    log_single, _, log_pair = _window_norms(seq)
+    forward = product_sweep(seq, n_max - 1).log_s1  # layers n = 0 .. n_max
+    size = hi - lo + 1
+    starts = max(size - 2, 0)  # j = lo .. hi - 2 have room for n = 3
+    depths = range(3, min(n_max, size) + 1)
+    # the lowest start, then the shortest length, as one forward_scan per start
+    vanished = [(j, n) for n in range(2, depths.stop)
+                for j in np.flatnonzero(forward[n][:starts] == NEG_INF).tolist()]
+    if vanished:
+        j, n = min(vanished)
+        raise ProductVanished(f"product of length {n} starting at j={lo + j} vanished")
+
+    # row n - 3 holds depth n at starts lo .. hi - n + 1, summed in ap_residual's order
+    grid = np.full((len(depths), starts), np.nan)
+    mids = np.zeros(starts)
+    pairs = log_pair[:starts]
+    for row, n in enumerate(depths):
+        m = size - n + 1
+        mids = mids[:m] + log_single[n - 2:n - 2 + m]
+        pairs = pairs[:m] + log_pair[n - 2:n - 2 + m]
+        grid[row, :m] = np.abs(forward[n] + mids - pairs)
+    keys = [(j, n) for j in range(lo, hi - 1) for n in range(3, min(n_max, hi - j + 1) + 1)]
+    room = np.arange(starts) + np.array(depths)[:, None] <= size
+    residuals = dict(zip(keys, grid.T[room.T].tolist()))
 
     scale = mu ** -0.5
     c_fit = None
+    slope = None
     if residuals:
-        c_fit = max(r / (n * scale) for (_, n), r in residuals.items())
-    slope = _drift_rate({n: r / n for n, r in per_n_max.items() if r > 0}) if per_n_max else None
+        ns = np.array(depths, dtype=float)[:, None]
+        c_fit = float(np.nanmax(grid / (ns * scale)))
+        per_n_max = np.nanmax(grid, axis=1).tolist()
+        slope = _fit_rate({n: r / n for n, r in zip(depths, per_n_max) if r > 0})
     passed = ok and (c_fit is None or c_fit <= envelope)
     return ApReport(
         mu=mu,

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .avalanche import ap_report
+from .avalanche import RESIDUAL_ENVELOPE, ap_report
 from .cocycle import MatrixSequence, estimate_fields, invariance_residual, load_sequence
 from .conditions import Thresholds, check_domination, fi_profile, svg_profile
 from .errors import (
@@ -35,6 +35,7 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 _LN2 = math.log(2.0)
+_DEFAULTS = Thresholds()
 
 
 def _log2str(x: float) -> str:
@@ -157,7 +158,7 @@ def _add_io_options(p: argparse.ArgumentParser, with_nmax: bool = True) -> None:
     p.add_argument("--insertions", nargs="*", type=int)
     p.add_argument("--misaligned", action="store_true")
     if with_nmax:
-        p.add_argument("--nmax", type=int, default=40)
+        p.add_argument("--nmax", type=int, default=_DEFAULTS.n_max)
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.add_argument("--table", action="store_true", help="emit per-(j, n) grids")
@@ -178,27 +179,27 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         _add_io_options(p)
-        p.add_argument("--epsilon", type=float, default=0.1)
-        p.add_argument("--mu-min", dest="mu_min", type=float, default=1.05)
+        p.add_argument("--epsilon", type=float, default=_DEFAULTS.epsilon)
+        p.add_argument("--mu-min", dest="mu_min", type=float, default=_DEFAULTS.mu_min)
 
     split = sub.add_parser("split", help="estimate the invariant directions")
     _add_io_options(split)
-    split.add_argument("--tol", type=float, default=1e-9)
+    split.add_argument("--tol", type=float, default=_DEFAULTS.split_tol)
     split.add_argument("--jrange", nargs=2, type=int, metavar=("LO", "HI"))
 
     dom = sub.add_parser("dom", help="full dominated-splitting certificate")
     _add_io_options(dom)
-    dom.add_argument("--tol", type=float, default=1e-9)
+    dom.add_argument("--tol", type=float, default=_DEFAULTS.split_tol)
     dom.add_argument("--jrange", nargs=2, type=int, metavar=("LO", "HI"))
-    dom.add_argument("--epsilon", type=float, default=0.1)
-    dom.add_argument("--mu-min", dest="mu_min", type=float, default=1.05)
-    dom.add_argument("--sep-min", dest="sep_min", type=float, default=1e-4)
-    dom.add_argument("--ncap", type=int, default=64)
+    dom.add_argument("--epsilon", type=float, default=_DEFAULTS.epsilon)
+    dom.add_argument("--mu-min", dest="mu_min", type=float, default=_DEFAULTS.mu_min)
+    dom.add_argument("--sep-min", dest="sep_min", type=float, default=_DEFAULTS.sep_min)
+    dom.add_argument("--ncap", type=int, default=_DEFAULTS.n_cap)
 
     ap = sub.add_parser("ap", help="avalanche-principle audit")
     _add_io_options(ap)
     ap.add_argument("--mu", type=float, required=True)
-    ap.add_argument("--envelope", type=float, default=5.0)
+    ap.add_argument("--envelope", type=float, default=RESIDUAL_ENVELOPE)
 
     return top
 

@@ -9,8 +9,9 @@ floor of the core determinant.
 
 Two engines share that recurrence.  ``ScaledProduct`` and the scans build
 one product at a time from ``Mat2C`` values; ``product_sweep`` builds depth n
-for every start j at once as numpy arrays, and is what the certificate runs
-on.  The scalar path stays as the per-site API and as the sweep's oracle.
+for every start j at once as numpy arrays, and is what the certificate and
+the avalanche audit run on.  The scalar path stays as the per-site API and
+as the sweep's oracle.
 """
 
 from __future__ import annotations
@@ -451,6 +452,42 @@ def _gram(a, b, c, d):
     return p, r, q, s1sq, np.sqrt(s1sq)
 
 
+def _sigma2(a, b, c, d, s1):
+    """sigma2 = |det| / sigma1, or 0 where |det| <= DET_REL_TOL sigma1^2."""
+    adet = _abs(a * d - b * c)
+    with np.errstate(invalid="ignore", divide="ignore"):  # sigma1 = 0 rows
+        return np.where(adet > DET_REL_TOL * s1 * s1, np.minimum(adet / s1, s1), 0.0)
+
+
+def _singular_values(a, b, c, d, sigma2: bool = True):
+    """``singular_values`` over arrays of matrices [[a, b], [c, d]]:
+    (sigma1, sigma2, zero), with sigma2 None unless asked for.  Rows whose
+    largest entry leaves (1e-120, 1e120) are prescaled by an exact power of
+    two first.  ``zero`` flags the rows that are the zero matrix (every
+    entry at most ENTRY_ZERO_TOL); their values are 0."""
+    biggest = np.maximum(np.maximum(_abs(a), _abs(b)), np.maximum(_abs(c), _abs(d)))
+    zero = biggest <= ENTRY_ZERO_TOL
+    scaled = ~zero & ((biggest <= 1e-120) | (biggest >= 1e120))
+    rescale = scaled.any()
+    if rescale:
+        k = np.zeros(len(biggest), dtype=np.int64)
+        k[scaled] = -np.floor(np.log2(biggest[scaled])).astype(np.int64)
+        a, b, c, d = (_ldexp_c(z, k) for z in (a, b, c, d))
+    s1 = _gram(a, b, c, d)[4]
+    s1[zero] = 0.0
+    s2 = _sigma2(a, b, c, d, s1) if sigma2 else None
+    if rescale:
+        s1 = np.ldexp(s1, -k)
+        s2 = None if s2 is None else np.ldexp(s2, -k)
+    return s1, s2, zero
+
+
+def _factor_arrays(seq: MatrixSequence) -> tuple[np.ndarray, ...]:
+    """The entries a, b, c, d of B(lo) .. B(hi) as four complex arrays."""
+    mats = [seq[j] for j in seq.indices()]
+    return tuple(np.array([getattr(m, e) for m in mats], dtype=complex) for e in "abcd")
+
+
 class _DirectionRuns:
     """The Cauchy stopping rule of ``_direction_run`` for one side (s or u)
     at K sites at once: per-site run counters, the point opening the current
@@ -552,9 +589,8 @@ def product_sweep(
     if jrange is not None and (jrange[0] < lo or jrange[1] > hi):
         raise WindowExceeded(f"jrange [{jrange[0]}, {jrange[1]}] outside window [{lo}, {hi}]")
     size = len(seq)
-    mats = [seq[j] for j in seq.indices()]
-    fa, fb, fc, fd = (np.array([getattr(m, e) for m in mats], dtype=complex) for e in "abcd")
-    fdet = [abs(det(m)) for m in mats]
+    fa, fb, fc, fd = _factor_arrays(seq)
+    fdet = [abs(det(seq[j])) for j in seq.indices()]
     flog_det = np.array([math.log(x) if x > 0.0 else NEG_INF for x in fdet])
 
     sites = np.arange(jrange[0] - lo, jrange[1] - lo + 1) if jrange is not None else np.arange(0)
@@ -573,16 +609,7 @@ def product_sweep(
         xa, xb, xc, xd = fa[n - 1:], fb[n - 1:], fc[n - 1:], fd[n - 1:]
         a, b, c, d = a[:m], b[:m], c[:m], d[:m]
         raw = (xa * a + xb * c, xa * b + xb * d, xc * a + xd * c, xc * b + xd * d)
-        biggest = np.maximum(np.maximum(_abs(raw[0]), _abs(raw[1])),
-                             np.maximum(_abs(raw[2]), _abs(raw[3])))
-        vanished = biggest <= ENTRY_ZERO_TOL
-        scaled = ~vanished & ((biggest <= 1e-120) | (biggest >= 1e120))
-        if scaled.any():
-            k = np.zeros(m, dtype=np.int64)
-            k[scaled] = -np.floor(np.log2(biggest[scaled])).astype(np.int64)
-            s1 = np.ldexp(_gram(*(_ldexp_c(z, k) for z in raw))[4], -k)
-        else:
-            s1 = _gram(*raw)[4]
+        s1, _, vanished = _singular_values(*raw, sigma2=False)
         s1[vanished] = 1.0
         inv = 1.0 / s1
         inv[vanished] = 0.0  # a vanished core stays zero, so the row stays vanished
@@ -601,8 +628,7 @@ def product_sweep(
 
         if n > n_max or m == 0 or n_sites == 0 or (runs_s.done.all() and runs_u.done.all()):
             continue
-        adet = _abs(a * d - b * c)
-        s2c = np.where(adet > DET_REL_TOL * s1c * s1c, np.minimum(adet / s1c, s1c), 0.0)
+        s2c = _sigma2(a, b, c, d, s1c)
         degenerate = (s1c - s2c) <= DEGENERATE_REL_TOL * s1c
         # top right singular vector from the Gram row with the larger pivot
         pivot_p = p >= r

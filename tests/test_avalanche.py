@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from domsplit import (
@@ -7,6 +8,7 @@ from domsplit import (
     GeneratorSpec,
     Mat2C,
     MatrixSequence,
+    ZeroMatrix,
     ap_conditions,
     ap_report,
     ap_residual,
@@ -25,7 +27,7 @@ from domsplit import (
     window_product,
 )
 
-from conftest import random_mat
+from conftest import random_mat, random_unit_vector
 
 
 def family(name, window, params=None, seed=0):
@@ -210,3 +212,82 @@ class TestApReport:
         seq = family("diagonal", (0, 20))
         with pytest.raises(ValueError):
             ap_report(seq, 10.0, 2)
+
+
+def _scaled(seq, factor):
+    return MatrixSequence({j: seq[j].scale(factor) for j in seq.indices()},
+                          seq.bound_M * factor)
+
+
+def _scalar_conditions(seq, mu):
+    """ap_conditions as a plain loop over singular_values and mul."""
+    ap3 = max(s2 / s1 for s1, s2 in map(singular_values, (seq[j] for j in seq.indices())))
+    ap4 = max(
+        singular_values(seq[j + 1])[0] * singular_values(seq[j])[0]
+        / singular_values(mul(seq[j + 1], seq[j]))[0]
+        for j in range(seq.lo, seq.hi)
+    )
+    return ap3, ap4, ap3 <= 1.0 / mu and ap4 <= mu**0.25
+
+
+def _rank_one_window(seed):
+    """Outer products x y*: every det is rounding noise under DET_REL_TOL."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for j in range(-15, 16):
+        x, y = random_unit_vector(rng), random_unit_vector(rng)
+        entries[j] = Mat2C(x[0] * y[0].conjugate(), x[0] * y[1].conjugate(),
+                           x[1] * y[0].conjugate(), x[1] * y[1].conjugate())
+    return MatrixSequence(entries, 2.0)
+
+
+_AP = {"mu": 1e3}
+EQUIVALENCE_CASES = {
+    "ap_family-1e2": (lambda: family("ap_family", (-30, 30), {"mu": 1e2}, 2), 1e2, 20),
+    "ap_family-1e3": (lambda: family("ap_family", (-30, 30), {"mu": 1e3}, 2), 1e3, 20),
+    "ap_family-1e4": (lambda: family("ap_family", (-30, 30), {"mu": 1e4}, 2), 1e4, 20),
+    # the rank-one factor has sigma2 = 0 under the DET_REL_TOL cut
+    "random_singular-aligned": (
+        lambda: family("random_singular", (-30, 30), {"insertions": [0]}, 1), 1e2, 20),
+    "example1": (lambda: family("example1", (-20, 20)), 4.0, 20),
+    "rank-one": (lambda: _rank_one_window(5), 1e2, 10),
+    # entries below 1e-120 and above 1e120 take the power-of-two prescale
+    "prescale-tiny": (lambda: _scaled(family("ap_family", (-30, 30), _AP, 2), 1e-130), 1e3, 20),
+    "prescale-huge": (lambda: _scaled(family("ap_family", (-30, 30), _AP, 2), 1e150), 1e3, 20),
+    "room-limited": (lambda: family("ap_family", (0, 12), {"mu": 1e4}, 2), 1e4, 30),
+    "nmax-3": (lambda: family("ap_family", (-30, 30), _AP, 2), 1e3, 3),
+}
+
+
+class TestApReportEquivalence:
+    """ap_report against the per-site scalar functions, case by case."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_matches_scalar_reference(self, case):
+        build, mu, n_max = EQUIVALENCE_CASES[case]
+        seq = build()
+        rep = ap_report(seq, mu, n_max)
+
+        ref = {(j, n): ap_residual(seq, j, n) for j in range(seq.lo, seq.hi - 1)
+               for n in range(3, min(n_max, seq.hi - j + 1) + 1)}
+        assert list(rep.residuals) == list(ref)
+        for key, r in rep.residuals.items():
+            assert abs(r - ref[key]) <= 1e-12, key
+
+        ap3, ap4, ok = _scalar_conditions(seq, mu)
+        assert abs(rep.ap3_worst - ap3) <= 1e-12 * ap3
+        assert abs(rep.ap4_worst - ap4) <= 1e-12 * ap4
+        assert rep.conditions_pass == ok
+        scale = mu**-0.5
+        c_fit = max(r / (n * scale) for (_, n), r in ref.items())
+        assert abs(rep.c_fit - c_fit) <= 1e-12 / (3 * scale)
+        assert rep.passed == (ok and c_fit <= rep.envelope)
+
+    def test_vanishing_pairs_under_the_zero_tolerance(self):
+        # x1e-150 pushes every pair product below ENTRY_ZERO_TOL: both the
+        # scalar loop and the audit see a zero matrix
+        seq = _scaled(family("ap_family", (-30, 30), _AP, 2), 1e-150)
+        with pytest.raises(ZeroMatrix):
+            _scalar_conditions(seq, 1e3)
+        with pytest.raises(ZeroMatrix):
+            ap_report(seq, 1e3, 20)

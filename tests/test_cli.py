@@ -171,6 +171,50 @@ class TestAp:
                          "--mu", "10", "--nmax", "2")
         assert code == 2
 
+    @staticmethod
+    def _with_entries(tmp_path, name, window, params, replaced):
+        from domsplit import MatrixSequence, dump_sequence
+
+        base, _ = build_with_truth(GeneratorSpec(name, window, params))
+        entries = {j: base[j] for j in base.indices()}
+        entries.update(replaced)
+        seq = MatrixSequence(entries, max(base.bound_M, 2.0))
+        path = tmp_path / "s.json"
+        dump_sequence(seq, str(path))
+        return seq, str(path)
+
+    def test_pair_product_vanishes_exit3(self, tmp_path, capsys):
+        from domsplit import Mat2C, ZeroMatrix, ap_report
+
+        # B(1) B(0) is zero: complementary projections
+        seq, path = self._with_entries(
+            tmp_path, "conjugated_dominated", (-45, 45), {},
+            {0: Mat2C(1.0, 0.0, 0.0, 0.0), 1: Mat2C(0.0, 0.0, 0.0, 1.0)})
+        with pytest.raises(ZeroMatrix, match="^singular values of the zero matrix$"):
+            ap_report(seq, 100.0, 10)
+        code, out, err = run(capsys, "ap", "--input", path, "--mu", "100", "--nmax", "10")
+        assert code == 3
+        assert out == ""
+        assert err == "domsplit ap: singular values of the zero matrix\n"
+
+    def test_longer_product_vanishes_exit3(self, tmp_path, capsys):
+        from domsplit import Mat2C, ProductVanished, ap_conditions, ap_report
+
+        # no pair product is zero, but B(2) B(1) B(0) is; the lowest start whose
+        # scan reaches it is j = -7, at length 10
+        seq, path = self._with_entries(
+            tmp_path, "ap_family", (-20, 20), {"mu": 100.0},
+            {0: Mat2C(1.0, 0.0, 0.0, 0.0), 1: Mat2C(1.0, 1.0, 0.0, 1.0),
+             2: Mat2C(0.0, 0.0, 0.0, 1.0)})
+        ap_conditions(seq, 100.0)  # raises no ZeroMatrix
+        with pytest.raises(ProductVanished) as info:
+            ap_report(seq, 100.0, 10)
+        assert str(info.value) == "product of length 10 starting at j=-7 vanished"
+        code, out, err = run(capsys, "ap", "--input", path, "--mu", "100", "--nmax", "10")
+        assert code == 3
+        assert out == ""
+        assert err == "domsplit ap: product of length 10 starting at j=-7 vanished\n"
+
 
 class TestReportContract:
     def test_config_embedded_and_deterministic(self, capsys):
