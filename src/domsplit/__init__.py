@@ -52,6 +52,7 @@ from .cocycle import (
     estimate_splitting,
     forward_scan,
     invariance_residual,
+    invariance_residuals,
     load_sequence,
     product_sweep,
     sn,

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .avalanche import RESIDUAL_ENVELOPE, ap_report
-from .cocycle import MatrixSequence, estimate_fields, invariance_residual, load_sequence
+from .cocycle import MatrixSequence, estimate_fields, invariance_residuals, load_sequence
 from .conditions import Thresholds, check_domination, fi_profile, svg_profile
 from .errors import (
     DomsplitError,
@@ -249,7 +249,7 @@ def _cmd_profile(args, command: str) -> int:
     if args.format == "json":
         payload = _dump_json(_report_doc(command, cfg, result))
     elif args.format == "csv":
-        rows = [[j, n, v] for (j, n), v in sorted(fit.table.items())]
+        rows = fit.sorted_table()
         payload = _csv_payload(rows, ["j", "n", "ratio_log"])
     else:
         lines = [
@@ -291,17 +291,15 @@ def _cmd_split(args) -> int:
             rec["u_steps"] = [[n, d] for n, d in sorted(cert.u_steps.items())]
         fields.append(rec)
 
-    residuals = {}
-    for j in sorted(es):
-        if j + 1 in es:
-            rs, ru = invariance_residual(seq, j, es, eu)
-            residuals[j] = [rs, ru]
+    res_js, res_s, res_u = invariance_residuals(seq, sweep)
     seps = [rec["separation"] for rec in fields]
     result = {
         "fields": fields,
         "failed_js": failed,
         "min_separation": min(seps) if seps else None,
-        "invariance_residuals": [[j, v[0], v[1]] for j, v in sorted(residuals.items())],
+        "invariance_residuals": [
+            list(r) for r in zip(res_js.tolist(), res_s.tolist(), res_u.tolist())
+        ],
     }
 
     if args.format == "json":
@@ -348,7 +346,7 @@ def _cmd_dom(args) -> int:
     if args.format == "json":
         payload = _dump_json(_report_doc("dom", cfg, result))
     elif args.format == "csv":
-        rows = [[j, n, v] for (j, n), v in sorted(report.svg.table.items())]
+        rows = report.svg.sorted_table()
         payload = _csv_payload(rows, ["j", "n", "ratio_log"])
     else:
         lines = [
@@ -431,6 +429,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except DomsplitError as exc:
         print(f"domsplit {args.command}: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except Exception as exc:  # an estimator failure is no witness: inconclusive, never exit 1
+        print(f"domsplit {args.command}: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_INCONCLUSIVE
     return EXIT_USAGE
 

@@ -27,9 +27,11 @@ import numpy as np
 from .errors import (
     Degenerate,
     InvalidSpec,
+    KernelHit,
     NoConvergence,
     ProductVanished,
     WindowExceeded,
+    ZeroVector,
 )
 from .matrix2c import (
     DEGENERATE_REL_TOL,
@@ -44,6 +46,8 @@ from .matrix2c import (
     svd2,
 )
 from .projective import (
+    _VEC_ZERO_TOL,
+    KERNEL_REL_TOL,
     ProjPoint,
     act,
     dist,
@@ -51,9 +55,7 @@ from .projective import (
     image_line,
     kernel_line,
     most_contracted,
-    project,
 )
-from .errors import KernelHit
 
 NEG_INF = float("-inf")
 
@@ -80,15 +82,18 @@ class MatrixSequence:
             raise InvalidSpec(f"bound_M must be finite and positive, got {bound_M}")
         js = sorted(entries)
         lo, hi = js[0], js[-1]
-        if js != list(range(lo, hi + 1)):
+        if hi - lo + 1 != len(js):
             raise InvalidSpec("sequence window has gaps")
         for j, m in entries.items():
             if not (cmath.isfinite(m.a) and cmath.isfinite(m.b)
                     and cmath.isfinite(m.c) and cmath.isfinite(m.d)):
                 raise InvalidSpec(f"entry at j={j} is not finite")
-            if m.is_zero():
-                raise InvalidSpec(f"entry at j={j} is the zero matrix")
-            s1, _ = singular_values(m)
+            try:
+                if m.is_zero():
+                    raise InvalidSpec(f"entry at j={j} is the zero matrix")
+                s1, _ = singular_values(m)
+            except OverflowError:  # |entry| or sigma1 beyond float range
+                raise InvalidSpec(f"entry at j={j} is too large for float arithmetic") from None
             if not s1 < bound_M:
                 raise InvalidSpec(f"entry at j={j} violates sigma1 < bound_M ({s1} >= {bound_M})")
         self._entries = dict(entries)
@@ -141,7 +146,7 @@ class MatrixSequence:
     @staticmethod
     def from_json_dict(doc: dict) -> "MatrixSequence":
         try:
-            lo, hi = doc["window"]
+            lo, hi = (int(x) for x in doc["window"])
             bound = float(doc["bound_M"])
             entries = {}
             for rec in doc["entries"]:
@@ -155,10 +160,11 @@ class MatrixSequence:
                     complex(re_c, im_c),
                     complex(re_d, im_d),
                 )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+            # OverflowError: an infinite j or a bound or entry too large for a float
             raise InvalidSpec(f"malformed sequence document: {exc}") from exc
         seq = MatrixSequence(entries, bound, source=doc.get("source"))
-        if seq.window != (int(lo), int(hi)):
+        if seq.window != (lo, hi):
             raise InvalidSpec("declared window does not match entries")
         return seq
 
@@ -442,6 +448,93 @@ def _ldexp_c(z: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
+# numpy's complex product may fuse its multiply-adds, so products that must
+# round as CPython's complex arithmetic are taken on real and imaginary parts.
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y, rounded as CPython rounds a complex product."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _cdiv(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """z / r for r > 0, rounded as CPython divides a complex by a float: as
+    the quotient by complex(r, 0), which can change the sign of a zero."""
+    out = np.empty_like(z)
+    out.real = (z.real + z.imag * 0.0) / r
+    out.imag = (z.imag - z.real * 0.0) / r
+    return out
+
+
+def _apply(m: tuple[np.ndarray, ...], v0: np.ndarray, v1: np.ndarray):
+    """``Mat2C.apply`` over arrays of matrices m = (a, b, c, d) and vectors."""
+    a, b, c, d = m
+    return _cmul(a, v0) + _cmul(b, v1), _cmul(c, v0) + _cmul(d, v1)
+
+
+def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``dist`` over arrays of unit representatives p = (p0, p1), q = (q0, q1)."""
+    return 2.0 * _abs(_cmul(p[0], q[1]) - _cmul(p[1], q[0]))
+
+
+# math.hypot is CPython's own, not the C library's hypot that np.hypot calls,
+# and numpy's log is not the C library's log either; each differs from the
+# scalar engine's in the last bit on about 1 input in 200 and 1 in 1000.
+# Where a few thousand values must round exactly as there, they are taken
+# one by one.
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
+    return np.fromiter(out, float, x.size).reshape(x.shape)
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _pow2_rescue(*zs: np.ndarray) -> np.ndarray | None:
+    """The exponents k = -floor(log2 s) of the exact 2^k rescue of
+    ``rescale_pow2``, where s, the largest real or imaginary part of a row
+    of zs, leaves (1e-280, 1e280); 0 on other rows, None when no row needs
+    it."""
+    s = np.maximum.reduce([np.abs(x) for z in zs for x in (z.real, z.imag)])
+    far = ~((s > 1e-280) & (s < 1e280))
+    if not far.any():
+        return None
+    k = np.zeros(len(s), dtype=np.int64)
+    k[far] = -np.floor(np.log2(s[far])).astype(np.int64)
+    return k
+
+
+def _project(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """``project`` over arrays of vectors (v0, v1): the canonical unit
+    representatives as a (2, K) array, rounded as the scalar function rounds
+    them.  Raises ZeroVector if any vector is zero."""
+    norm = _hypot(_abs(v0), _abs(v1))
+    if (norm <= _VEC_ZERO_TOL).any():
+        raise ZeroVector("cannot project a zero vector")
+    k = _pow2_rescue(v0, v1)
+    if k is not None:
+        v0, v1 = _ldexp_c(v0, k), _ldexp_c(v1, k)
+        norm = _hypot(_abs(v0), _abs(v1))
+    x, y = _cdiv(v0, norm), _cdiv(v1, norm)
+    # _phase_to_first_positive with x as the lead; x = 0 is the point at infinity
+    at_inf = x == 0
+    lead = np.where(at_inf, 1.0, x)
+    k = _pow2_rescue(lead)
+    if k is not None:
+        lead = _ldexp_c(lead, k)
+    ph = _cdiv(np.conj(lead), _abs(lead))
+    out = np.empty((2, len(x)), dtype=complex)
+    out[0] = np.where(at_inf, 0.0, _abs(_cmul(x, ph)))
+    out[1] = np.where(at_inf, 1.0, _cmul(y, ph))
+    return out
+
+
 def _gram(a, b, c, d):
     """The Gram-matrix quadratic of ``singular_values`` over arrays of
     matrices [[a, b], [c, d]]: (p, r, q, sigma1^2, sigma1)."""
@@ -528,9 +621,12 @@ class _DirectionRuns:
     def stopped(self) -> np.ndarray:
         return self.n_star >= 0
 
-    def certified(self, ks: np.ndarray) -> tuple[list[ProjPoint], list[dict], list]:
-        """Chosen points, steps up to the stopping index, and fitted rates at
-        the stopped sites ks, in the form ``estimate_splitting`` returns."""
+    def certified(self, ks: np.ndarray) -> tuple[np.ndarray, list[dict], list]:
+        """Chosen points as a (2, K) array of unit representatives, steps up
+        to the stopping index, and fitted rates at the stopped sites ks, in
+        the form ``estimate_splitting`` returns them."""
+        if not len(ks):  # a sweep without sites, as the avalanche audit runs it
+            return np.empty((2, 0), dtype=complex), [], []
         upto = self.n_star[ks] + 3
         steps = self.steps[:, ks]
         steps[np.arange(len(steps))[:, None] >= upto] = np.nan
@@ -539,8 +635,7 @@ class _DirectionRuns:
             {n: d for n, d in enumerate(row[:stop]) if d == d}
             for row, stop in zip(steps.T.tolist(), upto.tolist())
         ]
-        points = [project(v) for v in zip(self.cand[0][ks].tolist(), self.cand[1][ks].tolist())]
-        return points, tables, rates
+        return _project(self.cand[0][ks], self.cand[1][ks]), tables, rates
 
 
 @dataclass(frozen=True)
@@ -551,7 +646,10 @@ class ProductSweep:
     for j = lo .. hi - n + 1, n = 0 .. n_max + 1 (layer 0 is the identity and
     has one start more, hi + 1); -inf marks a vanished product.  At the sites
     of ``jrange`` the sweep also holds the estimated fields, their
-    certificates and the sites where estimation failed.
+    certificates and the sites where estimation failed.  ``js`` lists the
+    sites whose fields converged, in ascending order, and ``es_vec`` /
+    ``eu_vec`` hold the fields' unit representatives there as (2, K)
+    arrays; ``factors`` holds the entries a, b, c, d of B(lo) .. B(hi).
     """
 
     window: tuple[int, int]
@@ -563,6 +661,10 @@ class ProductSweep:
     eu: dict[int, ProjPoint] = field(repr=False)
     certs: dict[int, ConvergenceCert] = field(repr=False)
     failed: list[int]
+    js: np.ndarray = field(repr=False)
+    es_vec: np.ndarray = field(repr=False)
+    eu_vec: np.ndarray = field(repr=False)
+    factors: tuple[np.ndarray, ...] = field(repr=False)
 
 
 def product_sweep(
@@ -650,20 +752,21 @@ def product_sweep(
 
     converged = runs_s.stopped & runs_u.stopped
     ks = np.flatnonzero(converged)
-    js = (lo + sites[ks]).tolist()
-    es_pts, s_tables, s_rates = runs_s.certified(ks)
-    eu_pts, u_tables, u_rates = runs_u.certified(ks)
+    js = lo + sites[ks]
+    es_vec, s_tables, s_rates = runs_s.certified(ks)
+    eu_vec, u_tables, u_rates = runs_u.certified(ks)
     certs = {
         j: ConvergenceCert(ns, nu, st, ut, rs, ru, tol)
         for j, ns, nu, st, ut, rs, ru in zip(
-            js, runs_s.n_star[ks].tolist(), runs_u.n_star[ks].tolist(),
+            js.tolist(), runs_s.n_star[ks].tolist(), runs_u.n_star[ks].tolist(),
             s_tables, u_tables, s_rates, u_rates,
         )
     }
-    es = dict(zip(js, es_pts))
-    eu = dict(zip(js, eu_pts))
+    es = dict(zip(js.tolist(), map(ProjPoint, *es_vec.tolist())))
+    eu = dict(zip(js.tolist(), map(ProjPoint, *eu_vec.tolist())))
     failed = [lo + int(o) for o in sites[~converged]]
-    return ProductSweep((lo, hi), n_max, log_s1, log_s2, jrange, es, eu, certs, failed)
+    return ProductSweep((lo, hi), n_max, log_s1, log_s2, jrange, es, eu, certs, failed,
+                        js, es_vec, eu_vec, (fa, fb, fc, fd))
 
 
 def estimate_fields(
@@ -706,3 +809,32 @@ def invariance_residual(
     else:
         res_u = dist(act(m, eu_field[j]), eu_field[j + 1])
     return res_s, res_u
+
+
+def invariance_residuals(
+    seq: MatrixSequence, sweep: ProductSweep
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``invariance_residual`` at every j where the sweep's fields converged
+    at both j and j + 1, as arrays (js, res_s, res_u) in ascending j.
+
+    The pushforward B(j)v, the kernel test and the distance to the field at
+    j + 1 are taken for all such j at once.  The two rank-one cases, E^s(j)
+    on the kernel of B(j) and the image line of a rank-one B(j), go to the
+    scalar function; they arise only at singular insertions.
+    """
+    k = np.flatnonzero(sweep.js[1:] == sweep.js[:-1] + 1)
+    js = sweep.js[k]
+    m = tuple(f[js - sweep.window[0]] for f in sweep.factors)
+    s1, s2, _ = _singular_values(*m)
+    res = []
+    hits = s2 == 0.0  # the unstable side reads the image line
+    for vec in (sweep.es_vec, sweep.eu_vec):
+        w0, w1 = _apply(m, vec[0, k], vec[1, k])
+        hit = np.hypot(_abs(w0), _abs(w1)) <= KERNEL_REL_TOL * s1
+        hits |= hit
+        w0[hit] = 1.0  # any nonzero vector; the scalar function answers for these
+        res.append(_dist(_project(w0, w1), vec[:, k + 1]))
+    res_s, res_u = res
+    for i in np.flatnonzero(hits).tolist():
+        res_s[i], res_u[i] = invariance_residual(seq, int(js[i]), sweep.es, sweep.eu)
+    return js, res_s, res_u

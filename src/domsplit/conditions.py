@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -17,13 +18,16 @@ from .cocycle import (
     ConvergenceCert,
     MatrixSequence,
     ProductSweep,
+    _dist,
+    _hypot,
+    _log,
     estimate_fields,
-    invariance_residual,
+    invariance_residuals,
     product_sweep,
 )
 from .errors import NotUnimodular, WindowExceeded
 from .matrix2c import det
-from .projective import ProjPoint, dist
+from .projective import ProjPoint
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -66,6 +70,8 @@ class RateFit:
     ``rate`` is the signed per-step exponent (the slope); a decaying profile
     has rate < 0 and fitted mu = exp(-rate).  Entries of ``sup_log`` and
     ``table`` are natural-log ratios; +-inf mark vanished / rank-one products.
+    ``rows`` holds what the table is built from, when it is first read:
+    (first j, first n, one ratio array over j per n).
     """
 
     rate: float
@@ -74,12 +80,40 @@ class RateFit:
     n_hi: int
     residual_max: float
     sup_log: dict[int, float] = dc_field(repr=False)
-    table: dict[tuple[int, int], float] = dc_field(repr=False)
     passed: bool = False
+    rows: tuple = dc_field(default=(), repr=False, compare=False)
 
     @property
     def mu(self) -> float:
         return math.exp(-self.rate)
+
+    @cached_property
+    def table(self) -> dict[tuple[int, int], float]:
+        """{(j, n): log ratio}, n by n and j ascending within each n."""
+        if not self.rows:
+            return {}
+        j_lo, n_first, rows = self.rows
+        keys = [
+            (j, n) for n, row in enumerate(rows, start=n_first)
+            for j in range(j_lo, j_lo + len(row))
+        ]
+        return dict(zip(keys, np.concatenate(rows).tolist()))
+
+    def sorted_table(self) -> list[list]:
+        """[[j, n, log ratio]] in (j, n) order, as ``sorted(table.items())``
+        would list them, read from ``rows`` without building the table."""
+        if not self.rows:
+            return []
+        j_lo, n_first, rows = self.rows
+        # row k holds j = j_lo .. j_lo + len - 1: a prefix of the widest row
+        have = np.arange(max(map(len, rows))) < np.array([len(r) for r in rows])[:, None]
+        grid = np.zeros(have.shape)
+        grid[have] = np.concatenate(rows)
+        js, ks = np.nonzero(have.T)
+        return [
+            list(e) for e in
+            zip((js + j_lo).tolist(), (ks + n_first).tolist(), grid.T[have.T].tolist())
+        ]
 
     def to_json_dict(self, include_table: bool = False) -> dict:
         doc = {
@@ -93,7 +127,7 @@ class RateFit:
             "sup_log": [[n, v] for n, v in sorted(self.sup_log.items())],
         }
         if include_table:
-            doc["table"] = [[j, n, v] for (j, n), v in sorted(self.table.items())]
+            doc["table"] = self.sorted_table()
         return doc
 
 
@@ -125,17 +159,13 @@ def _log_ratios(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 
 def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, RateFit]:
-    lo, hi = sweep.window
+    lo = sweep.window[0]
     n_max = sweep.n_max
     ls1, ls2 = sweep.log_s1, sweep.log_s2
     svg_rows = [_log_ratios(ls2[n], ls1[n + 1]) for n in range(n_max + 1)]
     fi_rows = [_log_ratios(ls1[n], ls1[n + 1]) for n in range(1, n_max + 1)]
     svg_sup = {n: float(r.max()) if r.size else NEG_INF for n, r in enumerate(svg_rows)}
     fi_sup = {n: float(r.max()) if r.size else NEG_INF for n, r in enumerate(fi_rows, start=1)}
-    keys = [(j, n) for n in range(n_max + 1) for j in range(lo, hi - n + 1)]
-    n0 = hi - lo + 1  # the n = 0 block of keys, absent from the FI table
-    svg_table = dict(zip(keys, np.concatenate(svg_rows).tolist()))
-    fi_table = dict(zip(keys[n0:], np.concatenate(fi_rows).tolist())) if fi_rows else {}
 
     n_lo = max(thresholds.fit_n_lo, 0)
     svg_pts = [(n, v) for n, v in svg_sup.items() if n >= n_lo]
@@ -147,7 +177,7 @@ def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, 
         and -slope > math.log(thresholds.mu_min)
         and not any(v == INF for v in svg_sup.values())
     )
-    svg_fit = RateFit(slope, intercept, n_lo, n_max, resid, svg_sup, svg_table, svg_ok)
+    svg_fit = RateFit(slope, intercept, n_lo, n_max, resid, svg_sup, svg_ok, (lo, 0, svg_rows))
 
     fi_pts = [(n, v) for n, v in fi_sup.items() if n >= max(n_lo, 1)]
     fslope, fintercept, fresid = _fit_line(fi_pts)
@@ -158,7 +188,8 @@ def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, 
         and fintercept <= thresholds.fi_log_c_max
         and not any(v == INF for v in fi_sup.values())
     )
-    fi_fit = RateFit(fslope, fintercept, max(n_lo, 1), n_max, fresid, fi_sup, fi_table, fi_ok)
+    fi_fit = RateFit(fslope, fintercept, max(n_lo, 1), n_max, fresid, fi_sup, fi_ok,
+                     (lo, 1, fi_rows))
     return svg_fit, fi_fit
 
 
@@ -216,8 +247,7 @@ def ueg_check(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Threshol
     passed = bool(pts) and slope >= math.log(thresholds.ueg_lambda_min) and all(
         math.isfinite(v) for v in floor.values()
     )
-    return RateFit(slope, intercept, max(thresholds.fit_n_lo, 1), n_max, resid,
-                   floor, {}, passed)
+    return RateFit(slope, intercept, max(thresholds.fit_n_lo, 1), n_max, resid, floor, passed)
 
 
 @dataclass(frozen=True)
@@ -285,55 +315,57 @@ class DominationReport:
 
 
 def _gap_search(
-    seq: MatrixSequence,
-    es: dict[int, ProjPoint],
-    eu: dict[int, ProjPoint],
-    thresholds: Thresholds,
+    sweep: ProductSweep, thresholds: Thresholds
 ) -> tuple[int | None, float | None]:
     """Smallest N with log||B_N u|| - log||B_N s|| >= log(gap_lambda) - 1e-12
     at every estimated site still inside the window at that depth; sites whose
     room is exhausted drop out of the minimum (finite-window truncation).
-    Returns (N, achieved min gap factor)."""
-    js = sorted(es)
-    if not js:
+    A vector whose image vanishes has log norm -inf from then on.  All sites
+    step together, depth by depth.  Returns (N, achieved min gap factor)."""
+    js = sweep.js
+    if not len(js):
         return None, None
+    lo, hi = sweep.window
     want = math.log(thresholds.gap_lambda) - 1e-12
-    state = {}
-    for j in js:
-        state[j] = {
-            "u": eu[j].vector(), "lu": 0.0, "s": es[j].vector(), "ls": 0.0, "alive": True,
-        }
-    n_limit = min(thresholds.n_cap, max(seq.hi - i + 1 for i in js))
-    for n in range(1, n_limit + 1):
-        worst = INF
-        any_alive = False
-        for j in js:
-            st = state[j]
-            if not st["alive"] or j + n - 1 > seq.hi:
-                st["alive"] = False
-                continue
-            any_alive = True
-            m = seq[j + n - 1]
-            for key, lkey in (("u", "lu"), ("s", "ls")):
-                if st[lkey] == NEG_INF:
-                    continue
-                w = m.apply(st[key])
-                nw = math.hypot(abs(w[0]), abs(w[1]))
-                if nw == 0.0:
-                    st[lkey] = NEG_INF
-                else:
-                    st[key] = (w[0] / nw, w[1] / nw)
-                    st[lkey] += math.log(nw)
-            if st["lu"] == NEG_INF:
-                gap = NEG_INF
-            elif st["ls"] == NEG_INF:
-                gap = INF
-            else:
-                gap = st["lu"] - st["ls"]
-            if gap < worst:
-                worst = gap
-        if not any_alive:
-            break
+    # B(j) as a real 4x4 matrix on (Re x0, Im x0, Re x1, Im x1).  Summing its
+    # four terms pairwise rounds B(j)x as Mat2C.apply does with CPython's
+    # complex products.
+    a, b, c, d = sweep.factors
+    mats = np.stack([
+        np.stack(row, axis=-1) for row in (
+            (a.real, -a.imag, b.real, -b.imag),
+            (a.imag, a.real, b.imag, b.real),
+            (c.real, -c.imag, d.real, -d.imag),
+            (c.imag, c.real, d.imag, d.real),
+        )
+    ], axis=1)
+    vec = np.stack([sweep.eu_vec, sweep.es_vec])  # sides u, s
+    x = np.stack([vec[:, 0].real, vec[:, 0].imag, vec[:, 1].real, vec[:, 1].imag], axis=-1)
+    logs = np.zeros((2, len(js)))
+    gone = np.zeros((2, len(js)), dtype=bool)  # the image vanished: log norm -inf
+    n_limit = min(thresholds.n_cap, hi - int(js[0]) + 1)
+    rows = js - lo - 1
+    # sites with j + n - 1 <= hi, a prefix of js, at n = 1 .. n_limit
+    lives = np.searchsorted(js, hi + 1 - np.arange(1, n_limit + 1), side="right")
+    for n, live in enumerate(lives.tolist(), start=1):
+        x, logs, gone = x[:, :live], logs[:, :live], gone[:, :live]
+        t = mats[rows[:live] + n] * x[:, :, None, :]
+        w = (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])
+        nw = _hypot(np.hypot(w[..., 0], w[..., 1]), np.hypot(w[..., 2], w[..., 3]))
+        gone = gone | (nw == 0.0)
+        vanished = gone.any()
+        if vanished:  # a vanished vector stays zero, and dividing by 1 keeps its log
+            nw = np.where(gone, 1.0, nw)
+        x = w / nw[..., None]
+        logs = logs + _log(nw)
+        gap = logs[0] - logs[1]
+        if vanished:
+            gap[gone[1]] = INF
+            gap[gone[0]] = NEG_INF
+            lost = np.flatnonzero(gone[0])
+            if lost.size and hi - int(js[lost[0]]) + 1 >= n_limit:
+                return None, None  # that site keeps the minimum at -inf to the last N
+        worst = float(gap.min())
         if worst >= want:
             return n, math.exp(worst) if worst != INF else INF
     return None, None
@@ -383,20 +415,15 @@ def _certificate(
 
     min_sep: float | None = None
     argmin: int | None = None
-    for j in es:
-        d = dist(es[j], eu[j])
-        if min_sep is None or d < min_sep:
-            min_sep, argmin = d, j
+    if es:
+        sep = _dist(sweep.es_vec, sweep.eu_vec)
+        i = int(np.argmin(sep))  # the first of equal minima, as a scan in j would keep
+        min_sep, argmin = float(sep[i]), int(sweep.js[i])
 
-    inv_max: float | None = None
-    for j in es:
-        if j + 1 in es:
-            rs, ru = invariance_residual(seq, j, es, eu)
-            worst = max(rs, ru)
-            if inv_max is None or worst > inv_max:
-                inv_max = worst
+    _, res_s, res_u = invariance_residuals(seq, sweep)
+    inv_max = float(np.maximum(res_s, res_u).max()) if len(res_s) else None
 
-    n_dom, lambda_dom = _gap_search(seq, es, eu, thresholds)
+    n_dom, lambda_dom = _gap_search(sweep, thresholds)
 
     vanished = any(v == NEG_INF for v in floor.values())
     if vanished:

@@ -126,7 +126,7 @@ class GeneratorSpec:
                 params=dict(doc.get("params", {})),
                 seed=int(doc.get("seed", 0)),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InvalidSpec(f"malformed generator spec: {exc}") from exc
 
     def to_json(self) -> str:

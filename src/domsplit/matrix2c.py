@@ -180,10 +180,13 @@ def inv_singular_values(m: Mat2C) -> tuple[float, float]:
 
 
 def _phase_to_first_positive(v: tuple[complex, complex]) -> tuple[complex, complex]:
-    # Rotate a unit vector so its first nonvanishing component is real positive.
+    """v times conj(lead)/|lead|, lead its first nonvanishing component: the
+    phase rule of every canonical vector (``svd2``'s columns, ``project``).
+    A lead outside (1e-280, 1e280) is rescaled by an exact 2^k first, since
+    the phase of a subnormal quantizes."""
     lead = v[0] if v[0] != 0 else v[1]
     s = max(abs(lead.real), abs(lead.imag))
-    if not 1e-280 < s < 1e280:  # phase of a subnormal quantizes; rescale exactly
+    if not 1e-280 < s < 1e280:
         lead = _ldexp_c(lead, -int(math.floor(math.log2(s))))
     ph = lead.conjugate() / abs(lead)
     return (v[0] * ph, v[1] * ph)

@@ -14,15 +14,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import Degenerate, KernelHit, ZeroVector
-from .matrix2c import Mat2C, Svd2, _ldexp_c, det, rescale_pow2, singular_values, svd2
-
-
-def _lead_phase(z: complex) -> complex:
-    """conj(z)/|z| with exact 2^k rescue; subnormal leads quantize the phase."""
-    s = max(abs(z.real), abs(z.imag))
-    if not 1e-280 < s < 1e280:
-        z = _ldexp_c(z, -int(math.floor(math.log2(s))))
-    return z.conjugate() / abs(z)
+from .matrix2c import (
+    Mat2C,
+    Svd2,
+    _phase_to_first_positive,
+    det,
+    rescale_pow2,
+    singular_values,
+    svd2,
+)
 
 # ||A v|| <= KERNEL_REL_TOL * sigma1(A) marks v as a kernel line for the
 # projective action; separates genuine kernels from strong contraction.
@@ -69,8 +69,8 @@ def project(v: tuple[complex, complex]) -> ProjPoint:
     x, y = v[0] / n, v[1] / n
     if x == 0:
         return ProjPoint(0j, 1.0 + 0j)
-    ph = _lead_phase(x)
-    return ProjPoint(complex(abs(x * ph)), y * ph)
+    x, y = _phase_to_first_positive((x, y))
+    return ProjPoint(complex(abs(x)), y)
 
 
 def dist(z: ProjPoint, w: ProjPoint) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from domsplit import Mat2C
+from domsplit import Mat2C, MatrixSequence
 
 
 def random_mat(rng: np.random.Generator, scale: float = 1.0) -> Mat2C:
@@ -19,6 +19,18 @@ def random_unit_vector(rng: np.random.Generator) -> tuple[complex, complex]:
     v = (complex(g[0], g[1]), complex(g[2], g[3]))
     n = abs(complex(abs(v[0]), abs(v[1])))
     return (v[0] / n, v[1] / n)
+
+
+def rank_one_window(seed: int) -> MatrixSequence:
+    """B(-15) .. B(15) random outer products x y*: every det is rounding
+    noise under DET_REL_TOL, so every B(j) has sigma2 = 0."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for j in range(-15, 16):
+        x, y = random_unit_vector(rng), random_unit_vector(rng)
+        entries[j] = Mat2C(x[0] * y[0].conjugate(), x[0] * y[1].conjugate(),
+                           x[1] * y[0].conjugate(), x[1] * y[1].conjugate())
+    return MatrixSequence(entries, 2.0)
 
 
 def to_numpy(m: Mat2C) -> np.ndarray:

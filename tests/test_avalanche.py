@@ -27,7 +27,7 @@ from domsplit import (
     window_product,
 )
 
-from conftest import random_mat, random_unit_vector
+from conftest import random_mat, rank_one_window
 
 
 def family(name, window, params=None, seed=0):
@@ -230,17 +230,6 @@ def _scalar_conditions(seq, mu):
     return ap3, ap4, ap3 <= 1.0 / mu and ap4 <= mu**0.25
 
 
-def _rank_one_window(seed):
-    """Outer products x y*: every det is rounding noise under DET_REL_TOL."""
-    rng = np.random.default_rng(seed)
-    entries = {}
-    for j in range(-15, 16):
-        x, y = random_unit_vector(rng), random_unit_vector(rng)
-        entries[j] = Mat2C(x[0] * y[0].conjugate(), x[0] * y[1].conjugate(),
-                           x[1] * y[0].conjugate(), x[1] * y[1].conjugate())
-    return MatrixSequence(entries, 2.0)
-
-
 _AP = {"mu": 1e3}
 EQUIVALENCE_CASES = {
     "ap_family-1e2": (lambda: family("ap_family", (-30, 30), {"mu": 1e2}, 2), 1e2, 20),
@@ -250,7 +239,7 @@ EQUIVALENCE_CASES = {
     "random_singular-aligned": (
         lambda: family("random_singular", (-30, 30), {"insertions": [0]}, 1), 1e2, 20),
     "example1": (lambda: family("example1", (-20, 20)), 4.0, 20),
-    "rank-one": (lambda: _rank_one_window(5), 1e2, 10),
+    "rank-one": (lambda: rank_one_window(5), 1e2, 10),
     # entries below 1e-120 and above 1e120 take the power-of-two prescale
     "prescale-tiny": (lambda: _scaled(family("ap_family", (-30, 30), _AP, 2), 1e-130), 1e3, 20),
     "prescale-huge": (lambda: _scaled(family("ap_family", (-30, 30), _AP, 2), 1e150), 1e3, 20),

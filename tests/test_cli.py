@@ -1,9 +1,21 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from domsplit import GeneratorSpec, build_with_truth, load_sequence
+from domsplit import (
+    GeneratorSpec,
+    InvalidSpec,
+    MatrixSequence,
+    build_with_truth,
+    estimate_fields,
+    invariance_residual,
+    load_sequence,
+)
 from domsplit.cli import main
+from domsplit.generators import FAMILIES
 
 
 def run(capsys, *argv):
@@ -128,6 +140,19 @@ class TestSplit:
                            "--window", "-10", "10", "--format", "json")
         assert code == 3
         assert json.loads(out)["result"]["failed_js"]
+
+    def test_residuals_match_per_site(self, capsys):
+        # the rank-one insertion at 0 takes both scalar fallbacks
+        code, out, _ = run(capsys, "split", "--family", "random_singular", "--insertions", "0",
+                           "--seed", "1", "--window", "-30", "30", "--format", "json")
+        got = json.loads(out)["result"]["invariance_residuals"]
+        seq, _ = build_with_truth(GeneratorSpec("random_singular", (-30, 30),
+                                                {"insertions": [0]}, 1))
+        sweep = estimate_fields(seq, None, 40, 1e-9)
+        want = [[j, *invariance_residual(seq, j, sweep.es, sweep.eu)]
+                for j in sorted(sweep.es) if j + 1 in sweep.es]
+        assert 0 in [r[0] for r in got]
+        assert got == want
 
 
 class TestDom:
@@ -317,9 +342,120 @@ class TestBoundaryValidation:
         assert code == 2
         assert "n_max" in err
 
+    # each of these once escaped the loader as a raw OverflowError or ValueError
+    @pytest.mark.parametrize("where,text", [
+        ("j", "1e999"),
+        ("bound_M", "1" + "0" * 400),
+        ("window", '["a", "b"]'),
+        ("m", "[[1.7e308, 1.7e308], [0, 0], [0, 0], [1, 0]]"),
+    ], ids=["j-inf", "bound-400-digits", "window-strings", "entry-overflows"])
+    def test_malformed_file_exit2(self, tmp_path, capsys, where, text):
+        path = tmp_path / "s.json"
+        run(capsys, "gen", "--family", "diagonal", "--window", "0", "9", "--out", str(path))
+        doc = json.loads(path.read_text())
+        (doc["entries"][0] if where in ("j", "m") else doc)[where] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', text))
+        code, out, err = run(capsys, "dom", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domsplit dom: ") and "internal error" not in err
+
+    def test_spec_seed_overflow_exit2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"family": "diagonal", "window": [0, 3], "params": {}, "seed": 1e999}')
+        code, out, err = run(capsys, "gen", "--spec", str(spec), "--out", str(tmp_path / "o.json"))
+        assert code == 2
+        assert err.startswith("domsplit gen: malformed generator spec")
+
     def test_empty_fit_does_not_pass(self, capsys):
         # n <= 1 leaves no n >= fit_n_lo = 2 to fit: no evidence either way
         code, out, _ = run(capsys, "svg", "--family", "example1", "--window", "-20", "20",
                            "--nmax", "1", "--format", "json")
         assert code == 3
         assert json.loads(out)["result"]["passed"] is False
+
+
+class TestInternalError:
+    def test_unmapped_exception_exit3(self, capsys, monkeypatch):
+        from domsplit import cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("estimator broke")
+
+        monkeypatch.setattr(cli, "check_domination", broken)
+        code, out, err = run(capsys, "dom", "--family", "diagonal", "--window", "-20", "20")
+        assert code == 3
+        assert out == ""
+        assert err == "domsplit dom: internal error: RuntimeError: estimator broke\n"
+
+
+# Any JSON document: scalars (numbers past float range included), lists, objects.
+_EXTREMES = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, 10**400, -10**400])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | _EXTREMES
+            | st.text(max_size=4))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _corrupted(draw, doc):
+    """doc, or doc with one node replaced by an arbitrary JSON value."""
+    if not draw(st.booleans()):
+        return doc
+    node, key = doc, None
+    for _ in range(draw(st.integers(1, 4))):
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if not isinstance(node[key], (dict, list)) or not node[key]:
+            break
+        node, key = node[key], None
+    if key is not None:
+        node[key] = draw(_EXTREMES | _JSON | st.lists(st.floats(), min_size=2, max_size=2))
+    return doc
+
+
+@st.composite
+def _sequence_docs(draw):
+    n = draw(st.integers(1, 3))
+    lo = draw(st.integers(-3, 3) | st.integers())
+    num = st.floats(-4.0, 4.0)
+    doc = {
+        "window": [lo, lo + n - 1],
+        "bound_M": 100.0,
+        "entries": [{"j": lo + k, "m": [[draw(num), draw(num)] for _ in range(4)]}
+                    for k in range(n)],
+    }
+    return draw(_corrupted(doc))
+
+
+@st.composite
+def _spec_docs(draw):
+    doc = {
+        "family": draw(st.sampled_from(FAMILIES)),
+        "window": [draw(st.integers(-3, 3)), draw(st.integers(-3, 3))],
+        "params": {},
+        "seed": draw(st.integers(0, 9)),
+    }
+    return draw(_corrupted(doc))
+
+
+class TestDocumentFuzz:
+    """A loaded document either loads or raises InvalidSpec, never anything else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sequence_docs() | _JSON)
+    def test_sequence_document(self, doc):
+        try:
+            MatrixSequence.from_json_dict(doc)
+        except InvalidSpec:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(_spec_docs() | _JSON)
+    def test_generator_spec(self, doc):
+        try:
+            GeneratorSpec.from_json_dict(doc)
+        except InvalidSpec:
+            pass

@@ -3,7 +3,8 @@
 ``scalar_sweep`` builds a ProductSweep with the scalar engine: one
 ``forward_scan`` per start for the log-sigma layers and one
 ``estimate_splitting`` per site for the fields.  Every comparison below is
-between that oracle and ``estimate_fields``.
+between that oracle and ``estimate_fields``, or between one of the
+certificate's array stages and its per-site reference.
 """
 
 import math
@@ -14,21 +15,31 @@ import pytest
 from domsplit import (
     GeneratorSpec,
     InvalidSpec,
+    KernelHit,
     Mat2C,
     MatrixSequence,
     NoConvergence,
     ProductSweep,
     ProductVanished,
     Thresholds,
+    ZeroVector,
+    act,
     build_with_truth,
     check_domination,
     dist,
     estimate_fields,
     estimate_splitting,
     forward_scan,
+    invariance_residual,
+    invariance_residuals,
     product_sweep,
+    project,
+    singular_values,
 )
-from domsplit.conditions import _certificate
+from domsplit.cocycle import _apply, _hypot, _log, _project
+from domsplit.conditions import _certificate, _gap_search
+
+from conftest import rank_one_window
 
 TOL = 1e-12
 
@@ -54,7 +65,15 @@ def scalar_sweep(seq, n_max, jrange, tol) -> ProductSweep:
             es[j], eu[j], certs[j] = estimate_splitting(seq, j, n_max, tol)
         except (NoConvergence, ProductVanished):
             failed.append(j)
-    return ProductSweep((lo, hi), n_max, log_s1, log_s2, jrange, es, eu, certs, failed)
+    js = np.array(sorted(es), dtype=np.int64)
+
+    def vectors(field):
+        return np.array([field[j].vector() for j in js], dtype=complex).reshape(-1, 2).T
+
+    factors = tuple(np.array([getattr(seq[j], e) for j in seq.indices()], dtype=complex)
+                    for e in "abcd")
+    return ProductSweep((lo, hi), n_max, log_s1, log_s2, jrange, es, eu, certs, failed,
+                        js, vectors(es), vectors(eu), factors)
 
 
 def scaled(seq, factor):
@@ -210,3 +229,209 @@ class TestDepthValidation:
         assert len(sweep.log_s1) == 32 and sweep.log_s1[12].size == 0
         # the stopping rule needs four directions on each side
         assert sweep.failed == scalar_sweep(seq, 30, (0, 9), 1e-9).failed == [0, 1, 2, 3, 7, 8, 9]
+
+
+# -- the certificate's array stages against their per-site references --------
+#
+# The stages round as the scalar functions do (CPython's complex products and
+# quotients, math.hypot, math.log), so their results must be equal, not close.
+
+
+def scalar_gap_search(seq, es, eu, thresholds):
+    """The per-site domination-gap loop, kept as the reference for
+    ``conditions._gap_search``."""
+    js = sorted(es)
+    if not js:
+        return None, None
+    want = math.log(thresholds.gap_lambda) - 1e-12
+    state = {}
+    for j in js:
+        state[j] = {
+            "u": eu[j].vector(), "lu": 0.0, "s": es[j].vector(), "ls": 0.0, "alive": True,
+        }
+    n_limit = min(thresholds.n_cap, max(seq.hi - i + 1 for i in js))
+    for n in range(1, n_limit + 1):
+        worst = math.inf
+        any_alive = False
+        for j in js:
+            st = state[j]
+            if not st["alive"] or j + n - 1 > seq.hi:
+                st["alive"] = False
+                continue
+            any_alive = True
+            m = seq[j + n - 1]
+            for key, lkey in (("u", "lu"), ("s", "ls")):
+                if st[lkey] == -math.inf:
+                    continue
+                w = m.apply(st[key])
+                nw = math.hypot(abs(w[0]), abs(w[1]))
+                if nw == 0.0:
+                    st[lkey] = -math.inf
+                else:
+                    st[key] = (w[0] / nw, w[1] / nw)
+                    st[lkey] += math.log(nw)
+            if st["lu"] == -math.inf:
+                gap = -math.inf
+            elif st["ls"] == -math.inf:
+                gap = math.inf
+            else:
+                gap = st["lu"] - st["ls"]
+            if gap < worst:
+                worst = gap
+        if not any_alive:
+            break
+        if worst >= want:
+            return n, math.exp(worst) if worst != math.inf else math.inf
+    return None, None
+
+
+def eager_table(sweep, kind):
+    """The SVG or FI (j, n) table entry by entry, in the order the eager
+    construction used: n ascending, then j."""
+    lo = sweep.window[0]
+    table = {}
+    for n in range(0 if kind == "svg" else 1, sweep.n_max + 1):
+        num = sweep.log_s2[n] if kind == "svg" else sweep.log_s1[n]
+        den = sweep.log_s1[n + 1]
+        for i in range(len(den)):
+            vanished = den[i] == -math.inf
+            table[(lo + i, n)] = math.inf if vanished else float(max(num[i], num[i + 1]) - den[i])
+    return table
+
+
+def diagonal_with_kernel():
+    """diag(2, 1) with B(0) = diag(2, 0): E^s(0) = (0, 1) is exactly the
+    kernel of B(0), so its image vanishes exactly in the gap search."""
+    seq = family("diagonal", (-25, 25))
+    entries = {j: seq[j] for j in seq.indices()}
+    entries[0] = Mat2C(2.0 + 0j, 0j, 0j, 0j)
+    return MatrixSequence(entries, seq.bound_M)
+
+
+# name -> (sequence builder, n_max, jrange or None for the default)
+STAGE_CASES = {
+    # E^s(0) lies on the kernel of the rank-one B(0): the kernel-hit fallback
+    "singular-aligned": (
+        lambda: family("random_singular", (-30, 30), {"insertions": [0]}, 1), 40, None),
+    # every B(j) rank one: the image-line fallback at every pair
+    "rank-one": (lambda: rank_one_window(5), 10, None),
+    "diagonal-kernel": (diagonal_with_kernel, 20, None),
+    "vanishing": (lambda: vanishing(_conj(1)), 40, (-6, 6)),
+    # failed sites between converged ones, so the fields have holes
+    "vanishing-holes": (lambda: vanishing(_conj(1)), 40, None),
+    "unitary": (lambda: family("unitary", (-20, 20), seed=3), 30, None),
+    "example1": (lambda: family("example1", (-40, 40)), 40, (-20, 20)),
+    # enough sites and depths that a log or hypot rounded otherwise would show
+    "long": (lambda: family("conjugated_dominated", (-200, 200), {"rate_mode": "constant"}, 3),
+             40, None),
+    "prescale-tiny": (lambda: scaled(_conj(2), 1e-130), 40, (-6, 6)),
+    "prescale-huge": (lambda: scaled(_conj(2), 1e150), 40, (-6, 6)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(STAGE_CASES))
+def staged(request):
+    build, n_max, jrange = STAGE_CASES[request.param]
+    seq = build()
+    return seq, estimate_fields(seq, jrange, n_max, 1e-9)
+
+
+def test_stage_case_coverage():
+    """Each fallback and edge the stages handle is reached by the cases."""
+    seq = STAGE_CASES["singular-aligned"][0]()
+    sweep = estimate_fields(seq, None, 40, 1e-9)
+    assert {0, 1} <= set(sweep.es)
+    assert singular_values(seq[0])[1] == 0.0
+    with pytest.raises(KernelHit):
+        act(seq[0], sweep.es[0])
+    seq = rank_one_window(5)
+    sweep = estimate_fields(seq, None, 10, 1e-9)
+    pairs = invariance_residuals(seq, sweep)[0]
+    assert len(pairs) > 10 and all(singular_values(seq[j])[1] == 0.0 for j in pairs.tolist())
+    seq = diagonal_with_kernel()
+    sweep = estimate_fields(seq, None, 20, 1e-9)
+    assert seq[0].apply(sweep.es[0].vector()) == (0j, 0j)
+    sweep = estimate_fields(vanishing(_conj(1)), None, 40, 1e-9)
+    assert any(sweep.js[0] < j < sweep.js[-1] for j in sweep.failed)
+    sweep = estimate_fields(family("unitary", (-20, 20), seed=3), None, 30, 1e-9)
+    assert sweep.js.size == 0 and sweep.es_vec.shape == (2, 0)
+
+
+def test_invariance_residuals(staged):
+    seq, sweep = staged
+    js, res_s, res_u = invariance_residuals(seq, sweep)
+    assert js.tolist() == [j for j in sweep.es if j + 1 in sweep.es]
+    for j, rs, ru in zip(js.tolist(), res_s.tolist(), res_u.tolist()):
+        assert (rs, ru) == invariance_residual(seq, j, sweep.es, sweep.eu), j
+
+
+@pytest.mark.parametrize("gap_lambda", [2.0, 1e3, 1e12])
+def test_gap_search(staged, gap_lambda):
+    """Larger factors need deeper N, so sites near the window's end drop out
+    and, on the vanishing window, images vanish on the way."""
+    seq, sweep = staged
+    thresholds = Thresholds(gap_lambda=gap_lambda)
+    got = _gap_search(sweep, thresholds)
+    assert got == scalar_gap_search(seq, sweep.es, sweep.eu, thresholds)
+
+
+def test_projection(staged):
+    """The fields are projected as project() projects them, and so are the
+    unnormalised pushforwards B(j)E(j) the invariance stage projects."""
+    seq, sweep = staged
+    for vec, field in ((sweep.es_vec, sweep.es), (sweep.eu_vec, sweep.eu)):
+        assert [p.vector() for p in field.values()] == list(zip(*vec.tolist()))
+        rows = sweep.js - sweep.window[0]
+        w0, w1 = _apply(tuple(f[rows] for f in sweep.factors), vec[0], vec[1])
+        keep = np.hypot(np.abs(w0), np.abs(w1)) > 1e-290  # a vanished image has no line
+        got = _project(w0[keep], w1[keep])
+        for g, v in zip(zip(*got.tolist()), zip(w0[keep].tolist(), w1[keep].tolist())):
+            assert repr(g) == repr(project(v).vector())
+
+
+@pytest.mark.parametrize("v", [
+    ((3 - 4j), (1 + 2j)),
+    (0j, (2 + 1j)),  # the point at infinity
+    (-0.0 + 0j, -1.0 + 0j),
+    ((1e-290 + 0j), 3e-291j),  # rescaled up before normalising
+    ((1e290 + 0j), (-2e289 + 1e289j)),  # rescaled down
+    ((1.5e308 + 0j), -1.5e308j),  # rescaled down before the norm overflows
+    ((5e-324 + 0j), (1.0 + 0j)),  # a subnormal lead, whose phase is rescued
+    ((-5e-324 - 5e-324j), (0.5 - 0.5j)),
+    ((1e-300 + 0j), (1e-299 + 0j)),
+    (complex(-0.0, 1.0), complex(2.0, -0.0)),  # CPython's quotient turns this -0.0 to 0.0
+])
+def test_projection_rescues(v):
+    got = _project(np.array([v[0]]), np.array([v[1]]))
+    assert repr(tuple(got[:, 0].tolist())) == repr(project(v).vector())  # signs of zero too
+
+
+def test_rounding_helpers_match_math():
+    """The stages' norms and logs round as math.hypot and math.log do; numpy's
+    hypot and log differ from them in the last bit on some inputs."""
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(0.25, 8.0, (2, 3, 5000))  # one-step norms of unit vectors
+    assert _hypot(x, y).tolist() == [list(map(math.hypot, p, q)) for p, q in zip(x.tolist(), y.tolist())]
+    assert _log(x).tolist() == [list(map(math.log, p)) for p in x.tolist()]
+
+
+@pytest.mark.parametrize("v", [(0j, 0j), (1e-301 + 0j, 0j)])
+def test_projection_rejects_zero(v):
+    with pytest.raises(ZeroVector):
+        project(v)
+    with pytest.raises(ZeroVector):
+        _project(np.array([v[0]]), np.array([v[1]]))
+
+
+def test_tables_built_when_read(staged):
+    seq, sweep = staged
+    report = _certificate(seq, Thresholds(n_max=sweep.n_max), sweep, [])
+    for fit, kind in ((report.svg, "svg"), (report.fi, "fi")):
+        want = eager_table(sweep, kind)
+        assert fit.sorted_table() == [[j, n, v] for (j, n), v in sorted(want.items())]
+        assert "table" not in vars(fit)  # neither the certificate nor a listing builds it
+        assert list(fit.table.items()) == list(want.items())
+        assert fit.table is fit.table
+    again = _certificate(seq, Thresholds(n_max=sweep.n_max), sweep, [])
+    assert again.svg == report.svg and again.fi == report.fi
+    assert "rows" not in repr(report.svg)
