@@ -17,6 +17,7 @@ from .cocycle import (
     MatrixSequence,
     _factor_arrays,
     _fit_rate,
+    _point_steps,
     _singular_values,
     backward_scan,
     forward_scan,
@@ -62,19 +63,25 @@ def _window_norms(seq: MatrixSequence) -> tuple[np.ndarray, np.ndarray, np.ndarr
         return np.log(s1), np.log(s2), np.log(p1)
 
 
+def _ap_margins(seq: MatrixSequence, mu: float):
+    """The window norms of ``_window_norms`` and, from them, the result of
+    ``ap_conditions``: (norms, (ap3_worst, ap4_worst, pass))."""
+    if mu <= 1.0:
+        raise ValueError("mu must exceed 1")
+    norms = log_s1, log_s2, log_pair = _window_norms(seq)
+    ap3_log = float(np.max(log_s2 - log_s1))  # -inf where sigma2 = 0
+    ap4_log = float(np.max(log_s1[1:] + log_s1[:-1] - log_pair, initial=NEG_INF))
+    ok = ap3_log <= -math.log(mu) and ap4_log <= 0.25 * math.log(mu)
+    return norms, (math.exp(ap3_log), math.exp(ap4_log), ok)
+
+
 def ap_conditions(seq: MatrixSequence, mu: float) -> tuple[float, float, bool]:
     """Worst single-step gap ratio and pairwise norm-product ratio.
 
     Returns (ap3_worst, ap4_worst, pass) where pass requires
     ap3_worst <= 1/mu and ap4_worst <= mu^(1/4).
     """
-    if mu <= 1.0:
-        raise ValueError("mu must exceed 1")
-    log_s1, log_s2, log_pair = _window_norms(seq)
-    ap3_log = float(np.max(log_s2 - log_s1))  # -inf where sigma2 = 0
-    ap4_log = float(np.max(log_s1[1:] + log_s1[:-1] - log_pair, initial=NEG_INF))
-    ok = ap3_log <= -math.log(mu) and ap4_log <= 0.25 * math.log(mu)
-    return math.exp(ap3_log), math.exp(ap4_log), ok
+    return _ap_margins(seq, mu)[1]
 
 
 def telescoping_residual(seq: MatrixSequence, j: int, n: int) -> float:
@@ -160,27 +167,12 @@ def direction_drift(seq: MatrixSequence, j: int, n_max: int) -> DriftTables:
     """Per-n drift of the contracted/expanding directions at site j."""
     n_s = min(n_max, seq.hi - j + 1)
     n_u = min(n_max, j - seq.lo)
-    s_steps: dict[int, float] = {}
-    u_steps: dict[int, float] = {}
 
-    prev = None
-    for n, prod in enumerate(forward_scan(seq, j, n_s)):
-        if n == 0:
-            continue
-        sv = prod.svd()
-        cur = None if sv.degenerate else most_contracted(sv)
-        if cur is not None and prev is not None:
-            s_steps[n] = dist(cur, prev)
-        prev = cur
-    prev = None
-    for n, prod in enumerate(backward_scan(seq, j, n_u)):
-        if n == 0:
-            continue
-        sv = prod.svd()
-        cur = None if sv.degenerate else expanding_image(sv)
-        if cur is not None and prev is not None:
-            u_steps[n] = dist(cur, prev)
-        prev = cur
+    def steps(scan, side: str) -> dict[int, float]:
+        return {n: d for n, _, d in _point_steps(scan, side) if d is not None}
+
+    s_steps = steps(forward_scan(seq, j, n_s), "s")
+    u_steps = steps(backward_scan(seq, j, n_u), "u")
     return DriftTables(s_steps, u_steps, _fit_rate(s_steps), _fit_rate(u_steps))
 
 
@@ -234,9 +226,7 @@ def ap_report(
     if n_max < 3:
         raise ValueError("avalanche audit needs n_max >= 3")
     lo, hi = seq.window
-    ap3, ap4, ok = ap_conditions(seq, mu)
-
-    log_single, _, log_pair = _window_norms(seq)
+    (log_single, _, log_pair), (ap3, ap4, ok) = _ap_margins(seq, mu)
     forward = product_sweep(seq, n_max - 1).log_s1  # layers n = 0 .. n_max
     size = hi - lo + 1
     starts = max(size - 2, 0)  # j = lo .. hi - 2 have room for n = 3

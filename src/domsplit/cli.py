@@ -19,7 +19,7 @@ import sys
 from . import __version__
 from .avalanche import RESIDUAL_ENVELOPE, ap_report
 from .cocycle import MatrixSequence, estimate_fields, invariance_residuals, load_sequence
-from .conditions import Thresholds, check_domination, fi_profile, svg_profile
+from .conditions import Thresholds, _field_record, check_domination, fi_profile, svg_profile
 from .errors import (
     DomsplitError,
     InvalidSpec,
@@ -123,14 +123,18 @@ def _resolve_sequence(args) -> tuple[MatrixSequence, dict]:
         raise InvalidSpec("one of --input or --family is required")
     if not args.window:
         raise InvalidSpec("--family needs --window LO HI")
-    spec = GeneratorSpec(
+    spec = _spec_from_args(args)
+    seq, _ = build_with_truth(spec)
+    return seq, {"generator": spec.to_json_dict()}
+
+
+def _spec_from_args(args) -> GeneratorSpec:
+    return GeneratorSpec(
         family=args.family,
         window=(args.window[0], args.window[1]),
         params=_family_params(args),
         seed=args.seed,
     )
-    seq, _ = build_with_truth(spec)
-    return seq, {"generator": spec.to_json_dict()}
 
 
 def _report_doc(command: str, config: dict, result: dict) -> dict:
@@ -211,12 +215,7 @@ def _cmd_gen(args) -> int:
     else:
         if not args.family or not args.window:
             raise InvalidSpec("gen needs --family and --window (or --spec)")
-        spec = GeneratorSpec(
-            family=args.family,
-            window=(args.window[0], args.window[1]),
-            params=_family_params(args),
-            seed=args.seed,
-        )
+        spec = _spec_from_args(args)
     seq, _ = build_with_truth(spec)
     doc = seq.to_json_dict()
     doc["source"] = spec.to_json_dict()
@@ -230,7 +229,7 @@ def _cmd_profile(args, command: str) -> int:
     if command == "svg":
         fit = svg_profile(seq, args.nmax, thresholds)
     else:
-        fit = fi_profile(seq, args.nmax, thresholds=thresholds)
+        fit = fi_profile(seq, args.nmax, thresholds)
     cfg.update({"nmax": args.nmax, "epsilon": args.epsilon, "mu_min": args.mu_min})
     result = fit.to_json_dict(include_table=args.table)
 
@@ -275,17 +274,8 @@ def _cmd_split(args) -> int:
 
     fields = []
     for j, cert in sweep.certs.items():
-        s_pt, u_pt = es[j], eu[j]
-        rec = {
-            "j": j,
-            "Es": "inf" if s_pt.affine is None else [s_pt.affine.real, s_pt.affine.imag],
-            "Eu": "inf" if u_pt.affine is None else [u_pt.affine.real, u_pt.affine.imag],
-            "separation": dist(s_pt, u_pt),
-            "n_star_s": cert.n_star_s,
-            "n_star_u": cert.n_star_u,
-            "rate_s": cert.rate_s,
-            "rate_u": cert.rate_u,
-        }
+        rec = _field_record(j, es[j], eu[j], cert)
+        rec["separation"] = dist(es[j], eu[j])
         if args.table:
             rec["s_steps"] = [[n, d] for n, d in sorted(cert.s_steps.items())]
             rec["u_steps"] = [[n, d] for n, d in sorted(cert.u_steps.items())]
@@ -389,8 +379,7 @@ def _cmd_ap(args) -> int:
     if args.format == "json":
         payload = _dump_json(_report_doc("ap", cfg, result))
     elif args.format == "csv":
-        bound = args.mu ** -0.5
-        rows = [[j, n, r, n * bound] for (j, n), r in sorted(report.residuals.items())]
+        rows = report.to_json_dict(include_table=True)["residuals"]
         payload = _csv_payload(rows, ["j", "n", "residual", "bound"])
     else:
         lines = [

@@ -3,9 +3,10 @@
 Products B_n(j) = B(j+n-1) ... B(j) are renormalized after every factor:
 the stored core has operator norm 1 and the accumulated log scale carries
 sigma1, so products that decay or grow geometrically never leave the
-representable range.  log|det| is accumulated factor by factor, which keeps
-sigma2 of a product exact in the log domain far below the entrywise noise
-floor of the core determinant.
+representable range.  log|det| is accumulated factor by factor, each taken
+after the exact 2^k prescale of ``singular_values`` so that no factor's
+determinant over- or underflows; that keeps sigma2 of a product exact in the
+log domain far below the entrywise noise floor of the core determinant.
 
 Two engines share that recurrence.  ``ScaledProduct`` and the scans build
 one product at a time from ``Mat2C`` values; ``product_sweep`` builds depth n
@@ -19,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -40,6 +42,7 @@ from .matrix2c import (
     IDENTITY,
     Mat2C,
     Svd2,
+    _prescale,
     det,
     mul,
     singular_values,
@@ -58,6 +61,16 @@ from .projective import (
 )
 
 NEG_INF = float("-inf")
+_LN2 = math.log(2.0)
+
+
+def _as_index(x) -> int:
+    """x as an integer index, from an int or an integral float.  int() would
+    also truncate 1.5 to 1 and read True as 1 and "3" as 3; those raise
+    ValueError or TypeError here."""
+    if isinstance(x, bool):
+        raise ValueError(f"index {x!r} is not an integer")
+    return int(x) if isinstance(x, float) and x.is_integer() else operator.index(x)
 
 
 class MatrixSequence:
@@ -146,7 +159,7 @@ class MatrixSequence:
     @staticmethod
     def from_json_dict(doc: dict) -> "MatrixSequence":
         try:
-            lo, hi = (int(x) for x in doc["window"])
+            lo, hi = (_as_index(x) for x in doc["window"])
             bound = float(doc["bound_M"])
             entries = {}
             for rec in doc["entries"]:
@@ -154,14 +167,14 @@ class MatrixSequence:
                 re_b, im_b = rec["m"][1]
                 re_c, im_c = rec["m"][2]
                 re_d, im_d = rec["m"][3]
-                entries[int(rec["j"])] = Mat2C(
+                entries[_as_index(rec["j"])] = Mat2C(
                     complex(re_a, im_a),
                     complex(re_b, im_b),
                     complex(re_c, im_c),
                     complex(re_d, im_d),
                 )
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-            # OverflowError: an infinite j or a bound or entry too large for a float
+            # OverflowError: a bound or entry too large for a float
             raise InvalidSpec(f"malformed sequence document: {exc}") from exc
         seq = MatrixSequence(entries, bound, source=doc.get("source"))
         if seq.window != (lo, hi):
@@ -201,19 +214,23 @@ class ScaledProduct:
 
     def left_multiply(self, factor: Mat2C) -> "ScaledProduct":
         """The product factor . B_n(start), i.e. B_{n+1}(start)."""
-        raw = mul(factor, self.core)
+        return self._step(factor, right=False)
+
+    def _step(self, factor: Mat2C, right: bool) -> "ScaledProduct":
+        """One renormalized step: factor . B_n(start), or with ``right``
+        B_n(start) . factor, which is B_{n+1}(start - 1)."""
+        raw = mul(self.core, factor) if right else mul(factor, self.core)
         if raw.is_zero():
-            raise ProductVanished(
-                f"product of length {self.length + 1} starting at j={self.start} vanished"
-            )
+            where = (f"ending at j={self.start + self.length - 1}" if right
+                     else f"starting at j={self.start}")
+            raise ProductVanished(f"product of length {self.length + 1} {where} vanished")
         s1, _ = singular_values(raw)
-        fdet = abs(det(factor))
         return ScaledProduct(
             self.log_scale + math.log(s1),
             raw.scale(1.0 / s1),
             self.length + 1,
-            self.start,
-            self.log_abs_det + (math.log(fdet) if fdet > 0.0 else NEG_INF),
+            self.start - 1 if right else self.start,
+            self.log_abs_det + _log_abs_det(factor),
         )
 
     @property
@@ -239,15 +256,22 @@ class ScaledProduct:
         return self.log_scale + math.log(math.hypot(abs(w[0]), abs(w[1])))
 
 
+def _log_abs_det(m: Mat2C) -> float:
+    """log|det m| of a nonzero m, -inf where det is 0.  m is prescaled by
+    the 2^k of ``singular_values`` first, so det neither overflows nor
+    underflows, and 2k log 2 is taken off the log."""
+    m, k = _prescale(m)
+    adet = abs(det(m))
+    return math.log(adet) - 2 * k * _LN2 if adet > 0.0 else NEG_INF
+
+
 def window_product(seq: MatrixSequence, j: int, n: int) -> ScaledProduct:
-    """B_n(j) = B(j+n-1) ... B(j) with per-factor renormalization."""
+    """B_n(j) = B(j+n-1) ... B(j) with per-factor renormalization: the last
+    product of ``forward_scan``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > 0 and (j < seq.lo or j + n - 1 > seq.hi):
-        raise WindowExceeded(f"[{j}, {j + n - 1}] not inside [{seq.lo}, {seq.hi}]")
-    prod = ScaledProduct.identity(j)
-    for k in range(n):
-        prod = prod.left_multiply(seq[j + k])
+    for prod in forward_scan(seq, j, n):
+        pass
     return prod
 
 
@@ -270,19 +294,7 @@ def backward_scan(seq: MatrixSequence, j: int, n_max: int) -> Iterator[ScaledPro
     yield prod
     for k in range(1, n_max + 1):
         # B_{k}(j-k) = B_{k-1}(j-k+1) . B(j-k)
-        factor = seq[j - k]
-        raw = mul(prod.core, factor)
-        if raw.is_zero():
-            raise ProductVanished(f"product of length {k} ending at j={j - 1} vanished")
-        s1, _ = singular_values(raw)
-        fdet = abs(det(factor))
-        prod = ScaledProduct(
-            prod.log_scale + math.log(s1),
-            raw.scale(1.0 / s1),
-            k,
-            j - k,
-            prod.log_abs_det + (math.log(fdet) if fdet > 0.0 else NEG_INF),
-        )
+        prod = prod._step(seq[j - k], right=True)
         yield prod
 
 
@@ -316,21 +328,28 @@ class ConvergenceCert:
     rate_u: float | None
     tol: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_star_s": self.n_star_s,
-            "n_star_u": self.n_star_u,
-            "s_steps": [[n, d] for n, d in sorted(self.s_steps.items())],
-            "u_steps": [[n, d] for n, d in sorted(self.u_steps.items())],
-            "rate_s": self.rate_s,
-            "rate_u": self.rate_u,
-            "tol": self.tol,
-        }
-
 
 # Chordal steps at or below this are rounding noise of the metric (diameter
 # 2) and carry no rate signal.
 STEP_NOISE_FLOOR = 1e-13
+
+
+def _fit_lines(
+    x: np.ndarray, y: np.ndarray, use: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares lines y = intercept + slope x down each column of a
+    finite y, over the rows where ``use`` holds; x is one column.  Returns
+    (slope, intercept) per column, the slope nan where fewer than two rows
+    are used or their x are all equal."""
+    count = use.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):  # columns with no points
+        xbar = (use * x).sum(axis=0) / count
+        ybar = (use * y).sum(axis=0) / count
+        dx = np.where(use, x - xbar, 0.0)
+        dy = np.where(use, y - ybar, 0.0)
+        sxx = (dx * dx).sum(axis=0)
+        slope = (dx * dy).sum(axis=0) / sxx
+    return np.where((count >= 2) & (sxx > 0.0), slope, np.nan), ybar - slope * xbar
 
 
 def _fit_rates(steps: np.ndarray) -> np.ndarray:
@@ -338,15 +357,8 @@ def _fit_rates(steps: np.ndarray) -> np.ndarray:
     where row n holds the step d(pt_n, pt_{n+1}) and nan marks no step; nan
     where fewer than two steps clear STEP_NOISE_FLOOR."""
     use = steps > STEP_NOISE_FLOOR  # False on nan
-    count = use.sum(axis=0)
     ns = np.arange(len(steps), dtype=float)[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):  # columns with no points
-        y = np.log(np.where(use, steps, 1.0))
-        dx = np.where(use, ns - (use * ns).sum(axis=0) / count, 0.0)
-        dy = np.where(use, y - y.sum(axis=0) / count, 0.0)
-        sxx = (dx * dx).sum(axis=0)
-        rate = (dx * dy).sum(axis=0) / sxx
-    return np.where((count >= 2) & (sxx > 0.0), rate, np.nan)
+    return _fit_lines(ns, np.log(np.where(use, steps, 1.0)), use)[0]
 
 
 def _fit_rate(steps: dict[int, float]) -> float | None:
@@ -357,42 +369,45 @@ def _fit_rate(steps: dict[int, float]) -> float | None:
     return None if rate != rate else rate
 
 
-def _direction_run(
-    points: Iterator[ProjPoint | None], tol: float
-) -> tuple[int | None, dict[int, ProjPoint], dict[int, float]]:
-    """Consumes (n=1, 2, ...) direction estimates until three successive
-    consecutive distances fall below tol; returns the run's opening index."""
-    steps: dict[int, float] = {}
-    pts: dict[int, ProjPoint] = {}
-    run = 0
+def _point_steps(
+    scan: Iterator[ScaledProduct], side: str
+) -> Iterator[tuple[int, ProjPoint | None, float | None]]:
+    """(n, point, step) for n = 1, 2, ...: s_n (side "s") or u_n (side "u")
+    from the n-th product of scan, None where that product is degenerate,
+    and its distance from the point at n - 1, None unless both exist."""
     prev: ProjPoint | None = None
-    for n, pt in enumerate(points, start=1):
-        if pt is None:
-            prev = None
-            run = 0
-            continue
-        pts[n] = pt
-        if prev is not None:
-            d = dist(prev, pt)
-            steps[n - 1] = d
-            run = run + 1 if d < tol else 0
-            if run >= 3:
-                return n - 3, pts, steps
-        prev = pt
-    return None, pts, steps
-
-
-def _points(scan: Iterator[ScaledProduct], column: str) -> Iterator[ProjPoint | None]:
     for n, prod in enumerate(scan):
         if n == 0:
             continue
         sv = prod.svd()
         if sv.degenerate:
-            yield None
-        elif column == "s":
-            yield most_contracted(sv)
+            pt = None
         else:
-            yield expanding_image(sv)
+            pt = most_contracted(sv) if side == "s" else expanding_image(sv)
+        yield n, pt, None if pt is None or prev is None else dist(prev, pt)
+        prev = pt
+
+
+def _direction_run(
+    point_steps: Iterator[tuple[int, ProjPoint | None, float | None]], tol: float
+) -> tuple[int | None, dict[int, ProjPoint], dict[int, float]]:
+    """Consumes ``_point_steps`` until three successive steps fall below
+    tol; returns the run's opening index, the points and the steps, the step
+    to point n keyed n - 1."""
+    steps: dict[int, float] = {}
+    pts: dict[int, ProjPoint] = {}
+    run = 0
+    for n, pt, d in point_steps:
+        if pt is None:
+            run = 0
+            continue
+        pts[n] = pt
+        if d is not None:
+            steps[n - 1] = d
+            run = run + 1 if d < tol else 0
+            if run >= 3:
+                return n - 3, pts, steps
+    return None, pts, steps
 
 
 def estimate_splitting(
@@ -409,8 +424,8 @@ def estimate_splitting(
     n_s = min(n_max, seq.hi - j + 1)
     n_u = min(n_max, j - seq.lo)
 
-    n_star_s, s_pts, s_steps = _direction_run(_points(forward_scan(seq, j, n_s), "s"), tol)
-    n_star_u, u_pts, u_steps = _direction_run(_points(backward_scan(seq, j, n_u), "u"), tol)
+    n_star_s, s_pts, s_steps = _direction_run(_point_steps(forward_scan(seq, j, n_s), "s"), tol)
+    n_star_u, u_pts, u_steps = _direction_run(_point_steps(backward_scan(seq, j, n_u), "u"), tol)
 
     if n_star_s is None or n_star_u is None:
         side = "s" if n_star_s is None else "u"
@@ -552,27 +567,44 @@ def _sigma2(a, b, c, d, s1):
         return np.where(adet > DET_REL_TOL * s1 * s1, np.minimum(adet / s1, s1), 0.0)
 
 
-def _singular_values(a, b, c, d, sigma2: bool = True):
-    """``singular_values`` over arrays of matrices [[a, b], [c, d]]:
-    (sigma1, sigma2, zero), with sigma2 None unless asked for.  Rows whose
-    largest entry leaves (1e-120, 1e120) are prescaled by an exact power of
-    two first.  ``zero`` flags the rows that are the zero matrix (every
-    entry at most ENTRY_ZERO_TOL); their values are 0."""
+def _prescale_rows(a, b, c, d):
+    """``_prescale`` over arrays of matrices [[a, b], [c, d]]: the rows
+    whose largest entry leaves (1e-120, 1e120) scaled by an exact 2^k.
+    Returns ((a, b, c, d), k, zero), k None where no row needs it; ``zero``
+    flags the rows that are the zero matrix (every entry at most
+    ENTRY_ZERO_TOL), which stay as they are."""
     biggest = np.maximum(np.maximum(_abs(a), _abs(b)), np.maximum(_abs(c), _abs(d)))
     zero = biggest <= ENTRY_ZERO_TOL
     scaled = ~zero & ((biggest <= 1e-120) | (biggest >= 1e120))
-    rescale = scaled.any()
-    if rescale:
-        k = np.zeros(len(biggest), dtype=np.int64)
-        k[scaled] = -np.floor(np.log2(biggest[scaled])).astype(np.int64)
-        a, b, c, d = (_ldexp_c(z, k) for z in (a, b, c, d))
+    if not scaled.any():
+        return (a, b, c, d), None, zero
+    k = np.zeros(len(biggest), dtype=np.int64)
+    k[scaled] = -np.floor(np.log2(biggest[scaled])).astype(np.int64)
+    return tuple(_ldexp_c(z, k) for z in (a, b, c, d)), k, zero
+
+
+def _singular_values(a, b, c, d, sigma2: bool = True):
+    """``singular_values`` over arrays of matrices [[a, b], [c, d]]:
+    (sigma1, sigma2, zero), with sigma2 None unless asked for.  ``zero``
+    flags the rows that are the zero matrix; their values are 0."""
+    (a, b, c, d), k, zero = _prescale_rows(a, b, c, d)
     s1 = _gram(a, b, c, d)[4]
     s1[zero] = 0.0
     s2 = _sigma2(a, b, c, d, s1) if sigma2 else None
-    if rescale:
+    if k is not None:
         s1 = np.ldexp(s1, -k)
         s2 = None if s2 is None else np.ldexp(s2, -k)
     return s1, s2, zero
+
+
+def _log_abs_dets(a, b, c, d) -> np.ndarray:
+    """``_log_abs_det`` over arrays of nonzero matrices, rounded as it is."""
+    (a, b, c, d), k, _ = _prescale_rows(a, b, c, d)
+    adet = _abs(_cmul(a, d) - _cmul(b, c))
+    out = np.full(len(adet), NEG_INF)
+    pos = adet > 0.0
+    out[pos] = _log(adet[pos])
+    return out if k is None else out - 2 * k * _LN2
 
 
 def _factor_arrays(seq: MatrixSequence) -> tuple[np.ndarray, ...]:
@@ -692,8 +724,7 @@ def product_sweep(
         raise WindowExceeded(f"jrange [{jrange[0]}, {jrange[1]}] outside window [{lo}, {hi}]")
     size = len(seq)
     fa, fb, fc, fd = _factor_arrays(seq)
-    fdet = [abs(det(seq[j])) for j in seq.indices()]
-    flog_det = np.array([math.log(x) if x > 0.0 else NEG_INF for x in fdet])
+    flog_det = _log_abs_dets(fa, fb, fc, fd)
 
     sites = np.arange(jrange[0] - lo, jrange[1] - lo + 1) if jrange is not None else np.arange(0)
     n_sites = len(sites)

@@ -9,7 +9,7 @@ a finite window can only certify behaviour at its own scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -19,6 +19,7 @@ from .cocycle import (
     MatrixSequence,
     ProductSweep,
     _dist,
+    _fit_lines,
     _hypot,
     _log,
     estimate_fields,
@@ -49,18 +50,7 @@ class Thresholds:
     fit_n_lo: int = 2  # transient steps discarded by rate fits
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "mu_min": self.mu_min,
-            "epsilon": self.epsilon,
-            "fi_log_c_max": self.fi_log_c_max,
-            "sep_min": self.sep_min,
-            "n_cap": self.n_cap,
-            "gap_lambda": self.gap_lambda,
-            "split_tol": self.split_tol,
-            "ueg_lambda_min": self.ueg_lambda_min,
-            "fit_n_lo": self.fit_n_lo,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -132,18 +122,16 @@ class RateFit:
 
 
 def _fit_line(points: list[tuple[int, float]]) -> tuple[float, float, float]:
-    """(slope, intercept, max abs residual) over finite points; degenerate
-    inputs fall back to a flat line through the data."""
+    """(slope, intercept, max abs residual) of the least-squares line through
+    the finite points.  With no finite point it is (-inf, -inf, 0), and with
+    one a flat line through it."""
     finite = [(n, y) for n, y in points if math.isfinite(y)]
     if not finite:
         return NEG_INF, NEG_INF, 0.0
     if len(finite) == 1:
         return 0.0, finite[0][1], 0.0
-    xbar = sum(n for n, _ in finite) / len(finite)
-    ybar = sum(y for _, y in finite) / len(finite)
-    sxx = sum((n - xbar) ** 2 for n, _ in finite)
-    slope = sum((n - xbar) * (y - ybar) for n, y in finite) / sxx
-    intercept = ybar - slope * xbar
+    xs, ys = np.array(finite, dtype=float).T[:, :, None]
+    slope, intercept = (float(v[0]) for v in _fit_lines(xs, ys, np.ones(ys.shape, dtype=bool)))
     resid = max(abs(y - (intercept + slope * n)) for n, y in finite)
     return slope, intercept, resid
 
@@ -207,10 +195,7 @@ def svg_profile(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresh
     return svg_fit
 
 
-def fi_profile(
-    seq: MatrixSequence, n_max: int, epsilon: float | None = None,
-    thresholds: Thresholds = Thresholds(),
-) -> RateFit:
+def fi_profile(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
     """Worst-case norm ratios sigma1(B_n)/sigma1(B_{n+1}) and their growth fit.
 
     Passes when the fitted growth stays below (1 - epsilon) times the fitted
@@ -219,8 +204,6 @@ def fi_profile(
     per-n supremum saturates at the window edge instead of growing with n.
     """
     _require_window(seq, n_max)
-    if epsilon is not None:
-        thresholds = replace(thresholds, epsilon=epsilon)
     _, fi_fit = _svg_fi_fits(product_sweep(seq, n_max), thresholds)
     return fi_fit
 
@@ -248,6 +231,25 @@ def ueg_check(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Threshol
         math.isfinite(v) for v in floor.values()
     )
     return RateFit(slope, intercept, max(thresholds.fit_n_lo, 1), n_max, resid, floor, passed)
+
+
+def _field_record(j: int, es: ProjPoint, eu: ProjPoint, cert: ConvergenceCert) -> dict:
+    """The report record of site j: E^s and E^u as [re, im] of the affine
+    coordinate or "inf", n* and the fitted rates of both sides."""
+
+    def point(p: ProjPoint):
+        z = p.affine
+        return "inf" if z is None else [z.real, z.imag]
+
+    return {
+        "j": j,
+        "Es": point(es),
+        "Eu": point(eu),
+        "n_star_s": cert.n_star_s,
+        "n_star_u": cert.n_star_u,
+        "rate_s": cert.rate_s,
+        "rate_u": cert.rate_u,
+    }
 
 
 @dataclass(frozen=True)
@@ -279,25 +281,12 @@ class DominationReport:
     jrange: tuple[int, int]
 
     def to_json_dict(self, include_table: bool = False) -> dict:
-        def point(p: ProjPoint):
-            z = p.affine
-            return "inf" if z is None else [z.real, z.imag]
-
         return {
             "verdict": self.verdict,
             "svg": self.svg.to_json_dict(include_table),
             "fi": self.fi.to_json_dict(include_table),
             "fields": [
-                {
-                    "j": j,
-                    "Es": point(self.es[j]),
-                    "Eu": point(self.eu[j]),
-                    "n_star_s": self.certs[j].n_star_s,
-                    "n_star_u": self.certs[j].n_star_u,
-                    "rate_s": self.certs[j].rate_s,
-                    "rate_u": self.certs[j].rate_u,
-                }
-                for j in sorted(self.es)
+                _field_record(j, self.es[j], self.eu[j], self.certs[j]) for j in sorted(self.es)
             ],
             "failed_js": self.failed_js,
             "min_separation": self.min_separation,

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .cocycle import MatrixSequence
+from .cocycle import MatrixSequence, _as_index
 from .errors import InvalidSpec
 from .matrix2c import Mat2C, det, inverse, mul, singular_values
 from .projective import ProjPoint, project
@@ -122,19 +122,15 @@ class GeneratorSpec:
         try:
             return GeneratorSpec(
                 family=doc["family"],
-                window=(int(doc["window"][0]), int(doc["window"][1])),
+                window=(_as_index(doc["window"][0]), _as_index(doc["window"][1])),
                 params=dict(doc.get("params", {})),
-                seed=int(doc.get("seed", 0)),
+                seed=_as_index(doc.get("seed", 0)),
             )
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InvalidSpec(f"malformed generator spec: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    def build(self) -> MatrixSequence:
-        seq, _ = build_with_truth(self)
-        return seq
 
 
 def _bound_from_entries(entries: dict[int, Mat2C]) -> float:
@@ -313,14 +309,7 @@ def _build_random_singular(spec: GeneratorSpec):
         else:
             image = truth.eu[p + 1].vector()
         entries[p] = _rank_one(lp, image, u_here, s_here)
-    new_truth = GroundTruth(
-        es=truth.es,
-        eu=truth.eu,
-        lam=truth.lam,
-        n_steps=truth.n_steps,
-        delta=truth.delta,
-        singular_sites=tuple(sorted(int(p) for p in insertions)),
-    )
+    new_truth = replace(truth, singular_sites=tuple(sorted(int(p) for p in insertions)))
     return MatrixSequence(entries, _bound_from_entries(entries), source=spec.to_json_dict()), new_truth
 
 

@@ -71,12 +71,8 @@ class Mat2C:
     def is_zero(self) -> bool:
         return self.max_abs() <= ENTRY_ZERO_TOL
 
-    def rows(self) -> list[list[complex]]:
-        return [[self.a, self.b], [self.c, self.d]]
-
 
 IDENTITY = Mat2C(1.0 + 0j, 0j, 0j, 1.0 + 0j)
-ZERO = Mat2C(0j, 0j, 0j, 0j)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,6 +148,21 @@ def _prescale(m: Mat2C) -> tuple[Mat2C, int]:
     return Mat2C(_ldexp_c(m.a, k), _ldexp_c(m.b, k), _ldexp_c(m.c, k), _ldexp_c(m.d, k)), k
 
 
+def _gram(m: Mat2C) -> tuple[float, float, complex, float, float, float]:
+    """The Gram-matrix quadratic of a prescaled m: (p, r, q, sigma1^2,
+    sigma1, sigma2), where m*m = [[p, q], [conj(q), r]].  sigma2 is
+    |det|/sigma1, or exactly 0.0 where |det| <= DET_REL_TOL * sigma1^2."""
+    p = _abs2(m.a) + _abs2(m.c)
+    r = _abs2(m.b) + _abs2(m.d)
+    q = m.a.conjugate() * m.b + m.c.conjugate() * m.d
+    gap = math.hypot(p - r, 2.0 * abs(q))  # sigma1^2 - sigma2^2, cancellation-free
+    s1sq = 0.5 * (p + r + gap)
+    s1 = math.sqrt(s1sq)
+    adet = abs(m.a * m.d - m.b * m.c)
+    s2 = min(adet / s1, s1) if adet > DET_REL_TOL * s1 * s1 else 0.0
+    return p, r, q, s1sq, s1, s2
+
+
 def singular_values(m: Mat2C) -> tuple[float, float]:
     """(sigma1, sigma2) with sigma1 the operator norm and sigma2 = |det|/sigma1.
 
@@ -161,13 +172,7 @@ def singular_values(m: Mat2C) -> tuple[float, float]:
     if m.is_zero():
         raise ZeroMatrix("singular values of the zero matrix")
     m, k = _prescale(m)
-    p = _abs2(m.a) + _abs2(m.c)
-    r = _abs2(m.b) + _abs2(m.d)
-    q = m.a.conjugate() * m.b + m.c.conjugate() * m.d
-    gap = math.hypot(p - r, 2.0 * abs(q))  # sigma1^2 - sigma2^2, cancellation-free
-    s1 = math.sqrt(0.5 * (p + r + gap))
-    adet = abs(m.a * m.d - m.b * m.c)
-    s2 = min(adet / s1, s1) if adet > DET_REL_TOL * s1 * s1 else 0.0
+    s1, s2 = _gram(m)[4:]
     return math.ldexp(s1, -k), math.ldexp(s2, -k)
 
 
@@ -206,14 +211,7 @@ def svd2(m: Mat2C) -> Svd2:
     if m.is_zero():
         raise ZeroMatrix("svd of the zero matrix")
     m, k = _prescale(m)
-    p = _abs2(m.a) + _abs2(m.c)
-    r = _abs2(m.b) + _abs2(m.d)
-    q = m.a.conjugate() * m.b + m.c.conjugate() * m.d
-    gap = math.hypot(p - r, 2.0 * abs(q))
-    s1sq = 0.5 * (p + r + gap)
-    s1 = math.sqrt(s1sq)
-    adet = abs(m.a * m.d - m.b * m.c)
-    s2 = min(adet / s1, s1) if adet > DET_REL_TOL * s1 * s1 else 0.0
+    p, r, q, s1sq, s1, s2 = _gram(m)
     degenerate = (s1 - s2) <= DEGENERATE_REL_TOL * s1
 
     # Eigenvector of m*m for s1^2, from the row with the larger pivot.

@@ -16,6 +16,7 @@ from domsplit import (
     check_domination,
     direction_drift,
     dist,
+    estimate_splitting,
     expanding_image,
     most_contracted,
     mul,
@@ -186,6 +187,16 @@ class TestDirectionDrift:
         assert tables.rate_s is not None and tables.rate_s <= -0.5 * math.log(mu) + 0.1
         assert tables.rate_u is not None and tables.rate_u <= -0.5 * math.log(mu) + 0.1
 
+    def test_steps_match_the_estimator(self):
+        # one generator of points and steps serves both: the estimator keys
+        # the step to point n as n - 1, the drift tables as n
+        seq = family("conjugated_dominated", (-30, 30), seed=4)
+        for j in (-5, 0, 6):
+            drift = direction_drift(seq, j, 40)
+            _, _, cert = estimate_splitting(seq, j, 40, 1e-9)
+            for ours, theirs in ((drift.s_steps, cert.s_steps), (drift.u_steps, cert.u_steps)):
+                assert theirs and all(ours[n + 1] == d for n, d in theirs.items())
+
     def test_example1_one_sided(self):
         seq = family("example1", (0, 40))
         tables = direction_drift(seq, 20, 15)
@@ -212,6 +223,24 @@ class TestApReport:
         seq = family("diagonal", (0, 20))
         with pytest.raises(ValueError):
             ap_report(seq, 10.0, 2)
+
+    def test_window_norms_computed_once(self, monkeypatch):
+        from domsplit import avalanche
+
+        calls = []
+        norms = avalanche._window_norms
+        monkeypatch.setattr(avalanche, "_window_norms", lambda seq: calls.append(1) or norms(seq))
+        seq = family("ap_family", (-15, 25), {"mu": 1e3}, 3)
+        rep = ap_report(seq, 1e3, 20)
+        assert len(calls) == 1
+        assert (rep.ap3_worst, rep.ap4_worst, rep.conditions_pass) == ap_conditions(seq, 1e3)
+
+    def test_mu_checked_before_any_norm(self):
+        # every pair product of this window is a zero matrix (ZeroMatrix)
+        seq = _scaled(family("ap_family", (-30, 30), _AP, 2), 1e-150)
+        for check in (lambda: ap_conditions(seq, 1.0), lambda: ap_report(seq, 1.0, 10)):
+            with pytest.raises(ValueError, match="mu must exceed 1"):
+                check()
 
 
 def _scaled(seq, factor):

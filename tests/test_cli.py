@@ -367,6 +367,24 @@ class TestBoundaryValidation:
         assert code == 2
         assert err.startswith("domsplit gen: malformed generator spec")
 
+    def test_fractional_index_exit2(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        run(capsys, "gen", "--family", "diagonal", "--window", "0", "9", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["entries"][3]["j"] = 3.5
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "dom", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domsplit dom: malformed sequence document")
+
+    def test_spec_fractional_seed_exit2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"family": "diagonal", "window": [0, 3], "params": {}, "seed": 2.7}')
+        code, out, err = run(capsys, "gen", "--spec", str(spec), "--out", str(tmp_path / "o.json"))
+        assert code == 2
+        assert err.startswith("domsplit gen: malformed generator spec")
+
     def test_empty_fit_does_not_pass(self, capsys):
         # n <= 1 leaves no n >= fit_n_lo = 2 to fit: no evidence either way
         code, out, _ = run(capsys, "svg", "--family", "example1", "--window", "-20", "20",
@@ -439,6 +457,48 @@ def _spec_docs(draw):
         "seed": draw(st.integers(0, 9)),
     }
     return draw(_corrupted(doc))
+
+
+def _entry(j):
+    return {"j": j, "m": [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+
+
+class TestIntegerIndices:
+    """int() would truncate a fractional index and read a bool or a numeric
+    string as a number; the loaders refuse all three and keep integral
+    floats."""
+
+    @pytest.mark.parametrize("window,js", [
+        ([0.9, 1.2], [0.7, True]),
+        ([0, 1], [0, 1.5]),
+        ([0, 1], [False, 1]),
+        ([0.5, 1], [0, 1]),
+        ([True, 1], [1]),
+        (["0", 1], [0, 1]),
+        ([0, 1], [0, "1"]),
+    ])
+    def test_sequence_rejects(self, window, js):
+        doc = {"window": window, "bound_M": 4.0, "entries": [_entry(j) for j in js]}
+        with pytest.raises(InvalidSpec):
+            MatrixSequence.from_json_dict(doc)
+
+    def test_sequence_integral_floats_load(self):
+        doc = {"window": [0.0, 1.0], "bound_M": 4.0, "entries": [_entry(0.0), _entry(1)]}
+        assert MatrixSequence.from_json_dict(doc).window == (0, 1)
+
+    @pytest.mark.parametrize("window,seed", [
+        ([0.5, 3.9], 0), ([0, 3], 2.7), ([0, 3], True), ([False, 3], 0), ([0, "3"], 0),
+        ([0, 3], "2"),
+    ])
+    def test_spec_rejects(self, window, seed):
+        doc = {"family": "diagonal", "window": window, "params": {}, "seed": seed}
+        with pytest.raises(InvalidSpec):
+            GeneratorSpec.from_json_dict(doc)
+
+    def test_spec_integral_floats_load(self):
+        doc = {"family": "diagonal", "window": [0.0, 3.0], "params": {}, "seed": 2.0}
+        spec = GeneratorSpec.from_json_dict(doc)
+        assert (spec.window, spec.seed) == ((0, 3), 2)
 
 
 class TestDocumentFuzz:

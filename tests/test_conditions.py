@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from domsplit import (
@@ -236,3 +237,60 @@ class TestEmptyFits:
         fit = svg_profile(MatrixSequence(entries, 2.0), 8)
         assert all(v == -math.inf for n, v in fit.sup_log.items() if n >= fit.n_lo)
         assert fit.passed
+
+
+def _scaled(seq, c):
+    return MatrixSequence({j: seq[j].scale(c) for j in seq.indices()}, seq.bound_M * c)
+
+
+class TestExtremeScale:
+    """A x1e-285 or x1e285 copy of a dominated chain.  Each factor's log|det|
+    is taken after a 2^k prescale, so log sigma2 of a product moves by
+    n log c, as log sigma1 does, instead of reading -inf (det underflows)
+    or inf - inf (det overflows)."""
+
+    @pytest.mark.parametrize("c", [1e-285, 1e285])
+    def test_svg_ratios_move_by_log_c(self, c):
+        seq = family("conjugated_dominated", (-45, 45), seed=2)
+        ref, fit = svg_profile(seq, 12), svg_profile(_scaled(seq, c), 12)
+        assert list(fit.sup_log) == list(ref.sup_log)
+        for n, v in ref.sup_log.items():
+            assert abs(fit.sup_log[n] - (v - math.log(c))) <= 1e-9, n
+        assert fit.passed == ref.passed
+
+    @pytest.mark.parametrize("c", [1e-285, 1e285])
+    def test_certificate_unchanged(self, c):
+        seq = family("conjugated_dominated", (-45, 45), seed=2)
+        ref = check_domination(seq, jrange=(-6, 6))
+        rep = check_domination(_scaled(seq, c), jrange=(-6, 6))
+        assert ref.verdict == "dominated"
+        assert (rep.verdict, rep.n_dom, rep.failed_js) == (ref.verdict, ref.n_dom, ref.failed_js)
+
+    @pytest.mark.parametrize("c", [1e-285, 1e285])
+    def test_window_product_log_sigma2(self, c):
+        from domsplit import window_product
+
+        seq = family("conjugated_dominated", (-45, 45), seed=2)
+        tiny = _scaled(seq, c)
+        for n in (1, 10, 40):
+            want = window_product(seq, -10, n).log_sigma2 + n * math.log(c)
+            assert abs(window_product(tiny, -10, n).log_sigma2 - want) <= 1e-9 * n
+
+
+class TestFitLine:
+    def test_matches_polyfit(self):
+        from domsplit.conditions import _fit_line
+
+        pts = [(2, 0.3), (3, -1.1), (4, -2.9), (5, -3.2), (7, -6.0), (8, math.inf)]
+        slope, intercept, resid = _fit_line(pts)
+        xs, ys = zip(*pts[:-1])
+        want = np.polyfit(xs, ys, 1)
+        assert abs(slope - want[0]) <= 1e-12 and abs(intercept - want[1]) <= 1e-12
+        assert abs(resid - max(abs(y - np.polyval(want, x)) for x, y in pts[:-1])) <= 1e-12
+
+    def test_fallbacks(self):
+        from domsplit.conditions import _fit_line
+
+        assert _fit_line([]) == (-math.inf, -math.inf, 0.0)
+        assert _fit_line([(2, -math.inf), (3, -math.inf)]) == (-math.inf, -math.inf, 0.0)
+        assert _fit_line([(2, math.inf), (3, -1.5)]) == (0.0, -1.5, 0.0)
