@@ -66,7 +66,99 @@ def _atomic_write(path: str, payload: str) -> None:
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The report encoder: the text of ``json.dumps(doc, sort_keys=True,
+    indent=2) + "\\n"``, except that non-finite floats are written as the
+    strings "inf", "-inf" and "nan", so every report is strict JSON.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
+    the small skeleton of a report is written in Python, and each grid (a
+    list of flat number rows, such as a ``--table``) in one pass of json's C
+    encoder, re-indented as text."""
+    out: list[str] = []
+    _encode(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+# Compact text of a grid: json's C encoder, which json.dumps uses without
+# indent.  A report is a tree, so the cycle check would only cost time.
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
+def _scalar(o) -> str | None:
+    """The JSON text of a string, number, bool or None; None for anything else."""
+    if isinstance(o, str):
+        return json.encoder.encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return text if o - o == 0.0 else f'"{text}"'  # repr names inf, -inf and nan
+    return None
+
+
+def _encode(o, nl: str, out: list[str]) -> None:
+    """Appends the indent=2 text of o, nested at indentation nl (a newline
+    and the enclosing container's indent)."""
+    text = _scalar(o)
+    if text is not None:
+        out.append(text)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        grid = _grid(o, nl) if set(map(type, o)) == {list} else None
+        if grid is not None:
+            out.append(grid)
+            return
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                key_text = _scalar(key)
+                if key_text is None:
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {type(key).__name__}")
+                key = key_text.strip('"')
+            out.append(sep + json.encoder.encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _grid(rows: list, nl: str) -> str | None:
+    """The indent=2 text of rows, a list of lists, at indentation nl; None
+    unless every row is a nonempty flat list of numbers, bools or None."""
+    text = _compact(rows)
+    # one "[" per row plus the outer one: no row nests a list
+    if '"' in text or "{" in text or "[]" in text or text.count("[") != len(rows) + 1:
+        return None
+    if "Infinity" in text or "NaN" in text:  # no strings here, so these are numbers
+        text = text.replace("-Infinity", '"-inf"').replace("Infinity", '"inf"')
+        text = text.replace("NaN", '"nan"')
+    row, item = nl + "  ", nl + "    "
+    body = text[2:-2].replace(",", "," + item)
+    body = body.replace("]," + item + "[", row + "]," + row + "[" + item)
+    return "[" + row + "[" + item + body + row + "]" + nl + "]"
 
 
 def _csv_payload(rows: list[list], header: list[str]) -> str:

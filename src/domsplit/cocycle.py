@@ -22,6 +22,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -316,17 +317,34 @@ def un(seq: MatrixSequence, j: int, n: int) -> ProjPoint:
     return expanding_image(sv)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ConvergenceCert:
-    """Per-n consecutive distances and the fitted geometric decay rates."""
+    """Per-n consecutive distances and the fitted geometric decay rates.
+
+    ``s_steps`` and ``u_steps`` map n to the step d(pt_n, pt_{n+1}) of each
+    side.  ``rows`` holds what they are built from, when first read:
+    (s steps, u steps, k), two arrays whose column k holds this site's step
+    at row n and nan where there is none.
+    """
 
     n_star_s: int
     n_star_u: int
-    s_steps: dict[int, float] = field(repr=False)
-    u_steps: dict[int, float] = field(repr=False)
     rate_s: float | None
     rate_u: float | None
     tol: float
+    rows: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def s_steps(self) -> dict[int, float]:
+        return _step_table(self.rows[0][:, self.rows[2]])
+
+    @cached_property
+    def u_steps(self) -> dict[int, float]:
+        return _step_table(self.rows[1][:, self.rows[2]])
+
+
+def _step_table(column: np.ndarray) -> dict[int, float]:
+    return {n: d for n, d in enumerate(column.tolist()) if d == d}
 
 
 # Chordal steps at or below this are rounding noise of the metric (diameter
@@ -352,21 +370,26 @@ def _fit_lines(
     return np.where((count >= 2) & (sxx > 0.0), slope, np.nan), ybar - slope * xbar
 
 
-def _fit_rates(steps: np.ndarray) -> np.ndarray:
+def _fit_rates(steps: np.ndarray) -> list[float | None]:
     """Least-squares slope of log d against n down each column of ``steps``,
-    where row n holds the step d(pt_n, pt_{n+1}) and nan marks no step; nan
+    where row n holds the step d(pt_n, pt_{n+1}) and nan marks no step; None
     where fewer than two steps clear STEP_NOISE_FLOOR."""
     use = steps > STEP_NOISE_FLOOR  # False on nan
     ns = np.arange(len(steps), dtype=float)[:, None]
-    return _fit_lines(ns, np.log(np.where(use, steps, 1.0)), use)[0]
+    rates = _fit_lines(ns, np.log(np.where(use, steps, 1.0)), use)[0]
+    return [None if r != r else r for r in rates.tolist()]
 
 
-def _fit_rate(steps: dict[int, float]) -> float | None:
+def _step_column(steps: dict[int, float]) -> np.ndarray:
+    """A step dict as one column indexed n, nan where there is no step."""
     column = np.full((max(steps, default=0) + 1, 1), np.nan)
     for n, d in steps.items():
         column[n, 0] = d
-    rate = float(_fit_rates(column)[0])
-    return None if rate != rate else rate
+    return column
+
+
+def _fit_rate(steps: dict[int, float]) -> float | None:
+    return _fit_rates(_step_column(steps))[0]
 
 
 def _point_steps(
@@ -432,14 +455,14 @@ def estimate_splitting(
         raise NoConvergence(
             f"direction {side}_n at j={j} did not meet tol={tol} within n_max={n_max}"
         )
+    s_col, u_col = _step_column(s_steps), _step_column(u_steps)
     cert = ConvergenceCert(
         n_star_s=n_star_s,
         n_star_u=n_star_u,
-        s_steps=s_steps,
-        u_steps=u_steps,
-        rate_s=_fit_rate(s_steps),
-        rate_u=_fit_rate(u_steps),
+        rate_s=_fit_rates(s_col)[0],
+        rate_u=_fit_rates(u_col)[0],
         tol=tol,
+        rows=(s_col, u_col, 0),
     )
     return s_pts[n_star_s], u_pts[n_star_u], cert
 
@@ -653,21 +676,15 @@ class _DirectionRuns:
     def stopped(self) -> np.ndarray:
         return self.n_star >= 0
 
-    def certified(self, ks: np.ndarray) -> tuple[np.ndarray, list[dict], list]:
-        """Chosen points as a (2, K) array of unit representatives, steps up
-        to the stopping index, and fitted rates at the stopped sites ks, in
-        the form ``estimate_splitting`` returns them."""
-        if not len(ks):  # a sweep without sites, as the avalanche audit runs it
-            return np.empty((2, 0), dtype=complex), [], []
-        upto = self.n_star[ks] + 3
+    def certified(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        """At the stopped sites ks: the chosen points as a (2, K) array of
+        unit representatives, the steps up to the stopping index as an
+        (n_max, K) array with nan past it, and the fitted rates."""
         steps = self.steps[:, ks]
-        steps[np.arange(len(steps))[:, None] >= upto] = np.nan
-        rates = [None if r != r else r for r in _fit_rates(steps).tolist()]
-        tables = [
-            {n: d for n, d in enumerate(row[:stop]) if d == d}
-            for row, stop in zip(steps.T.tolist(), upto.tolist())
-        ]
-        return _project(self.cand[0][ks], self.cand[1][ks]), tables, rates
+        if not len(ks):  # a sweep without sites, as the avalanche audit runs it
+            return np.empty((2, 0), dtype=complex), steps, []
+        steps[np.arange(len(steps))[:, None] >= self.n_star[ks] + 3] = np.nan
+        return _project(self.cand[0][ks], self.cand[1][ks]), steps, _fit_rates(steps)
 
 
 @dataclass(frozen=True)
@@ -784,14 +801,14 @@ def product_sweep(
     converged = runs_s.stopped & runs_u.stopped
     ks = np.flatnonzero(converged)
     js = lo + sites[ks]
-    es_vec, s_tables, s_rates = runs_s.certified(ks)
-    eu_vec, u_tables, u_rates = runs_u.certified(ks)
+    es_vec, s_steps, s_rates = runs_s.certified(ks)
+    eu_vec, u_steps, u_rates = runs_u.certified(ks)
     certs = {
-        j: ConvergenceCert(ns, nu, st, ut, rs, ru, tol)
-        for j, ns, nu, st, ut, rs, ru in zip(
+        j: ConvergenceCert(ns, nu, rs, ru, tol, (s_steps, u_steps, k))
+        for k, (j, ns, nu, rs, ru) in enumerate(zip(
             js.tolist(), runs_s.n_star[ks].tolist(), runs_u.n_star[ks].tolist(),
-            s_tables, u_tables, s_rates, u_rates,
-        )
+            s_rates, u_rates,
+        ))
     }
     es = dict(zip(js.tolist(), map(ProjPoint, *es_vec.tolist())))
     eu = dict(zip(js.tolist(), map(ProjPoint, *eu_vec.tolist())))

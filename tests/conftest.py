@@ -33,6 +33,15 @@ def rank_one_window(seed: int) -> MatrixSequence:
     return MatrixSequence(entries, 2.0)
 
 
+def vanishing(seq: MatrixSequence) -> MatrixSequence:
+    """B(0), B(1) replaced by complementary projections: every product
+    through both sites is exactly zero."""
+    entries = {j: seq[j] for j in seq.indices()}
+    entries[0] = Mat2C(1 + 0j, 0j, 0j, 0j)
+    entries[1] = Mat2C(0j, 0j, 0j, 1 + 0j)
+    return MatrixSequence(entries, max(seq.bound_M, 2.0))
+
+
 def to_numpy(m: Mat2C) -> np.ndarray:
     return np.array([[m.a, m.b], [m.c, m.d]], dtype=complex)
 

@@ -14,8 +14,10 @@ from domsplit import (
     invariance_residual,
     load_sequence,
 )
-from domsplit.cli import main
+from domsplit.cli import _dump_json, main
 from domsplit.generators import FAMILIES
+
+from conftest import rank_one_window, vanishing
 
 
 def run(capsys, *argv):
@@ -519,3 +521,119 @@ class TestDocumentFuzz:
             GeneratorSpec.from_json_dict(doc)
         except InvalidSpec:
             pass
+
+
+# Report documents: skeletons of objects and lists around grids of number rows.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e22, 1e16, 0.1, 2.0 ** 70])
+_NUMBERS = st.integers() | st.sampled_from([2 ** 70, -(2 ** 63)]) | st.booleans() | st.none()
+_TEXT = st.text(alphabet=st.sampled_from(list(',[]"{}: \\\nabé ')), max_size=6)
+
+
+def _documents(floats):
+    number = _NUMBERS | floats
+    grid = st.lists(st.lists(number, max_size=4), max_size=5)
+    leaves = number | _TEXT | grid
+    return st.recursive(leaves, lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.dictionaries(_TEXT, kids, max_size=4)
+        | st.dictionaries(st.integers(-3, 3) | st.sampled_from([0.5, -1e22]), kids, max_size=3)
+    ), max_leaves=20)
+
+
+def _named(o):
+    """o with every non-finite float replaced by its name."""
+    if isinstance(o, float) and not math.isfinite(o):
+        return repr(o)
+    if isinstance(o, list):
+        return [_named(v) for v in o]
+    if isinstance(o, dict):
+        return {k: _named(v) for k, v in o.items()}
+    return o
+
+
+def _refuse(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+class TestReportEncoder:
+    """``_dump_json`` writes what json.dumps(indent=2, sort_keys=True) writes,
+    except that non-finite floats are named strings."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_documents(_FINITE))
+    def test_finite_documents_match_json(self, doc):
+        assert _dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_documents(st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])))
+    def test_non_finite_floats_are_named(self, doc):
+        payload = _dump_json(doc)
+        assert payload == json.dumps(_named(doc), sort_keys=True, indent=2) + "\n"
+        json.loads(payload, parse_constant=_refuse)
+
+    def test_grid_tokens_and_rows(self):
+        doc = {"g": [[1, math.inf], [-math.inf, math.nan, True, None], [-0.0]]}
+        assert _dump_json(doc) == json.dumps({"g": [
+            [1, "inf"], ["-inf", "nan", True, None], [-0.0]]}, indent=2) + "\n"
+
+    def test_unserialisable_values_raise(self):
+        with pytest.raises(TypeError):
+            _dump_json({"x": {1, 2}})
+        with pytest.raises(TypeError):
+            _dump_json({(1, 2): 0})
+
+    @pytest.mark.parametrize("argv", [
+        ["svg", "--family", "conjugated_dominated", "--seed", "3", "--window", "-30", "30",
+         "--nmax", "20"],
+        ["fi", "--family", "conjugated_dominated", "--seed", "3", "--window", "-30", "30",
+         "--nmax", "20"],
+        ["split", "--family", "conjugated_dominated", "--seed", "3", "--window", "-30", "30",
+         "--jrange", "-6", "6"],
+        ["dom", "--family", "conjugated_dominated", "--seed", "3", "--window", "-30", "30",
+         "--jrange", "-6", "6"],
+        ["ap", "--family", "ap_family", "--params", '{"mu": 1e4}', "--window", "0", "40",
+         "--mu", "1e4", "--nmax", "25"],
+    ], ids=["svg", "fi", "split", "dom", "ap"])
+    def test_report_round_trip(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "json", "--table")
+        assert code == 0
+        doc = json.loads(out, parse_constant=_refuse)
+        assert _dump_json(doc) == out
+        assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out
+
+
+class TestStrictJson:
+    """Reports of vanished and rank-one products hold no Infinity or NaN."""
+
+    @pytest.fixture(params=["vanishing", "rank-one"])
+    def window(self, request, tmp_path):
+        from domsplit import dump_sequence
+
+        if request.param == "vanishing":
+            seq = vanishing(build_with_truth(GeneratorSpec(
+                "conjugated_dominated", (-45, 45), {"rate_mode": "constant"}, 1))[0])
+            extra = []
+        else:
+            seq, extra = rank_one_window(0), ["--nmax", "12"]
+        path = tmp_path / "seq.json"
+        dump_sequence(seq, str(path))
+        return str(path), extra
+
+    @pytest.mark.parametrize("verb", ["dom", "svg", "fi", "split"])
+    def test_report_is_strict(self, capsys, window, verb):
+        path, extra = window
+        code, out, err = run(capsys, verb, "--input", path, *extra, "--format", "json",
+                             "--table")
+        assert code in (0, 1, 3) and out, err
+        json.loads(out, parse_constant=_refuse)
+
+    def test_ap_report_is_strict(self, tmp_path, capsys):
+        from domsplit import dump_sequence
+
+        path = tmp_path / "seq.json"
+        dump_sequence(rank_one_window(5), str(path))
+        code, out, err = run(capsys, "ap", "--input", str(path), "--mu", "100", "--nmax", "10",
+                             "--format", "json", "--table")
+        assert out, err
+        json.loads(out, parse_constant=_refuse)

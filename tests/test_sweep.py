@@ -39,7 +39,7 @@ from domsplit import (
 from domsplit.cocycle import _apply, _hypot, _log, _project
 from domsplit.conditions import _certificate, _gap_search
 
-from conftest import rank_one_window
+from conftest import rank_one_window, vanishing
 
 TOL = 1e-12
 
@@ -80,15 +80,6 @@ def scaled(seq, factor):
     """seq with every entry multiplied by factor (and the bound with it)."""
     return MatrixSequence({j: seq[j].scale(factor) for j in seq.indices()},
                           seq.bound_M * factor)
-
-
-def vanishing(seq):
-    """B(0), B(1) replaced by complementary projections: every product
-    through both sites is exactly zero."""
-    entries = {j: seq[j] for j in seq.indices()}
-    entries[0] = Mat2C(1 + 0j, 0j, 0j, 0j)
-    entries[1] = Mat2C(0j, 0j, 0j, 1 + 0j)
-    return MatrixSequence(entries, max(seq.bound_M, 2.0))
 
 
 def family(name, window, params=None, seed=0):
