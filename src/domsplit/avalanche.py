@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .cocycle import (
     MatrixSequence,
     _factor_arrays,
     _fit_rate,
+    _mul_rows,
     _point_steps,
     _singular_values,
     backward_scan,
@@ -51,12 +53,9 @@ def _window_norms(seq: MatrixSequence) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """log sigma1 and log sigma2 of B(j) for j = lo .. hi, and log sigma1 of
     B(j+1) B(j) for j = lo .. hi - 1, each as one array over the window.
     Raises ZeroMatrix when a pair product is the zero matrix."""
-    a, b, c, d = _factor_arrays(seq)
-    s1, s2, _ = _singular_values(a, b, c, d)
-    x, y = slice(1, None), slice(None, -1)  # B(j+1) and B(j)
-    pair = (a[x] * a[y] + b[x] * c[y], a[x] * b[y] + b[x] * d[y],
-            c[x] * a[y] + d[x] * c[y], c[x] * b[y] + d[x] * d[y])
-    p1, _, zero = _singular_values(*pair)
+    factors = _factor_arrays(seq)
+    s1, s2, _ = _singular_values(factors)
+    p1, _, zero = _singular_values(_mul_rows(factors[:, 1:], factors[:, :-1]))
     if zero.any():
         raise ZeroMatrix("singular values of the zero matrix")
     with np.errstate(divide="ignore"):  # sigma2 = 0 on rank-one factors
@@ -66,8 +65,8 @@ def _window_norms(seq: MatrixSequence) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _ap_margins(seq: MatrixSequence, mu: float):
     """The window norms of ``_window_norms`` and, from them, the result of
     ``ap_conditions``: (norms, (ap3_worst, ap4_worst, pass))."""
-    if mu <= 1.0:
-        raise ValueError("mu must exceed 1")
+    if not 1.0 < mu < math.inf:  # also rejects nan
+        raise ValueError(f"mu must exceed 1 and be finite, got {mu}")
     norms = log_s1, log_s2, log_pair = _window_norms(seq)
     ap3_log = float(np.max(log_s2 - log_s1))  # -inf where sigma2 = 0
     ap4_log = float(np.max(log_s1[1:] + log_s1[:-1] - log_pair, initial=NEG_INF))
@@ -178,17 +177,36 @@ def direction_drift(seq: MatrixSequence, j: int, n_max: int) -> DriftTables:
 
 @dataclass(frozen=True)
 class ApReport:
-    """Avalanche audit: hypothesis margins, residual grid, and envelope fit."""
+    """Avalanche audit: hypothesis margins, residual grid, and envelope fit.
+
+    ``rows`` holds what the residuals are built from, when first read:
+    (lo, grid), where grid row n - 3 holds residual(j, n) at starts
+    j = lo .. hi - n + 1 and nan past them.
+    """
 
     mu: float
     ap3_worst: float
     ap4_worst: float
     conditions_pass: bool
-    residuals: dict[tuple[int, int], float] = dc_field(repr=False)
     envelope: float  # asserted C in residual <= C n mu^(-1/2)
     c_fit: float | None  # max residual / (n mu^(-1/2)) over the grid
     fitted_slope: float | None  # trend of max_j residual(j, n)/n against n
     passed: bool
+    rows: tuple = dc_field(repr=False, compare=False)
+
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """j, n and residual(j, n) of every grid cell, as arrays in (j, n)
+        order."""
+        lo, grid = self.rows
+        starts = grid.shape[1]
+        room = np.arange(starts) + np.arange(3, 3 + len(grid))[:, None] <= starts + 2
+        j, n = np.nonzero(room.T)
+        return lo + j, 3 + n, grid[n, j]
+
+    @cached_property
+    def residuals(self) -> dict[tuple[int, int], float]:
+        j, n, r = self._cells()
+        return dict(zip(zip(j.tolist(), n.tolist()), r.tolist()))
 
     def to_json_dict(self, include_table: bool = False) -> dict:
         doc = {
@@ -202,10 +220,10 @@ class ApReport:
             "passed": self.passed,
         }
         if include_table:
-            bound = self.mu ** -0.5
-            doc["residuals"] = [
-                [j, n, r, n * bound] for (j, n), r in sorted(self.residuals.items())
-            ]
+            j, n, r = self._cells()
+            bound = n * self.mu ** -0.5
+            doc["residuals"] = list(map(list, zip(j.tolist(), n.tolist(), r.tolist(),
+                                                  bound.tolist())))
         return doc
 
 
@@ -219,9 +237,10 @@ def ap_report(
 
     Every forward norm log sigma1(B_n(j)) comes from one ``product_sweep``;
     the single and pair norms are computed once for the window, and the
-    residual is built depth by depth for every start j at once.  Raises
-    ZeroMatrix when a pair product vanishes and ProductVanished, for the
-    lowest start and then the shortest length, when a longer one does.
+    residual is built depth by depth for every start j at once.  The grid
+    stays an array; ``ApReport.residuals`` is built from it when first read.
+    Raises ZeroMatrix when a pair product vanishes and ProductVanished, for
+    the lowest start and then the shortest length, when a longer one does.
     """
     if n_max < 3:
         raise ValueError("avalanche audit needs n_max >= 3")
@@ -247,14 +266,11 @@ def ap_report(
         mids = mids[:m] + log_single[n - 2:n - 2 + m]
         pairs = pairs[:m] + log_pair[n - 2:n - 2 + m]
         grid[row, :m] = np.abs(forward[n] + mids - pairs)
-    keys = [(j, n) for j in range(lo, hi - 1) for n in range(3, min(n_max, hi - j + 1) + 1)]
-    room = np.arange(starts) + np.array(depths)[:, None] <= size
-    residuals = dict(zip(keys, grid.T[room.T].tolist()))
 
     scale = mu ** -0.5
     c_fit = None
     slope = None
-    if residuals:
+    if grid.size:
         ns = np.array(depths, dtype=float)[:, None]
         c_fit = float(np.nanmax(grid / (ns * scale)))
         per_n_max = np.nanmax(grid, axis=1).tolist()
@@ -265,9 +281,9 @@ def ap_report(
         ap3_worst=ap3,
         ap4_worst=ap4,
         conditions_pass=ok,
-        residuals=residuals,
         envelope=envelope,
         c_fit=c_fit,
         fitted_slope=slope,
         passed=passed,
+        rows=(lo, grid),
     )

@@ -239,17 +239,29 @@ def _report_doc(command: str, config: dict, result: dict) -> dict:
     }
 
 
+def _finite(text: str) -> float:
+    """The argparse type of every float option: a finite float.  nan, inf
+    and non-numbers are usage errors (exit 2)."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
 def _add_io_options(p: argparse.ArgumentParser, with_nmax: bool = True) -> None:
     p.add_argument("--input", help="sequence JSON file")
     p.add_argument("--family", help="generator family (instead of --input)")
     p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--params", help="extra family parameters as inline JSON")
-    p.add_argument("--lplus", type=float)
-    p.add_argument("--lminus", type=float)
-    p.add_argument("--energy", type=float)
+    p.add_argument("--lplus", type=_finite)
+    p.add_argument("--lminus", type=_finite)
+    p.add_argument("--energy", type=_finite)
     p.add_argument("--potential", help="'zeros', inline JSON, or a JSON file path")
-    p.add_argument("--theta", type=float)
+    p.add_argument("--theta", type=_finite)
     p.add_argument("--rate-mode", dest="rate_mode", choices=["perstep", "constant"])
     p.add_argument("--insertions", nargs="*", type=int)
     p.add_argument("--misaligned", action="store_true")
@@ -275,27 +287,27 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         _add_io_options(p)
-        p.add_argument("--epsilon", type=float, default=_DEFAULTS.epsilon)
-        p.add_argument("--mu-min", dest="mu_min", type=float, default=_DEFAULTS.mu_min)
+        p.add_argument("--epsilon", type=_finite, default=_DEFAULTS.epsilon)
+        p.add_argument("--mu-min", dest="mu_min", type=_finite, default=_DEFAULTS.mu_min)
 
     split = sub.add_parser("split", help="estimate the invariant directions")
     _add_io_options(split)
-    split.add_argument("--tol", type=float, default=_DEFAULTS.split_tol)
+    split.add_argument("--tol", type=_finite, default=_DEFAULTS.split_tol)
     split.add_argument("--jrange", nargs=2, type=int, metavar=("LO", "HI"))
 
     dom = sub.add_parser("dom", help="full dominated-splitting certificate")
     _add_io_options(dom)
-    dom.add_argument("--tol", type=float, default=_DEFAULTS.split_tol)
+    dom.add_argument("--tol", type=_finite, default=_DEFAULTS.split_tol)
     dom.add_argument("--jrange", nargs=2, type=int, metavar=("LO", "HI"))
-    dom.add_argument("--epsilon", type=float, default=_DEFAULTS.epsilon)
-    dom.add_argument("--mu-min", dest="mu_min", type=float, default=_DEFAULTS.mu_min)
-    dom.add_argument("--sep-min", dest="sep_min", type=float, default=_DEFAULTS.sep_min)
+    dom.add_argument("--epsilon", type=_finite, default=_DEFAULTS.epsilon)
+    dom.add_argument("--mu-min", dest="mu_min", type=_finite, default=_DEFAULTS.mu_min)
+    dom.add_argument("--sep-min", dest="sep_min", type=_finite, default=_DEFAULTS.sep_min)
     dom.add_argument("--ncap", type=int, default=_DEFAULTS.n_cap)
 
     ap = sub.add_parser("ap", help="avalanche-principle audit")
     _add_io_options(ap)
-    ap.add_argument("--mu", type=float, required=True)
-    ap.add_argument("--envelope", type=float, default=RESIDUAL_ENVELOPE)
+    ap.add_argument("--mu", type=_finite, required=True)
+    ap.add_argument("--envelope", type=_finite, default=RESIDUAL_ENVELOPE)
 
     return top
 

@@ -573,56 +573,83 @@ def _project(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram(a, b, c, d):
-    """The Gram-matrix quadratic of ``singular_values`` over arrays of
-    matrices [[a, b], [c, d]]: (p, r, q, sigma1^2, sigma1)."""
-    p = _abs2(a) + _abs2(c)
-    r = _abs2(b) + _abs2(d)
-    q = np.conj(a) * b + np.conj(c) * d
+def _mul_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The products x . z over (4, m) stacks of matrices [[a, b], [c, d]],
+    each entry summed as ``mul`` sums it: one broadcast product per row pair
+    of x against the rows (a, b) and (c, d) of z."""
+    m = z.shape[1]
+    x = x.reshape(2, 2, 1, m)
+    z = z.reshape(2, 2, m)
+    return (x[:, 0] * z[0] + x[:, 1] * z[1]).reshape(4, m)
+
+
+def _gram(z: np.ndarray):
+    """The Gram-matrix quadratic of ``singular_values`` over a (4, m) stack
+    of matrices [[a, b], [c, d]]: (p, r, q, sigma1^2, sigma1)."""
+    a2 = _abs2(z)
+    p = a2[0] + a2[2]
+    r = a2[1] + a2[3]
+    q = np.conj(z[0]) * z[1] + np.conj(z[2]) * z[3]
     s1sq = 0.5 * (p + r + np.hypot(p - r, 2.0 * _abs(q)))
     return p, r, q, s1sq, np.sqrt(s1sq)
 
 
-def _sigma2(a, b, c, d, s1):
+def _sigma2(z: np.ndarray, s1: np.ndarray) -> np.ndarray:
     """sigma2 = |det| / sigma1, or 0 where |det| <= DET_REL_TOL sigma1^2."""
+    a, b, c, d = z
     adet = _abs(a * d - b * c)
     with np.errstate(invalid="ignore", divide="ignore"):  # sigma1 = 0 rows
         return np.where(adet > DET_REL_TOL * s1 * s1, np.minimum(adet / s1, s1), 0.0)
 
 
-def _prescale_rows(a, b, c, d):
-    """``_prescale`` over arrays of matrices [[a, b], [c, d]]: the rows
-    whose largest entry leaves (1e-120, 1e120) scaled by an exact 2^k.
-    Returns ((a, b, c, d), k, zero), k None where no row needs it; ``zero``
-    flags the rows that are the zero matrix (every entry at most
-    ENTRY_ZERO_TOL), which stay as they are."""
-    biggest = np.maximum(np.maximum(_abs(a), _abs(b)), np.maximum(_abs(c), _abs(d)))
-    zero = biggest <= ENTRY_ZERO_TOL
-    scaled = ~zero & ((biggest <= 1e-120) | (biggest >= 1e120))
+# max |entry| of a row lies in [s, sqrt(2) s] for s its largest real or
+# imaginary part; a row whose s is a factor _BAND clear of every threshold
+# of ``_prescale`` is classified from s alone.
+_BAND = 1.5
+
+
+def _prescale_rows(z: np.ndarray):
+    """``_prescale`` over a (4, m) stack of matrices [[a, b], [c, d]]: the
+    rows whose largest entry leaves (1e-120, 1e120) scaled by an exact 2^k.
+    Returns (z, k, zero), k None where no row needs it; ``zero`` flags the
+    rows that are the zero matrix (every entry at most ENTRY_ZERO_TOL),
+    which stay as they are.  Only rows that s leaves undecided, or that need
+    a k, take the four complex moduli."""
+    parts = np.abs(np.ascontiguousarray(z).view(float)).max(axis=0)  # |Re|, |Im| interleaved
+    s = np.maximum(parts[0::2], parts[1::2])
+    zero = s <= ENTRY_ZERO_TOL / _BAND
+    exact = ~zero & ((s <= _BAND * 1e-120) | (s >= 1e120 / _BAND))
+    if not exact.any():
+        return z, None, zero
+    rows = np.flatnonzero(exact)
+    biggest = _abs(z[:, rows]).max(axis=0)
+    zero[rows] = biggest <= ENTRY_ZERO_TOL
+    scaled = (biggest > ENTRY_ZERO_TOL) & ((biggest <= 1e-120) | (biggest >= 1e120))
     if not scaled.any():
-        return (a, b, c, d), None, zero
-    k = np.zeros(len(biggest), dtype=np.int64)
-    k[scaled] = -np.floor(np.log2(biggest[scaled])).astype(np.int64)
-    return tuple(_ldexp_c(z, k) for z in (a, b, c, d)), k, zero
+        return z, None, zero
+    k = np.zeros(len(s), dtype=np.int64)
+    k[rows[scaled]] = -np.floor(np.log2(biggest[scaled])).astype(np.int64)
+    return _ldexp_c(z, k), k, zero
 
 
-def _singular_values(a, b, c, d, sigma2: bool = True):
-    """``singular_values`` over arrays of matrices [[a, b], [c, d]]:
+def _singular_values(z: np.ndarray, sigma2: bool = True):
+    """``singular_values`` over a (4, m) stack of matrices [[a, b], [c, d]]:
     (sigma1, sigma2, zero), with sigma2 None unless asked for.  ``zero``
     flags the rows that are the zero matrix; their values are 0."""
-    (a, b, c, d), k, zero = _prescale_rows(a, b, c, d)
-    s1 = _gram(a, b, c, d)[4]
+    z, k, zero = _prescale_rows(z)
+    s1 = _gram(z)[4]
     s1[zero] = 0.0
-    s2 = _sigma2(a, b, c, d, s1) if sigma2 else None
+    s2 = _sigma2(z, s1) if sigma2 else None
     if k is not None:
         s1 = np.ldexp(s1, -k)
         s2 = None if s2 is None else np.ldexp(s2, -k)
     return s1, s2, zero
 
 
-def _log_abs_dets(a, b, c, d) -> np.ndarray:
-    """``_log_abs_det`` over arrays of nonzero matrices, rounded as it is."""
-    (a, b, c, d), k, _ = _prescale_rows(a, b, c, d)
+def _log_abs_dets(z: np.ndarray) -> np.ndarray:
+    """``_log_abs_det`` over a (4, m) stack of nonzero matrices, rounded as
+    it is."""
+    (a, b, c, d), k, _ = _prescale_rows(z)
     adet = _abs(_cmul(a, d) - _cmul(b, c))
     out = np.full(len(adet), NEG_INF)
     pos = adet > 0.0
@@ -630,10 +657,10 @@ def _log_abs_dets(a, b, c, d) -> np.ndarray:
     return out if k is None else out - 2 * k * _LN2
 
 
-def _factor_arrays(seq: MatrixSequence) -> tuple[np.ndarray, ...]:
-    """The entries a, b, c, d of B(lo) .. B(hi) as four complex arrays."""
+def _factor_arrays(seq: MatrixSequence) -> np.ndarray:
+    """The entries a, b, c, d of B(lo) .. B(hi) as a (4, L) complex stack."""
     mats = [seq[j] for j in seq.indices()]
-    return tuple(np.array([getattr(m, e) for m in mats], dtype=complex) for e in "abcd")
+    return np.array([[getattr(m, e) for m in mats] for e in "abcd"], dtype=complex)
 
 
 class _DirectionRuns:
@@ -693,18 +720,19 @@ class ProductSweep:
 
     ``log_s1[n]`` and ``log_s2[n]`` hold log sigma1 and log sigma2 of B_n(j)
     for j = lo .. hi - n + 1, n = 0 .. n_max + 1 (layer 0 is the identity and
-    has one start more, hi + 1); -inf marks a vanished product.  At the sites
+    has one start more, hi + 1); -inf marks a vanished product.  ``log_s2``
+    is built from ``factors`` and ``log_s1`` when first read.  At the sites
     of ``jrange`` the sweep also holds the estimated fields, their
     certificates and the sites where estimation failed.  ``js`` lists the
     sites whose fields converged, in ascending order, and ``es_vec`` /
     ``eu_vec`` hold the fields' unit representatives there as (2, K)
-    arrays; ``factors`` holds the entries a, b, c, d of B(lo) .. B(hi).
+    arrays; ``factors`` holds the entries a, b, c, d of B(lo) .. B(hi) as a
+    (4, L) stack.
     """
 
     window: tuple[int, int]
     n_max: int
     log_s1: list[np.ndarray] = field(repr=False)
-    log_s2: list[np.ndarray] = field(repr=False)
     jrange: tuple[int, int] | None
     es: dict[int, ProjPoint] = field(repr=False)
     eu: dict[int, ProjPoint] = field(repr=False)
@@ -713,7 +741,22 @@ class ProductSweep:
     js: np.ndarray = field(repr=False)
     es_vec: np.ndarray = field(repr=False)
     eu_vec: np.ndarray = field(repr=False)
-    factors: tuple[np.ndarray, ...] = field(repr=False)
+    factors: np.ndarray = field(repr=False)
+
+    @cached_property
+    def log_s2(self) -> list[np.ndarray]:
+        """log sigma2 = log|det| - log sigma1, with log|det| of B_n(j) summed
+        factor by factor from B(j) up, as ``ScaledProduct`` sums it."""
+        flog_det = _log_abs_dets(self.factors)
+        log_s2 = [np.zeros(len(flog_det) + 1)]
+        log_det = np.zeros(len(flog_det))
+        for n, ls1 in enumerate(self.log_s1[1:], start=1):
+            log_det = log_det[:len(ls1)] + flog_det[n - 1:]
+            vanished = ls1 == NEG_INF
+            ls2 = log_det - np.where(vanished, 0.0, ls1)
+            ls2[vanished] = NEG_INF
+            log_s2.append(ls2)
+        return log_s2
 
 
 def product_sweep(
@@ -726,13 +769,14 @@ def product_sweep(
 
     Layer n is B(j+n-1) . core_{n-1}(j), renormalized by sigma1: the
     recurrence of ``ScaledProduct.left_multiply``, with the same Gram
-    quadratic, power-of-two prescale and degeneracy test, over numpy arrays.
-    Only O(L) core data is held at a time.  With a ``jrange`` the sweep also
-    runs ``estimate_splitting``'s stopping rule at its sites, to depth n_max:
-    s_n(j) is read from layer n at start j and u_n(j) from layer n at start
-    j - n, since B_n(j - n) is the forward product starting there.  A site
-    fails when either side runs out of room or its product vanishes at or
-    before the depth where its run stops.
+    quadratic, power-of-two prescale and degeneracy test, over (4, m) numpy
+    stacks of the entries a, b, c, d.  Only O(L) core data is held at a
+    time.  With a ``jrange`` the sweep also runs ``estimate_splitting``'s
+    stopping rule at its sites, to depth n_max: s_n(j) is read from layer n
+    at start j and u_n(j) from layer n at start j - n, since B_n(j - n) is
+    the forward product starting there.  A site fails when either side runs
+    out of room or its product vanishes at or before the depth where its run
+    stops.
     """
     if n_max < 1:
         raise InvalidSpec(f"n_max must be at least 1, got {n_max}")
@@ -740,8 +784,7 @@ def product_sweep(
     if jrange is not None and (jrange[0] < lo or jrange[1] > hi):
         raise WindowExceeded(f"jrange [{jrange[0]}, {jrange[1]}] outside window [{lo}, {hi}]")
     size = len(seq)
-    fa, fb, fc, fd = _factor_arrays(seq)
-    flog_det = _log_abs_dets(fa, fb, fc, fd)
+    factors = _factor_arrays(seq)
 
     sites = np.arange(jrange[0] - lo, jrange[1] - lo + 1) if jrange is not None else np.arange(0)
     n_sites = len(sites)
@@ -749,36 +792,29 @@ def product_sweep(
     runs_u = _DirectionRuns(n_sites, n_max)
 
     log_s1 = [np.zeros(size + 1)]
-    log_s2 = [np.zeros(size + 1)]
-    a, d = np.ones(size, dtype=complex), np.ones(size, dtype=complex)
-    b, c = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
+    core = np.zeros((4, size), dtype=complex)
+    core[0] = core[3] = 1.0
     log_scale = np.zeros(size)
-    log_det = np.zeros(size)
     for n in range(1, n_max + 2):
         m = max(size - n + 1, 0)  # starts lo .. hi - n + 1
-        xa, xb, xc, xd = fa[n - 1:], fb[n - 1:], fc[n - 1:], fd[n - 1:]
-        a, b, c, d = a[:m], b[:m], c[:m], d[:m]
-        raw = (xa * a + xb * c, xa * b + xb * d, xc * a + xd * c, xc * b + xd * d)
-        s1, _, vanished = _singular_values(*raw, sigma2=False)
+        raw = _mul_rows(factors[:, n - 1:n - 1 + m], core[:, :m])
+        s1, _, vanished = _singular_values(raw, sigma2=False)
         s1[vanished] = 1.0
         inv = 1.0 / s1
         inv[vanished] = 0.0  # a vanished core stays zero, so the row stays vanished
-        a, b, c, d = (z * inv for z in raw)
+        core = raw * inv
         log_scale = log_scale[:m] + np.log(s1)
-        log_det = log_det[:m] + flog_det[n - 1:]
 
-        p, r, q, s1sq, s1c = _gram(a, b, c, d)
+        p, r, q, s1sq, s1c = _gram(core)
         s1c[vanished] = 1.0
         ls1 = log_scale + np.log(s1c)
-        ls2 = log_det - ls1
         ls1[vanished] = NEG_INF
-        ls2[vanished] = NEG_INF
         log_s1.append(ls1)
-        log_s2.append(ls2)
 
         if n > n_max or m == 0 or n_sites == 0 or (runs_s.done.all() and runs_u.done.all()):
             continue
-        s2c = _sigma2(a, b, c, d, s1c)
+        a, b, c, d = core
+        s2c = _sigma2(core, s1c)
         degenerate = (s1c - s2c) <= DEGENERATE_REL_TOL * s1c
         # top right singular vector from the Gram row with the larger pivot
         pivot_p = p >= r
@@ -813,8 +849,8 @@ def product_sweep(
     es = dict(zip(js.tolist(), map(ProjPoint, *es_vec.tolist())))
     eu = dict(zip(js.tolist(), map(ProjPoint, *eu_vec.tolist())))
     failed = [lo + int(o) for o in sites[~converged]]
-    return ProductSweep((lo, hi), n_max, log_s1, log_s2, jrange, es, eu, certs, failed,
-                        js, es_vec, eu_vec, (fa, fb, fc, fd))
+    return ProductSweep((lo, hi), n_max, log_s1, jrange, es, eu, certs, failed,
+                        js, es_vec, eu_vec, factors)
 
 
 def estimate_fields(
@@ -872,8 +908,8 @@ def invariance_residuals(
     """
     k = np.flatnonzero(sweep.js[1:] == sweep.js[:-1] + 1)
     js = sweep.js[k]
-    m = tuple(f[js - sweep.window[0]] for f in sweep.factors)
-    s1, s2, _ = _singular_values(*m)
+    m = sweep.factors[:, js - sweep.window[0]]
+    s1, s2, _ = _singular_values(m)
     res = []
     hits = s2 == 0.0  # the unstable side reads the image line
     for vec in (sweep.es_vec, sweep.eu_vec):

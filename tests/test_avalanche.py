@@ -243,6 +243,48 @@ class TestApReport:
                 check()
 
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, 1.0])
+    def test_mu_must_be_finite_and_above_one(self, mu):
+        seq = family("ap_family", (-15, 25), _AP, 3)
+        for check in (lambda: ap_conditions(seq, mu), lambda: ap_report(seq, mu, 10)):
+            with pytest.raises(ValueError, match="mu must exceed 1"):
+                check()
+
+
+class TestApReportGrid:
+    """The residual grid stays an array; the dict is built on first read."""
+
+    def test_residuals_built_on_first_read(self):
+        seq = family("ap_family", (-15, 25), _AP, 3)
+        rep = ap_report(seq, 1e3, 12)
+        assert "residuals" not in rep.__dict__
+        rep.to_json_dict(include_table=True)
+        assert "residuals" not in rep.__dict__
+        assert rep.residuals is rep.residuals
+        assert "residuals" in rep.__dict__
+
+    @pytest.mark.parametrize("case", ["ap_family-1e3", "room-limited", "nmax-3", "rank-one"])
+    def test_table_rows_are_the_sorted_dict(self, case):
+        build, mu, n_max = EQUIVALENCE_CASES[case]
+        rep = ap_report(build(), mu, n_max)
+        want = [[j, n, r, n * mu**-0.5] for (j, n), r in sorted(rep.residuals.items())]
+        got = rep.to_json_dict(include_table=True)["residuals"]
+        assert got == want
+        assert [list(map(type, row)) for row in got] == [[int, int, float, float]] * len(want)
+
+    def test_grid_not_compared(self):
+        seq = family("ap_family", (-15, 25), _AP, 3)
+        rep = ap_report(seq, 1e3, 12)
+        assert rep == ap_report(seq, 1e3, 12)
+        assert "rows" not in repr(rep) and "residuals" not in repr(rep)
+
+    def test_short_window_has_no_cells(self):
+        seq = family("ap_family", (0, 1), _AP, 3)
+        rep = ap_report(seq, 1e3, 10)
+        assert rep.residuals == {} and rep.c_fit is None
+        assert rep.to_json_dict(include_table=True)["residuals"] == []
+
+
 def _scaled(seq, factor):
     return MatrixSequence({j: seq[j].scale(factor) for j in seq.indices()},
                           seq.bound_M * factor)

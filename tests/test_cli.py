@@ -18,6 +18,7 @@ from domsplit.cli import _dump_json, main
 from domsplit.generators import FAMILIES
 
 from conftest import rank_one_window, vanishing
+from test_readme_examples import GOLDEN, assert_same
 
 
 def run(capsys, *argv):
@@ -243,6 +244,35 @@ class TestAp:
         assert err == "domsplit ap: product of length 10 starting at j=-7 vanished\n"
 
 
+    # recorded before ApReport kept its residuals as a grid; `ap` must still
+    # write these documents
+    AP_GOLDEN = ("--family", "ap_family", "--params", '{"mu": 1e3}', "--seed", "3",
+                 "--window", "0", "30", "--mu", "1e3", "--nmax", "10")
+
+    @pytest.mark.parametrize("fmt, golden", [(("--format", "csv"), "ap_table.csv"),
+                                             (("--format", "json", "--table"), "ap_table.json")])
+    def test_table_matches_golden(self, capsys, fmt, golden):
+        code, out, _ = run(capsys, "ap", *self.AP_GOLDEN, *fmt)
+        assert code == 0
+        assert_same(out, (GOLDEN / golden).read_text(encoding="utf-8"), golden)
+
+    def test_table_is_the_sorted_residual_dict(self, capsys):
+        # the rows come from the grid; written from the sorted dict instead,
+        # the documents are the same bytes
+        from domsplit import ap_report
+        from domsplit.cli import _csv_payload
+
+        seq, _ = build_with_truth(GeneratorSpec("ap_family", (0, 30), {"mu": 1e3}, 3))
+        rows = [[j, n, r, n * 1e3 ** -0.5] for (j, n), r in
+                sorted(ap_report(seq, 1e3, 10).residuals.items())]
+        code, out, _ = run(capsys, "ap", *self.AP_GOLDEN, "--format", "csv")
+        assert code == 0 and out == _csv_payload(rows, ["j", "n", "residual", "bound"])
+        code, out, _ = run(capsys, "ap", *self.AP_GOLDEN, "--format", "json", "--table")
+        doc = json.loads(out)
+        assert code == 0 and doc["result"]["residuals"] == rows
+        assert out == _dump_json(doc)
+
+
 class TestReportContract:
     def test_config_embedded_and_deterministic(self, capsys):
         args = ["svg", "--family", "diagonal", "--window", "0", "20", "--nmax", "10",
@@ -393,6 +423,44 @@ class TestBoundaryValidation:
                            "--nmax", "1", "--format", "json")
         assert code == 3
         assert json.loads(out)["result"]["passed"] is False
+
+
+class TestNonFiniteOptions:
+    """Every float option is parsed as a finite float: nan and inf are usage
+    errors (exit 2), never a witnessed failure or an inconclusive run."""
+
+    AP = ("ap", "--family", "ap_family", "--window", "0", "30")
+    DIAG = ("--family", "diagonal", "--window", "0", "20")
+    CASES = [
+        (AP, "--mu", "nan"),
+        (AP, "--mu", "inf"),
+        (AP + ("--mu", "1e3"), "--envelope", "nan"),
+        (("svg",) + DIAG, "--mu-min", "nan"),
+        (("fi",) + DIAG, "--epsilon", "nan"),
+        (("dom",) + DIAG, "--epsilon", "inf"),
+        (("dom",) + DIAG, "--sep-min", "-inf"),
+        (("split",) + DIAG, "--tol", "nan"),
+        (("gen", "--family", "diagonal", "--window", "0", "5"), "--lplus", "inf"),
+    ]
+
+    @pytest.mark.parametrize("base, option, value", CASES,
+                             ids=[f"{c[0][0]} {c[1]} {c[2]}" for c in CASES])
+    def test_exit2(self, capsys, base, option, value):
+        with pytest.raises(SystemExit) as info:
+            main([*base, f"{option}={value}"])
+        assert info.value.code == 2
+        assert f"argument {option}: '{value}' is not a finite number" in capsys.readouterr().err
+
+    def test_non_number_message_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["ap", "--family", "ap_family", "--window", "0", "30", "--mu", "abc"])
+        assert info.value.code == 2
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_finite_values_still_parse(self, capsys):
+        code, _, _ = run(capsys, "ap", "--family", "ap_family", "--window", "0", "30",
+                         "--mu", "1e3", "--envelope", "5", "--nmax", "10")
+        assert code == 0
 
 
 class TestInternalError:

@@ -8,9 +8,12 @@ certificate's array stages and its per-site reference.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domsplit import (
     GeneratorSpec,
@@ -36,8 +39,10 @@ from domsplit import (
     project,
     singular_values,
 )
+from domsplit import ap_report, cocycle
 from domsplit.cocycle import _apply, _hypot, _log, _project
 from domsplit.conditions import _certificate, _gap_search
+from domsplit.matrix2c import ENTRY_ZERO_TOL
 
 from conftest import rank_one_window, vanishing
 
@@ -70,10 +75,12 @@ def scalar_sweep(seq, n_max, jrange, tol) -> ProductSweep:
     def vectors(field):
         return np.array([field[j].vector() for j in js], dtype=complex).reshape(-1, 2).T
 
-    factors = tuple(np.array([getattr(seq[j], e) for j in seq.indices()], dtype=complex)
-                    for e in "abcd")
-    return ProductSweep((lo, hi), n_max, log_s1, log_s2, jrange, es, eu, certs, failed,
-                        js, vectors(es), vectors(eu), factors)
+    factors = np.array([[getattr(seq[j], e) for j in seq.indices()] for e in "abcd"],
+                       dtype=complex)
+    sweep = ProductSweep((lo, hi), n_max, log_s1, jrange, es, eu, certs, failed,
+                         js, vectors(es), vectors(eu), factors)
+    sweep.__dict__["log_s2"] = log_s2  # the scalar engine's, in place of the one built on read
+    return sweep
 
 
 def scaled(seq, factor):
@@ -426,3 +433,118 @@ def test_tables_built_when_read(staged):
     again = _certificate(seq, Thresholds(n_max=sweep.n_max), sweep, [])
     assert again.svg == report.svg and again.fi == report.fi
     assert "rows" not in repr(report.svg)
+
+
+# -- the row classification of the power-of-two prescale ----------------------
+
+
+def hypot_prescale_rows(a, b, c, d):
+    """The prescale classification from the four complex moduli of each row,
+    as the stacked engine took it before it read max(|Re|, |Im|) instead:
+    the reference for ``cocycle._prescale_rows``."""
+    biggest = np.maximum(np.maximum(cocycle._abs(a), cocycle._abs(b)),
+                         np.maximum(cocycle._abs(c), cocycle._abs(d)))
+    zero = biggest <= ENTRY_ZERO_TOL
+    scaled = ~zero & ((biggest <= 1e-120) | (biggest >= 1e120))
+    if not scaled.any():
+        return (a, b, c, d), None, zero
+    k = np.zeros(len(biggest), dtype=np.int64)
+    k[scaled] = -np.floor(np.log2(biggest[scaled])).astype(np.int64)
+    return tuple(cocycle._ldexp_c(z, k) for z in (a, b, c, d)), k, zero
+
+
+def _reference_prescale(z):
+    scaled, k, zero = hypot_prescale_rows(*z)
+    return (z if k is None else np.array(scaled)), k, zero
+
+
+_R2 = math.sqrt(2.0)
+# the thresholds of the prescale and of the zero test, and values a factor
+# sqrt(2) either side, where the largest modulus and max(|Re|, |Im|) part
+EDGES = [t * f for t in (ENTRY_ZERO_TOL, 1e-120, 1e120) for f in (1 / _R2, 1.0, _R2)]
+SPECIALS = EDGES + [
+    np.nextafter(ENTRY_ZERO_TOL, 0.0), np.nextafter(ENTRY_ZERO_TOL, 1.0),
+    ENTRY_ZERO_TOL / 1.5, ENTRY_ZERO_TOL * 1.5, 1e-120 * 1.5, 1e120 / 1.5,
+    5e-324, 2.2250738585072014e-308, 1e-310, 0.0, 1.0,
+]
+
+
+def _parts():
+    log_uniform = st.floats(-320.0, 300.0).map(lambda u: 10.0 ** u)
+    magnitude = st.one_of(log_uniform, st.sampled_from(SPECIALS))
+    return st.tuples(magnitude, st.sampled_from((1.0, -1.0)))
+
+
+@st.composite
+def entries(draw):
+    """One complex entry: independent real and imaginary parts, which may
+    differ in magnitude by hundreds of decades, or a modulus placed on an
+    edge with equal parts."""
+    if draw(st.booleans()):
+        (re, sr), (im, si) = draw(_parts()), draw(_parts())
+        return complex(sr * re, si * im)
+    edge = draw(st.sampled_from(SPECIALS))
+    return complex(edge / _R2, draw(st.sampled_from((1.0, -1.0))) * edge / _R2)
+
+
+@st.composite
+def stacks(draw):
+    """A (4, m) stack of matrices [[a, b], [c, d]]; some rows have zero
+    entries, some are all zero."""
+    m = draw(st.integers(1, 8))
+    zero = st.just(0j)
+    cells = [draw(st.one_of(entries(), zero)) for _ in range(4 * m)]
+    z = np.array(cells, dtype=complex).reshape(4, m)
+    z[:, draw(st.lists(st.integers(0, m - 1), max_size=2))] = 0.0
+    return z
+
+
+def assert_same_classification(z):
+    got_z, got_k, got_zero = cocycle._prescale_rows(z)
+    want_z, want_k, want_zero = _reference_prescale(z)
+    assert np.array_equal(got_zero, want_zero)
+    assert (got_k is None) == (want_k is None)
+    assert got_k is None or np.array_equal(got_k, want_k)
+    assert np.asarray(got_z).tobytes() == np.asarray(want_z).tobytes()  # signs of zero too
+    s1, s2, zero = cocycle._singular_values(z)
+    log_dets = cocycle._log_abs_dets(z)
+    with mock.patch.object(cocycle, "_prescale_rows", _reference_prescale):
+        want_sv = cocycle._singular_values(z)
+        want_log_dets = cocycle._log_abs_dets(z)
+    for g, w in zip((s1, s2, zero, log_dets), (*want_sv, want_log_dets)):
+        assert np.array_equal(g, w)
+
+
+@settings(max_examples=400, deadline=None)
+@given(stacks())
+def test_prescale_classification_matches_moduli(z):
+    assert_same_classification(z)
+
+
+def test_prescale_classification_at_the_edges():
+    """Every special value as the real part, the imaginary part, or both, of
+    a row's largest entry, beside entries far below it."""
+    rows = []
+    for x in SPECIALS:
+        for e in (complex(x, 0.0), complex(0.0, -x), complex(x / _R2, x / _R2),
+                  complex(x, x * 1e-200), complex(x * 1e-250, -x)):
+            rows.append((e, 1e-310 + 0j, 0j, complex(x * 1e-30, 0.0)))
+    assert_same_classification(np.array(rows, dtype=complex).T.copy())
+
+
+def test_prescale_classification_on_a_sweep_layer():
+    # a wide stack of ordinary rows takes no modulus at all
+    z = np.random.default_rng(3).normal(size=(4, 2000)) * (1 + 1j)
+    with mock.patch.object(cocycle, "_abs", side_effect=AssertionError("a modulus was taken")):
+        _, k, zero = cocycle._prescale_rows(z)
+    assert k is None and not zero.any()
+
+
+def test_log_s2_built_on_first_read():
+    seq = _conj()
+    sweep = product_sweep(seq, 20)
+    assert "log_s2" not in vars(sweep)
+    assert sweep.log_s2 is sweep.log_s2
+    # the audit reads log sigma1 only, so it never takes a log|det|
+    with mock.patch.object(cocycle, "_log_abs_dets", side_effect=AssertionError("log|det| taken")):
+        ap_report(family("ap_family", (-15, 25), {"mu": 1e3}, 3), 1e3, 20)
