@@ -16,11 +16,11 @@ import numpy as np
 
 from .cocycle import (
     MatrixSequence,
-    _factor_arrays,
     _fit_rate,
     _mul_rows,
     _point_steps,
     _singular_values,
+    _staircase_cells,
     backward_scan,
     forward_scan,
     product_sweep,
@@ -53,9 +53,9 @@ def _window_norms(seq: MatrixSequence) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """log sigma1 and log sigma2 of B(j) for j = lo .. hi, and log sigma1 of
     B(j+1) B(j) for j = lo .. hi - 1, each as one array over the window.
     Raises ZeroMatrix when a pair product is the zero matrix."""
-    factors = _factor_arrays(seq)
+    factors = seq.factors
     s1, s2, _ = _singular_values(factors)
-    p1, _, zero = _singular_values(_mul_rows(factors[:, 1:], factors[:, :-1]))
+    p1, _, zero = _singular_values(_mul_rows(factors[:, 1:], factors[:, :-1]), sigma2=False)
     if zero.any():
         raise ZeroMatrix("singular values of the zero matrix")
     with np.errstate(divide="ignore"):  # sigma2 = 0 on rank-one factors
@@ -180,8 +180,8 @@ class ApReport:
     """Avalanche audit: hypothesis margins, residual grid, and envelope fit.
 
     ``rows`` holds what the residuals are built from, when first read:
-    (lo, grid), where grid row n - 3 holds residual(j, n) at starts
-    j = lo .. hi - n + 1 and nan past them.
+    (lo, 3, one residual array over j per n), where the array of depth n
+    holds residual(j, n) at starts j = lo .. hi - n + 1.
     """
 
     mu: float
@@ -194,18 +194,10 @@ class ApReport:
     passed: bool
     rows: tuple = dc_field(repr=False, compare=False)
 
-    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """j, n and residual(j, n) of every grid cell, as arrays in (j, n)
-        order."""
-        lo, grid = self.rows
-        starts = grid.shape[1]
-        room = np.arange(starts) + np.arange(3, 3 + len(grid))[:, None] <= starts + 2
-        j, n = np.nonzero(room.T)
-        return lo + j, 3 + n, grid[n, j]
-
     @cached_property
     def residuals(self) -> dict[tuple[int, int], float]:
-        j, n, r = self._cells()
+        """{(j, n): residual}, in (j, n) order."""
+        j, n, r = _staircase_cells(*self.rows)
         return dict(zip(zip(j.tolist(), n.tolist()), r.tolist()))
 
     def to_json_dict(self, include_table: bool = False) -> dict:
@@ -220,7 +212,7 @@ class ApReport:
             "passed": self.passed,
         }
         if include_table:
-            j, n, r = self._cells()
+            j, n, r = _staircase_cells(*self.rows)
             bound = n * self.mu ** -0.5
             doc["residuals"] = list(map(list, zip(j.tolist(), n.tolist(), r.tolist(),
                                                   bound.tolist())))
@@ -237,8 +229,8 @@ def ap_report(
 
     Every forward norm log sigma1(B_n(j)) comes from one ``product_sweep``;
     the single and pair norms are computed once for the window, and the
-    residual is built depth by depth for every start j at once.  The grid
-    stays an array; ``ApReport.residuals`` is built from it when first read.
+    residual is built depth by depth for every start j at once.  Its rows
+    stay arrays; ``ApReport.residuals`` is built from them when first read.
     Raises ZeroMatrix when a pair product vanishes and ProductVanished, for
     the lowest start and then the shortest length, when a longer one does.
     """
@@ -257,23 +249,23 @@ def ap_report(
         j, n = min(vanished)
         raise ProductVanished(f"product of length {n} starting at j={lo + j} vanished")
 
-    # row n - 3 holds depth n at starts lo .. hi - n + 1, summed in ap_residual's order
-    grid = np.full((len(depths), starts), np.nan)
+    # one row per depth n, at starts lo .. hi - n + 1, summed in ap_residual's order
+    rows = []
     mids = np.zeros(starts)
     pairs = log_pair[:starts]
-    for row, n in enumerate(depths):
+    for n in depths:
         m = size - n + 1
         mids = mids[:m] + log_single[n - 2:n - 2 + m]
         pairs = pairs[:m] + log_pair[n - 2:n - 2 + m]
-        grid[row, :m] = np.abs(forward[n] + mids - pairs)
+        rows.append(np.abs(forward[n] + mids - pairs))
 
     scale = mu ** -0.5
     c_fit = None
     slope = None
-    if grid.size:
-        ns = np.array(depths, dtype=float)[:, None]
-        c_fit = float(np.nanmax(grid / (ns * scale)))
-        per_n_max = np.nanmax(grid, axis=1).tolist()
+    if rows:
+        per_n_max = [float(r.max()) for r in rows]
+        # division by n mu^(-1/2) is monotone, so the row maxima give c_fit
+        c_fit = max(r / (n * scale) for n, r in zip(depths, per_n_max))
         slope = _fit_rate({n: r / n for n, r in zip(depths, per_n_max) if r > 0})
     passed = ok and (c_fit is None or c_fit <= envelope)
     return ApReport(
@@ -285,5 +277,5 @@ def ap_report(
         c_fit=c_fit,
         fitted_slope=slope,
         passed=passed,
-        rows=(lo, grid),
+        rows=(lo, 3, rows),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -18,7 +19,7 @@ import sys
 
 from . import __version__
 from .avalanche import RESIDUAL_ENVELOPE, ap_report
-from .cocycle import MatrixSequence, estimate_fields, invariance_residuals, load_sequence
+from .cocycle import MatrixSequence, _dist, estimate_fields, invariance_residuals, load_sequence
 from .conditions import Thresholds, _field_record, check_domination, fi_profile, svg_profile
 from .errors import (
     DomsplitError,
@@ -27,7 +28,7 @@ from .errors import (
     WindowExceeded,
 )
 from .generators import GeneratorSpec, build_with_truth
-from .projective import ProjPoint, dist
+from .projective import ProjPoint
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -272,6 +273,7 @@ def _add_io_options(p: argparse.ArgumentParser, with_nmax: bool = True) -> None:
     p.add_argument("--table", action="store_true", help="emit per-(j, n) grids")
 
 
+@functools.cache  # built on the first call, then shared: parse_args leaves it as it is
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="domsplit", description=__doc__)
     top.add_argument("--version", action="version", version=f"domsplit {__version__}")
@@ -377,16 +379,16 @@ def _cmd_split(args) -> int:
     cfg.update({"nmax": args.nmax, "tol": args.tol, "jrange": list(jrange)})
 
     fields = []
-    for j, cert in sweep.certs.items():
+    seps = _dist(sweep.es_vec, sweep.eu_vec).tolist()
+    for (j, cert), sep in zip(sweep.certs.items(), seps):
         rec = _field_record(j, es[j], eu[j], cert)
-        rec["separation"] = dist(es[j], eu[j])
+        rec["separation"] = sep
         if args.table:
             rec["s_steps"] = [[n, d] for n, d in sorted(cert.s_steps.items())]
             rec["u_steps"] = [[n, d] for n, d in sorted(cert.u_steps.items())]
         fields.append(rec)
 
     res_js, res_s, res_u = invariance_residuals(seq, sweep)
-    seps = [rec["separation"] for rec in fields]
     result = {
         "fields": fields,
         "failed_js": failed,

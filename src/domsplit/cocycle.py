@@ -79,10 +79,12 @@ class MatrixSequence:
 
     Entries are validated once at construction: every entry finite, every
     matrix nonzero and sigma1(B(j)) < bound_M, with bound_M finite and
-    positive.  Instances are immutable and safe to share.
+    positive.  ``factors`` holds the entries a, b, c, d of B(lo) .. B(hi) as
+    a read-only (4, L) complex stack, which the array stages read B(j) from.
+    Instances are immutable and safe to share.
     """
 
-    __slots__ = ("_entries", "_lo", "_hi", "bound_M", "source")
+    __slots__ = ("_entries", "_lo", "_hi", "bound_M", "source", "factors")
 
     def __init__(
         self,
@@ -112,6 +114,9 @@ class MatrixSequence:
                 raise InvalidSpec(f"entry at j={j} violates sigma1 < bound_M ({s1} >= {bound_M})")
         self._entries = dict(entries)
         self._lo, self._hi = lo, hi
+        mats = map(self._entries.__getitem__, range(lo, hi + 1))
+        self.factors = np.array([(m.a, m.b, m.c, m.d) for m in mats], dtype=complex).T.copy()
+        self.factors.flags.writeable = False
         self.bound_M = float(bound_M)
         self.source = source
 
@@ -345,6 +350,15 @@ class ConvergenceCert:
 
 def _step_table(column: np.ndarray) -> dict[int, float]:
     return {n: d for n, d in enumerate(column.tolist()) if d == d}
+
+
+def _staircase_cells(j0: int, n0: int, rows: list[np.ndarray]):
+    """j, n and value of every cell of a staircase table, as arrays in (j, n)
+    order: row k holds n = n0 + k at the starts j = j0 .. j0 + len - 1."""
+    lens = np.array([len(r) for r in rows], dtype=np.int64)
+    j, k = np.nonzero(np.arange(lens.max(initial=0))[:, None] < lens)
+    flat = np.concatenate([np.empty(0), *rows])
+    return j0 + j, n0 + k, flat[(np.cumsum(lens) - lens)[k] + j]
 
 
 # Chordal steps at or below this are rounding noise of the metric (diameter
@@ -657,12 +671,6 @@ def _log_abs_dets(z: np.ndarray) -> np.ndarray:
     return out if k is None else out - 2 * k * _LN2
 
 
-def _factor_arrays(seq: MatrixSequence) -> np.ndarray:
-    """The entries a, b, c, d of B(lo) .. B(hi) as a (4, L) complex stack."""
-    mats = [seq[j] for j in seq.indices()]
-    return np.array([[getattr(m, e) for m in mats] for e in "abcd"], dtype=complex)
-
-
 class _DirectionRuns:
     """The Cauchy stopping rule of ``_direction_run`` for one side (s or u)
     at K sites at once: per-site run counters, the point opening the current
@@ -726,8 +734,7 @@ class ProductSweep:
     certificates and the sites where estimation failed.  ``js`` lists the
     sites whose fields converged, in ascending order, and ``es_vec`` /
     ``eu_vec`` hold the fields' unit representatives there as (2, K)
-    arrays; ``factors`` holds the entries a, b, c, d of B(lo) .. B(hi) as a
-    (4, L) stack.
+    arrays; ``factors`` is the sequence's own stack of B(lo) .. B(hi).
     """
 
     window: tuple[int, int]
@@ -784,7 +791,7 @@ def product_sweep(
     if jrange is not None and (jrange[0] < lo or jrange[1] > hi):
         raise WindowExceeded(f"jrange [{jrange[0]}, {jrange[1]}] outside window [{lo}, {hi}]")
     size = len(seq)
-    factors = _factor_arrays(seq)
+    factors = seq.factors
 
     sites = np.arange(jrange[0] - lo, jrange[1] - lo + 1) if jrange is not None else np.arange(0)
     n_sites = len(sites)

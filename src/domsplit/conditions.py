@@ -18,16 +18,20 @@ from .cocycle import (
     ConvergenceCert,
     MatrixSequence,
     ProductSweep,
+    _abs,
+    _apply,
+    _cdiv,
+    _cmul,
     _dist,
     _fit_lines,
     _hypot,
     _log,
+    _staircase_cells,
     estimate_fields,
     invariance_residuals,
     product_sweep,
 )
 from .errors import NotUnimodular, WindowExceeded
-from .matrix2c import det
 from .projective import ProjPoint
 
 INF = float("inf")
@@ -94,16 +98,7 @@ class RateFit:
         would list them, read from ``rows`` without building the table."""
         if not self.rows:
             return []
-        j_lo, n_first, rows = self.rows
-        # row k holds j = j_lo .. j_lo + len - 1: a prefix of the widest row
-        have = np.arange(max(map(len, rows))) < np.array([len(r) for r in rows])[:, None]
-        grid = np.zeros(have.shape)
-        grid[have] = np.concatenate(rows)
-        js, ks = np.nonzero(have.T)
-        return [
-            list(e) for e in
-            zip((js + j_lo).tolist(), (ks + n_first).tolist(), grid.T[have.T].tolist())
-        ]
+        return [list(e) for e in zip(*(a.tolist() for a in _staircase_cells(*self.rows)))]
 
     def to_json_dict(self, include_table: bool = False) -> dict:
         doc = {
@@ -220,9 +215,10 @@ def _norm_floor(sweep: ProductSweep) -> dict[int, float]:
 
 def ueg_check(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
     """Uniform exponential growth of inf_j ||A_n(j)|| for unimodular input."""
-    for j in seq.indices():
-        if abs(det(seq[j]) - 1.0) > 1e-10:
-            raise NotUnimodular(f"det(B({j})) differs from 1 beyond 1e-10")
+    a, b, c, d = seq.factors
+    off = np.flatnonzero(_abs(_cmul(a, d) - _cmul(b, c) - 1.0) > 1e-10)
+    if off.size:
+        raise NotUnimodular(f"det(B({seq.lo + int(off[0])})) differs from 1 beyond 1e-10")
     _require_window(seq, n_max)
     floor = _norm_floor(product_sweep(seq, n_max))
     pts = [(n, v) for n, v in floor.items() if n >= max(thresholds.fit_n_lo, 1)]
@@ -316,20 +312,7 @@ def _gap_search(
         return None, None
     lo, hi = sweep.window
     want = math.log(thresholds.gap_lambda) - 1e-12
-    # B(j) as a real 4x4 matrix on (Re x0, Im x0, Re x1, Im x1).  Summing its
-    # four terms pairwise rounds B(j)x as Mat2C.apply does with CPython's
-    # complex products.
-    a, b, c, d = sweep.factors
-    mats = np.stack([
-        np.stack(row, axis=-1) for row in (
-            (a.real, -a.imag, b.real, -b.imag),
-            (a.imag, a.real, b.imag, b.real),
-            (c.real, -c.imag, d.real, -d.imag),
-            (c.imag, c.real, d.imag, d.real),
-        )
-    ], axis=1)
-    vec = np.stack([sweep.eu_vec, sweep.es_vec])  # sides u, s
-    x = np.stack([vec[:, 0].real, vec[:, 0].imag, vec[:, 1].real, vec[:, 1].imag], axis=-1)
+    x0, x1 = np.stack([sweep.eu_vec, sweep.es_vec], axis=1)  # sides u, s
     logs = np.zeros((2, len(js)))
     gone = np.zeros((2, len(js)), dtype=bool)  # the image vanished: log norm -inf
     n_limit = min(thresholds.n_cap, hi - int(js[0]) + 1)
@@ -337,15 +320,14 @@ def _gap_search(
     # sites with j + n - 1 <= hi, a prefix of js, at n = 1 .. n_limit
     lives = np.searchsorted(js, hi + 1 - np.arange(1, n_limit + 1), side="right")
     for n, live in enumerate(lives.tolist(), start=1):
-        x, logs, gone = x[:, :live], logs[:, :live], gone[:, :live]
-        t = mats[rows[:live] + n] * x[:, :, None, :]
-        w = (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])
-        nw = _hypot(np.hypot(w[..., 0], w[..., 1]), np.hypot(w[..., 2], w[..., 3]))
+        x0, x1, logs, gone = x0[:, :live], x1[:, :live], logs[:, :live], gone[:, :live]
+        w0, w1 = _apply(sweep.factors[:, rows[:live] + n], x0, x1)
+        nw = _hypot(_abs(w0), _abs(w1))
         gone = gone | (nw == 0.0)
         vanished = gone.any()
         if vanished:  # a vanished vector stays zero, and dividing by 1 keeps its log
             nw = np.where(gone, 1.0, nw)
-        x = w / nw[..., None]
+        x0, x1 = _cdiv(w0, nw), _cdiv(w1, nw)
         logs = logs + _log(nw)
         gap = logs[0] - logs[1]
         if vanished:

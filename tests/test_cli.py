@@ -10,10 +10,13 @@ from domsplit import (
     InvalidSpec,
     MatrixSequence,
     build_with_truth,
+    dist,
+    dump_sequence,
     estimate_fields,
     invariance_residual,
     load_sequence,
 )
+from domsplit import cli
 from domsplit.cli import _dump_json, main
 from domsplit.generators import FAMILIES
 
@@ -156,6 +159,47 @@ class TestSplit:
                 for j in sorted(sweep.es) if j + 1 in sweep.es]
         assert 0 in [r[0] for r in got]
         assert got == want
+
+    @pytest.mark.parametrize("window", ["rank_one", "conjugated_dominated"])
+    def test_separations_are_dist(self, tmp_path, capsys, window):
+        if window == "rank_one":
+            seq = rank_one_window(5)
+        else:
+            seq, _ = build_with_truth(GeneratorSpec(window, (-45, 45), seed=2))
+        path = str(tmp_path / "s.json")
+        dump_sequence(seq, path)
+        code, out, _ = run(capsys, "split", "--input", path, "--format", "json")
+        result = json.loads(out)["result"]
+        sweep = estimate_fields(seq, None, 40, 1e-9)
+        want = [dist(sweep.es[j], sweep.eu[j]) for j in sorted(sweep.es)]
+        assert len(want) > 20
+        assert [r["separation"] for r in result["fields"]] == want
+        assert result["min_separation"] == min(want)
+
+
+class TestParserReuse:
+    def test_shared_parser_answers_as_a_fresh_one(self, capsys):
+        """main builds its parser once; a usage error, a run and --version
+        through the shared parser print what a fresh parser prints."""
+        calls = (["dom", "--nmax", "x"],
+                 ["dom", "--family", "diagonal", "--window", "-20", "20", "--format", "json"],
+                 ["--version"])
+
+        def answer(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        shared = [answer(argv) for argv in calls]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(answer(argv))
+        assert [a[0] for a in shared] == [2, 0, 0]
+        assert shared == fresh
 
 
 class TestDom:

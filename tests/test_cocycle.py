@@ -20,6 +20,7 @@ from domsplit import (
     invariance_residual,
     load_sequence,
     mul,
+    product_sweep,
     project,
     singular_values,
     sn,
@@ -79,6 +80,19 @@ class TestMatrixSequence:
         assert back.bound_M == ex1.bound_M
         for j in ex1.indices():
             assert back[j] == ex1[j]
+
+    def test_factors_stack(self, ex1):
+        """factors holds a, b, c, d of B(lo) .. B(hi), read-only, and is the
+        stack the sweep reads."""
+        assert ex1.factors.shape == (4, len(ex1))
+        assert ex1.factors.T.tolist() == [
+            [complex(z) for z in (m.a, m.b, m.c, m.d)] for m in map(ex1.__getitem__, ex1.indices())
+        ]
+        with pytest.raises(ValueError):
+            ex1.factors[0, 0] = 1.0
+        assert product_sweep(ex1, 3).factors is ex1.factors
+        sub = ex1.restrict(-5, 7)
+        assert sub.factors.tolist() == ex1.factors[:, -5 - ex1.lo:7 - ex1.lo + 1].tolist()
 
 
 class TestWindowProduct:

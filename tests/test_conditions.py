@@ -164,6 +164,15 @@ class TestUeg:
         with pytest.raises(NotUnimodular):
             ueg_check(seq, 10)
 
+    def test_names_lowest_offending_site(self):
+        seq = family("diagonal", (-10, 10), params={"lplus": 2.0, "lminus": 0.5})
+        entries = {j: seq[j] for j in seq.indices()}
+        entries[6] = Mat2C(2.0, 0, 0, 1.0)
+        entries[-3] = Mat2C(1.0, 0, 0, 1.0 + 2e-10j)  # |det - 1| = 2e-10
+        entries[-4] = Mat2C(1.0, 0, 0, 1.0 + 5e-11j)  # within 1e-10
+        with pytest.raises(NotUnimodular, match=r"^det\(B\(-3\)\) differs from 1 beyond 1e-10$"):
+            ueg_check(MatrixSequence(entries, 3.0), 10)
+
 
 class TestCheckDomination:
     def test_constant_diag(self):
