@@ -422,7 +422,8 @@ def _cmd_split(args) -> int:
             lines.append(f"  min separation: {min(seps):.6g}")
         payload = "\n".join(lines) + "\n"
     _atomic_write(args.out, payload)
-    return EXIT_INCONCLUSIVE if failed else EXIT_OK
+    # a jrange that held no site (the default one on a short window) is no evidence
+    return EXIT_OK if len(sweep.js) and not failed else EXIT_INCONCLUSIVE
 
 
 def _cmd_dom(args) -> int:
@@ -437,9 +438,9 @@ def _cmd_dom(args) -> int:
     )
     report = check_domination(seq, thresholds, jrange=args.jrange)
     cfg.update({"nmax": args.nmax, "tol": args.tol, "thresholds": thresholds.to_json_dict()})
-    result = report.to_json_dict(include_table=args.table)
 
     if args.format == "json":
+        result = report.to_json_dict(include_table=args.table)
         payload = _dump_json(_report_doc("dom", cfg, result))
     elif args.format == "csv":
         rows = report.svg.sorted_table()

@@ -387,7 +387,15 @@ def _fit_lines(
 def _fit_rates(steps: np.ndarray) -> list[float | None]:
     """Least-squares slope of log d against n down each column of ``steps``,
     where row n holds the step d(pt_n, pt_{n+1}) and nan marks no step; None
-    where fewer than two steps clear STEP_NOISE_FLOOR."""
+    where fewer than two steps clear STEP_NOISE_FLOOR.
+
+    numpy's summation order down a column depends on the array's layout and
+    length.  ``steps`` is taken column-major, the layout the sweep's step
+    arrays have always had, so that with two or more columns a column's rate
+    depends neither on the caller's layout nor on the other columns.  A
+    one-column array sums in another order, and so does a column cut short
+    of its trailing nan rows."""
+    steps = np.asfortranarray(steps)
     use = steps > STEP_NOISE_FLOOR  # False on nan
     ns = np.arange(len(steps), dtype=float)[:, None]
     rates = _fit_lines(ns, np.log(np.where(use, steps, 1.0)), use)[0]
@@ -599,13 +607,29 @@ def _mul_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _gram(z: np.ndarray):
     """The Gram-matrix quadratic of ``singular_values`` over a (4, m) stack
-    of matrices [[a, b], [c, d]]: (p, r, q, sigma1^2, sigma1)."""
+    of matrices [[a, b], [c, d]]: (p, r, q, |q|, sigma1^2, sigma1)."""
     a2 = _abs2(z)
     p = a2[0] + a2[2]
     r = a2[1] + a2[3]
     q = np.conj(z[0]) * z[1] + np.conj(z[2]) * z[3]
-    s1sq = 0.5 * (p + r + np.hypot(p - r, 2.0 * _abs(q)))
-    return p, r, q, s1sq, np.sqrt(s1sq)
+    aq = _abs(q)
+    s1sq = 0.5 * (p + r + np.hypot(p - r, 2.0 * aq))
+    return p, r, q, aq, s1sq, np.sqrt(s1sq)
+
+
+def _right_vectors(p, r, q, aq, s1sq):
+    """The top right singular vector of each row of a ``_gram`` quadratic,
+    from the Gram row with the larger pivot, as unit (v0, v1); (0, 0) where
+    that row is zero (degenerate or vanished rows only)."""
+    pivot_p = p >= r
+    dr, dp = s1sq - r, s1sq - p
+    w0 = np.where(pivot_p, dr, q)
+    w1 = np.where(pivot_p, np.conj(q), dp)
+    # hypot(|w0|, |w1|) from |q| and the real entries: hypot(x, +-0) = |x|
+    # (C99 F.10.4.3) and |conj q| = |q|, so this rounds as the moduli would
+    nw = np.hypot(np.where(pivot_p, np.abs(dr), aq), np.where(pivot_p, aq, np.abs(dp)))
+    nw[nw == 0.0] = 1.0
+    return w0 / nw, w1 / nw
 
 
 def _sigma2(z: np.ndarray, s1: np.ndarray) -> np.ndarray:
@@ -651,7 +675,7 @@ def _singular_values(z: np.ndarray, sigma2: bool = True):
     (sigma1, sigma2, zero), with sigma2 None unless asked for.  ``zero``
     flags the rows that are the zero matrix; their values are 0."""
     z, k, zero = _prescale_rows(z)
-    s1 = _gram(z)[4]
+    s1 = _gram(z)[-1]
     s1[zero] = 0.0
     s2 = _sigma2(z, s1) if sigma2 else None
     if k is not None:
@@ -678,7 +702,7 @@ class _DirectionRuns:
 
     def __init__(self, n_sites: int, n_max: int):
         self.run = np.zeros(n_sites, dtype=np.int64)
-        self.done = np.zeros(n_sites, dtype=bool)  # stopped or vanished
+        self.done = np.zeros(n_sites, dtype=bool)  # stopped, vanished or out of room
         self.n_star = np.full(n_sites, -1, dtype=np.int64)
         self.prev_ok = np.zeros(n_sites, dtype=bool)  # prev holds a point
         self.prev = (np.zeros(n_sites, dtype=complex), np.zeros(n_sites, dtype=complex))
@@ -687,8 +711,10 @@ class _DirectionRuns:
 
     def advance(self, n, room, vanished, degenerate, x, y, tol):
         """Layer n at each site: room says the site may look at depth n; x, y
-        is its unit direction, meaningful where neither flag is set."""
-        live = room & ~self.done
+        is its unit direction, meaningful where neither flag is set.  Room
+        only shrinks as n grows, so a site without it is done."""
+        self.done |= ~room
+        live = ~self.done
         # the scalar scan raises ProductVanished before it reads this layer
         self.done |= live & vanished
         live &= ~vanished
@@ -711,15 +737,15 @@ class _DirectionRuns:
     def stopped(self) -> np.ndarray:
         return self.n_star >= 0
 
-    def certified(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    def certified(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """At the stopped sites ks: the chosen points as a (2, K) array of
-        unit representatives, the steps up to the stopping index as an
-        (n_max, K) array with nan past it, and the fitted rates."""
+        unit representatives, and the steps up to the stopping index as an
+        (n_max, K) array with nan past it."""
         steps = self.steps[:, ks]
         if not len(ks):  # a sweep without sites, as the avalanche audit runs it
-            return np.empty((2, 0), dtype=complex), steps, []
+            return np.empty((2, 0), dtype=complex), steps
         steps[np.arange(len(steps))[:, None] >= self.n_star[ks] + 3] = np.nan
-        return _project(self.cand[0][ks], self.cand[1][ks]), steps, _fit_rates(steps)
+        return _project(self.cand[0][ks], self.cand[1][ks]), steps
 
 
 @dataclass(frozen=True)
@@ -730,25 +756,50 @@ class ProductSweep:
     for j = lo .. hi - n + 1, n = 0 .. n_max + 1 (layer 0 is the identity and
     has one start more, hi + 1); -inf marks a vanished product.  ``log_s2``
     is built from ``factors`` and ``log_s1`` when first read.  At the sites
-    of ``jrange`` the sweep also holds the estimated fields, their
-    certificates and the sites where estimation failed.  ``js`` lists the
-    sites whose fields converged, in ascending order, and ``es_vec`` /
-    ``eu_vec`` hold the fields' unit representatives there as (2, K)
-    arrays; ``factors`` is the sequence's own stack of B(lo) .. B(hi).
+    of ``jrange`` the sweep holds the sites where estimation failed and, as
+    columns over the K sites whose fields converged, ``js`` in ascending
+    order, the fields' unit representatives ``es_vec`` / ``eu_vec`` as (2, K)
+    arrays, the stopping indices ``n_star`` as a (2, K) array (rows s, u)
+    and the consecutive distances ``steps`` as an (n_max, 2K) array, s
+    columns then u columns, row n holding d(pt_n, pt_{n+1}) and nan where
+    there is none.  The per-site dicts ``es``, ``eu`` and ``certs`` are
+    built from those columns when first read.  ``factors`` is the sequence's
+    own stack of B(lo) .. B(hi).
     """
 
     window: tuple[int, int]
     n_max: int
     log_s1: list[np.ndarray] = field(repr=False)
     jrange: tuple[int, int] | None
-    es: dict[int, ProjPoint] = field(repr=False)
-    eu: dict[int, ProjPoint] = field(repr=False)
-    certs: dict[int, ConvergenceCert] = field(repr=False)
+    tol: float
     failed: list[int]
     js: np.ndarray = field(repr=False)
     es_vec: np.ndarray = field(repr=False)
     eu_vec: np.ndarray = field(repr=False)
+    n_star: np.ndarray = field(repr=False)
+    steps: np.ndarray = field(repr=False)
     factors: np.ndarray = field(repr=False)
+
+    @cached_property
+    def es(self) -> dict[int, ProjPoint]:
+        return dict(zip(self.js.tolist(), map(ProjPoint, *self.es_vec.tolist())))
+
+    @cached_property
+    def eu(self) -> dict[int, ProjPoint]:
+        return dict(zip(self.js.tolist(), map(ProjPoint, *self.eu_vec.tolist())))
+
+    @cached_property
+    def certs(self) -> dict[int, ConvergenceCert]:
+        """Each site's certificate, with both sides' rates from one fit down
+        the stacked step columns."""
+        k = len(self.js)
+        rates = _fit_rates(self.steps)
+        rows = (self.steps[:, :k], self.steps[:, k:])
+        return {
+            j: ConvergenceCert(ns, nu, rs, ru, self.tol, (*rows, i))
+            for i, (j, ns, nu, rs, ru) in enumerate(zip(
+                self.js.tolist(), *self.n_star.tolist(), rates[:k], rates[k:]))
+        }
 
     @cached_property
     def log_s2(self) -> list[np.ndarray]:
@@ -783,7 +834,8 @@ def product_sweep(
     at start j and u_n(j) from layer n at start j - n, since B_n(j - n) is
     the forward product starting there.  A site fails when either side runs
     out of room or its product vanishes at or before the depth where its run
-    stops.
+    stops.  The stopping rule runs until every side of every site has
+    stopped, vanished or run out of room; the layers go on to n_max + 1.
     """
     if n_max < 1:
         raise InvalidSpec(f"n_max must be at least 1, got {n_max}")
@@ -812,7 +864,7 @@ def product_sweep(
         core = raw * inv
         log_scale = log_scale[:m] + np.log(s1)
 
-        p, r, q, s1sq, s1c = _gram(core)
+        p, r, q, aq, s1sq, s1c = _gram(core)
         s1c[vanished] = 1.0
         ls1 = log_scale + np.log(s1c)
         ls1[vanished] = NEG_INF
@@ -823,13 +875,7 @@ def product_sweep(
         a, b, c, d = core
         s2c = _sigma2(core, s1c)
         degenerate = (s1c - s2c) <= DEGENERATE_REL_TOL * s1c
-        # top right singular vector from the Gram row with the larger pivot
-        pivot_p = p >= r
-        w0 = np.where(pivot_p, s1sq - r, q)
-        w1 = np.where(pivot_p, np.conj(q), s1sq - p)
-        nw = np.hypot(_abs(w0), _abs(w1))
-        nw[nw == 0.0] = 1.0  # degenerate or vanished rows only
-        v0, v1 = w0 / nw, w1 / nw
+        v0, v1 = _right_vectors(p, r, q, aq, s1sq)
         ux, uy = a * v0 + b * v1, c * v0 + d * v1
         nu = np.hypot(_abs(ux), _abs(uy))
         nu[nu == 0.0] = 1.0
@@ -843,21 +889,13 @@ def product_sweep(
 
     converged = runs_s.stopped & runs_u.stopped
     ks = np.flatnonzero(converged)
-    js = lo + sites[ks]
-    es_vec, s_steps, s_rates = runs_s.certified(ks)
-    eu_vec, u_steps, u_rates = runs_u.certified(ks)
-    certs = {
-        j: ConvergenceCert(ns, nu, rs, ru, tol, (s_steps, u_steps, k))
-        for k, (j, ns, nu, rs, ru) in enumerate(zip(
-            js.tolist(), runs_s.n_star[ks].tolist(), runs_u.n_star[ks].tolist(),
-            s_rates, u_rates,
-        ))
-    }
-    es = dict(zip(js.tolist(), map(ProjPoint, *es_vec.tolist())))
-    eu = dict(zip(js.tolist(), map(ProjPoint, *eu_vec.tolist())))
+    es_vec, s_steps = runs_s.certified(ks)
+    eu_vec, u_steps = runs_u.certified(ks)
+    n_star = np.stack([runs_s.n_star[ks], runs_u.n_star[ks]])
+    steps = np.concatenate([s_steps, u_steps], axis=1)
     failed = [lo + int(o) for o in sites[~converged]]
-    return ProductSweep((lo, hi), n_max, log_s1, jrange, es, eu, certs, failed,
-                        js, es_vec, eu_vec, factors)
+    return ProductSweep((lo, hi), n_max, log_s1, jrange, tol, failed,
+                        lo + sites[ks], es_vec, eu_vec, n_star, steps, factors)
 
 
 def estimate_fields(
@@ -869,11 +907,15 @@ def estimate_fields(
     """``estimate_splitting`` at every site of jrange, from one product sweep.
 
     jrange defaults to the window less four sites at its low end and three
-    at its high end.  The returned sweep also carries the log-sigma layers
-    to depth n_max + 1 for the gap and invertibility profiles.
+    at its high end, which holds no site on a window of fewer than eight; a
+    given jrange must hold at least one.  The returned sweep also carries
+    the log-sigma layers to depth n_max + 1 for the gap and invertibility
+    profiles.
     """
     if jrange is None:
         jrange = (seq.lo + 4, seq.hi - 3)
+    elif jrange[0] > jrange[1]:
+        raise InvalidSpec(f"jrange [{jrange[0]}, {jrange[1]}] is empty")
     return product_sweep(seq, n_max, tuple(jrange), tol)
 
 
@@ -911,7 +953,8 @@ def invariance_residuals(
     The pushforward B(j)v, the kernel test and the distance to the field at
     j + 1 are taken for all such j at once.  The two rank-one cases, E^s(j)
     on the kernel of B(j) and the image line of a rank-one B(j), go to the
-    scalar function; they arise only at singular insertions.
+    scalar function, with the points of their two sites alone; they arise
+    only at singular insertions.
     """
     k = np.flatnonzero(sweep.js[1:] == sweep.js[:-1] + 1)
     js = sweep.js[k]
@@ -927,5 +970,8 @@ def invariance_residuals(
         res.append(_dist(_project(w0, w1), vec[:, k + 1]))
     res_s, res_u = res
     for i in np.flatnonzero(hits).tolist():
-        res_s[i], res_u[i] = invariance_residual(seq, int(js[i]), sweep.es, sweep.eu)
+        j, c = int(js[i]), int(k[i])
+        es, eu = ({j + t: ProjPoint(*vec[:, c + t].tolist()) for t in (0, 1)}
+                  for vec in (sweep.es_vec, sweep.eu_vec))
+        res_s[i], res_u[i] = invariance_residual(seq, j, es, eu)
     return js, res_s, res_u

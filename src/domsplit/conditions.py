@@ -248,21 +248,40 @@ def _field_record(j: int, es: ProjPoint, eu: ProjPoint, cert: ConvergenceCert) -
     }
 
 
-@dataclass(frozen=True)
+class _SweepField:
+    """A report field that, unless one was given, reads the attribute of the
+    same name of the report's sweep, which builds it when first read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return None  # the field's default: read through the sweep
+        given = report.__dict__.get(self.name)
+        return getattr(report.sweep, self.name) if given is None else given
+
+    def __set__(self, report, value):
+        report.__dict__[self.name] = value
+
+
+@dataclass(frozen=True, kw_only=True)
 class DominationReport:
     """Full finite-window dominated-splitting certificate.
 
     ``verdict`` is one of "dominated", "not_dominated", "inconclusive".
     A negative verdict is only issued on a witnessed violation (separation
     collapse, vanished product); estimator failure alone is inconclusive.
+    The fields ``es``, ``eu`` and ``certs`` are read through ``sweep``, which
+    builds them when they are first read.
     """
 
     verdict: str
     svg: RateFit
     fi: RateFit
-    es: dict[int, ProjPoint]
-    eu: dict[int, ProjPoint]
-    certs: dict[int, ConvergenceCert]
+    es: dict[int, ProjPoint] = _SweepField()
+    eu: dict[int, ProjPoint] = _SweepField()
+    certs: dict[int, ConvergenceCert] = _SweepField()
     failed_js: list[int]
     min_separation: float | None
     argmin_separation: int | None
@@ -275,15 +294,15 @@ class DominationReport:
     thresholds: Thresholds
     window: tuple[int, int]
     jrange: tuple[int, int]
+    sweep: ProductSweep = dc_field(repr=False, compare=False)
 
     def to_json_dict(self, include_table: bool = False) -> dict:
+        es, eu, certs = self.es, self.eu, self.certs
         return {
             "verdict": self.verdict,
             "svg": self.svg.to_json_dict(include_table),
             "fi": self.fi.to_json_dict(include_table),
-            "fields": [
-                _field_record(j, self.es[j], self.eu[j], self.certs[j]) for j in sorted(self.es)
-            ],
+            "fields": [_field_record(j, es[j], eu[j], certs[j]) for j in sorted(es)],
             "failed_js": self.failed_js,
             "min_separation": self.min_separation,
             "argmin_separation": self.argmin_separation,
@@ -370,7 +389,7 @@ def _certificate(
     svg_fit, fi_fit = _svg_fi_fits(sweep, thresholds)
     floor = _norm_floor(sweep)
     j_lo, j_hi = sweep.jrange
-    es, eu, certs, failed = sweep.es, sweep.eu, sweep.certs, sweep.failed
+    failed = sweep.failed
 
     edge_failures = [j for j in failed if min(j - lo, hi - j + 1) < 12]
     if edge_failures:
@@ -386,7 +405,7 @@ def _certificate(
 
     min_sep: float | None = None
     argmin: int | None = None
-    if es:
+    if len(sweep.js):
         sep = _dist(sweep.es_vec, sweep.eu_vec)
         i = int(np.argmin(sep))  # the first of equal minima, as a scan in j would keep
         min_sep, argmin = float(sep[i]), int(sweep.js[i])
@@ -409,7 +428,6 @@ def _certificate(
         verdict = "not_dominated"
     elif (
         not failed
-        and es
         and min_sep is not None
         and min_sep > thresholds.sep_min
         and n_dom is not None
@@ -423,9 +441,6 @@ def _certificate(
         verdict=verdict,
         svg=svg_fit,
         fi=fi_fit,
-        es=es,
-        eu=eu,
-        certs=certs,
         failed_js=failed,
         min_separation=min_sep,
         argmin_separation=argmin,
@@ -438,4 +453,5 @@ def _certificate(
         thresholds=thresholds,
         window=(lo, hi),
         jrange=(j_lo, j_hi),
+        sweep=sweep,
     )

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from domsplit import (
     invariance_residual,
     load_sequence,
 )
-from domsplit import cli
+from domsplit import cli, cocycle
 from domsplit.cli import _dump_json, main
 from domsplit.generators import FAMILIES
 
@@ -177,6 +178,37 @@ class TestSplit:
         assert result["min_separation"] == min(want)
 
 
+class TestEmptyJrange:
+    """No site estimated is no evidence: an explicit empty jrange is a usage
+    error, and a default jrange that holds no site is inconclusive."""
+
+    SHORT = ("--family", "conjugated_dominated", "--seed", "3", "--window", "0", "4")
+
+    def test_split_default_jrange_on_short_window_exit3(self, capsys):
+        code, out, _ = run(capsys, "split", *self.SHORT, "--format", "json")
+        assert code == 3
+        result = json.loads(out)["result"]
+        assert result["fields"] == [] and result["failed_js"] == []
+
+    @pytest.mark.parametrize("verb", ["split", "dom"])
+    def test_reversed_jrange_exit2(self, capsys, verb):
+        code, out, err = run(capsys, verb, "--family", "conjugated_dominated", "--seed", "3",
+                             "--window", "-30", "30", "--jrange", "3", "1")
+        assert code == 2 and out == ""
+        assert "jrange [3, 1] is empty" in err
+
+    def test_dom_default_jrange_on_short_window_stays_inconclusive(self, capsys):
+        code, out, _ = run(capsys, "dom", *self.SHORT, "--format", "json")
+        assert code == 3
+        assert json.loads(out)["result"]["verdict"] == "inconclusive"
+
+    def test_one_site_jrange_still_runs(self, capsys):
+        code, out, _ = run(capsys, "split", "--family", "conjugated_dominated", "--seed", "3",
+                           "--window", "-30", "30", "--jrange", "2", "2", "--format", "json")
+        assert code == 0
+        assert [r["j"] for r in json.loads(out)["result"]["fields"]] == [2]
+
+
 class TestParserReuse:
     def test_shared_parser_answers_as_a_fresh_one(self, capsys):
         """main builds its parser once; a usage error, a run and --version
@@ -221,6 +253,20 @@ class TestDom:
         code, _, _ = run(capsys, "dom", "--family", "unitary", "--seed", "1",
                          "--window", "-15", "15")
         assert code == 3
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_text_and_csv_build_no_fields(self, capsys, fmt):
+        """Neither format prints a field, so neither builds the per-site
+        points, certificates or rate fits."""
+        argv = ("dom", "--family", "conjugated_dominated", "--seed", "3",
+                "--window", "-30", "30", "--jrange", "-6", "6", "--format", fmt)
+        want = run(capsys, *argv)
+        built = AssertionError("a per-site field was built")
+        with mock.patch.object(cocycle, "_fit_rates", side_effect=built), \
+                mock.patch.object(cocycle, "ProjPoint", side_effect=built), \
+                mock.patch.object(cocycle, "ConvergenceCert", side_effect=built):
+            got = run(capsys, *argv)
+        assert got == want and got[0] == 0
 
 
 class TestAp:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domsplit import (
+    ConvergenceCert,
     GeneratorSpec,
     InvalidSpec,
     KernelHit,
@@ -24,6 +25,7 @@ from domsplit import (
     NoConvergence,
     ProductSweep,
     ProductVanished,
+    ProjPoint,
     Thresholds,
     ZeroVector,
     act,
@@ -40,7 +42,7 @@ from domsplit import (
     singular_values,
 )
 from domsplit import ap_report, cocycle
-from domsplit.cocycle import _apply, _hypot, _log, _project
+from domsplit.cocycle import _apply, _fit_rates, _hypot, _log, _project
 from domsplit.conditions import _certificate, _gap_search
 from domsplit.matrix2c import ENTRY_ZERO_TOL
 
@@ -75,11 +77,19 @@ def scalar_sweep(seq, n_max, jrange, tol) -> ProductSweep:
     def vectors(field):
         return np.array([field[j].vector() for j in js], dtype=complex).reshape(-1, 2).T
 
+    n_star = np.array([[certs[j].n_star_s for j in js.tolist()],
+                       [certs[j].n_star_u for j in js.tolist()]], dtype=np.int64).reshape(2, -1)
+    steps = np.full((n_max, 2 * len(js)), np.nan)
+    for k, j in enumerate(js.tolist()):
+        for col, table in ((k, certs[j].s_steps), (len(js) + k, certs[j].u_steps)):
+            for n, d in table.items():
+                steps[n, col] = d
     factors = np.array([[getattr(seq[j], e) for j in seq.indices()] for e in "abcd"],
                        dtype=complex)
-    sweep = ProductSweep((lo, hi), n_max, log_s1, jrange, es, eu, certs, failed,
-                         js, vectors(es), vectors(eu), factors)
-    sweep.__dict__["log_s2"] = log_s2  # the scalar engine's, in place of the one built on read
+    sweep = ProductSweep((lo, hi), n_max, log_s1, jrange, tol, failed,
+                         js, vectors(es), vectors(eu), n_star, steps, factors)
+    # the scalar engine's, in place of the ones built on read
+    sweep.__dict__.update(log_s2=log_s2, es=es, eu=eu, certs=certs)
     return sweep
 
 
@@ -111,6 +121,8 @@ CASES = {
     "singular-aligned": (
         lambda: family("random_singular", (-30, 30), {"insertions": [0]}, 1), 40, None, 1e-9),
     "ap_family": (lambda: family("ap_family", (-15, 25), {"mu": 1e2}, 4), 30, (0, 10), 1e-9),
+    # edge sites run out of room early, so the direction stage stops at layer 22
+    "conjugated-edges": (lambda: family("conjugated_dominated", (-45, 45), seed=1), 40, None, 1e-9),
     "vanishing": (lambda: vanishing(_conj(1)), 40, None, 1e-9),
     "prescale-tiny": (lambda: scaled(_conj(2), 1e-150), 40, (-6, 6), 1e-9),
     "prescale-huge": (lambda: scaled(_conj(2), 1e150), 40, (-6, 6), 1e-9),
@@ -548,3 +560,112 @@ def test_log_s2_built_on_first_read():
     # the audit reads log sigma1 only, so it never takes a log|det|
     with mock.patch.object(cocycle, "_log_abs_dets", side_effect=AssertionError("log|det| taken")):
         ap_report(family("ap_family", (-15, 25), {"mu": 1e3}, 3), 1e3, 20)
+
+
+# -- the per-site results, built from the sweep's columns on first read ------
+
+
+def eager_fields(sweep):
+    """es, eu and certs as the sweep built them before they were built on
+    read: a ProjPoint per column, and each side's rates fitted over its own
+    (n_max, K) step array."""
+    js, k = sweep.js.tolist(), len(sweep.js)
+    rows = (sweep.steps[:, :k], sweep.steps[:, k:])
+    rates = [_fit_rates(side) for side in rows]
+    certs = {
+        j: ConvergenceCert(ns, nu, rs, ru, sweep.tol, (*rows, i))
+        for i, (j, ns, nu, rs, ru) in enumerate(zip(js, *sweep.n_star.tolist(), *rates))
+    }
+    es = dict(zip(js, map(ProjPoint, *sweep.es_vec.tolist())))
+    eu = dict(zip(js, map(ProjPoint, *sweep.eu_vec.tolist())))
+    return es, eu, certs
+
+
+def hexed(certs):
+    """Every value of the certificates, the rates as float.hex."""
+    def h(rate):
+        return None if rate is None else rate.hex()
+    return [(j, c.n_star_s, c.n_star_u, h(c.rate_s), h(c.rate_u), c.tol, c.s_steps, c.u_steps)
+            for j, c in certs.items()]
+
+
+def test_fields_built_on_first_read():
+    """A certificate at L = 2001 fits no rate and builds no per-site point;
+    reading the fields then gives what the eager construction gave."""
+    seq = family("conjugated_dominated", (-1000, 1000), {"rate_mode": "constant"}, 5)
+    with mock.patch.object(cocycle, "_fit_rates", side_effect=AssertionError("rates fitted")):
+        report = check_domination(seq, jrange=(-959, 959))
+    sweep = report.sweep
+    assert report.verdict == "dominated" and len(sweep.js) == 1919
+    assert not {"es", "eu", "certs"} & vars(sweep).keys()
+    es, eu, certs = eager_fields(sweep)
+    assert hexed(report.certs) == hexed(certs)
+    assert report.es == es and report.eu == eu and report.certs == certs
+    assert report.es is sweep.es and report.certs is sweep.certs
+
+
+def test_stacked_rate_fit_matches_per_side(pair):
+    seq, batched, _ = pair
+    assert hexed(batched.certs) == hexed(eager_fields(batched)[2])
+
+
+def test_rates_do_not_depend_on_other_sites():
+    """A site's rates are the same whether its sweep estimates it alone or
+    among others, and whatever the layout of the step array."""
+    seq = _conj()
+    wide = estimate_fields(seq, (-6, 6), 40, 1e-9)
+    for j in range(-6, 7):
+        alone = estimate_fields(seq, (j, j), 40, 1e-9)
+        assert hexed(alone.certs) == hexed({j: wide.certs[j]}), j
+    assert _fit_rates(np.ascontiguousarray(wide.steps)) == _fit_rates(wide.steps)
+
+
+def test_invariance_fallback_builds_no_fields():
+    seq = rank_one_window(5)
+    sweep = estimate_fields(seq, None, 10, 1e-9)
+    js, _, _ = invariance_residuals(seq, sweep)
+    assert len(js) > 10  # every pair takes the scalar fallback
+    assert not {"es", "eu", "certs"} & vars(sweep).keys()
+
+
+def test_direction_stage_stops_when_every_side_is_done():
+    """Edge sites run out of room long before n_max; once every side has
+    stopped or run out of room, here at the layer where the last run stops,
+    the sweep builds the remaining layers without the direction stage."""
+    seq = CASES["conjugated-edges"][0]()
+    layers = []
+    advance = cocycle._DirectionRuns.advance
+
+    def counted(runs, n, *args):
+        layers.append(n)
+        return advance(runs, n, *args)
+
+    with mock.patch.object(cocycle._DirectionRuns, "advance", counted):
+        sweep = estimate_fields(seq, None, 40, 1e-9)
+    assert layers == [n for n in range(1, max(layers) + 1) for _ in "su"]
+    assert max(layers) == sweep.n_star.max() + 3 == 22
+    assert len(sweep.log_s1) == 42 and len(sweep.js) == 50
+
+
+def three_hypot_right_vectors(p, r, q, s1sq):
+    """The top right singular vectors with |w0| and |w1| taken as complex
+    moduli, as the sweep took them before ``_gram`` returned |q|: the
+    reference for ``cocycle._right_vectors``."""
+    pivot_p = p >= r
+    w0 = np.where(pivot_p, s1sq - r, q)
+    w1 = np.where(pivot_p, np.conj(q), s1sq - p)
+    nw = np.hypot(cocycle._abs(w0), cocycle._abs(w1))
+    nw[nw == 0.0] = 1.0
+    return w0 / nw, w1 / nw
+
+
+@settings(max_examples=400, deadline=None)
+@given(stacks())
+def test_right_vectors_match_moduli(z):
+    """hypot(x, +-0) = |x| and |conj q| = |q|, so the vectors are the same
+    bytes, signs of zero too, on rows with zero, real-only and tiny parts."""
+    z = cocycle._prescale_rows(z)[0]  # entries within the range a sweep's cores have
+    p, r, q, aq, s1sq, _ = cocycle._gram(z)
+    got = cocycle._right_vectors(p, r, q, aq, s1sq)
+    want = three_hypot_right_vectors(p, r, q, s1sq)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
