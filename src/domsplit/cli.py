@@ -27,7 +27,7 @@ from .errors import (
     NotUnimodular,
     WindowExceeded,
 )
-from .generators import GeneratorSpec, build_with_truth
+from .generators import RATE_MODES, GeneratorSpec, build_with_truth
 from .projective import ProjPoint
 
 EXIT_OK = 0
@@ -174,9 +174,12 @@ def _family_params(args) -> dict:
     params: dict = {}
     if args.params:
         try:
-            params.update(json.loads(args.params))
+            extra = json.loads(args.params)
         except json.JSONDecodeError as exc:
             raise InvalidSpec(f"--params is not valid JSON: {exc}") from exc
+        if not isinstance(extra, dict):
+            raise InvalidSpec("--params must be a JSON object")
+        params.update(extra)
     for key in ("lplus", "lminus", "energy", "theta", "mu"):
         val = getattr(args, key, None)
         if val is not None:
@@ -263,7 +266,7 @@ def _add_io_options(p: argparse.ArgumentParser, with_nmax: bool = True) -> None:
     p.add_argument("--energy", type=_finite)
     p.add_argument("--potential", help="'zeros', inline JSON, or a JSON file path")
     p.add_argument("--theta", type=_finite)
-    p.add_argument("--rate-mode", dest="rate_mode", choices=["perstep", "constant"])
+    p.add_argument("--rate-mode", dest="rate_mode", choices=RATE_MODES)
     p.add_argument("--insertions", nargs="*", type=int)
     p.add_argument("--misaligned", action="store_true")
     if with_nmax:

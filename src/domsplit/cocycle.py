@@ -74,14 +74,35 @@ def _as_index(x) -> int:
     return int(x) if isinstance(x, float) and x.is_integer() else operator.index(x)
 
 
+def _check_entries(items, bound_M: float) -> None:
+    """The checks of every (j, entry) in turn: finite, not the zero matrix,
+    within float range and sigma1 < bound_M.  Raises InvalidSpec at the
+    first entry that fails one."""
+    for j, m in items:
+        if not (cmath.isfinite(m.a) and cmath.isfinite(m.b)
+                and cmath.isfinite(m.c) and cmath.isfinite(m.d)):
+            raise InvalidSpec(f"entry at j={j} is not finite")
+        try:
+            if m.is_zero():
+                raise InvalidSpec(f"entry at j={j} is the zero matrix")
+            s1, _ = singular_values(m)
+        except OverflowError:  # |entry| or sigma1 beyond float range
+            raise InvalidSpec(f"entry at j={j} is too large for float arithmetic") from None
+        if not s1 < bound_M:
+            raise InvalidSpec(f"entry at j={j} violates sigma1 < bound_M ({s1} >= {bound_M})")
+
+
 class MatrixSequence:
     """A finite window j -> B(j) of nonzero matrices with a uniform norm bound.
 
     Entries are validated once at construction: every entry finite, every
     matrix nonzero and sigma1(B(j)) < bound_M, with bound_M finite and
-    positive.  ``factors`` holds the entries a, b, c, d of B(lo) .. B(hi) as
-    a read-only (4, L) complex stack, which the array stages read B(j) from.
-    Instances are immutable and safe to share.
+    positive.  The checks run on the factor stack first; ``_check_entries``
+    then takes only the entries it flags, in insertion order, so an error is
+    the one that checking every entry in turn would raise.  ``factors``
+    holds the entries a, b, c, d of B(lo) .. B(hi) as a read-only (4, L)
+    complex stack, which the array stages read B(j) from.  Instances are
+    immutable and safe to share.
     """
 
     __slots__ = ("_entries", "_lo", "_hi", "bound_M", "source", "factors")
@@ -100,23 +121,23 @@ class MatrixSequence:
         lo, hi = js[0], js[-1]
         if hi - lo + 1 != len(js):
             raise InvalidSpec("sequence window has gaps")
-        for j, m in entries.items():
-            if not (cmath.isfinite(m.a) and cmath.isfinite(m.b)
-                    and cmath.isfinite(m.c) and cmath.isfinite(m.d)):
-                raise InvalidSpec(f"entry at j={j} is not finite")
-            try:
-                if m.is_zero():
-                    raise InvalidSpec(f"entry at j={j} is the zero matrix")
-                s1, _ = singular_values(m)
-            except OverflowError:  # |entry| or sigma1 beyond float range
-                raise InvalidSpec(f"entry at j={j} is too large for float arithmetic") from None
-            if not s1 < bound_M:
-                raise InvalidSpec(f"entry at j={j} violates sigma1 < bound_M ({s1} >= {bound_M})")
         self._entries = dict(entries)
-        self._lo, self._hi = lo, hi
         mats = map(self._entries.__getitem__, range(lo, hi + 1))
-        self.factors = np.array([(m.a, m.b, m.c, m.d) for m in mats], dtype=complex).T.copy()
+        rows = [(m.a, m.b, m.c, m.d) for m in mats]
+        factors = np.array(rows)
+        if factors.dtype.kind in "biufc":
+            factors = np.ascontiguousarray(factors.T, dtype=complex)
+            # the scalar checks see only the entries the stack cannot vouch for
+            bad = ~(_screen(factors) < bound_M * (1.0 - 1e-12))
+            if bad.any():
+                flagged = set((lo + np.flatnonzero(bad)).tolist())
+                _check_entries(((j, m) for j, m in entries.items() if j in flagged), bound_M)
+        else:  # not stackable as numbers (a string, an int beyond float range)
+            _check_entries(entries.items(), bound_M)
+            factors = np.array(rows, dtype=complex).T.copy()
+        self.factors = factors
         self.factors.flags.writeable = False
+        self._lo, self._hi = lo, hi
         self.bound_M = float(bound_M)
         self.source = source
 
@@ -629,6 +650,14 @@ def _right_vectors(p, r, q, aq, s1sq):
     # (C99 F.10.4.3) and |conj q| = |q|, so this rounds as the moduli would
     nw = np.hypot(np.where(pivot_p, np.abs(dr), aq), np.where(pivot_p, aq, np.abs(dp)))
     nw[nw == 0.0] = 1.0
+    if nw.min(initial=1.0) < 1e-280:
+        # as rescale_pow2 in svd2: w / nw of a subnormal nw overflows in the
+        # reciprocal numpy's complex division takes, so scale w by 2^k first
+        small = nw < 1e-280
+        k = np.zeros(len(nw), dtype=np.int64)
+        k[small] = -np.floor(np.log2(nw[small])).astype(np.int64)
+        w0, w1 = _ldexp_c(w0, k), _ldexp_c(w1, k)
+        nw[small] = np.hypot(_abs(w0[small]), _abs(w1[small]))
     return w0 / nw, w1 / nw
 
 
@@ -682,6 +711,29 @@ def _singular_values(z: np.ndarray, sigma2: bool = True):
         s1 = np.ldexp(s1, -k)
         s2 = None if s2 is None else np.ldexp(s2, -k)
     return s1, s2, zero
+
+
+# A matrix whose largest real or imaginary part s is finite and lies in
+# (ENTRY_ZERO_TOL, _SCREEN_MAX] is not the zero matrix (its largest entry
+# is at least s), and its moduli and sigma1 (at most 2 sqrt(2) s) are finite.
+_SCREEN_MAX = 1e300
+
+
+def _screen(z: np.ndarray) -> np.ndarray:
+    """sigma1 of each row of a (4, m) stack of matrices, as
+    ``_singular_values`` takes it, and nan on the rows that it cannot vouch
+    for: a non-finite part, or a largest part at most ENTRY_ZERO_TOL or above
+    _SCREEN_MAX.  Only those rows can fail a scalar check other than the
+    sigma1 bound."""
+    parts = np.abs(np.ascontiguousarray(z).view(float)).max(axis=0)
+    s = np.maximum(parts[0::2], parts[1::2])
+    ok = (s > ENTRY_ZERO_TOL) & (s <= _SCREEN_MAX)  # False on nan
+    if ok.all():
+        return _singular_values(z, sigma2=False)[0]
+    s1 = np.full(len(s), np.nan)
+    if ok.any():
+        s1[ok] = _singular_values(z[:, ok], sigma2=False)[0]
+    return s1
 
 
 def _log_abs_dets(z: np.ndarray) -> np.ndarray:

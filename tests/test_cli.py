@@ -507,6 +507,35 @@ class TestBoundaryValidation:
         assert code == 2
         assert err.startswith("domsplit gen: malformed generator spec")
 
+    # each of these once ended in a traceback (exit 3) or was silently misread
+    @pytest.mark.parametrize("family,params,name", [
+        ("conjugated_dominated", '{"lplus_range": [2]}', "lplus_range"),
+        ("conjugated_dominated", '{"lplus_range": "ab"}', "lplus_range"),
+        ("conjugated_dominated", '{"lplus_range": [2, 1e400]}', "lplus_range"),
+        ("conjugated_dominated", '{"sep_lo": "x"}', "sep_lo"),
+        ("conjugated_dominated", '{"theta": "x"}', "theta"),
+        ("conjugated_dominated", '{"rate_mode": "bogus"}', "rate_mode"),
+        ("ap_family", '{"mu": "x"}', "mu"),
+        ("ap_family", '{"mu": 1e400}', "mu"),
+        ("unitary", '{"angle": "x"}', "angle"),
+        ("random_bounded", '{"scale": 1e308}', "scale"),
+        ("random_singular", '{"insertions": ["a"]}', "insertions"),
+        ("random_singular", '{"insertions": [0.5]}', "insertions"),
+    ])
+    def test_malformed_params_exit2(self, tmp_path, capsys, family, params, name):
+        code, out, err = run(capsys, "gen", "--family", family, "--window", "-5", "5",
+                             "--params", params, "--out", str(tmp_path / "o.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domsplit gen: ") and "internal error" not in err
+        assert repr(name) in err
+
+    def test_params_not_an_object_exit2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "gen", "--family", "diagonal", "--window", "0", "3",
+                           "--params", "[1]", "--out", str(tmp_path / "o.json"))
+        assert code == 2
+        assert err == "domsplit gen: --params must be a JSON object\n"
+
     def test_empty_fit_does_not_pass(self, capsys):
         # n <= 1 leaves no n >= fit_n_lo = 2 to fit: no evidence either way
         code, out, _ = run(capsys, "svg", "--family", "example1", "--window", "-20", "20",

@@ -1,10 +1,14 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domsplit import (
     Degenerate,
+    DomsplitError,
     GeneratorSpec,
     InvalidSpec,
     Mat2C,
@@ -93,6 +97,105 @@ class TestMatrixSequence:
         assert product_sweep(ex1, 3).factors is ex1.factors
         sub = ex1.restrict(-5, 7)
         assert sub.factors.tolist() == ex1.factors[:, -5 - ex1.lo:7 - ex1.lo + 1].tolist()
+
+
+def scalar_sequence(entries, bound_M):
+    """The constructor's checks as one scalar loop over every entry in
+    insertion order, then the factor stack: the reference for the screen
+    on the stack that ``MatrixSequence`` runs."""
+    if not entries:
+        raise InvalidSpec("sequence window is empty")
+    if not (math.isfinite(bound_M) and bound_M > 0.0):
+        raise InvalidSpec(f"bound_M must be finite and positive, got {bound_M}")
+    js = sorted(entries)
+    lo, hi = js[0], js[-1]
+    if hi - lo + 1 != len(js):
+        raise InvalidSpec("sequence window has gaps")
+    for j, m in entries.items():
+        if not (cmath.isfinite(m.a) and cmath.isfinite(m.b)
+                and cmath.isfinite(m.c) and cmath.isfinite(m.d)):
+            raise InvalidSpec(f"entry at j={j} is not finite")
+        try:
+            if m.is_zero():
+                raise InvalidSpec(f"entry at j={j} is the zero matrix")
+            s1, _ = singular_values(m)
+        except OverflowError:
+            raise InvalidSpec(f"entry at j={j} is too large for float arithmetic") from None
+        if not s1 < bound_M:
+            raise InvalidSpec(f"entry at j={j} violates sigma1 < bound_M ({s1} >= {bound_M})")
+    mats = map(entries.__getitem__, range(lo, hi + 1))
+    return np.array([(m.a, m.b, m.c, m.d) for m in mats], dtype=complex).T.copy()
+
+
+_EDGE_PARTS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-301, -1e-301, 1e300, 1.5e308, -1.7e308)
+_EDGE_CELLS = (0j, 1e-301 + 0j, complex(1e-301, -1e-301), 1e300 + 1e300j, complex(1.5e308, 1.5e308),
+               1.7e308 + 0j, 10**400, -(10**400), 3, -1)
+
+
+@st.composite
+def constructor_cases(draw):
+    """Entries in an unsorted insertion order, mixing ordinary matrices with
+    non-finite, zero, tiny, huge and overflowing ones and ints beyond float
+    range, and a bound just below, at or just above the sigma1 of one of
+    them."""
+    normal = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    edge = st.one_of(
+        st.builds(complex, st.sampled_from(_EDGE_PARTS), st.floats(-4.0, 4.0)),
+        st.builds(complex, st.floats(-4.0, 4.0), st.sampled_from(_EDGE_PARTS)),
+        st.sampled_from(_EDGE_CELLS),
+    )
+    mats = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(("normal", "normal", "normal", "edge", "zero", "scaled")))
+        cells = [draw(st.one_of(normal, edge) if kind == "edge" else normal) for _ in range(4)]
+        if kind == "zero":
+            cells = [0j] * 4
+        elif kind == "scaled":
+            c = draw(st.sampled_from((1e-301, 1e-300, 1e-150, 1e150, 1e299, 1e300, 4e307)))
+            cells = [c * z for z in cells]
+        mats.append(Mat2C(*cells))
+    lo = draw(st.integers(-4, 4))
+    entries = dict(zip(draw(st.permutations(range(lo, lo + len(mats)))), mats))
+    s1s = []
+    for m in mats:
+        try:
+            s1s.append(singular_values(m)[0])
+        except (ArithmeticError, ValueError, TypeError, DomsplitError):
+            pass
+    anchor = draw(st.sampled_from([max(s1s), *s1s])) if s1s else 1.0
+    bound = draw(st.sampled_from((
+        math.nextafter(anchor, 0.0), anchor, math.nextafter(anchor, math.inf),
+        anchor * (1.0 - 1e-12), anchor * (1.0 + 1e-12), anchor * 2.0,
+    )))
+    return entries, bound
+
+
+def _outcome(build):
+    try:
+        return "ok", build().tobytes()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+class TestConstructorScreen:
+    @settings(max_examples=600, deadline=None)
+    @given(constructor_cases())
+    def test_raises_as_the_scalar_loop(self, case):
+        entries, bound = case
+        got = _outcome(lambda: MatrixSequence(entries, bound).factors)
+        assert got == _outcome(lambda: scalar_sequence(entries, bound))
+
+    def test_first_bad_entry_in_insertion_order(self):
+        good = Mat2C(1.0, 0, 0, 1)
+        entries = {2: good, 4: Mat2C(0j, 0j, 0j, 0j), 0: Mat2C(math.nan, 0, 0, 1), 1: good,
+                   3: Mat2C(3.0, 0, 0, 1)}
+        with pytest.raises(InvalidSpec, match="^entry at j=4 is the zero matrix$"):
+            MatrixSequence(entries, 2.0)
+
+    def test_ints_beyond_float_range_raise_as_before(self):
+        entries = {0: Mat2C(1.0, 0, 0, 1), 1: Mat2C(10**400, 0, 0, 1)}
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            MatrixSequence(entries, 2.0)
 
 
 class TestWindowProduct:

@@ -1,6 +1,11 @@
 import json
 import math
+import re
+import sys
+import threading
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from domsplit import (
@@ -19,6 +24,8 @@ from domsplit import (
     svd2,
     window_product,
 )
+from domsplit import generators
+from domsplit.generators import FAMILIES
 
 LN2 = math.log(2.0)
 
@@ -263,3 +270,160 @@ class TestUnitaryFamily:
             sv = svd2(seq[j])
             assert abs(sv.sigma1 - 1.0) <= 1e-12
             assert sv.degenerate
+
+
+M64 = 0xFFFFFFFFFFFFFFFF
+
+
+class FreshStreams:
+    """The reference stream provider: a fresh Generator(Philox(key, counter))
+    for every draw, keyed by the seed with counter (site, stream, 0, 0)."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def at(self, site: int, stream: int) -> np.random.Generator:
+        key = np.uint64(self.seed & M64)
+        counter = [np.uint64(site & M64), np.uint64(stream & M64), np.uint64(0), np.uint64(0)]
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _hex(z) -> tuple[str, str]:
+    return float.hex(z.real), float.hex(z.imag)
+
+
+def build_bits(spec: GeneratorSpec) -> list:
+    """A build as bits: the factor stack, bound_M and the truth as float.hex."""
+    seq, truth = build_with_truth(spec)
+    bits = [seq.factors.tobytes(), seq.bound_M.hex()]
+    if truth is not None:
+        for side in (truth.es, truth.eu):
+            bits.append([(j, *_hex(p.v1), *_hex(p.v2)) for j, p in side.items()])
+        bits.append((truth.lam.hex(), truth.n_steps, truth.delta.hex(), truth.singular_sites))
+    return bits
+
+
+FAMILY_CASES = [
+    ("example1", {}),
+    ("diagonal", {}),
+    ("conjugated_dominated", {}),
+    ("conjugated_dominated", {"rate_mode": "constant"}),
+    ("schrodinger", {}),
+    ("random_bounded", {}),
+    ("random_singular", {"insertions": [7, 0]}),
+    ("unitary", {}),
+    ("ap_family", {}),
+]
+assert {f for f, _ in FAMILY_CASES} == set(FAMILIES)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("family,params", FAMILY_CASES)
+    def test_reused_generators_draw_as_fresh_ones(self, family, params):
+        for seed in (0, 1, 2):
+            for window in ((-45, 45), (0, 400)):
+                spec = GeneratorSpec(family, window, params, seed)
+                got = build_bits(spec)
+                with mock.patch.object(generators, "_Streams", FreshStreams):
+                    want = build_bits(spec)
+                assert got == want, (family, seed, window)
+
+    def test_constant_rates_drawn_once(self):
+        spec = GeneratorSpec("conjugated_dominated", (-45, 45), {"rate_mode": "constant"}, 4)
+        calls = []
+        at = generators._Streams.at
+
+        def counted(streams, site, stream):
+            calls.append((site, stream))
+            return at(streams, site, stream)
+
+        with mock.patch.object(generators._Streams, "at", counted):
+            build_with_truth(spec)
+        assert [c for c in calls if c[1] == 1] == [(0, 1)]
+        assert sorted(c for c in calls if c[1] == 0) == [(j, 0) for j in range(-45, 47)]
+
+    def test_concurrent_builds_match_sequential(self):
+        specs = [
+            GeneratorSpec("conjugated_dominated", (-150, 150), {}, 1),
+            GeneratorSpec("ap_family", (-150, 150), {"mu": 1e3}, 2),
+        ]
+        want = [build_bits(s) for s in specs]
+        results = {}
+
+        def work(k):
+            results[k] = [build_bits(specs[k % 2]) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == [0, 1, 2, 3]
+        for k, got in results.items():
+            assert got == [want[k % 2]] * 3, k
+
+
+def scalar_bound(entries: dict) -> float:
+    """The bound as the scalar max of sigma1 over the entries: the reference
+    for ``generators._bound_from_entries``."""
+    return max(singular_values(m)[0] for m in entries.values()) * (1.0 + 1e-9) + 1e-12
+
+
+class TestBound:
+    @pytest.mark.parametrize("family,params", FAMILY_CASES)
+    def test_matches_scalar_max(self, family, params):
+        for seed in (0, 1, 2):
+            seq, _ = build_with_truth(GeneratorSpec(family, (-45, 45), params, seed))
+            entries = {j: seq[j] for j in seq.indices()}
+            assert generators._bound_from_entries(entries).hex() == scalar_bound(entries).hex()
+            for c in (1e-290, 1e-150, 1e150, 1e290):
+                scaled = {j: m.scale(c) for j, m in entries.items()}
+                assert generators._bound_from_entries(scaled).hex() == scalar_bound(scaled).hex()
+
+    def test_ties_and_reordering(self):
+        m = Mat2C(1.0 + 2.0j, -0.5, 0.25j, 3.0)
+        entries = {3: m.scale(1 - 2**-52), 1: m, 2: m.scale(-1.0), 0: m.scale(0.5)}
+        assert generators._bound_from_entries(entries).hex() == scalar_bound(entries).hex()
+
+    @pytest.mark.parametrize("bad", [Mat2C(0j, 0j, 0j, 0j), Mat2C(1.7e308 + 1.7e308j, 0, 0, 1)])
+    def test_raises_as_scalar_max(self, bad):
+        entries = {0: Mat2C(1.0, 0, 0, 1), 1: bad, 2: Mat2C(2.0, 0, 0, 1)}
+        with pytest.raises(Exception) as want:
+            scalar_bound(entries)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            generators._bound_from_entries(entries)
+
+
+class TestParams:
+    @pytest.mark.parametrize("family,params,name", [
+        ("conjugated_dominated", {"lplus_range": [2]}, "lplus_range"),
+        ("conjugated_dominated", {"lminus_range": [0.5, 1.0, 2.0]}, "lminus_range"),
+        ("conjugated_dominated", {"sep_hi": float("nan")}, "sep_hi"),
+        ("diagonal", {"lplus": None}, "lplus"),
+        ("diagonal", {"lminus": complex(0, float("inf"))}, "lminus"),
+        ("schrodinger", {"energy": "x"}, "energy"),
+        ("schrodinger", {"potential": [0.0, "x"]}, "potential"),
+        ("schrodinger", {"potential": 3}, "potential"),
+        ("random_singular", {"insertions": 3}, "insertions"),
+        ("random_singular", {"insertions": [True]}, "insertions"),
+    ])
+    def test_bad_value_names_param(self, family, params, name):
+        with pytest.raises(InvalidSpec, match=f"^param '{name}' = "):
+            build_with_truth(GeneratorSpec(family, (0, 1), params))
+
+    def test_null_unsets_theta_and_angle(self):
+        for family, name in (("conjugated_dominated", "theta"), ("unitary", "angle")):
+            assert build_bits(GeneratorSpec(family, (0, 5), {name: None}, 3)) == build_bits(
+                GeneratorSpec(family, (0, 5), {}, 3))
+
+    def test_numbers_as_before(self):
+        # ints and the strings float() reads still load, as they did
+        a = build_bits(GeneratorSpec("conjugated_dominated", (0, 5), {"sep_lo": "0.4", "lplus_range": [2, 3]}, 1))
+        b = build_bits(GeneratorSpec("conjugated_dominated", (0, 5), {"sep_lo": 0.4, "lplus_range": [2.0, 3.0]}, 1))
+        assert a == b

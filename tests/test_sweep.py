@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domsplit import (
@@ -655,12 +655,23 @@ def three_hypot_right_vectors(p, r, q, s1sq):
     w0 = np.where(pivot_p, s1sq - r, q)
     w1 = np.where(pivot_p, np.conj(q), s1sq - p)
     nw = np.hypot(cocycle._abs(w0), cocycle._abs(w1))
+    for i in np.flatnonzero((nw > 0.0) & (nw < 1e-280)):  # rescued by an exact 2^k
+        k = -math.floor(math.log2(nw[i]))
+        w0[i], w1[i] = (complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+                        for z in (w0[i], w1[i]))
+        nw[i] = np.hypot(cocycle._abs(w0[i]), cocycle._abs(w1[i]))
     nw[nw == 0.0] = 1.0
     return w0 / nw, w1 / nw
 
 
+# a row whose Gram off-diagonal q is subnormal and whose p = r: its
+# eigenvector row has a subnormal norm, whose reciprocal overflows
+_SUBNORMAL_Q = np.array([[5e-324 + 5e-324j], [1 + 1j], [1 + 1j], [0j]])
+
+
 @settings(max_examples=400, deadline=None)
 @given(stacks())
+@example(z=_SUBNORMAL_Q)
 def test_right_vectors_match_moduli(z):
     """hypot(x, +-0) = |x| and |conj q| = |q|, so the vectors are the same
     bytes, signs of zero too, on rows with zero, real-only and tiny parts."""
