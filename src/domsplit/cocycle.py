@@ -12,7 +12,9 @@ Two engines share that recurrence.  ``ScaledProduct`` and the scans build
 one product at a time from ``Mat2C`` values; ``product_sweep`` builds depth n
 for every start j at once as numpy arrays, and is what the certificate and
 the avalanche audit run on.  The scalar path stays as the per-site API and
-as the sweep's oracle.
+as the sweep's oracle.  The array stages use numpy's own complex arithmetic,
+hypot and log, so they agree with the scalar engine within 1e-12 relative
+to max(1, |x|), not bit for bit.
 """
 
 from __future__ import annotations
@@ -393,30 +395,25 @@ def _fit_lines(
     """Least-squares lines y = intercept + slope x down each column of a
     finite y, over the rows where ``use`` holds; x is one column.  Returns
     (slope, intercept) per column, the slope nan where fewer than two rows
-    are used or their x are all equal."""
-    count = use.sum(axis=0)
+    are used or their x are all equal.  Every sum runs along one column
+    alone, as a row of a C-contiguous transpose, so a column's line depends
+    neither on the array's layout nor on the other columns."""
+    x, y, use = (np.ascontiguousarray(np.broadcast_to(a, use.shape).T) for a in (x, y, use))
+    count = use.sum(axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):  # columns with no points
-        xbar = (use * x).sum(axis=0) / count
-        ybar = (use * y).sum(axis=0) / count
-        dx = np.where(use, x - xbar, 0.0)
-        dy = np.where(use, y - ybar, 0.0)
-        sxx = (dx * dx).sum(axis=0)
-        slope = (dx * dy).sum(axis=0) / sxx
+        xbar = (use * x).sum(axis=-1) / count
+        ybar = (use * y).sum(axis=-1) / count
+        dx = np.where(use, x - xbar[:, None], 0.0)
+        dy = np.where(use, y - ybar[:, None], 0.0)
+        sxx = (dx * dx).sum(axis=-1)
+        slope = (dx * dy).sum(axis=-1) / sxx
     return np.where((count >= 2) & (sxx > 0.0), slope, np.nan), ybar - slope * xbar
 
 
 def _fit_rates(steps: np.ndarray) -> list[float | None]:
     """Least-squares slope of log d against n down each column of ``steps``,
     where row n holds the step d(pt_n, pt_{n+1}) and nan marks no step; None
-    where fewer than two steps clear STEP_NOISE_FLOOR.
-
-    numpy's summation order down a column depends on the array's layout and
-    length.  ``steps`` is taken column-major, the layout the sweep's step
-    arrays have always had, so that with two or more columns a column's rate
-    depends neither on the caller's layout nor on the other columns.  A
-    one-column array sums in another order, and so does a column cut short
-    of its trailing nan rows."""
-    steps = np.asfortranarray(steps)
+    where fewer than two steps clear STEP_NOISE_FLOOR."""
     use = steps > STEP_NOISE_FLOOR  # False on nan
     ns = np.arange(len(steps), dtype=float)[:, None]
     rates = _fit_lines(ns, np.log(np.where(use, steps, 1.0)), use)[0]
@@ -513,15 +510,6 @@ def estimate_splitting(
 # -- the batched engine ------------------------------------------------------
 
 
-def _abs(z: np.ndarray) -> np.ndarray:
-    # np.hypot is the C library's, as in abs(complex); np.abs rounds differently
-    return np.hypot(z.real, z.imag)
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
-
-
 def _ldexp_c(z: np.ndarray, k: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     out.real = np.ldexp(z.real, k)
@@ -529,52 +517,15 @@ def _ldexp_c(z: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-# numpy's complex product may fuse its multiply-adds, so products that must
-# round as CPython's complex arithmetic are taken on real and imaginary parts.
-
-
-def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y, rounded as CPython rounds a complex product."""
-    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
-def _cdiv(z: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """z / r for r > 0, rounded as CPython divides a complex by a float: as
-    the quotient by complex(r, 0), which can change the sign of a zero."""
-    out = np.empty_like(z)
-    out.real = (z.real + z.imag * 0.0) / r
-    out.imag = (z.imag - z.real * 0.0) / r
-    return out
-
-
 def _apply(m: tuple[np.ndarray, ...], v0: np.ndarray, v1: np.ndarray):
     """``Mat2C.apply`` over arrays of matrices m = (a, b, c, d) and vectors."""
     a, b, c, d = m
-    return _cmul(a, v0) + _cmul(b, v1), _cmul(c, v0) + _cmul(d, v1)
+    return a * v0 + b * v1, c * v0 + d * v1
 
 
 def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``dist`` over arrays of unit representatives p = (p0, p1), q = (q0, q1)."""
-    return 2.0 * _abs(_cmul(p[0], q[1]) - _cmul(p[1], q[0]))
-
-
-# math.hypot is CPython's own, not the C library's hypot that np.hypot calls,
-# and numpy's log is not the C library's log either; each differs from the
-# scalar engine's in the last bit on about 1 input in 200 and 1 in 1000.
-# Where a few thousand values must round exactly as there, they are taken
-# one by one.
-
-
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
-    return np.fromiter(out, float, x.size).reshape(x.shape)
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return 2.0 * np.abs(p[0] * q[1] - p[1] * q[0])
 
 
 def _pow2_rescue(*zs: np.ndarray) -> np.ndarray | None:
@@ -593,26 +544,27 @@ def _pow2_rescue(*zs: np.ndarray) -> np.ndarray | None:
 
 def _project(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
     """``project`` over arrays of vectors (v0, v1): the canonical unit
-    representatives as a (2, K) array, rounded as the scalar function rounds
-    them.  Raises ZeroVector if any vector is zero."""
-    norm = _hypot(_abs(v0), _abs(v1))
+    representatives as a (2, K) array, each within rounding of the scalar
+    function's.  Raises ZeroVector if any vector is zero."""
+    with np.errstate(over="ignore"):  # an inf norm is taken again after the rescue
+        norm = np.hypot(np.abs(v0), np.abs(v1))
     if (norm <= _VEC_ZERO_TOL).any():
         raise ZeroVector("cannot project a zero vector")
     k = _pow2_rescue(v0, v1)
     if k is not None:
         v0, v1 = _ldexp_c(v0, k), _ldexp_c(v1, k)
-        norm = _hypot(_abs(v0), _abs(v1))
-    x, y = _cdiv(v0, norm), _cdiv(v1, norm)
+        norm = np.hypot(np.abs(v0), np.abs(v1))
+    x, y = v0 / norm, v1 / norm
     # _phase_to_first_positive with x as the lead; x = 0 is the point at infinity
     at_inf = x == 0
     lead = np.where(at_inf, 1.0, x)
     k = _pow2_rescue(lead)
     if k is not None:
         lead = _ldexp_c(lead, k)
-    ph = _cdiv(np.conj(lead), _abs(lead))
+    ph = np.conj(lead) / np.abs(lead)
     out = np.empty((2, len(x)), dtype=complex)
-    out[0] = np.where(at_inf, 0.0, _abs(_cmul(x, ph)))
-    out[1] = np.where(at_inf, 1.0, _cmul(y, ph))
+    out[0] = np.where(at_inf, 0.0, np.abs(x * ph))
+    out[1] = np.where(at_inf, 1.0, y * ph)
     return out
 
 
@@ -629,11 +581,11 @@ def _mul_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _gram(z: np.ndarray):
     """The Gram-matrix quadratic of ``singular_values`` over a (4, m) stack
     of matrices [[a, b], [c, d]]: (p, r, q, |q|, sigma1^2, sigma1)."""
-    a2 = _abs2(z)
+    a2 = z.real * z.real + z.imag * z.imag
     p = a2[0] + a2[2]
     r = a2[1] + a2[3]
     q = np.conj(z[0]) * z[1] + np.conj(z[2]) * z[3]
-    aq = _abs(q)
+    aq = np.abs(q)
     s1sq = 0.5 * (p + r + np.hypot(p - r, 2.0 * aq))
     return p, r, q, aq, s1sq, np.sqrt(s1sq)
 
@@ -650,21 +602,26 @@ def _right_vectors(p, r, q, aq, s1sq):
     # (C99 F.10.4.3) and |conj q| = |q|, so this rounds as the moduli would
     nw = np.hypot(np.where(pivot_p, np.abs(dr), aq), np.where(pivot_p, aq, np.abs(dp)))
     nw[nw == 0.0] = 1.0
-    if nw.min(initial=1.0) < 1e-280:
-        # as rescale_pow2 in svd2: w / nw of a subnormal nw overflows in the
-        # reciprocal numpy's complex division takes, so scale w by 2^k first
-        small = nw < 1e-280
-        k = np.zeros(len(nw), dtype=np.int64)
-        k[small] = -np.floor(np.log2(nw[small])).astype(np.int64)
+    return _unit(w0, w1, nw)
+
+
+def _unit(w0: np.ndarray, w1: np.ndarray, nw: np.ndarray):
+    """(w0 / nw, w1 / nw) for nw > 0 the norm of each vector (w0, w1).  As
+    rescale_pow2 in svd2: numpy's complex division takes the reciprocal of
+    nw, which overflows for a subnormal nw, so the vectors with nw < 1e-280
+    are scaled by an exact 2^k and their norm taken again first."""
+    small = nw < 1e-280
+    if small.any():
+        k = np.where(small, -np.floor(np.log2(nw)), 0).astype(np.int64)
         w0, w1 = _ldexp_c(w0, k), _ldexp_c(w1, k)
-        nw[small] = np.hypot(_abs(w0[small]), _abs(w1[small]))
+        nw = np.where(small, np.hypot(np.abs(w0), np.abs(w1)), nw)
     return w0 / nw, w1 / nw
 
 
 def _sigma2(z: np.ndarray, s1: np.ndarray) -> np.ndarray:
     """sigma2 = |det| / sigma1, or 0 where |det| <= DET_REL_TOL sigma1^2."""
     a, b, c, d = z
-    adet = _abs(a * d - b * c)
+    adet = np.abs(a * d - b * c)
     with np.errstate(invalid="ignore", divide="ignore"):  # sigma1 = 0 rows
         return np.where(adet > DET_REL_TOL * s1 * s1, np.minimum(adet / s1, s1), 0.0)
 
@@ -689,7 +646,7 @@ def _prescale_rows(z: np.ndarray):
     if not exact.any():
         return z, None, zero
     rows = np.flatnonzero(exact)
-    biggest = _abs(z[:, rows]).max(axis=0)
+    biggest = np.abs(z[:, rows]).max(axis=0)
     zero[rows] = biggest <= ENTRY_ZERO_TOL
     scaled = (biggest > ENTRY_ZERO_TOL) & ((biggest <= 1e-120) | (biggest >= 1e120))
     if not scaled.any():
@@ -737,13 +694,12 @@ def _screen(z: np.ndarray) -> np.ndarray:
 
 
 def _log_abs_dets(z: np.ndarray) -> np.ndarray:
-    """``_log_abs_det`` over a (4, m) stack of nonzero matrices, rounded as
-    it is."""
+    """``_log_abs_det`` over a (4, m) stack of nonzero matrices."""
     (a, b, c, d), k, _ = _prescale_rows(z)
-    adet = _abs(_cmul(a, d) - _cmul(b, c))
+    adet = np.abs(a * d - b * c)
     out = np.full(len(adet), NEG_INF)
     pos = adet > 0.0
-    out[pos] = _log(adet[pos])
+    out[pos] = np.log(adet[pos])
     return out if k is None else out - 2 * k * _LN2
 
 
@@ -772,7 +728,7 @@ class _DirectionRuns:
         live &= ~vanished
         ok = live & ~degenerate
         step = ok & self.prev_ok
-        d = 2.0 * _abs(self.prev[0] * y - self.prev[1] * x)
+        d = _dist(self.prev, (x, y))
         if n >= 2:
             self.steps[n - 1] = np.where(step, d, np.nan)
         close = step & (d < tol)
@@ -924,12 +880,11 @@ def product_sweep(
 
         if n > n_max or m == 0 or n_sites == 0 or (runs_s.done.all() and runs_u.done.all()):
             continue
-        a, b, c, d = core
         s2c = _sigma2(core, s1c)
         degenerate = (s1c - s2c) <= DEGENERATE_REL_TOL * s1c
         v0, v1 = _right_vectors(p, r, q, aq, s1sq)
-        ux, uy = a * v0 + b * v1, c * v0 + d * v1
-        nu = np.hypot(_abs(ux), _abs(uy))
+        ux, uy = _apply(core, v0, v1)
+        nu = np.hypot(np.abs(ux), np.abs(uy))
         nu[nu == 0.0] = 1.0
         ux, uy = ux / nu, uy / nu
         sx, sy = -np.conj(v1), np.conj(v0)
@@ -1016,7 +971,7 @@ def invariance_residuals(
     hits = s2 == 0.0  # the unstable side reads the image line
     for vec in (sweep.es_vec, sweep.eu_vec):
         w0, w1 = _apply(m, vec[0, k], vec[1, k])
-        hit = np.hypot(_abs(w0), _abs(w1)) <= KERNEL_REL_TOL * s1
+        hit = np.hypot(np.abs(w0), np.abs(w1)) <= KERNEL_REL_TOL * s1
         hits |= hit
         w0[hit] = 1.0  # any nonzero vector; the scalar function answers for these
         res.append(_dist(_project(w0, w1), vec[:, k + 1]))

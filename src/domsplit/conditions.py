@@ -18,15 +18,11 @@ from .cocycle import (
     ConvergenceCert,
     MatrixSequence,
     ProductSweep,
-    _abs,
     _apply,
-    _cdiv,
-    _cmul,
     _dist,
     _fit_lines,
-    _hypot,
-    _log,
     _staircase_cells,
+    _unit,
     estimate_fields,
     invariance_residuals,
     product_sweep,
@@ -216,7 +212,7 @@ def _norm_floor(sweep: ProductSweep) -> dict[int, float]:
 def ueg_check(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
     """Uniform exponential growth of inf_j ||A_n(j)|| for unimodular input."""
     a, b, c, d = seq.factors
-    off = np.flatnonzero(_abs(_cmul(a, d) - _cmul(b, c) - 1.0) > 1e-10)
+    off = np.flatnonzero(np.abs(a * d - b * c - 1.0) > 1e-10)
     if off.size:
         raise NotUnimodular(f"det(B({seq.lo + int(off[0])})) differs from 1 beyond 1e-10")
     _require_window(seq, n_max)
@@ -341,13 +337,13 @@ def _gap_search(
     for n, live in enumerate(lives.tolist(), start=1):
         x0, x1, logs, gone = x0[:, :live], x1[:, :live], logs[:, :live], gone[:, :live]
         w0, w1 = _apply(sweep.factors[:, rows[:live] + n], x0, x1)
-        nw = _hypot(_abs(w0), _abs(w1))
+        nw = np.hypot(np.abs(w0), np.abs(w1))
         gone = gone | (nw == 0.0)
         vanished = gone.any()
         if vanished:  # a vanished vector stays zero, and dividing by 1 keeps its log
             nw = np.where(gone, 1.0, nw)
-        x0, x1 = _cdiv(w0, nw), _cdiv(w1, nw)
-        logs = logs + _log(nw)
+        logs = logs + np.log(nw)
+        x0, x1 = _unit(w0, w1, nw)
         gap = logs[0] - logs[1]
         if vanished:
             gap[gone[1]] = INF

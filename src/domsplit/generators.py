@@ -191,6 +191,12 @@ def _interval(x) -> tuple[float, float]:
     return _real(lo), _real(hi)
 
 
+def _bool(x) -> bool:
+    if not isinstance(x, bool):
+        raise ValueError("not true or false")
+    return x
+
+
 def _rate_mode(x) -> str:
     if x not in RATE_MODES:
         raise ValueError(f"not one of {', '.join(RATE_MODES)}")
@@ -400,7 +406,7 @@ def _build_random_singular(spec: GeneratorSpec):
     )
     entries, truth, lplus = _conjugated(base_spec)
     insertions = _param(spec, "insertions", (), _indices)
-    misaligned = bool(spec.params.get("misaligned", False))
+    misaligned = _param(spec, "misaligned", False, _bool)
     lo, hi = spec.window
     for p in insertions:
         if not lo <= p <= hi:

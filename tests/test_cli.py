@@ -159,7 +159,9 @@ class TestSplit:
         want = [[j, *invariance_residual(seq, j, sweep.es, sweep.eu)]
                 for j in sorted(sweep.es) if j + 1 in sweep.es]
         assert 0 in [r[0] for r in got]
-        assert got == want
+        assert [r[0] for r in got] == [r[0] for r in want]
+        for g, w in zip(got, want):  # numpy's arithmetic against the scalar engine's
+            assert g[1:] == pytest.approx(w[1:], rel=0, abs=1e-12), g[0]
 
     @pytest.mark.parametrize("window", ["rank_one", "conjugated_dominated"])
     def test_separations_are_dist(self, tmp_path, capsys, window):
@@ -174,8 +176,10 @@ class TestSplit:
         sweep = estimate_fields(seq, None, 40, 1e-9)
         want = [dist(sweep.es[j], sweep.eu[j]) for j in sorted(sweep.es)]
         assert len(want) > 20
-        assert [r["separation"] for r in result["fields"]] == want
-        assert result["min_separation"] == min(want)
+        got = [r["separation"] for r in result["fields"]]
+        assert got == pytest.approx(want, rel=0, abs=1e-12)  # distances lie in [0, 2]
+        assert result["min_separation"] == min(got)
+        assert result["min_separation"] == pytest.approx(min(want), rel=0, abs=1e-12)
 
 
 class TestEmptyJrange:
@@ -521,6 +525,8 @@ class TestBoundaryValidation:
         ("random_bounded", '{"scale": 1e308}', "scale"),
         ("random_singular", '{"insertions": ["a"]}', "insertions"),
         ("random_singular", '{"insertions": [0.5]}', "insertions"),
+        ("random_singular", '{"insertions": [0], "misaligned": "false"}', "misaligned"),
+        ("random_singular", '{"insertions": [0], "misaligned": 0}', "misaligned"),
     ])
     def test_malformed_params_exit2(self, tmp_path, capsys, family, params, name):
         code, out, err = run(capsys, "gen", "--family", family, "--window", "-5", "5",
@@ -529,6 +535,20 @@ class TestBoundaryValidation:
         assert out == ""
         assert err.startswith("domsplit gen: ") and "internal error" not in err
         assert repr(name) in err
+
+    def test_misaligned_takes_json_booleans(self, tmp_path, capsys):
+        def gen(name, *extra):
+            path = tmp_path / f"{name}.json"
+            code, _, _ = run(capsys, "gen", "--family", "random_singular", "--window", "-5", "5",
+                             *extra, "--out", str(path))
+            assert code == 0
+            return json.loads(path.read_text())["entries"]
+
+        default = gen("default", "--params", '{"insertions": [0]}')
+        flag = gen("flag", "--insertions", "0", "--misaligned")
+        assert gen("false", "--params", '{"insertions": [0], "misaligned": false}') == default
+        assert gen("true", "--params", '{"insertions": [0], "misaligned": true}') == flag
+        assert flag != default
 
     def test_params_not_an_object_exit2(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--family", "diagonal", "--window", "0", "3",
