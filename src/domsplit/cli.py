@@ -27,7 +27,7 @@ from .errors import (
     NotUnimodular,
     WindowExceeded,
 )
-from .generators import RATE_MODES, GeneratorSpec, build_with_truth
+from .generators import RATE_MODES, GeneratorSpec, build_with_truth, family_params
 from .projective import ProjPoint
 
 EXIT_OK = 0
@@ -180,10 +180,13 @@ def _family_params(args) -> dict:
         if not isinstance(extra, dict):
             raise InvalidSpec("--params must be a JSON object")
         params.update(extra)
-    for key in ("lplus", "lminus", "energy", "theta", "mu"):
+    for key in ("lplus", "lminus", "energy", "theta"):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
+    # the audit's --mu is also the gap parameter of a family that takes one
+    if getattr(args, "mu", None) is not None and "mu" in family_params(args.family):
+        params["mu"] = args.mu
     if getattr(args, "potential", None) is not None:
         pot = args.potential
         if pot != "zeros":

@@ -11,10 +11,13 @@ log domain far below the entrywise noise floor of the core determinant.
 Two engines share that recurrence.  ``ScaledProduct`` and the scans build
 one product at a time from ``Mat2C`` values; ``product_sweep`` builds depth n
 for every start j at once as numpy arrays, and is what the certificate and
-the avalanche audit run on.  The scalar path stays as the per-site API and
-as the sweep's oracle.  The array stages use numpy's own complex arithmetic,
-hypot and log, so they agree with the scalar engine within 1e-12 relative
-to max(1, |x|), not bit for bit.
+the avalanche audit run on.  Each of its layers takes one prescale and one
+Gram quadratic, of the raw product factor . core: log sigma1 is the
+accumulated log scale, and the directions and the degeneracy test are read
+off that raw product.  The scalar path stays as the per-site API and as the
+sweep's oracle.  The array stages use numpy's own complex arithmetic, hypot
+and log, so they agree with the scalar engine within 1e-12 relative to
+max(1, |x|), not bit for bit.
 """
 
 from __future__ import annotations
@@ -836,14 +839,19 @@ def product_sweep(
     Layer n is B(j+n-1) . core_{n-1}(j), renormalized by sigma1: the
     recurrence of ``ScaledProduct.left_multiply``, with the same Gram
     quadratic, power-of-two prescale and degeneracy test, over (4, m) numpy
-    stacks of the entries a, b, c, d.  Only O(L) core data is held at a
-    time.  With a ``jrange`` the sweep also runs ``estimate_splitting``'s
-    stopping rule at its sites, to depth n_max: s_n(j) is read from layer n
-    at start j and u_n(j) from layer n at start j - n, since B_n(j - n) is
-    the forward product starting there.  A site fails when either side runs
-    out of room or its product vanishes at or before the depth where its run
-    stops.  The stopping rule runs until every side of every site has
-    stopped, vanished or run out of room; the layers go on to n_max + 1.
+    stacks of the entries a, b, c, d.  Each layer takes one prescale and one
+    Gram quadratic, both of that raw product: log sigma1 of B_n(j) is the
+    accumulated log scale, the sum of the raw products' log sigma1, and the
+    directions and the degeneracy test are read off the raw product, since
+    neither changes under the 2^k prescale or the 1/sigma1 renormalization.
+    Only O(L) core data is held at a time.  With a ``jrange`` the sweep also
+    runs ``estimate_splitting``'s stopping rule at its sites, to depth
+    n_max: s_n(j) is read from layer n at start j and u_n(j) from layer n at
+    start j - n, since B_n(j - n) is the forward product starting there.  A
+    site fails when either side runs out of room or its product vanishes at
+    or before the depth where its run stops.  The stopping rule runs until
+    every side of every site has stopped, vanished or run out of room; the
+    layers go on to n_max + 1.
     """
     if n_max < 1:
         raise InvalidSpec(f"n_max must be at least 1, got {n_max}")
@@ -865,23 +873,21 @@ def product_sweep(
     for n in range(1, n_max + 2):
         m = max(size - n + 1, 0)  # starts lo .. hi - n + 1
         raw = _mul_rows(factors[:, n - 1:n - 1 + m], core[:, :m])
-        s1, _, vanished = _singular_values(raw, sigma2=False)
-        s1[vanished] = 1.0
-        inv = 1.0 / s1
+        z, k, vanished = _prescale_rows(raw)
+        p, r, q, aq, s1sq, s1 = _gram(z)
+        # sigma1 of raw, as a new array: s1 of z stays for the degeneracy test
+        s1raw = np.where(vanished, 1.0, s1 if k is None else np.ldexp(s1, -k))
+        inv = 1.0 / s1raw
         inv[vanished] = 0.0  # a vanished core stays zero, so the row stays vanished
         core = raw * inv
-        log_scale = log_scale[:m] + np.log(s1)
-
-        p, r, q, aq, s1sq, s1c = _gram(core)
-        s1c[vanished] = 1.0
-        ls1 = log_scale + np.log(s1c)
-        ls1[vanished] = NEG_INF
-        log_s1.append(ls1)
+        log_scale = log_scale[:m] + np.log(s1raw)
+        log_s1.append(np.where(vanished, NEG_INF, log_scale))
 
         if n > n_max or m == 0 or n_sites == 0 or (runs_s.done.all() and runs_u.done.all()):
             continue
-        s2c = _sigma2(core, s1c)
-        degenerate = (s1c - s2c) <= DEGENERATE_REL_TOL * s1c
+        # the direction and the sigma2/sigma1 test do not change under the 2^k
+        # prescale or the 1/sigma1 renormalisation, so z answers for core
+        degenerate = (s1 - _sigma2(z, s1)) <= DEGENERATE_REL_TOL * s1
         v0, v1 = _right_vectors(p, r, q, aq, s1sq)
         ux, uy = _apply(core, v0, v1)
         nu = np.hypot(np.abs(ux), np.abs(uy))

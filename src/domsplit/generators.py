@@ -7,7 +7,8 @@ draws: widening a window reproduces the old entries bit for bit.  Each build
 holds one generator per stream and resets its counter before every use.
 
 Each builder reads its params through ``_param``, which turns a value that
-does not fit its field into InvalidSpec naming the param.
+does not fit its field into InvalidSpec naming the param; a param that the
+family does not read at all is refused the same way.
 """
 
 from __future__ import annotations
@@ -491,18 +492,34 @@ def _build_ap_family(spec: GeneratorSpec):
     return _sequence(spec, entries, 1.0 + 1e-6), None
 
 
+_CONJUGATED_PARAMS = ("sep_lo", "sep_hi", "theta", "lplus_range", "lminus_range", "rate_mode")
+
+# family -> (builder, the params it reads); random_singular hands its other
+# params on to the conjugated_dominated base it inserts into
 _BUILDERS = {
-    "example1": _build_example1,
-    "diagonal": _build_diagonal,
-    "conjugated_dominated": _build_conjugated,
-    "schrodinger": _build_schrodinger,
-    "random_bounded": _build_random_bounded,
-    "random_singular": _build_random_singular,
-    "unitary": _build_unitary,
-    "ap_family": _build_ap_family,
+    "example1": (_build_example1, ()),
+    "diagonal": (_build_diagonal, ("lplus", "lminus")),
+    "conjugated_dominated": (_build_conjugated, _CONJUGATED_PARAMS),
+    "schrodinger": (_build_schrodinger, ("energy", "potential")),
+    "random_bounded": (_build_random_bounded, ("scale",)),
+    "random_singular": (_build_random_singular, ("insertions", "misaligned", *_CONJUGATED_PARAMS)),
+    "unitary": (_build_unitary, ("angle",)),
+    "ap_family": (_build_ap_family, ("mu",)),
 }
 
 
+def family_params(family: str) -> tuple[str, ...]:
+    """The params that ``family`` reads; () for an unknown family."""
+    return _BUILDERS.get(family, (None, ()))[1]
+
+
 def build_with_truth(spec: GeneratorSpec) -> tuple[MatrixSequence, GroundTruth | None]:
-    """Materializes the sequence over its window, with ground truth if known."""
-    return _BUILDERS[spec.family](spec)
+    """Materializes the sequence over its window, with ground truth if known.
+    A param the family does not read raises InvalidSpec naming it, so a
+    misspelt key never falls back to the default silently."""
+    build, names = _BUILDERS[spec.family]
+    for name in spec.params:
+        if name not in names:
+            takes = ", ".join(names) or "no params"
+            raise InvalidSpec(f"param {name!r} is not read by {spec.family} (it takes {takes})")
+    return build(spec)

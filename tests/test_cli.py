@@ -527,6 +527,13 @@ class TestBoundaryValidation:
         ("random_singular", '{"insertions": [0.5]}', "insertions"),
         ("random_singular", '{"insertions": [0], "misaligned": "false"}', "misaligned"),
         ("random_singular", '{"insertions": [0], "misaligned": 0}', "misaligned"),
+        # a key the family does not read: a misspelt one once fell back to its default
+        ("conjugated_dominated", '{"lplus_rnage": [5, 6]}', "lplus_rnage"),
+        ("conjugated_dominated", '{"insertions": [0]}', "insertions"),
+        ("random_singular", '{"insertions": [0], "misalinged": true}', "misalinged"),
+        ("example1", '{"mu": 2}', "mu"),
+        ("diagonal", '{"lplus": 3, "energy": 1}', "energy"),
+        ("ap_family", '{"angle": 0.3}', "angle"),
     ])
     def test_malformed_params_exit2(self, tmp_path, capsys, family, params, name):
         code, out, err = run(capsys, "gen", "--family", family, "--window", "-5", "5",

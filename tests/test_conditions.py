@@ -1,4 +1,7 @@
+import copy
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,6 +287,69 @@ class TestExtremeScale:
         for n in (1, 10, 40):
             want = window_product(seq, -10, n).log_sigma2 + n * math.log(c)
             assert abs(window_product(tiny, -10, n).log_sigma2 - want) <= 1e-9 * n
+
+
+class TestMetamorphic:
+    """Two relations that hold exactly in exact arithmetic.  Moving every
+    index by t only relabels the sites, and the sweep reads B(j) by its
+    offset from the window's start, so the report is the same bits apart
+    from its j labels.  Conjugating every B(j) by the swap S = [[0, 1],
+    [1, 0]] keeps every singular value and chordal distance (S is unitary),
+    so the decisions are the same and the fits agree to rounding."""
+
+    FAMILIES = [
+        ("example1", {}),
+        ("conjugated_dominated", {}),
+        ("random_singular", {"insertions": [0]}),
+    ]
+    U = 2.0 ** -53
+    # Measured: at most 9.75 u (fi log_c on conjugated_dominated); 1.3e-14,
+    # about 58 u, was the largest seen on earlier trees.
+    SWAP_C = 128
+
+    @staticmethod
+    def unlabelled(doc: dict, t: int) -> dict:
+        """doc with every j label moved back by t."""
+        doc = copy.deepcopy(doc)
+        for fit in ("svg", "fi"):
+            doc[fit]["table"] = [[j - t, n, v] for j, n, v in doc[fit]["table"]]
+        for rec in doc["fields"]:
+            rec["j"] -= t
+        doc["failed_js"] = [j - t for j in doc["failed_js"]]
+        if doc["argmin_separation"] is not None:
+            doc["argmin_separation"] -= t
+        doc["witnesses"] = [re.sub(r"j = (-?\d+)", lambda m: f"j = {int(m[1]) - t}", w)
+                            for w in doc["witnesses"]]
+        doc["window"] = [j - t for j in doc["window"]]
+        doc["jrange"] = [j - t for j in doc["jrange"]]
+        return doc
+
+    @pytest.mark.parametrize("name, params", FAMILIES)
+    @pytest.mark.parametrize("t", [7, -1000, 10**6])
+    def test_index_shift_is_bit_identical(self, name, params, t):
+        seq = family(name, (-45, 45), params, seed=1)
+        want = check_domination(seq, jrange=(-3, 3)).to_json_dict(True)
+        moved = MatrixSequence({j + t: seq[j] for j in seq.indices()}, seq.bound_M)
+        got = check_domination(moved, jrange=(-3 + t, 3 + t)).to_json_dict(True)
+        assert got["window"] == [-45 + t, 45 + t] and len(got["fields"]) == 7
+        assert (json.dumps(self.unlabelled(got, t), sort_keys=True)
+                == json.dumps(want, sort_keys=True))
+
+    @staticmethod
+    def swap(m: Mat2C) -> Mat2C:
+        """S m S for the swap S = [[0, 1], [1, 0]]."""
+        return Mat2C(m.d, m.c, m.b, m.a)
+
+    @pytest.mark.parametrize("name, params", FAMILIES)
+    def test_swap_conjugation(self, name, params):
+        seq = family(name, (-45, 45), params, seed=1)
+        swapped = MatrixSequence({j: self.swap(seq[j]) for j in seq.indices()}, seq.bound_M)
+        ref = check_domination(seq, jrange=(-3, 3))
+        rep = check_domination(swapped, jrange=(-3, 3))
+        assert (rep.verdict, rep.n_dom, rep.failed_js) == (ref.verdict, ref.n_dom, ref.failed_js)
+        for got, want in ((rep.svg, ref.svg), (rep.fi, ref.fi)):
+            for g, w in ((got.rate, want.rate), (got.log_c, want.log_c)):
+                assert abs(g - w) <= self.SWAP_C * self.U * max(1.0, abs(w)), (g, w)
 
 
 class TestFitLine:

@@ -107,6 +107,10 @@ def _conj(seed=3):
     return family("conjugated_dominated", (-45, 45), {"rate_mode": "constant"}, seed)
 
 
+def _singular_aligned():
+    return family("random_singular", (-30, 30), {"insertions": [0]}, 1)
+
+
 # name -> (sequence builder, n_max, jrange or None for the default, tol)
 CASES = {
     "conjugated-constant": (lambda: _conj(), 40, (-6, 6), 1e-9),
@@ -118,14 +122,19 @@ CASES = {
     "random_bounded": (lambda: family("random_bounded", (-30, 30), seed=2), 40, None, 1e-9),
     "unitary": (lambda: family("unitary", (-20, 20), seed=3), 30, None, 1e-9),
     "unitary-angle": (lambda: family("unitary", (-20, 20), {"angle": 0.7}), 30, None, 1e-9),
-    "singular-aligned": (
-        lambda: family("random_singular", (-30, 30), {"insertions": [0]}, 1), 40, None, 1e-9),
+    "singular-aligned": (_singular_aligned, 40, None, 1e-9),
     "ap_family": (lambda: family("ap_family", (-15, 25), {"mu": 1e2}, 4), 30, (0, 10), 1e-9),
     # edge sites run out of room early, so the direction stage stops at layer 22
     "conjugated-edges": (lambda: family("conjugated_dominated", (-45, 45), seed=1), 40, None, 1e-9),
     "vanishing": (lambda: vanishing(_conj(1)), 40, None, 1e-9),
     "prescale-tiny": (lambda: scaled(_conj(2), 1e-150), 40, (-6, 6), 1e-9),
     "prescale-huge": (lambda: scaled(_conj(2), 1e150), 40, (-6, 6), 1e-9),
+    # just inside the prescale's band: no raw product is prescaled, so the
+    # sweep's Gram quadratic squares entries of about 1e-118 or 1e118
+    "band-tiny": (lambda: scaled(_conj(2), 1e-118), 40, (-6, 6), 1e-9),
+    "band-huge": (lambda: scaled(_conj(2), 1e118), 40, (-6, 6), 1e-9),
+    "singular-aligned-band-tiny": (lambda: scaled(_singular_aligned(), 1e-118), 40, None, 1e-9),
+    "singular-aligned-band-huge": (lambda: scaled(_singular_aligned(), 1e118), 40, None, 1e-9),
 }
 
 
@@ -184,6 +193,45 @@ def test_case_coverage():
     assert unitary.failed and not unitary.certs  # every layer degenerate
     tiny = CASES["prescale-tiny"][0]()
     assert max(abs(z) for z in (tiny[0].a, tiny[0].b, tiny[0].c, tiny[0].d)) < 1e-120
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(CASES) if "band" in name])
+def test_band_cases_escape_the_prescale(name):
+    """No raw product of a band-edge case takes a 2^k, and each layer's
+    largest entry is within a factor 1e4 of the band's edge."""
+    build, n_max, jrange, tol = CASES[name]
+    seq = build()
+    prescale = cocycle._prescale_rows
+    layers = []
+
+    def spied(z):
+        out = prescale(z)
+        layers.append((out[1], np.abs(z).max()))
+        return out
+
+    with mock.patch.object(cocycle, "_prescale_rows", spied):
+        estimate_fields(seq, jrange, n_max, tol)
+    assert len(layers) == n_max + 1 and all(k is None for k, _ in layers)
+    lo, hi = (1e-120, 1e-116) if "tiny" in name else (1e116, 1e120)
+    assert all(lo < top < hi for _, top in layers)
+
+
+@pytest.mark.parametrize("jrange", [None, (-6, 6)])
+def test_one_gram_per_layer(jrange):
+    """Each layer takes one Gram quadratic, of the raw product: sigma1, the
+    directions and the degeneracy test are all read off it."""
+    seq = _conj()
+    gram = cocycle._gram
+    calls = []
+
+    def counted(z):
+        calls.append(z.shape[1])
+        return gram(z)
+
+    with mock.patch.object(cocycle, "_gram", counted):
+        sweep = product_sweep(seq, 40, jrange, 1e-9)
+    assert calls == [len(seq) - n + 1 for n in range(1, 42)]
+    assert len(sweep.js) == (13 if jrange else 0)
 
 
 def test_misaligned_insertion_well_conditioned_part():
@@ -340,8 +388,7 @@ def subnormal_image():
 # name -> (sequence builder, n_max, jrange or None for the default)
 STAGE_CASES = {
     # E^s(0) lies on the kernel of the rank-one B(0): the kernel-hit fallback
-    "singular-aligned": (
-        lambda: family("random_singular", (-30, 30), {"insertions": [0]}, 1), 40, None),
+    "singular-aligned": (_singular_aligned, 40, None),
     # every B(j) rank one: the image-line fallback at every pair
     "rank-one": (lambda: rank_one_window(5), 10, None),
     "diagonal-kernel": (diagonal_with_kernel, 20, None),
