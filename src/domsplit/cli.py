@@ -184,8 +184,11 @@ def _family_params(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
-    # the audit's --mu is also the gap parameter of a family that takes one
+    # the audit's --mu is also the gap parameter of a family that takes one;
+    # a different mu in --params would build another sequence than the audit names
     if getattr(args, "mu", None) is not None and "mu" in family_params(args.family):
+        if "mu" in params and params["mu"] != args.mu:
+            raise InvalidSpec(f"--params mu {params['mu']!r} differs from --mu {args.mu!r}")
         params["mu"] = args.mu
     if getattr(args, "potential", None) is not None:
         pot = args.potential

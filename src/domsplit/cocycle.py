@@ -14,9 +14,10 @@ for every start j at once as numpy arrays, and is what the certificate and
 the avalanche audit run on.  Each of its layers takes one prescale and one
 Gram quadratic, of the raw product factor . core: log sigma1 is the
 accumulated log scale, and the directions and the degeneracy test are read
-off that raw product.  The scalar path stays as the per-site API and as the
-sweep's oracle.  The array stages use numpy's own complex arithmetic, hypot
-and log, so they agree with the scalar engine within 1e-12 relative to
+off that raw product.  One stopping rule runs over the s and u columns of
+every site.  The scalar path stays as the per-site API and as the sweep's
+oracle.  The array stages use numpy's own complex arithmetic, complex modulus,
+hypot and log, so they agree with the scalar engine within 1e-12 relative to
 max(1, |x|), not bit for bit.
 """
 
@@ -135,7 +136,7 @@ class MatrixSequence:
             # the scalar checks see only the entries the stack cannot vouch for
             bad = ~(_screen(factors) < bound_M * (1.0 - 1e-12))
             if bad.any():
-                flagged = set((lo + np.flatnonzero(bad)).tolist())
+                flagged = {lo + i for i in np.flatnonzero(bad).tolist()}  # j may pass int64
                 _check_entries(((j, m) for j, m in entries.items() if j in flagged), bound_M)
         else:  # not stackable as numbers (a string, an int beyond float range)
             _check_entries(entries.items(), bound_M)
@@ -549,6 +550,8 @@ def _project(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
     """``project`` over arrays of vectors (v0, v1): the canonical unit
     representatives as a (2, K) array, each within rounding of the scalar
     function's.  Raises ZeroVector if any vector is zero."""
+    if not len(v0):  # a sweep without sites, as the avalanche audit runs it
+        return np.empty((2, 0), dtype=complex)
     with np.errstate(over="ignore"):  # an inf norm is taken again after the rescue
         norm = np.hypot(np.abs(v0), np.abs(v1))
     if (norm <= _VEC_ZERO_TOL).any():
@@ -583,13 +586,19 @@ def _mul_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _gram(z: np.ndarray):
     """The Gram-matrix quadratic of ``singular_values`` over a (4, m) stack
-    of matrices [[a, b], [c, d]]: (p, r, q, |q|, sigma1^2, sigma1)."""
+    of matrices [[a, b], [c, d]]: (p, r, q, |q|, sigma1^2, sigma1).  The
+    root hypot(p - r, 2|q|) is taken as the modulus of the complex number
+    (p - r) + 2|q| i, which numpy computes without overflow, within 2 ulp of
+    hypot and at a fraction of its cost."""
     a2 = z.real * z.real + z.imag * z.imag
     p = a2[0] + a2[2]
     r = a2[1] + a2[3]
     q = np.conj(z[0]) * z[1] + np.conj(z[2]) * z[3]
     aq = np.abs(q)
-    s1sq = 0.5 * (p + r + np.hypot(p - r, 2.0 * aq))
+    root = np.empty(len(p), dtype=complex)
+    np.subtract(p, r, out=root.real)
+    np.multiply(aq, 2.0, out=root.imag)
+    s1sq = 0.5 * (p + r + np.abs(root))
     return p, r, q, aq, s1sq, np.sqrt(s1sq)
 
 
@@ -627,6 +636,15 @@ def _sigma2(z: np.ndarray, s1: np.ndarray) -> np.ndarray:
     adet = np.abs(a * d - b * c)
     with np.errstate(invalid="ignore", divide="ignore"):  # sigma1 = 0 rows
         return np.where(adet > DET_REL_TOL * s1 * s1, np.minimum(adet / s1, s1), 0.0)
+
+
+def _degenerate(p: np.ndarray, r: np.ndarray, s1sq: np.ndarray) -> np.ndarray:
+    """The degeneracy test sigma1 - sigma2 <= t sigma1 of ``svd2``, with t =
+    DEGENERATE_REL_TOL, read off a ``_gram`` quadratic without a det: it
+    holds iff sigma1^2 - sigma2^2, which is 2 sigma1^2 - p - r, is at most
+    t (2 - t) sigma1^2.  True on zero rows."""
+    t = DEGENERATE_REL_TOL
+    return 2.0 * s1sq - p - r <= t * (2.0 - t) * s1sq
 
 
 # max |entry| of a row lies in [s, sqrt(2) s] for s its largest real or
@@ -707,23 +725,25 @@ def _log_abs_dets(z: np.ndarray) -> np.ndarray:
 
 
 class _DirectionRuns:
-    """The Cauchy stopping rule of ``_direction_run`` for one side (s or u)
-    at K sites at once: per-site run counters, the point opening the current
-    run, and every consecutive distance.  Layer n is fed by ``advance``."""
+    """The Cauchy stopping rule of ``_direction_run`` over W columns at once,
+    each one side (s or u) of one site: per-column run counters, the point
+    opening the current run, and every consecutive distance.  Layer n is fed
+    by one ``advance``, which updates that state in place."""
 
-    def __init__(self, n_sites: int, n_max: int):
-        self.run = np.zeros(n_sites, dtype=np.int64)
-        self.done = np.zeros(n_sites, dtype=bool)  # stopped, vanished or out of room
-        self.n_star = np.full(n_sites, -1, dtype=np.int64)
-        self.prev_ok = np.zeros(n_sites, dtype=bool)  # prev holds a point
-        self.prev = (np.zeros(n_sites, dtype=complex), np.zeros(n_sites, dtype=complex))
-        self.cand = (np.zeros(n_sites, dtype=complex), np.zeros(n_sites, dtype=complex))
-        self.steps = np.full((n_max, n_sites), np.nan)  # [n - 1]: d(pt_{n-1}, pt_n)
+    def __init__(self, width: int, n_max: int):
+        self.run = np.zeros(width, dtype=np.int64)
+        self.done = np.zeros(width, dtype=bool)  # stopped, vanished or out of room
+        self.n_star = np.full(width, -1, dtype=np.int64)
+        self.prev_ok = np.zeros(width, dtype=bool)  # prev holds a point
+        self.prev = np.zeros((2, width), dtype=complex)
+        self.cand = np.zeros((2, width), dtype=complex)
+        self.steps = np.full((n_max, width), np.nan)  # [n - 1]: d(pt_{n-1}, pt_n)
 
-    def advance(self, n, room, vanished, degenerate, x, y, tol):
-        """Layer n at each site: room says the site may look at depth n; x, y
-        is its unit direction, meaningful where neither flag is set.  Room
-        only shrinks as n grows, so a site without it is done."""
+    def advance(self, n, room, vanished, degenerate, pts, tol):
+        """Layer n at each column: room says the column may look at depth n;
+        pts is its unit direction as a (2, W) array, meaningful where neither
+        flag is set.  Room only shrinks as n grows, so a column without it is
+        done."""
         self.done |= ~room
         live = ~self.done
         # the scalar scan raises ProductVanished before it reads this layer
@@ -731,32 +751,17 @@ class _DirectionRuns:
         live &= ~vanished
         ok = live & ~degenerate
         step = ok & self.prev_ok
-        d = _dist(self.prev, (x, y))
-        if n >= 2:
-            self.steps[n - 1] = np.where(step, d, np.nan)
+        d = _dist(self.prev, pts)
+        np.copyto(self.steps[n - 1], d, where=step)
         close = step & (d < tol)
-        opening = close & (self.run == 0)
-        self.cand = tuple(np.where(opening, p, c) for p, c in zip(self.prev, self.cand))
-        self.run = np.where(close, self.run + 1, np.where(live, 0, self.run))
+        np.copyto(self.cand, self.prev, where=close & (self.run == 0))
+        np.copyto(self.run, 0, where=live & ~close)
+        self.run += close
         stop = close & (self.run >= 3)
-        self.n_star[stop] = n - 3
+        np.copyto(self.n_star, n - 3, where=stop)
         self.done |= stop
-        self.prev = tuple(np.where(ok, v, p) for v, p in zip((x, y), self.prev))
-        self.prev_ok = np.where(live, ok, self.prev_ok)
-
-    @property
-    def stopped(self) -> np.ndarray:
-        return self.n_star >= 0
-
-    def certified(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """At the stopped sites ks: the chosen points as a (2, K) array of
-        unit representatives, and the steps up to the stopping index as an
-        (n_max, K) array with nan past it."""
-        steps = self.steps[:, ks]
-        if not len(ks):  # a sweep without sites, as the avalanche audit runs it
-            return np.empty((2, 0), dtype=complex), steps
-        steps[np.arange(len(steps))[:, None] >= self.n_star[ks] + 3] = np.nan
-        return _project(self.cand[0][ks], self.cand[1][ks]), steps
+        np.copyto(self.prev, pts, where=ok)
+        np.copyto(self.prev_ok, ok, where=live)
 
 
 @dataclass(frozen=True)
@@ -844,14 +849,19 @@ def product_sweep(
     accumulated log scale, the sum of the raw products' log sigma1, and the
     directions and the degeneracy test are read off the raw product, since
     neither changes under the 2^k prescale or the 1/sigma1 renormalization.
-    Only O(L) core data is held at a time.  With a ``jrange`` the sweep also
-    runs ``estimate_splitting``'s stopping rule at its sites, to depth
-    n_max: s_n(j) is read from layer n at start j and u_n(j) from layer n at
-    start j - n, since B_n(j - n) is the forward product starting there.  A
-    site fails when either side runs out of room or its product vanishes at
-    or before the depth where its run stops.  The stopping rule runs until
-    every side of every site has stopped, vanished or run out of room; the
-    layers go on to n_max + 1.
+    The degeneracy test reads sigma2 off the quadratic too (``_degenerate``),
+    so a layer takes no determinant, and it takes no hypot for sigma1 or for
+    the norm of u.  Only O(L) core data is held at a time.  With a
+    ``jrange`` the sweep also runs ``estimate_splitting``'s stopping rule at
+    its sites, to depth n_max, as one rule over 2K columns, the s side of
+    each site and then its u side: s_n(j) is read from layer n at start j
+    and u_n(j) from layer n at start j - n, since B_n(j - n) is the forward
+    product starting there.  The s columns run on the top right singular
+    vector, whose complement is s_n(j) and has the same chordal steps; the
+    complement is taken only for the certified fields.  A site fails when
+    either side runs out of room or its product vanishes at or before the
+    depth where its run stops.  The stopping rule runs until every column
+    has stopped, vanished or run out of room; the layers go on to n_max + 1.
     """
     if n_max < 1:
         raise InvalidSpec(f"n_max must be at least 1, got {n_max}")
@@ -863,8 +873,13 @@ def product_sweep(
 
     sites = np.arange(jrange[0] - lo, jrange[1] - lo + 1) if jrange is not None else np.arange(0)
     n_sites = len(sites)
-    runs_s = _DirectionRuns(n_sites, n_max)
-    runs_u = _DirectionRuns(n_sites, n_max)
+    # one column per side of each site, s columns then u columns.  At layer n
+    # the s column of site j reads start j (s_n(j)) and its u column start
+    # j - n (u_n(j)); a column has room while n <= its depth.
+    runs = _DirectionRuns(2 * n_sites, n_max)
+    start = np.concatenate([sites, sites])
+    depth = np.concatenate([size - sites, sites])
+    unflagged = np.zeros(2 * n_sites, dtype=bool)
 
     log_s1 = [np.zeros(size + 1)]
     core = np.zeros((4, size), dtype=complex)
@@ -875,7 +890,7 @@ def product_sweep(
         raw = _mul_rows(factors[:, n - 1:n - 1 + m], core[:, :m])
         z, k, vanished = _prescale_rows(raw)
         p, r, q, aq, s1sq, s1 = _gram(z)
-        # sigma1 of raw, as a new array: s1 of z stays for the degeneracy test
+        # sigma1 of raw, 1 on vanished rows
         s1raw = np.where(vanished, 1.0, s1 if k is None else np.ldexp(s1, -k))
         inv = 1.0 / s1raw
         inv[vanished] = 0.0  # a vanished core stays zero, so the row stays vanished
@@ -883,29 +898,46 @@ def product_sweep(
         log_scale = log_scale[:m] + np.log(s1raw)
         log_s1.append(np.where(vanished, NEG_INF, log_scale))
 
-        if n > n_max or m == 0 or n_sites == 0 or (runs_s.done.all() and runs_u.done.all()):
+        if n > n_max or m == 0 or n_sites == 0 or runs.done.all():
             continue
-        # the direction and the sigma2/sigma1 test do not change under the 2^k
-        # prescale or the 1/sigma1 renormalisation, so z answers for core
-        degenerate = (s1 - _sigma2(z, s1)) <= DEGENERATE_REL_TOL * s1
+        # the directions and sigma2 / sigma1 do not change under the 2^k
+        # prescale or the 1/sigma1 renormalisation, so z's quadratic answers
+        # for core
+        degenerate = _degenerate(p, r, s1sq)
         v0, v1 = _right_vectors(p, r, q, aq, s1sq)
         ux, uy = _apply(core, v0, v1)
-        nu = np.hypot(np.abs(ux), np.abs(uy))
+
+        # past its room a column's start leaves 0 .. m - 1, and the gathers
+        # clip it: the column is done, so it reads any row
+        start[n_sites:] = sites - n
+        pts = np.empty((2, 2 * n_sites), dtype=complex)
+        for x, w in zip(pts, (v0, v1)):
+            w.take(sites, out=x[:n_sites], mode="clip")
+        # |core v| = sigma1(core) = 1 wherever the row has not vanished, so the
+        # sum of its squared parts cannot over- or underflow
+        u = pts[:, n_sites:]
+        for x, w in zip(u, (ux, uy)):
+            w.take(start[n_sites:], out=x, mode="clip")
+        nu = np.sqrt((u.real * u.real + u.imag * u.imag).sum(axis=0))
         nu[nu == 0.0] = 1.0
-        ux, uy = ux / nu, uy / nu
-        sx, sy = -np.conj(v1), np.conj(v0)
+        u *= 1.0 / nu
+        runs.advance(n, depth >= n,
+                     vanished.take(start, mode="clip") if vanished.any() else unflagged,
+                     degenerate.take(start, mode="clip") if degenerate.any() else unflagged,
+                     pts, tol)
 
-        rows = np.minimum(sites, m - 1)
-        runs_s.advance(n, sites < m, vanished[rows], degenerate[rows], sx[rows], sy[rows], tol)
-        rows = np.maximum(sites - n, 0)
-        runs_u.advance(n, sites >= n, vanished[rows], degenerate[rows], ux[rows], uy[rows], tol)
-
-    converged = runs_s.stopped & runs_u.stopped
+    converged = (runs.n_star >= 0).reshape(2, n_sites).all(axis=0)
     ks = np.flatnonzero(converged)
-    es_vec, s_steps = runs_s.certified(ks)
-    eu_vec, u_steps = runs_u.certified(ks)
-    n_star = np.stack([runs_s.n_star[ks], runs_u.n_star[ks]])
-    steps = np.concatenate([s_steps, u_steps], axis=1)
+    cols = (ks + n_sites * np.arange(2)[:, None]).ravel()  # s columns, then u columns
+    # a column records no step once its run stops, so past n* + 2 its steps
+    # are nan already
+    cand, steps = runs.cand[:, cols], runs.steps[:, cols]
+    n_star = runs.n_star[cols].reshape(2, -1)
+    n_conv = len(ks)
+    # the s columns ran on the top right singular vector v; E^s is its
+    # complement, whose chordal steps are the same bits, as conj is exact
+    es_vec = _project(-np.conj(cand[1, :n_conv]), np.conj(cand[0, :n_conv]))
+    eu_vec = _project(cand[0, n_conv:], cand[1, n_conv:])
     failed = [lo + int(o) for o in sites[~converged]]
     return ProductSweep((lo, hi), n_max, log_s1, jrange, tol, failed,
                         lo + sites[ks], es_vec, eu_vec, n_star, steps, factors)

@@ -3,7 +3,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domsplit import (
@@ -287,6 +287,21 @@ class TestAp:
         code, _, _ = run(capsys, "ap", "--family", "unitary", "--params", '{"angle": 0.4}',
                          "--window", "0", "20", "--mu", "10")
         assert code == 1
+
+    @pytest.mark.parametrize("params, code", [
+        ('{"mu": 1e3}', 2),  # once built the sequence at --mu 1e4, silently
+        ('{"mu": "x"}', 2),
+        ('{"mu": 1e4}', 0),
+        ('{"mu": 10000}', 0),
+    ])
+    def test_params_mu_must_match_mu(self, capsys, params, code):
+        got, out, err = run(capsys, "ap", "--family", "ap_family", "--params", params,
+                            "--window", "0", "30", "--mu", "1e4", "--nmax", "10")
+        assert got == code
+        if code == 2:
+            assert out == ""
+            mu = repr(json.loads(params)["mu"])
+            assert err == f"domsplit ap: --params mu {mu} differs from --mu 10000.0\n"
 
     def test_nmax_below_three_exit2(self, capsys):
         code, _, _ = run(capsys, "ap", "--family", "diagonal", "--window", "0", "20",
@@ -722,6 +737,9 @@ class TestDocumentFuzz:
 
     @settings(max_examples=300, deadline=None)
     @given(_sequence_docs() | _JSON)
+    # a flagged entry at a j past int64 once overflowed numpy's index arithmetic
+    @example(doc={"window": [2 ** 63, 2 ** 63], "bound_M": 100.0,
+                  "entries": [{"j": 2 ** 63, "m": [[0.0, 0.0]] * 4}]})
     def test_sequence_document(self, doc):
         try:
             MatrixSequence.from_json_dict(doc)

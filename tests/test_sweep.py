@@ -44,7 +44,7 @@ from domsplit import (
 from domsplit import ap_report, cocycle
 from domsplit.cocycle import _apply, _fit_rates, _project
 from domsplit.conditions import _certificate, _gap_search
-from domsplit.matrix2c import ENTRY_ZERO_TOL
+from domsplit.matrix2c import DEGENERATE_REL_TOL, ENTRY_ZERO_TOL
 
 from conftest import rank_one_window, vanishing
 
@@ -228,7 +228,9 @@ def test_one_gram_per_layer(jrange):
         calls.append(z.shape[1])
         return gram(z)
 
-    with mock.patch.object(cocycle, "_gram", counted):
+    # the degeneracy test reads the quadratic too, so no layer takes a det
+    with mock.patch.object(cocycle, "_gram", counted), \
+            mock.patch.object(cocycle, "_sigma2", side_effect=AssertionError("det taken")):
         sweep = product_sweep(seq, 40, jrange, 1e-9)
     assert calls == [len(seq) - n + 1 for n in range(1, 42)]
     assert len(sweep.js) == (13 if jrange else 0)
@@ -748,7 +750,7 @@ def test_direction_stage_stops_when_every_side_is_done():
 
     with mock.patch.object(cocycle._DirectionRuns, "advance", counted):
         sweep = estimate_fields(seq, None, 40, 1e-9)
-    assert layers == [n for n in range(1, max(layers) + 1) for _ in "su"]
+    assert layers == list(range(1, max(layers) + 1))
     assert max(layers) == sweep.n_star.max() + 3 == 22
     assert len(sweep.log_s1) == 42 and len(sweep.js) == 50
 
@@ -786,3 +788,113 @@ def test_right_vectors_match_moduli(z):
     got = cocycle._right_vectors(p, r, q, aq, s1sq)
     want = three_hypot_right_vectors(p, r, q, s1sq)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+# -- the Gram quadratic's root and the degeneracy test read off it ------------
+
+
+def det_degenerate(z):
+    """The degeneracy test as ``svd2`` takes it, sigma1 - sigma2 <= t sigma1
+    with sigma2 from the determinant, and the relative gap (sigma1 - sigma2)
+    / sigma1 it compares with t; nan on zero rows."""
+    s1 = cocycle._gram(z)[-1]
+    s2 = cocycle._sigma2(z, s1)
+    with np.errstate(invalid="ignore"):
+        return (s1 - s2) <= DEGENERATE_REL_TOL * s1, (s1 - s2) / s1
+
+
+def gram_degenerate(z):
+    p, r, _, _, s1sq, _ = cocycle._gram(z)
+    return cocycle._degenerate(p, r, s1sq)
+
+
+def near_threshold_rows():
+    """U diag(s, s (1 - t (1 + delta))) V* for random unitaries U, V: a
+    relative gap (1 + delta) t, within rounding of the threshold t but more
+    than 1e-6 t from it, at scales across the prescale's range."""
+    rng = np.random.default_rng(7)
+    t = DEGENERATE_REL_TOL
+    rows = []
+    for delta in (-1e-2, -1e-4, -1e-5, 1e-5, 1e-4, 1e-2):
+        for scale in (1e-119, 1e-40, 1.0, 3e70, 1e119):
+            q1, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            q2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            m = q1 @ np.diag([scale, scale * (1.0 - t * (1.0 + delta))]) @ q2.conj().T
+            rows.append((m.ravel(), delta < 0))
+    return np.array([m for m, _ in rows]).T.copy(), np.array([d for _, d in rows])
+
+
+def test_degeneracy_near_the_threshold():
+    z, want = near_threshold_rows()
+    got, _ = det_degenerate(z)
+    assert np.array_equal(gram_degenerate(z), want)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(stacks())
+def test_gram_degeneracy_matches_det(z):
+    """The Gram-form test agrees with the det form on every row whose relative
+    gap is more than 1e-6 relative from the threshold; both hold on zero
+    rows."""
+    z = cocycle._prescale_rows(z)[0]  # entries within the range a sweep's cores have
+    want, gap = det_degenerate(z)
+    got = gram_degenerate(z)
+    clear = np.abs(gap - DEGENERATE_REL_TOL) > 1e-6 * DEGENERATE_REL_TOL  # False on nan
+    assert np.array_equal(got[clear], want[clear])
+    zero = cocycle._gram(z)[-1] == 0.0
+    assert got[zero].all() and want[zero].all()
+
+
+# a complex number whose parts are nonzero, of either sign, within 1e+-50
+_PART = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-50.0, 50.0), st.sampled_from((1.0, -1.0)))
+_MODERATE = st.builds(complex, _PART, _PART)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(entries(), entries()), min_size=1, max_size=6),
+       st.lists(st.tuples(*[_MODERATE] * 4), min_size=1, max_size=6))
+def test_conformal_rows_degenerate_rank_one_rows_not(conformal, rank_one):
+    """Rows a U, U unitary, are exactly conformal: [[a, -conj b], [b, conj a]]
+    has Gram matrix (|a|^2 + |b|^2) I.  Rank-one rows (x, y)^T (w0, w1), and
+    exact ones with a zero row or column, have sigma2 ~ 0."""
+    def stack(rows):
+        return cocycle._prescale_rows(np.array(rows, dtype=complex).reshape(-1, 4).T.copy())[0]
+
+    assert gram_degenerate(stack([(a, -b.conjugate(), b, a.conjugate())
+                                  for a, b in conformal])).all()
+    rows = [(x * w0, x * w1, y * w0, y * w1) for x, y, w0, w1 in rank_one]
+    rows += [(x, y, 0j, 0j) for x, y, _, _ in rank_one]
+    rows += [(0j, x, 0j, y) for x, y, _, _ in rank_one]
+    assert not gram_degenerate(stack(rows)).any()
+
+
+def hypot_sigma1(z):
+    """sigma1 of ``_gram`` with its root taken by np.hypot."""
+    p, r, _, aq, _, _ = cocycle._gram(z)
+    return np.sqrt(0.5 * (p + r + np.hypot(p - r, 2.0 * aq)))
+
+
+def assert_sigma1_near_hypot(z):
+    got, want = cocycle._gram(z)[-1], hypot_sigma1(z)
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+
+
+@settings(max_examples=400, deadline=None)
+@given(stacks())
+def test_gram_sigma1_within_two_ulp_of_hypot(z):
+    assert_sigma1_near_hypot(cocycle._prescale_rows(z)[0])
+
+
+@pytest.mark.parametrize("scale", [1e-118, 1e118])
+def test_gram_sigma1_at_the_band_edges(scale):
+    """At the edges of the prescale's band the squared entries reach 1e+-236:
+    sigma1 stays finite and positive, and within 2 ulp of the hypot form."""
+    rng = np.random.default_rng(5)
+    z = (rng.normal(size=(4, 500)) + 1j * rng.normal(size=(4, 500))) * scale
+    z[:, 0] = [scale, 0.0, 0.0, -scale]  # p - r = 0
+    z[:, 1] = [scale, scale, 0.0, 0.0]  # rank one, |q| = p
+    assert cocycle._prescale_rows(z)[1] is None  # no row is prescaled
+    s1 = cocycle._gram(z)[-1]
+    assert np.all(np.isfinite(s1) & (s1 > 0.0))
+    assert_sigma1_near_hypot(z)
