@@ -200,6 +200,12 @@ class ApReport:
         j, n, r = _staircase_cells(*self.rows)
         return dict(zip(zip(j.tolist(), n.tolist()), r.tolist()))
 
+    def residual_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The j, n, residual and bound n mu^(-1/2) of every grid cell, as
+        arrays in (j, n) order."""
+        j, n, r = _staircase_cells(*self.rows)
+        return j, n, r, n * self.mu ** -0.5
+
     def to_json_dict(self, include_table: bool = False) -> dict:
         doc = {
             "mu": self.mu,
@@ -212,10 +218,8 @@ class ApReport:
             "passed": self.passed,
         }
         if include_table:
-            j, n, r = _staircase_cells(*self.rows)
-            bound = n * self.mu ** -0.5
-            doc["residuals"] = list(map(list, zip(j.tolist(), n.tolist(), r.tolist(),
-                                                  bound.tolist())))
+            doc["residuals"] = [list(e) for e in
+                                zip(*(a.tolist() for a in self.residual_columns()))]
         return doc
 
 

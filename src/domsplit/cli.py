@@ -12,10 +12,13 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .avalanche import RESIDUAL_ENVELOPE, ap_report
@@ -72,18 +75,21 @@ def _dump_json(doc: dict) -> str:
     strings "inf", "-inf" and "nan", so every report is strict JSON.
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
-    the small skeleton of a report is written in Python, and each grid (a
-    list of flat number rows, such as a ``--table``) in one pass of json's C
-    encoder, re-indented as text."""
+    the small skeleton of a report is written in Python, and each grid in
+    one pass over its columns: a table the CLI passes as ``_Columns`` straight
+    from the report's arrays, and a list of number rows transposed into
+    columns.  Both give the bytes json.dumps would."""
     out: list[str] = []
     _encode(doc, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-# Compact text of a grid: json's C encoder, which json.dumps uses without
-# indent.  A report is a tree, so the cycle check would only cost time.
-_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+class _Columns(tuple):
+    """A grid given as its columns, int or float arrays of one length: the
+    report holds the list of rows read across them."""
+
+    __slots__ = ()
 
 
 def _scalar(o) -> str | None:
@@ -110,15 +116,17 @@ def _encode(o, nl: str, out: list[str]) -> None:
     text = _scalar(o)
     if text is not None:
         out.append(text)
+    elif type(o) is _Columns:
+        out.append(_grid(list(map(_array_texts, o)), nl) if len(o[0]) else "[]")
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
-        inner = nl + "  "
-        grid = _grid(o, nl) if set(map(type, o)) == {list} else None
-        if grid is not None:
-            out.append(grid)
+        columns = _row_columns(o)
+        if columns is not None:
+            out.append(_grid(columns, nl))
             return
+        inner = nl + "  "
         sep = "[" + inner
         for item in o:
             out.append(sep)
@@ -146,23 +154,46 @@ def _encode(o, nl: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _grid(rows: list, nl: str) -> str | None:
-    """The indent=2 text of rows, a list of lists, at indentation nl; None
-    unless every row is a nonempty flat list of numbers, bools or None."""
-    text = _compact(rows)
-    # one "[" per row plus the outer one: no row nests a list
-    if '"' in text or "{" in text or "[]" in text or text.count("[") != len(rows) + 1:
+def _array_texts(a) -> list[str]:
+    """The JSON texts of the cells of an int or float array."""
+    if a.dtype.kind != "f":
+        lo = int(a.min())
+        span = int(a.max()) - lo + 1
+        if span > len(a):
+            return list(map(int.__repr__, a.tolist()))
+        # a column of few distinct values, such as j or n: each text once
+        texts = list(map(int.__repr__, range(lo, lo + span)))
+        return list(map(texts.__getitem__, (a - lo).tolist()))
+    texts = list(map(float.__repr__, a.tolist()))
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        texts[i] = f'"{texts[i]}"'  # repr names inf, -inf and nan
+    return texts
+
+
+def _row_columns(rows) -> list[list[str]] | None:
+    """The cell texts of a list of rows, column by column; None unless every
+    row is a list of one nonzero width and every cell an int or float."""
+    if (set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1 or not rows[0]
+            or not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
         return None
-    if "Infinity" in text or "NaN" in text:  # no strings here, so these are numbers
-        text = text.replace("-Infinity", '"-inf"').replace("Infinity", '"inf"')
-        text = text.replace("NaN", '"nan"')
+    return [list(map(_scalar, cells)) for cells in zip(*rows)]
+
+
+def _grid(columns: list[list[str]], nl: str) -> str:
+    """The indent=2 text, at indentation nl, of the rows read across the
+    columns of cell texts, all of one nonzero length."""
+    width, count = len(columns), len(columns[0])
     row, item = nl + "  ", nl + "    "
-    body = text[2:-2].replace(",", "," + item)
-    body = body.replace("]," + item + "[", row + "]," + row + "[" + item)
-    return "[" + row + "[" + item + body + row + "]" + nl + "]"
+    parts = ["," + item] * (2 * width * count + 1)
+    parts[0] = "[" + row + "[" + item
+    for c, texts in enumerate(columns):
+        parts[2 * c + 1::2 * width] = texts
+    parts[2 * width::2 * width] = [row + "]," + row + "[" + item] * count
+    parts[-1] = row + "]" + nl + "]"
+    return "".join(parts)
 
 
-def _csv_payload(rows: list[list], header: list[str]) -> str:
+def _csv_payload(rows, header: list[str]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -171,6 +202,9 @@ def _csv_payload(rows: list[list], header: list[str]) -> str:
 
 
 def _family_params(args) -> dict:
+    """--params with the family flags set on top.  A flag and a --params
+    key that give one param different values exit 2 naming both: either one
+    alone would build another sequence than the other names."""
     params: dict = {}
     if args.params:
         try:
@@ -180,16 +214,19 @@ def _family_params(args) -> dict:
         if not isinstance(extra, dict):
             raise InvalidSpec("--params must be a JSON object")
         params.update(extra)
+
+    def flag(key: str, value, name: str) -> None:
+        if key in params and params[key] != value:
+            raise InvalidSpec(f"--params {key} {params[key]!r} differs from {name} {value!r}")
+        params[key] = value
+
     for key in ("lplus", "lminus", "energy", "theta"):
         val = getattr(args, key, None)
         if val is not None:
-            params[key] = val
-    # the audit's --mu is also the gap parameter of a family that takes one;
-    # a different mu in --params would build another sequence than the audit names
+            flag(key, val, f"--{key}")
+    # the audit's --mu is also the gap parameter of a family that takes one
     if getattr(args, "mu", None) is not None and "mu" in family_params(args.family):
-        if "mu" in params and params["mu"] != args.mu:
-            raise InvalidSpec(f"--params mu {params['mu']!r} differs from --mu {args.mu!r}")
-        params["mu"] = args.mu
+        flag("mu", args.mu, "--mu")
     if getattr(args, "potential", None) is not None:
         pot = args.potential
         if pot != "zeros":
@@ -198,13 +235,13 @@ def _family_params(args) -> dict:
             except json.JSONDecodeError:
                 with open(args.potential, "r", encoding="utf-8") as fh:
                     pot = json.load(fh)
-        params["potential"] = pot
+        flag("potential", pot, "--potential")
     if getattr(args, "insertions", None):
-        params["insertions"] = args.insertions
+        flag("insertions", args.insertions, "--insertions")
     if getattr(args, "misaligned", False):
-        params["misaligned"] = True
+        flag("misaligned", True, "--misaligned")
     if getattr(args, "rate_mode", None):
-        params["rate_mode"] = args.rate_mode
+        flag("rate_mode", args.rate_mode, "--rate-mode")
     if args.family == "diagonal":
         params.setdefault("lplus", 2.0)
         params.setdefault("lminus", 1.0)
@@ -346,7 +383,6 @@ def _cmd_profile(args, command: str) -> int:
     else:
         fit = fi_profile(seq, args.nmax, thresholds)
     cfg.update({"nmax": args.nmax, "epsilon": args.epsilon, "mu_min": args.mu_min})
-    result = fit.to_json_dict(include_table=args.table)
 
     fit_pts = sum(
         1 for n, v in fit.sup_log.items() if n >= fit.n_lo and math.isfinite(v)
@@ -361,6 +397,9 @@ def _cmd_profile(args, command: str) -> int:
         code = EXIT_FAIL
 
     if args.format == "json":
+        result = fit.to_json_dict()
+        if args.table:
+            result["table"] = _Columns(fit.table_columns())
         payload = _dump_json(_report_doc(command, cfg, result))
     elif args.format == "csv":
         rows = fit.sorted_table()
@@ -449,7 +488,10 @@ def _cmd_dom(args) -> int:
     cfg.update({"nmax": args.nmax, "tol": args.tol, "thresholds": thresholds.to_json_dict()})
 
     if args.format == "json":
-        result = report.to_json_dict(include_table=args.table)
+        result = report.to_json_dict()
+        if args.table:
+            result["svg"]["table"] = _Columns(report.svg.table_columns())
+            result["fi"]["table"] = _Columns(report.fi.table_columns())
         payload = _dump_json(_report_doc("dom", cfg, result))
     elif args.format == "csv":
         rows = report.svg.sorted_table()
@@ -490,12 +532,14 @@ def _cmd_ap(args) -> int:
     seq, cfg = _resolve_sequence(args)
     report = ap_report(seq, args.mu, args.nmax, envelope=args.envelope)
     cfg.update({"nmax": args.nmax, "mu": args.mu, "envelope": args.envelope})
-    result = report.to_json_dict(include_table=args.table)
 
     if args.format == "json":
+        result = report.to_json_dict()
+        if args.table:
+            result["residuals"] = _Columns(report.residual_columns())
         payload = _dump_json(_report_doc("ap", cfg, result))
     elif args.format == "csv":
-        rows = report.to_json_dict(include_table=True)["residuals"]
+        rows = zip(*(a.tolist() for a in report.residual_columns()))
         payload = _csv_payload(rows, ["j", "n", "residual", "bound"])
     else:
         lines = [

@@ -69,6 +69,9 @@ from .projective import (
 
 NEG_INF = float("-inf")
 _LN2 = math.log(2.0)
+# Largest |j| of a window.  The array stages hold sites as int64 and reach
+# j + n past a window's edge, so a window must keep clear of the int64 range.
+INDEX_BOUND = 2 ** 62
 
 
 def _as_index(x) -> int:
@@ -101,11 +104,12 @@ def _check_entries(items, bound_M: float) -> None:
 class MatrixSequence:
     """A finite window j -> B(j) of nonzero matrices with a uniform norm bound.
 
-    Entries are validated once at construction: every entry finite, every
-    matrix nonzero and sigma1(B(j)) < bound_M, with bound_M finite and
-    positive.  The checks run on the factor stack first; ``_check_entries``
-    then takes only the entries it flags, in insertion order, so an error is
-    the one that checking every entry in turn would raise.  ``factors``
+    Entries are validated once at construction: every |j| at most
+    INDEX_BOUND, every entry finite, every matrix nonzero and sigma1(B(j)) <
+    bound_M, with bound_M finite and positive.  The entry checks run on the
+    factor stack first; ``_check_entries`` then takes only the entries it
+    flags, in insertion order, so an error is the one that checking every
+    entry in turn would raise.  ``factors``
     holds the entries a, b, c, d of B(lo) .. B(hi) as a read-only (4, L)
     complex stack, which the array stages read B(j) from.  Instances are
     immutable and safe to share.
@@ -125,6 +129,9 @@ class MatrixSequence:
             raise InvalidSpec(f"bound_M must be finite and positive, got {bound_M}")
         js = sorted(entries)
         lo, hi = js[0], js[-1]
+        if lo < -INDEX_BOUND or hi > INDEX_BOUND:
+            raise InvalidSpec(f"window [{lo}, {hi}] reaches past the index bound "
+                              f"+-2^62 = +-{INDEX_BOUND}")
         if hi - lo + 1 != len(js):
             raise InvalidSpec("sequence window has gaps")
         self._entries = dict(entries)
@@ -136,7 +143,7 @@ class MatrixSequence:
             # the scalar checks see only the entries the stack cannot vouch for
             bad = ~(_screen(factors) < bound_M * (1.0 - 1e-12))
             if bad.any():
-                flagged = {lo + i for i in np.flatnonzero(bad).tolist()}  # j may pass int64
+                flagged = {lo + i for i in np.flatnonzero(bad).tolist()}
                 _check_entries(((j, m) for j, m in entries.items() if j in flagged), bound_M)
         else:  # not stackable as numbers (a string, an int beyond float range)
             _check_entries(entries.items(), bound_M)

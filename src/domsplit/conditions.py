@@ -89,12 +89,15 @@ class RateFit:
         ]
         return dict(zip(keys, np.concatenate(rows).tolist()))
 
+    def table_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The j, n and log ratio of every table cell, as arrays in (j, n)
+        order, read from ``rows`` without building the table."""
+        return _staircase_cells(*(self.rows or (0, 0, [])))
+
     def sorted_table(self) -> list[list]:
         """[[j, n, log ratio]] in (j, n) order, as ``sorted(table.items())``
-        would list them, read from ``rows`` without building the table."""
-        if not self.rows:
-            return []
-        return [list(e) for e in zip(*(a.tolist() for a in _staircase_cells(*self.rows)))]
+        would list them."""
+        return [list(e) for e in zip(*(a.tolist() for a in self.table_columns()))]
 
     def to_json_dict(self, include_table: bool = False) -> dict:
         doc = {

@@ -2,6 +2,7 @@ import json
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from domsplit import (
     GeneratorSpec,
     InvalidSpec,
+    Mat2C,
     MatrixSequence,
     build_with_truth,
     dist,
@@ -17,7 +19,7 @@ from domsplit import (
     invariance_residual,
     load_sequence,
 )
-from domsplit import cli, cocycle
+from domsplit import DomsplitError, cli, cocycle
 from domsplit.cli import _dump_json, main
 from domsplit.generators import FAMILIES
 
@@ -475,6 +477,53 @@ class TestBoundaryValidation:
         code, _, _ = run(capsys, "svg", "--input", str(path), "--nmax", "3")
         assert code == 2
 
+    VERBS = [("dom",), ("dom", "--format", "json", "--table"), ("svg", "--format", "csv"),
+             ("fi",), ("split",), ("ap", "--mu", "100", "--format", "json", "--table")]
+
+    @staticmethod
+    def _window_at(tmp_path, lo):
+        """A 30-site conjugated_dominated document moved to start at lo."""
+        seq, _ = build_with_truth(GeneratorSpec("conjugated_dominated", (0, 29), {}, 1))
+        path = tmp_path / "far.json"
+        dump_sequence(MatrixSequence({lo + j: seq[j] for j in seq.indices()}, seq.bound_M),
+                      str(path))
+        return str(path)
+
+    # a window past int64 once loaded, and then every verb overflowed the
+    # sweep's site arithmetic (exit 3, internal error)
+    @pytest.mark.parametrize("lo", [2 ** 63, -(2 ** 63) - 40, 2 ** 62 - 28, -(2 ** 62) - 1])
+    @pytest.mark.parametrize("verb", VERBS, ids=" ".join)
+    def test_window_past_index_bound_exit2(self, tmp_path, capsys, lo, verb):
+        doc = {"window": [lo, lo + 29], "bound_M": 3.0,
+               "entries": [_entry(j) for j in range(lo, lo + 30)]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, verb[0], "--input", str(path), "--nmax", "10", *verb[1:])
+        assert code == 2 and out == ""
+        assert err == (f"domsplit {verb[0]}: window [{lo}, {lo + 29}] reaches past the "
+                       f"index bound +-2^62 = +-{cocycle.INDEX_BOUND}\n")
+
+    @pytest.mark.parametrize("lo", [2 ** 62 - 29, -(2 ** 62)])
+    @pytest.mark.parametrize("verb", VERBS, ids=" ".join)
+    def test_window_at_index_bound_runs(self, tmp_path, capsys, lo, verb):
+        code, out, err = run(capsys, verb[0], "--input", self._window_at(tmp_path, lo),
+                             "--nmax", "10", *verb[1:])
+        assert code in (0, 1, 3) and out and err == ""
+
+    @pytest.mark.parametrize("window", [(2 ** 62 - 28, 2 ** 62 + 1),
+                                        (-(2 ** 62) - 1, -(2 ** 62) + 28)])
+    def test_generated_window_past_index_bound_exit2(self, capsys, window):
+        code, out, err = run(capsys, "dom", "--family", "example1",
+                             "--window", *map(str, window), "--nmax", "10")
+        assert code == 2 and out == "" and "index bound" in err
+
+    def test_restrict_at_index_bound(self):
+        lo = -(2 ** 62)
+        seq = MatrixSequence({j: Mat2C(2.0, 0.0, 0.0, 1.0) for j in range(lo, lo + 5)}, 4.0)
+        assert seq.restrict(lo, lo + 1).window == (lo, lo + 1)
+        with pytest.raises(InvalidSpec, match="index bound"):
+            MatrixSequence({lo - 1: Mat2C(2.0, 0.0, 0.0, 1.0)}, 4.0)
+
     @pytest.mark.parametrize("verb,nmax", [("svg", "0"), ("fi", "0"), ("dom", "0"),
                                            ("dom", "-3"), ("split", "0")])
     def test_nmax_below_one_exit2(self, capsys, verb, nmax):
@@ -571,6 +620,50 @@ class TestBoundaryValidation:
         assert gen("false", "--params", '{"insertions": [0], "misaligned": false}') == default
         assert gen("true", "--params", '{"insertions": [0], "misaligned": true}') == flag
         assert flag != default
+
+    # each flag once overwrote a different value of --params silently
+    @pytest.mark.parametrize("family, params, flag, message", [
+        ("diagonal", '{"lplus": 3}', ("--lplus", "5"), "lplus 3 differs from --lplus 5.0"),
+        ("diagonal", '{"lminus": 0.5}', ("--lminus", "0.25"),
+         "lminus 0.5 differs from --lminus 0.25"),
+        ("schrodinger", '{"energy": 1}', ("--energy", "2"), "energy 1 differs from --energy 2.0"),
+        ("schrodinger", '{"potential": "zeros"}', ("--potential", "[1, -1, 0]"),
+         "potential 'zeros' differs from --potential [1, -1, 0]"),
+        ("conjugated_dominated", '{"theta": 0.3}', ("--theta", "0.4"),
+         "theta 0.3 differs from --theta 0.4"),
+        ("conjugated_dominated", '{"rate_mode": "constant"}', ("--rate-mode", "perstep"),
+         "rate_mode 'constant' differs from --rate-mode 'perstep'"),
+        ("random_singular", '{"insertions": [0]}', ("--insertions", "1"),
+         "insertions [0] differs from --insertions [1]"),
+        ("random_singular", '{"insertions": [0], "misaligned": false}', ("--misaligned",),
+         "misaligned False differs from --misaligned True"),
+    ])
+    def test_family_flag_differs_from_params_exit2(self, tmp_path, capsys, family, params,
+                                                   flag, message):
+        code, out, err = run(capsys, "gen", "--family", family, "--window", "0", "2",
+                             "--params", params, *flag, "--out", str(tmp_path / "o.json"))
+        assert code == 2 and out == ""
+        assert err == f"domsplit gen: --params {message}\n"
+
+    @pytest.mark.parametrize("family, params, flag", [
+        ("diagonal", '{"lplus": 3}', ("--lplus", "3")),
+        ("diagonal", '{"lminus": 0.5}', ("--lminus", "0.5")),
+        ("schrodinger", '{"energy": 1}', ("--energy", "1.0")),
+        ("schrodinger", '{"potential": [1, -1, 0]}', ("--potential", "[1, -1, 0]")),
+        ("conjugated_dominated", '{"theta": 0.3}', ("--theta", "0.3")),
+        ("conjugated_dominated", '{"rate_mode": "constant"}', ("--rate-mode", "constant")),
+        ("random_singular", '{"insertions": [0, 2]}', ("--insertions", "0", "2")),
+        ("random_singular", '{"insertions": [0], "misaligned": true}', ("--misaligned",)),
+    ])
+    def test_family_flag_equal_to_params_runs(self, tmp_path, capsys, family, params, flag):
+        def entries(name, *extra):
+            path = tmp_path / f"{name}.json"
+            code, _, err = run(capsys, "gen", "--family", family, "--window", "0", "2",
+                               "--params", params, *extra, "--out", str(path))
+            assert code == 0, err
+            return json.loads(path.read_text())["entries"]
+
+        assert entries("both", *flag) == entries("params")
 
     def test_params_not_an_object_exit2(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--family", "diagonal", "--window", "0", "3",
@@ -788,6 +881,46 @@ def _refuse(token):
     raise ValueError(f"non-JSON token {token}")
 
 
+_CELLS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                                          1e16, 1e22, -1e22])
+_INTS = st.integers(-(2 ** 63), 2 ** 63 - 1) | st.integers(-3, 3)
+
+
+@st.composite
+def _column_grids(draw):
+    """Int and float columns of one length, which may be 0."""
+    count = draw(st.integers(0, 6))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from([np.int64, np.float64]), min_size=1, max_size=4)):
+        cells = _CELLS if kind is np.float64 else _INTS
+        columns.append(np.array(draw(st.lists(cells, min_size=count, max_size=count)),
+                                dtype=kind))
+    return columns
+
+
+def _library_tables(argv):
+    """{key: rows} of the grids that the library gives for ``argv --table``."""
+    from domsplit import ap_report, check_domination, fi_profile, svg_profile
+    from domsplit.conditions import Thresholds
+
+    args = cli._build_parser().parse_args(argv)
+    seq, _ = cli._resolve_sequence(args)
+    if args.command == "ap":
+        return {"residuals": ap_report(seq, args.mu, args.nmax).to_json_dict(True)["residuals"]}
+    if args.command == "dom":
+        rep = check_domination(seq, Thresholds(n_max=args.nmax), jrange=args.jrange)
+        return {"svg": rep.svg.sorted_table(), "fi": rep.fi.sorted_table()}
+    profile = svg_profile if args.command == "svg" else fi_profile
+    return {"table": profile(seq, args.nmax).sorted_table()}
+
+
+def _report_tables(result, verb):
+    """The --table grids of a report's result, keyed as ``_library_tables``."""
+    if verb == "dom":
+        return {"svg": result["svg"]["table"], "fi": result["fi"]["table"]}
+    return {"residuals": result["residuals"]} if verb == "ap" else {"table": result["table"]}
+
+
 class TestReportEncoder:
     """``_dump_json`` writes what json.dumps(indent=2, sort_keys=True) writes,
     except that non-finite floats are named strings."""
@@ -808,6 +941,19 @@ class TestReportEncoder:
         doc = {"g": [[1, math.inf], [-math.inf, math.nan, True, None], [-0.0]]}
         assert _dump_json(doc) == json.dumps({"g": [
             [1, "inf"], ["-inf", "nan", True, None], [-0.0]]}, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_column_grids(), st.integers(0, 2))
+    @example(columns=[np.array([-1, 0, 2]), np.array([3, 3, 2 ** 62]),
+                      np.array([math.inf, -0.0, math.nan]), np.array([1e22, 5e-324, 1e16])],
+             depth=1)
+    @example(columns=[np.array([], dtype=np.int64), np.array([])], depth=1)
+    def test_columns_match_json_of_rows(self, columns, depth):
+        rows = [list(r) for r in zip(*(c.tolist() for c in columns))]
+        doc, want = cli._Columns(columns), rows
+        for _ in range(depth):
+            doc, want = {"t": [doc]}, {"t": [want]}
+        assert _dump_json(doc) == json.dumps(_named(want), sort_keys=True, indent=2) + "\n"
 
     def test_unserialisable_values_raise(self):
         with pytest.raises(TypeError):
@@ -833,6 +979,8 @@ class TestReportEncoder:
         doc = json.loads(out, parse_constant=_refuse)
         assert _dump_json(doc) == out
         assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out
+        if argv[0] != "split":  # the grids the CLI writes from columns
+            assert _report_tables(doc["result"], argv[0]) == _library_tables(argv)
 
 
 class TestStrictJson:
@@ -859,6 +1007,23 @@ class TestStrictJson:
                              "--table")
         assert code in (0, 1, 3) and out, err
         json.loads(out, parse_constant=_refuse)
+
+    @pytest.mark.parametrize("verb", [("dom",), ("svg",), ("fi",),
+                                      ("ap", "--mu", "100", "--nmax", "10")], ids=lambda v: v[0])
+    def test_table_round_trip(self, capsys, window, verb):
+        path, extra = window
+        argv = [*verb, "--input", path, *extra]
+        try:
+            want = {k: _named(v) for k, v in _library_tables(argv).items()}
+        except DomsplitError:  # a vanished pair product: no report
+            want = None
+        code, out, err = run(capsys, *argv, "--format", "json", "--table")
+        if want is None:
+            assert code == 3 and out == "" and err
+            return
+        assert code in (0, 1, 3) and out, err
+        assert _dump_json(json.loads(out)) == out
+        assert _report_tables(json.loads(out)["result"], verb[0]) == want
 
     def test_ap_report_is_strict(self, tmp_path, capsys):
         from domsplit import dump_sequence
