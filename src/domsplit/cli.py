@@ -201,6 +201,18 @@ def _csv_payload(rows, header: list[str]) -> str:
     return buf.getvalue()
 
 
+def _same_param(x, y) -> bool:
+    """x == y, except that a bool equals only a bool, also inside lists and
+    tables: JSON's true is not the number 1."""
+    if isinstance(x, bool) or isinstance(y, bool):
+        return type(x) is type(y) and x == y
+    if isinstance(x, list) and isinstance(y, list):
+        return len(x) == len(y) and all(map(_same_param, x, y))
+    if isinstance(x, dict) and isinstance(y, dict):
+        return x.keys() == y.keys() and all(_same_param(v, y[k]) for k, v in x.items())
+    return x == y
+
+
 def _family_params(args) -> dict:
     """--params with the family flags set on top.  A flag and a --params
     key that give one param different values exit 2 naming both: either one
@@ -216,7 +228,7 @@ def _family_params(args) -> dict:
         params.update(extra)
 
     def flag(key: str, value, name: str) -> None:
-        if key in params and params[key] != value:
+        if key in params and not _same_param(params[key], value):
             raise InvalidSpec(f"--params {key} {params[key]!r} differs from {name} {value!r}")
         params[key] = value
 

@@ -11,14 +11,19 @@ log domain far below the entrywise noise floor of the core determinant.
 Two engines share that recurrence.  ``ScaledProduct`` and the scans build
 one product at a time from ``Mat2C`` values; ``product_sweep`` builds depth n
 for every start j at once as numpy arrays, and is what the certificate and
-the avalanche audit run on.  Each of its layers takes one prescale and one
-Gram quadratic, of the raw product factor . core: log sigma1 is the
-accumulated log scale, and the directions and the degeneracy test are read
-off that raw product.  One stopping rule runs over the s and u columns of
-every site.  The scalar path stays as the per-site API and as the sweep's
-oracle.  The array stages use numpy's own complex arithmetic, complex modulus,
-hypot and log, so they agree with the scalar engine within 1e-12 relative to
-max(1, |x|), not bit for bit.
+the avalanche audit run on.  Each of its layers takes one Gram quadratic,
+of the raw product factor . core: log sigma1 is the accumulated log scale,
+and the directions and the degeneracy test are read off that raw product.
+The 2^k prescale of the raw product runs only on windows with a factor
+outside the band sigma1 < 1e100, sigma2 > 1e-100, which ``MatrixSequence``
+decides once at construction: a core has sigma1 = 1, so sigma1(B . core)
+lies in [sigma2(B), sigma1(B)], and no layer of an in-band window can leave
+the prescale's band (1e-120, 1e120) or vanish.  Every layer writes into
+buffers allocated once per sweep.  One stopping rule runs over the s and u
+columns of every site.  The scalar path stays as the per-site API and as the
+sweep's oracle.  The array stages use numpy's own complex arithmetic,
+complex modulus, hypot and log, so they agree with the scalar engine within
+1e-12 relative to max(1, |x|), not bit for bit.
 """
 
 from __future__ import annotations
@@ -111,11 +116,14 @@ class MatrixSequence:
     flags, in insertion order, so an error is the one that checking every
     entry in turn would raise.  ``factors``
     holds the entries a, b, c, d of B(lo) .. B(hi) as a read-only (4, L)
-    complex stack, which the array stages read B(j) from.  Instances are
-    immutable and safe to share.
+    complex stack, which the array stages read B(j) from.  ``in_band`` says
+    whether every factor has sigma1 < BAND_EDGE and sigma2 > 1 / BAND_EDGE,
+    from the same stacked screen; on such a window ``product_sweep`` takes
+    no 2^k prescale, since sigma1(B . core) lies in [sigma2(B), sigma1(B)]
+    for a core of sigma1 = 1.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("_entries", "_lo", "_hi", "bound_M", "source", "factors")
+    __slots__ = ("_entries", "_lo", "_hi", "bound_M", "source", "factors", "in_band")
 
     def __init__(
         self,
@@ -138,18 +146,22 @@ class MatrixSequence:
         mats = map(self._entries.__getitem__, range(lo, hi + 1))
         rows = [(m.a, m.b, m.c, m.d) for m in mats]
         factors = np.array(rows)
+        in_band = False
         if factors.dtype.kind in "biufc":
             factors = np.ascontiguousarray(factors.T, dtype=complex)
+            s1, s2 = _screen(factors)
             # the scalar checks see only the entries the stack cannot vouch for
-            bad = ~(_screen(factors) < bound_M * (1.0 - 1e-12))
+            bad = ~(s1 < bound_M * (1.0 - 1e-12))
             if bad.any():
                 flagged = {lo + i for i in np.flatnonzero(bad).tolist()}
                 _check_entries(((j, m) for j, m in entries.items() if j in flagged), bound_M)
+            in_band = bool((s1 < BAND_EDGE).all() and (s2 > 1.0 / BAND_EDGE).all())  # nan: out
         else:  # not stackable as numbers (a string, an int beyond float range)
             _check_entries(entries.items(), bound_M)
             factors = np.array(rows, dtype=complex).T.copy()
         self.factors = factors
         self.factors.flags.writeable = False
+        self.in_band = in_band
         self._lo, self._hi = lo, hi
         self.bound_M = float(bound_M)
         self.source = source
@@ -581,14 +593,20 @@ def _project(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mul_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _mul_rows(x: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The products x . z over (4, m) stacks of matrices [[a, b], [c, d]],
     each entry summed as ``mul`` sums it: one broadcast product per row pair
-    of x against the rows (a, b) and (c, d) of z."""
+    of x against the rows (a, b) and (c, d) of z.  Written into ``out``, a
+    C-contiguous (4, m) array, when given."""
     m = z.shape[1]
     x = x.reshape(2, 2, 1, m)
     z = z.reshape(2, 2, m)
-    return (x[:, 0] * z[0] + x[:, 1] * z[1]).reshape(4, m)
+    if out is None:
+        out = np.empty((4, m), dtype=complex)
+    prod = out.reshape(2, 2, m)
+    np.multiply(x[:, 0], z[0], out=prod)
+    prod += x[:, 1] * z[1]
+    return out
 
 
 def _gram(z: np.ndarray):
@@ -597,10 +615,13 @@ def _gram(z: np.ndarray):
     root hypot(p - r, 2|q|) is taken as the modulus of the complex number
     (p - r) + 2|q| i, which numpy computes without overflow, within 2 ulp of
     hypot and at a fraction of its cost."""
-    a2 = z.real * z.real + z.imag * z.imag
-    p = a2[0] + a2[2]
-    r = a2[1] + a2[3]
-    q = np.conj(z[0]) * z[1] + np.conj(z[2]) * z[3]
+    z = np.ascontiguousarray(z)
+    parts = z.view(float)  # Re, Im interleaved along each row
+    sq = parts * parts
+    a2 = sq[:, 0::2] + sq[:, 1::2]  # |a|^2, |b|^2, |c|^2, |d|^2
+    p, r = a2[:2] + a2[2:]  # p = |a|^2 + |c|^2, r = |b|^2 + |d|^2
+    cz = np.conj(z[0::2]) * z[1::2]  # conj(a) b, conj(c) d
+    q = cz[0] + cz[1]
     aq = np.abs(q)
     root = np.empty(len(p), dtype=complex)
     np.subtract(p, r, out=root.real)
@@ -703,22 +724,30 @@ def _singular_values(z: np.ndarray, sigma2: bool = True):
 # is at least s), and its moduli and sigma1 (at most 2 sqrt(2) s) are finite.
 _SCREEN_MAX = 1e300
 
+# A window is in band when every factor B has sigma1 < BAND_EDGE and sigma2 >
+# 1 / BAND_EDGE.  A sweep's core has sigma1 = 1, so sigma1(B . core) lies in
+# [sigma2(B), sigma1(B)] and the largest entry of B . core in [sigma1 / 2,
+# sigma1]: 20 decades inside the prescale's band (1e-120, 1e120) and far
+# above ENTRY_ZERO_TOL, at every depth.  sigma2 > 0 means |det| > DET_REL_TOL
+# sigma1^2, so the rounding of det cannot carry a factor into the band.
+BAND_EDGE = 1e100
 
-def _screen(z: np.ndarray) -> np.ndarray:
-    """sigma1 of each row of a (4, m) stack of matrices, as
-    ``_singular_values`` takes it, and nan on the rows that it cannot vouch
-    for: a non-finite part, or a largest part at most ENTRY_ZERO_TOL or above
-    _SCREEN_MAX.  Only those rows can fail a scalar check other than the
-    sigma1 bound."""
+
+def _screen(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma1 and sigma2 of each row of a (4, m) stack of matrices, as
+    ``_singular_values`` takes them, and nan on the rows that it cannot
+    vouch for: a non-finite part, or a largest part at most ENTRY_ZERO_TOL
+    or above _SCREEN_MAX.  Only those rows can fail a scalar check other
+    than the sigma1 bound."""
     parts = np.abs(np.ascontiguousarray(z).view(float)).max(axis=0)
     s = np.maximum(parts[0::2], parts[1::2])
     ok = (s > ENTRY_ZERO_TOL) & (s <= _SCREEN_MAX)  # False on nan
     if ok.all():
-        return _singular_values(z, sigma2=False)[0]
-    s1 = np.full(len(s), np.nan)
+        return _singular_values(z)[:2]
+    s1, s2 = np.full((2, len(s)), np.nan)
     if ok.any():
-        s1[ok] = _singular_values(z[:, ok], sigma2=False)[0]
-    return s1
+        s1[ok], s2[ok], _ = _singular_values(z[:, ok])
+    return s1, s2
 
 
 def _log_abs_dets(z: np.ndarray) -> np.ndarray:
@@ -851,14 +880,20 @@ def product_sweep(
     Layer n is B(j+n-1) . core_{n-1}(j), renormalized by sigma1: the
     recurrence of ``ScaledProduct.left_multiply``, with the same Gram
     quadratic, power-of-two prescale and degeneracy test, over (4, m) numpy
-    stacks of the entries a, b, c, d.  Each layer takes one prescale and one
-    Gram quadratic, both of that raw product: log sigma1 of B_n(j) is the
-    accumulated log scale, the sum of the raw products' log sigma1, and the
-    directions and the degeneracy test are read off the raw product, since
-    neither changes under the 2^k prescale or the 1/sigma1 renormalization.
-    The degeneracy test reads sigma2 off the quadratic too (``_degenerate``),
-    so a layer takes no determinant, and it takes no hypot for sigma1 or for
-    the norm of u.  Only O(L) core data is held at a time.  With a
+    stacks of the entries a, b, c, d.  Each layer takes one Gram quadratic,
+    of that raw product: log sigma1 of B_n(j) is the accumulated log scale,
+    the sum of the raw products' log sigma1, and the directions and the
+    degeneracy test are read off the raw product, since neither changes
+    under the 2^k prescale or the 1/sigma1 renormalization.  The 2^k
+    prescale and the vanished-row masks run only on windows with a factor
+    outside the band (``MatrixSequence.in_band``): a core has sigma1 = 1, so
+    sigma1(B . core) lies in [sigma2(B), sigma1(B)], and on an in-band
+    window no raw product leaves (1e-120, 1e120) or vanishes.  The
+    degeneracy test reads sigma2 off the quadratic too (``_degenerate``), so
+    a layer takes no determinant, and it takes no hypot for sigma1 or for
+    the norm of u.  The layers run in buffers allocated once per sweep, so
+    only O(L) core data is held at a time and every ``log_s1`` layer is a
+    row of one array.  With a
     ``jrange`` the sweep also runs ``estimate_splitting``'s stopping rule at
     its sites, to depth n_max, as one rule over 2K columns, the s side of
     each site and then its u side: s_n(j) is read from layer n at start j
@@ -888,24 +923,36 @@ def product_sweep(
     depth = np.concatenate([size - sites, sites])
     unflagged = np.zeros(2 * n_sites, dtype=bool)
 
-    log_s1 = [np.zeros(size + 1)]
-    core = np.zeros((4, size), dtype=complex)
+    in_band = seq.in_band
+    # buffers allocated once: raw and core take turns as (4, m) views of the
+    # two flat stacks, and row n of ls1 holds log sigma1 of layer n, -inf on
+    # vanished rows (a vanished row stays vanished, and -inf + log 1 = -inf)
+    stacks = np.zeros((2, 4 * size), dtype=complex)
+    core = stacks[0].reshape(4, size)
     core[0] = core[3] = 1.0
-    log_scale = np.zeros(size)
-    for n in range(1, n_max + 2):
-        m = max(size - n + 1, 0)  # starts lo .. hi - n + 1
-        raw = _mul_rows(factors[:, n - 1:n - 1 + m], core[:, :m])
-        z, k, vanished = _prescale_rows(raw)
-        p, r, q, aq, s1sq, s1 = _gram(z)
-        # sigma1 of raw, 1 on vanished rows
-        s1raw = np.where(vanished, 1.0, s1 if k is None else np.ldexp(s1, -k))
-        inv = 1.0 / s1raw
-        inv[vanished] = 0.0  # a vanished core stays zero, so the row stays vanished
-        core = raw * inv
-        log_scale = log_scale[:m] + np.log(s1raw)
-        log_s1.append(np.where(vanished, NEG_INF, log_scale))
+    ls1 = np.zeros((min(n_max, size) + 2, size + 1))
+    pts = np.empty((2, 2 * n_sites), dtype=complex)
+    for n in range(1, min(n_max + 1, size) + 1):
+        m = size - n + 1  # starts lo .. hi - n + 1
+        raw = _mul_rows(factors[:, n - 1:n - 1 + m], core[:, :m],
+                        out=stacks[n % 2, :4 * m].reshape(4, m))
+        if in_band:  # no raw product leaves the prescale's band or vanishes
+            vanished = None
+            p, r, q, aq, s1sq, s1raw = _gram(raw)
+            inv = 1.0 / s1raw
+        else:
+            z, k, vanished = _prescale_rows(raw)
+            p, r, q, aq, s1sq, s1 = _gram(z)
+            # sigma1 of raw, 1 on vanished rows
+            s1raw = np.where(vanished, 1.0, s1 if k is None else np.ldexp(s1, -k))
+            inv = 1.0 / s1raw
+            inv[vanished] = 0.0  # a vanished core stays zero, so the row stays vanished
+        core = np.multiply(raw, inv, out=raw)
+        log_row = np.add(ls1[n - 1, :m], np.log(s1raw), out=ls1[n, :m])
+        if vanished is not None:
+            log_row[vanished] = NEG_INF
 
-        if n > n_max or m == 0 or n_sites == 0 or runs.done.all():
+        if n > n_max or n_sites == 0 or runs.done.all():
             continue
         # the directions and sigma2 / sigma1 do not change under the 2^k
         # prescale or the 1/sigma1 renormalisation, so z's quadratic answers
@@ -917,7 +964,6 @@ def product_sweep(
         # past its room a column's start leaves 0 .. m - 1, and the gathers
         # clip it: the column is done, so it reads any row
         start[n_sites:] = sites - n
-        pts = np.empty((2, 2 * n_sites), dtype=complex)
         for x, w in zip(pts, (v0, v1)):
             w.take(sites, out=x[:n_sites], mode="clip")
         # |core v| = sigma1(core) = 1 wherever the row has not vanished, so the
@@ -929,10 +975,12 @@ def product_sweep(
         nu[nu == 0.0] = 1.0
         u *= 1.0 / nu
         runs.advance(n, depth >= n,
-                     vanished.take(start, mode="clip") if vanished.any() else unflagged,
+                     vanished.take(start, mode="clip")
+                     if vanished is not None and vanished.any() else unflagged,
                      degenerate.take(start, mode="clip") if degenerate.any() else unflagged,
                      pts, tol)
 
+    log_s1 = [ls1[min(n, size + 1), :max(size - n + 1, 0)] for n in range(n_max + 2)]
     converged = (runs.n_star >= 0).reshape(2, n_sites).all(axis=0)
     ks = np.flatnonzero(converged)
     cols = (ks + n_sites * np.arange(2)[:, None]).ravel()  # s columns, then u columns

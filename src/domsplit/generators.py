@@ -224,7 +224,7 @@ def _bound_from_entries(entries: dict[int, Mat2C]) -> float:
     the rows within 1e-12 of the maximum and on those the stack leaves to the
     scalar checks, so the bound and any error are those of the scalar max."""
     mats = list(entries.values())
-    s1 = _screen(np.array([(m.a, m.b, m.c, m.d) for m in mats], dtype=complex).T)
+    s1 = _screen(np.array([(m.a, m.b, m.c, m.d) for m in mats], dtype=complex).T)[0]
     top = np.fmax.reduce(s1, initial=0.0)  # flagged rows are nan
     near = np.flatnonzero(~(s1 < top * (1.0 - 1e-12))).tolist()
     return max(singular_values(mats[k])[0] for k in near) * (1.0 + 1e-9) + 1e-12

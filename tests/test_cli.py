@@ -637,6 +637,12 @@ class TestBoundaryValidation:
          "insertions [0] differs from --insertions [1]"),
         ("random_singular", '{"insertions": [0], "misaligned": false}', ("--misaligned",),
          "misaligned False differs from --misaligned True"),
+        # a JSON boolean and a number are different values, though 1 == True
+        ("random_singular", '{"insertions": [0], "misaligned": 1}', ("--misaligned",),
+         "misaligned 1 differs from --misaligned True"),
+        ("diagonal", '{"lplus": true}', ("--lplus", "1"), "lplus True differs from --lplus 1.0"),
+        ("random_singular", '{"insertions": [true]}', ("--insertions", "1"),
+         "insertions [True] differs from --insertions [1]"),
     ])
     def test_family_flag_differs_from_params_exit2(self, tmp_path, capsys, family, params,
                                                    flag, message):

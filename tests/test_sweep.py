@@ -7,6 +7,7 @@ between that oracle and ``estimate_fields``, or between one of the
 certificate's array stages and its per-site reference.
 """
 
+import copy
 import math
 from unittest import mock
 
@@ -234,6 +235,70 @@ def test_one_gram_per_layer(jrange):
         sweep = product_sweep(seq, 40, jrange, 1e-9)
     assert calls == [len(seq) - n + 1 for n in range(1, 42)]
     assert len(sweep.js) == (13 if jrange else 0)
+
+
+# -- the band screen: in-band windows take no prescale, bit for bit ----------
+
+BAND_FAMILIES = {
+    "conjugated_dominated": lambda: family("conjugated_dominated", (-45, 45), seed=1),
+    "ap_family-1e2": lambda: family("ap_family", (-15, 25), {"mu": 1e2}, 4),
+    "ap_family-1e4": lambda: family("ap_family", (-15, 25), {"mu": 1e4}, 4),
+    "unitary": lambda: family("unitary", (-20, 20), seed=3),
+    "schrodinger": lambda: family("schrodinger", (-30, 30), {"energy": 3.0}),
+    "random_bounded": lambda: family("random_bounded", (-30, 30), seed=2),
+}
+# the scales of the screen's edges, and scales that put a window's largest
+# sigma1, or its smallest sigma2, a factor 2 inside them ("top" and "bottom")
+BAND_SCALES = (1.0, 1e-99, 1e99, "top", "bottom")
+
+
+def scalar_in_band(seq):
+    """The band as the scalar engine reads it: every factor has sigma1 <
+    BAND_EDGE and sigma2 > 1 / BAND_EDGE."""
+    svs = [singular_values(seq[j]) for j in seq.indices()]
+    return all(s1 < cocycle.BAND_EDGE and s2 > 1.0 / cocycle.BAND_EDGE for s1, s2 in svs)
+
+
+def band_window(name, scale):
+    seq = BAND_FAMILIES[name]()
+    if scale == "top":
+        scale = 0.5 * cocycle.BAND_EDGE / max(singular_values(seq[j])[0] for j in seq.indices())
+    elif scale == "bottom":
+        scale = 2.0 / cocycle.BAND_EDGE / min(singular_values(seq[j])[1] for j in seq.indices())
+    return seq if scale == 1.0 else scaled(seq, scale)
+
+
+def sweep_bytes(sweep):
+    arrays = [*sweep.log_s1, *sweep.log_s2, sweep.js, sweep.es_vec, sweep.eu_vec,
+              sweep.n_star, sweep.steps]
+    return [a.tobytes() for a in arrays], sweep.failed
+
+
+@pytest.mark.parametrize("scale", BAND_SCALES, ids=str)
+@pytest.mark.parametrize("name", sorted(BAND_FAMILIES))
+def test_in_band_sweep_is_bit_identical(name, scale):
+    """With the band flag forced off, a sweep takes today's prescale path; on
+    every window, in band or not, it yields the same bits as the flag-on
+    sweep, and an in-band sweep calls ``_prescale_rows`` zero times."""
+    seq = band_window(name, scale)
+    assert seq.in_band == scalar_in_band(seq)
+    if scale in (1.0, 1e99, "top", "bottom"):
+        assert seq.in_band
+    off = copy.copy(seq)
+    off.in_band = False
+    n_max = 40
+    with mock.patch.object(cocycle, "_prescale_rows", wraps=cocycle._prescale_rows) as spy:
+        on = estimate_fields(seq, None, n_max, 1e-9)
+    assert spy.call_count == (0 if seq.in_band else n_max + 1)
+    assert sweep_bytes(on) == sweep_bytes(estimate_fields(off, None, n_max, 1e-9))
+    assert sweep_bytes(product_sweep(seq, n_max)) == sweep_bytes(product_sweep(off, n_max))
+
+
+@pytest.mark.parametrize("name", ["band-tiny", "band-huge", "singular-aligned", "vanishing",
+                                  "prescale-tiny", "prescale-huge"])
+def test_out_of_band_cases_are_flagged(name):
+    seq = CASES[name][0]()
+    assert not seq.in_band and not scalar_in_band(seq)
 
 
 def test_misaligned_insertion_well_conditioned_part():
@@ -898,3 +963,41 @@ def test_gram_sigma1_at_the_band_edges(scale):
     s1 = cocycle._gram(z)[-1]
     assert np.all(np.isfinite(s1) & (s1 > 0.0))
     assert_sigma1_near_hypot(z)
+
+
+def old_gram(z):
+    """``_gram`` as it read before it squared the float view of a contiguous
+    copy: the reference for its bits."""
+    a2 = z.real * z.real + z.imag * z.imag
+    p = a2[0] + a2[2]
+    r = a2[1] + a2[3]
+    q = np.conj(z[0]) * z[1] + np.conj(z[2]) * z[3]
+    aq = np.abs(q)
+    root = np.empty(len(p), dtype=complex)
+    np.subtract(p, r, out=root.real)
+    np.multiply(aq, 2.0, out=root.imag)
+    s1sq = 0.5 * (p + r + np.abs(root))
+    return p, r, q, aq, s1sq, np.sqrt(s1sq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks())
+def test_gram_on_non_contiguous_stacks(z):
+    """The screen and the generators pass ``_gram`` stacks whose last axis is
+    not contiguous; each layout gives the old formula's bits in all six
+    outputs."""
+    z = cocycle._prescale_rows(z)[0]  # entries within the range a sweep's cores have
+    m = z.shape[1]
+    twice = np.repeat(z, 2, axis=1)  # each column twice
+    wide = np.concatenate([z, z[:, ::-1]], axis=1)
+    layouts = [
+        twice[:, 2 * np.arange(m)],  # gathered columns
+        np.ascontiguousarray(z.T).T,  # .T of a row-major (m, 4) array
+        np.ascontiguousarray(twice.T).T[:, ::2],  # strided, and .T of a row-major array
+        twice[:, np.arange(2 * m) % 2 == 0],  # z[:, mask]
+        wide[:, :m],  # the first m columns of a wider stack, as a sweep's core
+    ]
+    want = [w.tobytes() for w in old_gram(z)]
+    for layout in layouts:
+        assert np.array_equal(layout, z)
+        assert [g.tobytes() for g in cocycle._gram(layout)] == want
