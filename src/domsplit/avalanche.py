@@ -206,8 +206,8 @@ class ApReport:
         j, n, r = _staircase_cells(*self.rows)
         return j, n, r, n * self.mu ** -0.5
 
-    def to_json_dict(self, include_table: bool = False) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "mu": self.mu,
             "ap3_worst": self.ap3_worst,
             "ap4_worst": self.ap4_worst,
@@ -217,10 +217,6 @@ class ApReport:
             "fitted_slope": self.fitted_slope,
             "passed": self.passed,
         }
-        if include_table:
-            doc["residuals"] = [list(e) for e in
-                                zip(*(a.tolist() for a in self.residual_columns()))]
-        return doc
 
 
 def ap_report(

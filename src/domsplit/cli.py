@@ -414,7 +414,7 @@ def _cmd_profile(args, command: str) -> int:
             result["table"] = _Columns(fit.table_columns())
         payload = _dump_json(_report_doc(command, cfg, result))
     elif args.format == "csv":
-        rows = fit.sorted_table()
+        rows = zip(*(a.tolist() for a in fit.table_columns()))
         payload = _csv_payload(rows, ["j", "n", "ratio_log"])
     else:
         lines = [
@@ -506,7 +506,7 @@ def _cmd_dom(args) -> int:
             result["fi"]["table"] = _Columns(report.fi.table_columns())
         payload = _dump_json(_report_doc("dom", cfg, result))
     elif args.format == "csv":
-        rows = report.svg.sorted_table()
+        rows = zip(*(a.tolist() for a in report.svg.table_columns()))
         payload = _csv_payload(rows, ["j", "n", "ratio_log"])
     else:
         lines = [
@@ -540,6 +540,9 @@ def _cmd_ap(args) -> int:
         return EXIT_USAGE
     if args.mu <= 1.0:
         print("ap: --mu must exceed 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.envelope < 0.0:
+        print("ap: --envelope must be at least 0", file=sys.stderr)
         return EXIT_USAGE
     seq, cfg = _resolve_sequence(args)
     report = ap_report(seq, args.mu, args.nmax, envelope=args.envelope)

@@ -14,8 +14,9 @@ for every start j at once as numpy arrays, and is what the certificate and
 the avalanche audit run on.  Each of its layers takes one Gram quadratic,
 of the raw product factor . core: log sigma1 is the accumulated log scale,
 and the directions and the degeneracy test are read off that raw product.
-The 2^k prescale of the raw product runs only on windows with a factor
-outside the band sigma1 < 1e100, sigma2 > 1e-100, which ``MatrixSequence``
+The 2^k prescale of the raw product reads the exact moduli of its entries,
+as ``_prescale`` does, and runs only on windows with a factor outside the
+band sigma1 < 1e100, sigma2 > 1e-100, which ``MatrixSequence``
 decides once at construction: a core has sigma1 = 1, so sigma1(B . core)
 lies in [sigma2(B), sigma1(B)], and no layer of an in-band window can leave
 the prescale's band (1e-120, 1e120) or vanish.  Every layer writes into
@@ -89,19 +90,21 @@ def _as_index(x) -> int:
 
 
 def _check_entries(items, bound_M: float) -> None:
-    """The checks of every (j, entry) in turn: finite, not the zero matrix,
-    within float range and sigma1 < bound_M.  Raises InvalidSpec at the
-    first entry that fails one."""
+    """The checks of every (j, entry) in turn: a number, finite, not the
+    zero matrix, within float range and sigma1 < bound_M.  Raises
+    InvalidSpec at the first entry that fails one."""
     for j, m in items:
-        if not (cmath.isfinite(m.a) and cmath.isfinite(m.b)
-                and cmath.isfinite(m.c) and cmath.isfinite(m.d)):
-            raise InvalidSpec(f"entry at j={j} is not finite")
         try:
+            if not (cmath.isfinite(m.a) and cmath.isfinite(m.b)
+                    and cmath.isfinite(m.c) and cmath.isfinite(m.d)):
+                raise InvalidSpec(f"entry at j={j} is not finite")
             if m.is_zero():
                 raise InvalidSpec(f"entry at j={j} is the zero matrix")
             s1, _ = singular_values(m)
         except OverflowError:  # |entry| or sigma1 beyond float range
             raise InvalidSpec(f"entry at j={j} is too large for float arithmetic") from None
+        except TypeError:  # a string, None or another non-number
+            raise InvalidSpec(f"entry at j={j} is not a number") from None
         if not s1 < bound_M:
             raise InvalidSpec(f"entry at j={j} violates sigma1 < bound_M ({s1} >= {bound_M})")
 
@@ -675,33 +678,22 @@ def _degenerate(p: np.ndarray, r: np.ndarray, s1sq: np.ndarray) -> np.ndarray:
     return 2.0 * s1sq - p - r <= t * (2.0 - t) * s1sq
 
 
-# max |entry| of a row lies in [s, sqrt(2) s] for s its largest real or
-# imaginary part; a row whose s is a factor _BAND clear of every threshold
-# of ``_prescale`` is classified from s alone.
-_BAND = 1.5
-
-
 def _prescale_rows(z: np.ndarray):
     """``_prescale`` over a (4, m) stack of matrices [[a, b], [c, d]]: the
-    rows whose largest entry leaves (1e-120, 1e120) scaled by an exact 2^k.
-    Returns (z, k, zero), k None where no row needs it; ``zero`` flags the
-    rows that are the zero matrix (every entry at most ENTRY_ZERO_TOL),
-    which stay as they are.  Only rows that s leaves undecided, or that need
-    a k, take the four complex moduli."""
-    parts = np.abs(np.ascontiguousarray(z).view(float)).max(axis=0)  # |Re|, |Im| interleaved
-    s = np.maximum(parts[0::2], parts[1::2])
-    zero = s <= ENTRY_ZERO_TOL / _BAND
-    exact = ~zero & ((s <= _BAND * 1e-120) | (s >= 1e120 / _BAND))
-    if not exact.any():
-        return z, None, zero
-    rows = np.flatnonzero(exact)
-    biggest = np.abs(z[:, rows]).max(axis=0)
-    zero[rows] = biggest <= ENTRY_ZERO_TOL
-    scaled = (biggest > ENTRY_ZERO_TOL) & ((biggest <= 1e-120) | (biggest >= 1e120))
+    rows whose largest entry modulus leaves (1e-120, 1e120) scaled by an
+    exact 2^k.  Returns (z, k, zero), k None where no row needs it; ``zero``
+    flags the rows that are the zero matrix (every entry at most
+    ENTRY_ZERO_TOL), which stay as they are.  The moduli are exact, as
+    ``_prescale`` takes them: hypot of the parts is Python's complex abs,
+    bit for bit, where numpy's complex modulus can differ by an ulp and so
+    move a row across a threshold."""
+    biggest = np.hypot(z.real, z.imag).max(axis=0)
+    zero = biggest <= ENTRY_ZERO_TOL
+    scaled = ~zero & ((biggest <= 1e-120) | (biggest >= 1e120))
     if not scaled.any():
         return z, None, zero
-    k = np.zeros(len(s), dtype=np.int64)
-    k[rows[scaled]] = -np.floor(np.log2(biggest[scaled])).astype(np.int64)
+    k = np.zeros(len(biggest), dtype=np.int64)
+    k[scaled] = -np.floor(np.log2(biggest[scaled])).astype(np.int64)
     return _ldexp_c(z, k), k, zero
 
 
@@ -766,14 +758,14 @@ class _DirectionRuns:
     opening the current run, and every consecutive distance.  Layer n is fed
     by one ``advance``, which updates that state in place."""
 
-    def __init__(self, width: int, n_max: int):
+    def __init__(self, width: int, depth: int):
         self.run = np.zeros(width, dtype=np.int64)
         self.done = np.zeros(width, dtype=bool)  # stopped, vanished or out of room
         self.n_star = np.full(width, -1, dtype=np.int64)
         self.prev_ok = np.zeros(width, dtype=bool)  # prev holds a point
         self.prev = np.zeros((2, width), dtype=complex)
         self.cand = np.zeros((2, width), dtype=complex)
-        self.steps = np.full((n_max, width), np.nan)  # [n - 1]: d(pt_{n-1}, pt_n)
+        self.steps = np.full((depth, width), np.nan)  # [n - 1]: d(pt_{n-1}, pt_n)
 
     def advance(self, n, room, vanished, degenerate, pts, tol):
         """Layer n at each column: room says the column may look at depth n;
@@ -812,9 +804,10 @@ class ProductSweep:
     columns over the K sites whose fields converged, ``js`` in ascending
     order, the fields' unit representatives ``es_vec`` / ``eu_vec`` as (2, K)
     arrays, the stopping indices ``n_star`` as a (2, K) array (rows s, u)
-    and the consecutive distances ``steps`` as an (n_max, 2K) array, s
-    columns then u columns, row n holding d(pt_n, pt_{n+1}) and nan where
-    there is none.  The per-site dicts ``es``, ``eu`` and ``certs`` are
+    and the consecutive distances ``steps`` as a (min(n_max, L), 2K) array
+    for L the window's length, s columns then u columns, row n holding
+    d(pt_n, pt_{n+1}) and nan where there is none: no column has room past
+    depth L.  The per-site dicts ``es``, ``eu`` and ``certs`` are
     built from those columns when first read.  ``factors`` is the sequence's
     own stack of B(lo) .. B(hi).
     """
@@ -918,7 +911,7 @@ def product_sweep(
     # one column per side of each site, s columns then u columns.  At layer n
     # the s column of site j reads start j (s_n(j)) and its u column start
     # j - n (u_n(j)); a column has room while n <= its depth.
-    runs = _DirectionRuns(2 * n_sites, n_max)
+    runs = _DirectionRuns(2 * n_sites, min(n_max, size))
     start = np.concatenate([sites, sites])
     depth = np.concatenate([size - sites, sites])
     unflagged = np.zeros(2 * n_sites, dtype=bool)

@@ -27,7 +27,7 @@ from .cocycle import (
     invariance_residuals,
     product_sweep,
 )
-from .errors import NotUnimodular, WindowExceeded
+from .errors import InvalidSpec, NotUnimodular, WindowExceeded
 from .projective import ProjPoint
 
 INF = float("inf")
@@ -48,6 +48,10 @@ class Thresholds:
     split_tol: float = 1e-9  # stopping tolerance for direction estimates
     ueg_lambda_min: float = 1.10  # uniform growth passes above this rate
     fit_n_lo: int = 2  # transient steps discarded by rate fits
+
+    def __post_init__(self):
+        if not self.mu_min > 0.0:  # the SVG test compares log mu_min
+            raise InvalidSpec(f"mu_min must be positive, got {self.mu_min}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -94,13 +98,8 @@ class RateFit:
         order, read from ``rows`` without building the table."""
         return _staircase_cells(*(self.rows or (0, 0, [])))
 
-    def sorted_table(self) -> list[list]:
-        """[[j, n, log ratio]] in (j, n) order, as ``sorted(table.items())``
-        would list them."""
-        return [list(e) for e in zip(*(a.tolist() for a in self.table_columns()))]
-
-    def to_json_dict(self, include_table: bool = False) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "rate": self.rate,
             "log_c": self.log_c,
             "mu": self.mu,
@@ -110,9 +109,6 @@ class RateFit:
             "passed": self.passed,
             "sup_log": [[n, v] for n, v in sorted(self.sup_log.items())],
         }
-        if include_table:
-            doc["table"] = self.sorted_table()
-        return doc
 
 
 def _fit_line(points: list[tuple[int, float]]) -> tuple[float, float, float]:
@@ -295,12 +291,12 @@ class DominationReport:
     jrange: tuple[int, int]
     sweep: ProductSweep = dc_field(repr=False, compare=False)
 
-    def to_json_dict(self, include_table: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         es, eu, certs = self.es, self.eu, self.certs
         return {
             "verdict": self.verdict,
-            "svg": self.svg.to_json_dict(include_table),
-            "fi": self.fi.to_json_dict(include_table),
+            "svg": self.svg.to_json_dict(),
+            "fi": self.fi.to_json_dict(),
             "fields": [_field_record(j, es[j], eu[j], certs[j]) for j in sorted(es)],
             "failed_js": self.failed_js,
             "min_separation": self.min_separation,

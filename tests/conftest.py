@@ -42,6 +42,12 @@ def vanishing(seq: MatrixSequence) -> MatrixSequence:
     return MatrixSequence(entries, max(seq.bound_M, 2.0))
 
 
+def column_rows(columns) -> list[list]:
+    """The rows read across equal-length columns, as lists of Python numbers:
+    the rows of a report's --table grid or csv."""
+    return [list(r) for r in zip(*(c.tolist() for c in columns))]
+
+
 def to_numpy(m: Mat2C) -> np.ndarray:
     return np.array([[m.a, m.b], [m.c, m.d]], dtype=complex)
 

@@ -28,7 +28,7 @@ from domsplit import (
     window_product,
 )
 
-from conftest import random_mat, rank_one_window
+from conftest import column_rows, random_mat, rank_one_window
 
 
 def family(name, window, params=None, seed=0):
@@ -258,7 +258,8 @@ class TestApReportGrid:
         seq = family("ap_family", (-15, 25), _AP, 3)
         rep = ap_report(seq, 1e3, 12)
         assert "residuals" not in rep.__dict__
-        rep.to_json_dict(include_table=True)
+        rep.to_json_dict()
+        column_rows(rep.residual_columns())
         assert "residuals" not in rep.__dict__
         assert rep.residuals is rep.residuals
         assert "residuals" in rep.__dict__
@@ -268,7 +269,7 @@ class TestApReportGrid:
         build, mu, n_max = EQUIVALENCE_CASES[case]
         rep = ap_report(build(), mu, n_max)
         want = [[j, n, r, n * mu**-0.5] for (j, n), r in sorted(rep.residuals.items())]
-        got = rep.to_json_dict(include_table=True)["residuals"]
+        got = column_rows(rep.residual_columns())
         assert got == want
         assert [list(map(type, row)) for row in got] == [[int, int, float, float]] * len(want)
 
@@ -282,7 +283,7 @@ class TestApReportGrid:
         seq = family("ap_family", (0, 1), _AP, 3)
         rep = ap_report(seq, 1e3, 10)
         assert rep.residuals == {} and rep.c_fit is None
-        assert rep.to_json_dict(include_table=True)["residuals"] == []
+        assert column_rows(rep.residual_columns()) == []
 
 
 def _scaled(seq, factor):

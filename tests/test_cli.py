@@ -23,7 +23,7 @@ from domsplit import DomsplitError, cli, cocycle
 from domsplit.cli import _dump_json, main
 from domsplit.generators import FAMILIES
 
-from conftest import rank_one_window, vanishing
+from conftest import column_rows, rank_one_window, vanishing
 from test_readme_examples import GOLDEN, assert_same
 
 
@@ -687,7 +687,8 @@ class TestBoundaryValidation:
 
 class TestNonFiniteOptions:
     """Every float option is parsed as a finite float: nan and inf are usage
-    errors (exit 2), never a witnessed failure or an inconclusive run."""
+    errors (exit 2), never a witnessed failure or an inconclusive run.  So
+    are finite values outside an option's range."""
 
     AP = ("ap", "--family", "ap_family", "--window", "0", "30")
     DIAG = ("--family", "diagonal", "--window", "0", "20")
@@ -710,6 +711,21 @@ class TestNonFiniteOptions:
             main([*base, f"{option}={value}"])
         assert info.value.code == 2
         assert f"argument {option}: '{value}' is not a finite number" in capsys.readouterr().err
+
+    RANGE_CASES = [
+        (("svg",) + DIAG + ("--mu-min", "0"), "domsplit svg: mu_min must be positive, got 0.0"),
+        (("fi",) + DIAG + ("--mu-min", "-1"), "domsplit fi: mu_min must be positive, got -1.0"),
+        (("dom",) + DIAG + ("--mu-min", "-0"), "domsplit dom: mu_min must be positive, got -0.0"),
+        (AP + ("--mu", "1e3", "--envelope", "-1"), "ap: --envelope must be at least 0"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", RANGE_CASES,
+                             ids=[" ".join((c[0][0], *c[0][-2:])) for c in RANGE_CASES])
+    def test_out_of_range_exit2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == message + "\n"
 
     def test_non_number_message_unchanged(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -912,12 +928,13 @@ def _library_tables(argv):
     args = cli._build_parser().parse_args(argv)
     seq, _ = cli._resolve_sequence(args)
     if args.command == "ap":
-        return {"residuals": ap_report(seq, args.mu, args.nmax).to_json_dict(True)["residuals"]}
+        return {"residuals": column_rows(ap_report(seq, args.mu, args.nmax).residual_columns())}
     if args.command == "dom":
         rep = check_domination(seq, Thresholds(n_max=args.nmax), jrange=args.jrange)
-        return {"svg": rep.svg.sorted_table(), "fi": rep.fi.sorted_table()}
+        return {"svg": column_rows(rep.svg.table_columns()),
+                "fi": column_rows(rep.fi.table_columns())}
     profile = svg_profile if args.command == "svg" else fi_profile
-    return {"table": profile(seq, args.nmax).sorted_table()}
+    return {"table": column_rows(profile(seq, args.nmax).table_columns())}
 
 
 def _report_tables(result, verb):
@@ -955,7 +972,7 @@ class TestReportEncoder:
              depth=1)
     @example(columns=[np.array([], dtype=np.int64), np.array([])], depth=1)
     def test_columns_match_json_of_rows(self, columns, depth):
-        rows = [list(r) for r in zip(*(c.tolist() for c in columns))]
+        rows = column_rows(columns)
         doc, want = cli._Columns(columns), rows
         for _ in range(depth):
             doc, want = {"t": [doc]}, {"t": [want]}

@@ -112,15 +112,17 @@ def scalar_sequence(entries, bound_M):
     if hi - lo + 1 != len(js):
         raise InvalidSpec("sequence window has gaps")
     for j, m in entries.items():
-        if not (cmath.isfinite(m.a) and cmath.isfinite(m.b)
-                and cmath.isfinite(m.c) and cmath.isfinite(m.d)):
-            raise InvalidSpec(f"entry at j={j} is not finite")
         try:
+            if not (cmath.isfinite(m.a) and cmath.isfinite(m.b)
+                    and cmath.isfinite(m.c) and cmath.isfinite(m.d)):
+                raise InvalidSpec(f"entry at j={j} is not finite")
             if m.is_zero():
                 raise InvalidSpec(f"entry at j={j} is the zero matrix")
             s1, _ = singular_values(m)
         except OverflowError:
             raise InvalidSpec(f"entry at j={j} is too large for float arithmetic") from None
+        except TypeError:
+            raise InvalidSpec(f"entry at j={j} is not a number") from None
         if not s1 < bound_M:
             raise InvalidSpec(f"entry at j={j} violates sigma1 < bound_M ({s1} >= {bound_M})")
     mats = map(entries.__getitem__, range(lo, hi + 1))
@@ -192,9 +194,13 @@ class TestConstructorScreen:
         with pytest.raises(InvalidSpec, match="^entry at j=4 is the zero matrix$"):
             MatrixSequence(entries, 2.0)
 
-    def test_ints_beyond_float_range_raise_as_before(self):
-        entries = {0: Mat2C(1.0, 0, 0, 1), 1: Mat2C(10**400, 0, 0, 1)}
-        with pytest.raises(OverflowError, match="int too large to convert to float"):
+    @pytest.mark.parametrize("cell, message", [
+        (10**400, "entry at j=1 is too large for float arithmetic"),
+        ("x", "entry at j=1 is not a number"),
+    ], ids=["int-beyond-float-range", "string"])
+    def test_entries_not_floats_raise_invalid_spec(self, cell, message):
+        entries = {0: Mat2C(1.0, 0, 0, 1), 1: Mat2C(cell, 0, 0, 1)}
+        with pytest.raises(InvalidSpec, match=f"^{message}$"):
             MatrixSequence(entries, 2.0)
 
 

@@ -45,9 +45,9 @@ from domsplit import (
 from domsplit import ap_report, cocycle
 from domsplit.cocycle import _apply, _fit_rates, _project
 from domsplit.conditions import _certificate, _gap_search
-from domsplit.matrix2c import DEGENERATE_REL_TOL, ENTRY_ZERO_TOL
+from domsplit.matrix2c import DEGENERATE_REL_TOL, ENTRY_ZERO_TOL, _prescale
 
-from conftest import rank_one_window, vanishing
+from conftest import column_rows, rank_one_window, vanishing
 
 TOL = 1e-12
 
@@ -589,7 +589,8 @@ def test_tables_built_when_read(staged):
     report = _certificate(seq, Thresholds(n_max=sweep.n_max), sweep, [])
     for fit, kind in ((report.svg, "svg"), (report.fi, "fi")):
         want = eager_table(sweep, kind)
-        assert fit.sorted_table() == [[j, n, v] for (j, n), v in sorted(want.items())]
+        rows = [[j, n, v] for (j, n), v in sorted(want.items())]
+        assert column_rows(fit.table_columns()) == rows
         assert "table" not in vars(fit)  # neither the certificate nor a listing builds it
         assert list(fit.table.items()) == list(want.items())
         assert fit.table is fit.table
@@ -601,28 +602,9 @@ def test_tables_built_when_read(staged):
 # -- the row classification of the power-of-two prescale ----------------------
 
 
-def hypot_prescale_rows(a, b, c, d):
-    """The prescale classification from the four complex moduli of each row,
-    as the stacked engine took it before it read max(|Re|, |Im|) instead:
-    the reference for ``cocycle._prescale_rows``."""
-    biggest = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
-    zero = biggest <= ENTRY_ZERO_TOL
-    scaled = ~zero & ((biggest <= 1e-120) | (biggest >= 1e120))
-    if not scaled.any():
-        return (a, b, c, d), None, zero
-    k = np.zeros(len(biggest), dtype=np.int64)
-    k[scaled] = -np.floor(np.log2(biggest[scaled])).astype(np.int64)
-    return tuple(cocycle._ldexp_c(z, k) for z in (a, b, c, d)), k, zero
-
-
-def _reference_prescale(z):
-    scaled, k, zero = hypot_prescale_rows(*z)
-    return (z if k is None else np.array(scaled)), k, zero
-
-
 _R2 = math.sqrt(2.0)
 # the thresholds of the prescale and of the zero test, and values a factor
-# sqrt(2) either side, where the largest modulus and max(|Re|, |Im|) part
+# sqrt(2) either side
 EDGES = [t * f for t in (ENTRY_ZERO_TOL, 1e-120, 1e120) for f in (1 / _R2, 1.0, _R2)]
 SPECIALS = EDGES + [
     np.nextafter(ENTRY_ZERO_TOL, 0.0), np.nextafter(ENTRY_ZERO_TOL, 1.0),
@@ -661,51 +643,39 @@ def stacks(draw):
     return z
 
 
-def assert_same_classification(z):
-    got_z, got_k, got_zero = cocycle._prescale_rows(z)
-    want_z, want_k, want_zero = _reference_prescale(z)
-    assert np.array_equal(got_zero, want_zero)
-    assert (got_k is None) == (want_k is None)
-    assert got_k is None or np.array_equal(got_k, want_k)
-    assert np.asarray(got_z).tobytes() == np.asarray(want_z).tobytes()  # signs of zero too
-    s1, s2, zero = cocycle._singular_values(z)
-    log_dets = cocycle._log_abs_dets(z)
-    with mock.patch.object(cocycle, "_prescale_rows", _reference_prescale):
-        want_sv = cocycle._singular_values(z)
-        want_log_dets = cocycle._log_abs_dets(z)
-    for g, w in zip((s1, s2, zero, log_dets), (*want_sv, want_log_dets)):
-        assert np.array_equal(g, w)
-
-
-@settings(max_examples=400, deadline=None)
-@given(stacks())
-def test_prescale_classification_matches_moduli(z):
-    assert_same_classification(z)
-
-
 def test_prescale_classification_at_the_edges():
     """Every special value as the real part, the imaginary part, or both, of
-    a row's largest entry, beside entries far below it."""
+    a row's largest entry, beside entries far below it: each row's zero
+    flag, k and scaled entries are those of the scalar ``Mat2C.is_zero``
+    and ``_prescale``, bit for bit."""
     rows = []
     for x in SPECIALS:
         for e in (complex(x, 0.0), complex(0.0, -x), complex(x / _R2, x / _R2),
                   complex(x, x * 1e-200), complex(x * 1e-250, -x)):
             rows.append((e, 1e-310 + 0j, 0j, complex(x * 1e-30, 0.0)))
-    assert_same_classification(np.array(rows, dtype=complex).T.copy())
+    z, k, zero = cocycle._prescale_rows(np.array(rows, dtype=complex).T.copy())
+    assert k is not None  # some rows are scaled, so every row's k is read
+    for i, row in enumerate(rows):
+        m = Mat2C(*row)
+        want, want_k = (m, 0) if m.is_zero() else _prescale(m)
+        assert zero[i] == m.is_zero()
+        assert k[i] == want_k
+        assert z[:, i].tobytes() == np.array([want.a, want.b, want.c, want.d]).tobytes()
 
 
-def test_prescale_classification_on_a_sweep_layer():
-    # a wide stack of ordinary rows takes no complex modulus at all
-    z = np.random.default_rng(3).normal(size=(4, 2000)) * (1 + 1j)
-    real_abs = np.abs
-
-    def no_modulus(x, *args, **kwargs):
-        assert not np.iscomplexobj(x), "a modulus was taken"
-        return real_abs(x, *args, **kwargs)
-
-    with mock.patch.object(np, "abs", no_modulus):
-        _, k, zero = cocycle._prescale_rows(z)
-    assert k is None and not zero.any()
+def test_steps_capped_at_the_window():
+    """No column has room past depth L, so a deep n_max on an L-entry window
+    keeps at most L step rows and finds what n_max = L finds."""
+    seq = _conj()
+    deep, at_length = (estimate_fields(seq, None, n_max, 1e-9) for n_max in (20000, len(seq)))
+    assert deep.steps.shape[0] <= len(seq) == 91
+    assert deep.js.tolist() == at_length.js.tolist() and len(deep.js)
+    assert deep.failed == at_length.failed
+    assert np.array_equal(deep.n_star, at_length.n_star)
+    for got, want in zip(deep.certs.values(), at_length.certs.values()):
+        for x, y in ((got.rate_s, want.rate_s), (got.rate_u, want.rate_u)):
+            assert (x is None) == (y is None)
+            assert x is None or abs(x - y) <= 1e-12
 
 
 def test_log_s2_built_on_first_read():
@@ -724,7 +694,7 @@ def test_log_s2_built_on_first_read():
 def eager_fields(sweep):
     """es, eu and certs as the sweep built them before they were built on
     read: a ProjPoint per column, and each side's rates fitted over its own
-    (n_max, K) step array."""
+    (rows, K) step array."""
     js, k = sweep.js.tolist(), len(sweep.js)
     rows = (sweep.steps[:, :k], sweep.steps[:, k:])
     rates = [_fit_rates(side) for side in rows]
