@@ -16,12 +16,14 @@ import numpy as np
 
 from .cocycle import (
     MatrixSequence,
-    _fit_rate,
+    _fit_rates,
+    _LN2,
     _mul_rows,
-    _point_steps,
+    _prescale_rows,
     _singular_values,
+    _site_window,
     _staircase_cells,
-    backward_scan,
+    _step_table,
     forward_scan,
     product_sweep,
 )
@@ -44,22 +46,28 @@ def _log_sigma1(m: Mat2C) -> float:
     return math.log(s1)
 
 
-def _pair_log_norm(seq: MatrixSequence, j: int) -> float:
-    """log sigma1(B(j+1) B(j))."""
-    return _log_sigma1(mul(seq[j + 1], seq[j]))
-
-
 def _window_norms(seq: MatrixSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log sigma1 and log sigma2 of B(j) for j = lo .. hi, and log sigma1 of
     B(j+1) B(j) for j = lo .. hi - 1, each as one array over the window.
-    Raises ZeroMatrix when a pair product is the zero matrix."""
+    Out of band the factors take their exact 2^k prescale before the pair
+    product, which then cannot over- or underflow; 2^-(k1 + k2) is taken off
+    sigma1 where that stays a normal float, else off its log.  Raises
+    ZeroMatrix when a pair product is the zero matrix."""
     factors = seq.factors
     s1, s2, _ = _singular_values(factors)
-    p1, _, zero = _singular_values(_mul_rows(factors[:, 1:], factors[:, :-1]), sigma2=False)
+    z, k, _ = (factors, None, None) if seq.in_band else _prescale_rows(factors)
+    p1, _, zero = _singular_values(_mul_rows(z[:, 1:], z[:, :-1]), sigma2=False)
     if zero.any():
         raise ZeroMatrix("singular values of the zero matrix")
-    with np.errstate(divide="ignore"):  # sigma2 = 0 on rank-one factors
-        return np.log(s1), np.log(s2), np.log(p1)
+    # divide: sigma2 = 0 on rank-one factors, and the raw pairs that underflow
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        log_s1, log_s2, log_pair = np.log(s1), np.log(s2), np.log(p1)
+        if k is not None:
+            shift = k[1:] + k[:-1]
+            raw = np.ldexp(p1, -shift)
+            normal = (raw >= np.finfo(float).tiny) & (raw < math.inf)
+            log_pair = np.where(normal, np.log(raw), log_pair - shift * _LN2)
+    return log_s1, log_s2, log_pair
 
 
 def _ap_margins(seq: MatrixSequence, mu: float):
@@ -118,7 +126,7 @@ def ap_residual(seq: MatrixSequence, j: int, n: int) -> float:
     prods = list(forward_scan(seq, j, n))
     lhs = prods[n].log_sigma1
     mids = sum(_log_sigma1(seq[j + k]) for k in range(1, n - 1))
-    pairs = sum(_pair_log_norm(seq, j + k) for k in range(0, n - 1))
+    pairs = sum(_log_sigma1(mul(seq[j + k + 1], seq[j + k])) for k in range(n - 1))
     return abs(lhs + mids - pairs)
 
 
@@ -163,16 +171,19 @@ class DriftTables:
 
 
 def direction_drift(seq: MatrixSequence, j: int, n_max: int) -> DriftTables:
-    """Per-n drift of the contracted/expanding directions at site j."""
-    n_s = min(n_max, seq.hi - j + 1)
-    n_u = min(n_max, j - seq.lo)
-
-    def steps(scan, side: str) -> dict[int, float]:
-        return {n: d for n, _, d in _point_steps(scan, side) if d is not None}
-
-    s_steps = steps(forward_scan(seq, j, n_s), "s")
-    u_steps = steps(backward_scan(seq, j, n_u), "u")
-    return DriftTables(s_steps, u_steps, _fit_rate(s_steps), _fit_rate(u_steps))
+    """Per-n drift of the contracted/expanding directions at site j: the
+    step columns of ``estimate_splitting``'s one-site sweep, run at tol 0 so
+    that neither side stops before it runs out of room.  Raises
+    ProductVanished when B_n(j) or B_n(j - n) vanishes within that room."""
+    sub = _site_window(seq, j, n_max)
+    sweep = product_sweep(sub, n_max, (j, j))
+    s_depth, u_depth = min(n_max, sub.hi - j + 1), min(n_max, j - sub.lo)
+    for n, start in ((s_depth, j), (u_depth, j - u_depth)):
+        # a product through a vanished one vanishes too, so the deepest tells
+        if n and sweep.log_s1[n][start - sub.lo] == NEG_INF:
+            raise ProductVanished(f"product of length {n} starting at j={start} vanished")
+    s_steps, u_steps = ({n + 1: d for n, d in _step_table(col).items()} for col in sweep.steps.T)
+    return DriftTables(s_steps, u_steps, *_fit_rates(sweep.steps))
 
 
 @dataclass(frozen=True)
@@ -266,7 +277,11 @@ def ap_report(
         per_n_max = [float(r.max()) for r in rows]
         # division by n mu^(-1/2) is monotone, so the row maxima give c_fit
         c_fit = max(r / (n * scale) for n, r in zip(depths, per_n_max))
-        slope = _fit_rate({n: r / n for n, r in zip(depths, per_n_max) if r > 0})
+        # row n holds max_j residual / n, cut after its last positive row, as
+        # the fit's sums depend on the column's length
+        column = np.full((depths.stop, 1), np.nan)
+        column[3:, 0] = np.divide(per_n_max, depths)
+        slope = _fit_rates(column[:np.flatnonzero(column > 0).max(initial=0) + 1])[0]
     passed = ok and (c_fit is None or c_fit <= envelope)
     return ApReport(
         mu=mu,

@@ -10,21 +10,23 @@ log domain far below the entrywise noise floor of the core determinant.
 
 Two engines share that recurrence.  ``ScaledProduct`` and the scans build
 one product at a time from ``Mat2C`` values; ``product_sweep`` builds depth n
-for every start j at once as numpy arrays, and is what the certificate and
-the avalanche audit run on.  Each of its layers takes one Gram quadratic,
-of the raw product factor . core: log sigma1 is the accumulated log scale,
-and the directions and the degeneracy test are read off that raw product.
-The 2^k prescale of the raw product reads the exact moduli of its entries,
-as ``_prescale`` does, and runs only on windows with a factor outside the
-band sigma1 < 1e100, sigma2 > 1e-100, which ``MatrixSequence``
-decides once at construction: a core has sigma1 = 1, so sigma1(B . core)
-lies in [sigma2(B), sigma1(B)], and no layer of an in-band window can leave
-the prescale's band (1e-120, 1e120) or vanish.  Every layer writes into
-buffers allocated once per sweep.  One stopping rule runs over the s and u
-columns of every site.  The scalar path stays as the per-site API and as the
-sweep's oracle.  The array stages use numpy's own complex arithmetic,
-complex modulus, hypot and log, so they agree with the scalar engine within
-1e-12 relative to max(1, |x|), not bit for bit.
+for every start j at once as numpy arrays, and is what the certificate, the
+avalanche audit and the per-site ``estimate_splitting`` and
+``direction_drift`` run on, the last two as a sweep of their one site.
+Each of its layers takes one Gram quadratic, of the raw product factor .
+core: log sigma1 is the accumulated log scale, and the directions and the
+degeneracy test are read off that raw product.  The 2^k prescale of the raw
+product reads the exact moduli of its entries, as ``_prescale`` does, and
+runs only on windows with a factor outside the band sigma1 < 1e100, sigma2 >
+1e-100, which ``MatrixSequence`` decides once at construction: a core has
+sigma1 = 1, so sigma1(B . core) lies in [sigma2(B), sigma1(B)], and no layer
+of an in-band window can leave the prescale's band (1e-120, 1e120) or
+vanish.  Every layer writes into buffers allocated once per sweep.  One
+stopping rule runs over the s and u columns of every site.  The scalar path
+(``ScaledProduct``, the scans, ``sn`` and ``un``) stays as the sweep's
+oracle.  The array stages use numpy's own complex arithmetic, complex
+modulus, hypot and log, so they agree with the scalar engine within 1e-12
+relative to max(1, |x|), not bit for bit.
 """
 
 from __future__ import annotations
@@ -446,59 +448,6 @@ def _fit_rates(steps: np.ndarray) -> list[float | None]:
     return [None if r != r else r for r in rates.tolist()]
 
 
-def _step_column(steps: dict[int, float]) -> np.ndarray:
-    """A step dict as one column indexed n, nan where there is no step."""
-    column = np.full((max(steps, default=0) + 1, 1), np.nan)
-    for n, d in steps.items():
-        column[n, 0] = d
-    return column
-
-
-def _fit_rate(steps: dict[int, float]) -> float | None:
-    return _fit_rates(_step_column(steps))[0]
-
-
-def _point_steps(
-    scan: Iterator[ScaledProduct], side: str
-) -> Iterator[tuple[int, ProjPoint | None, float | None]]:
-    """(n, point, step) for n = 1, 2, ...: s_n (side "s") or u_n (side "u")
-    from the n-th product of scan, None where that product is degenerate,
-    and its distance from the point at n - 1, None unless both exist."""
-    prev: ProjPoint | None = None
-    for n, prod in enumerate(scan):
-        if n == 0:
-            continue
-        sv = prod.svd()
-        if sv.degenerate:
-            pt = None
-        else:
-            pt = most_contracted(sv) if side == "s" else expanding_image(sv)
-        yield n, pt, None if pt is None or prev is None else dist(prev, pt)
-        prev = pt
-
-
-def _direction_run(
-    point_steps: Iterator[tuple[int, ProjPoint | None, float | None]], tol: float
-) -> tuple[int | None, dict[int, ProjPoint], dict[int, float]]:
-    """Consumes ``_point_steps`` until three successive steps fall below
-    tol; returns the run's opening index, the points and the steps, the step
-    to point n keyed n - 1."""
-    steps: dict[int, float] = {}
-    pts: dict[int, ProjPoint] = {}
-    run = 0
-    for n, pt, d in point_steps:
-        if pt is None:
-            run = 0
-            continue
-        pts[n] = pt
-        if d is not None:
-            steps[n - 1] = d
-            run = run + 1 if d < tol else 0
-            if run >= 3:
-                return n - 3, pts, steps
-    return None, pts, steps
-
-
 def estimate_splitting(
     seq: MatrixSequence, j: int, n_max: int, tol: float
 ) -> tuple[ProjPoint, ProjPoint, ConvergenceCert]:
@@ -506,31 +455,28 @@ def estimate_splitting(
 
     s_n(j) and u_n(j) are scanned until three successive consecutive
     distances fall below ``tol``; the first index n* opening such a run is
-    returned (s_{n*}, u_{n*}).  Degenerate products interrupt the run.
-    Raises NoConvergence when either side exhausts its room in the window
-    without meeting the rule.
+    returned (s_{n*}, u_{n*}).  Degenerate products interrupt the run.  This
+    is ``estimate_fields`` at the one site j, over the part of the window
+    that its depth n_max reaches, so it answers as the sweep of the whole
+    window does at j.  Raises NoConvergence when either side exhausts its
+    room in the window, or a product vanishes, before the rule is met;
+    InvalidSpec for n_max < 1 or tol <= 0, and WindowExceeded for a j
+    outside the window.
     """
-    n_s = min(n_max, seq.hi - j + 1)
-    n_u = min(n_max, j - seq.lo)
+    sweep = estimate_fields(_site_window(seq, j, n_max), (j, j), n_max, tol)
+    if sweep.failed:
+        raise NoConvergence(f"directions at j={j} did not meet tol={tol} within n_max={n_max}")
+    return sweep.es[j], sweep.eu[j], sweep.certs[j]
 
-    n_star_s, s_pts, s_steps = _direction_run(_point_steps(forward_scan(seq, j, n_s), "s"), tol)
-    n_star_u, u_pts, u_steps = _direction_run(_point_steps(backward_scan(seq, j, n_u), "u"), tol)
 
-    if n_star_s is None or n_star_u is None:
-        side = "s" if n_star_s is None else "u"
-        raise NoConvergence(
-            f"direction {side}_n at j={j} did not meet tol={tol} within n_max={n_max}"
-        )
-    s_col, u_col = _step_column(s_steps), _step_column(u_steps)
-    cert = ConvergenceCert(
-        n_star_s=n_star_s,
-        n_star_u=n_star_u,
-        rate_s=_fit_rates(s_col)[0],
-        rate_u=_fit_rates(u_col)[0],
-        tol=tol,
-        rows=(s_col, u_col, 0),
-    )
-    return s_pts[n_star_s], u_pts[n_star_u], cert
+def _site_window(seq: MatrixSequence, j: int, n_max: int) -> MatrixSequence:
+    """seq.restrict(j - n_max, j + n_max - 1), cut to the window: every
+    factor that s_n(j) or u_n(j) reads for n <= n_max."""
+    if n_max < 1:
+        raise InvalidSpec(f"n_max must be at least 1, got {n_max}")
+    if not seq.lo <= j <= seq.hi:
+        raise WindowExceeded(f"j={j} outside window [{seq.lo}, {seq.hi}]")
+    return seq.restrict(max(seq.lo, j - n_max), min(seq.hi, j + n_max - 1))
 
 
 # -- the batched engine ------------------------------------------------------
@@ -753,10 +699,10 @@ def _log_abs_dets(z: np.ndarray) -> np.ndarray:
 
 
 class _DirectionRuns:
-    """The Cauchy stopping rule of ``_direction_run`` over W columns at once,
-    each one side (s or u) of one site: per-column run counters, the point
-    opening the current run, and every consecutive distance.  Layer n is fed
-    by one ``advance``, which updates that state in place."""
+    """The Cauchy stopping rule of ``estimate_splitting`` over W columns at
+    once, each one side (s or u) of one site: per-column run counters, the
+    point opening the current run, and every consecutive distance.  Layer n
+    is fed by one ``advance``, which updates that state in place."""
 
     def __init__(self, width: int, depth: int):
         self.run = np.zeros(width, dtype=np.int64)
@@ -803,13 +749,13 @@ class ProductSweep:
     of ``jrange`` the sweep holds the sites where estimation failed and, as
     columns over the K sites whose fields converged, ``js`` in ascending
     order, the fields' unit representatives ``es_vec`` / ``eu_vec`` as (2, K)
-    arrays, the stopping indices ``n_star`` as a (2, K) array (rows s, u)
-    and the consecutive distances ``steps`` as a (min(n_max, L), 2K) array
-    for L the window's length, s columns then u columns, row n holding
-    d(pt_n, pt_{n+1}) and nan where there is none: no column has room past
-    depth L.  The per-site dicts ``es``, ``eu`` and ``certs`` are
-    built from those columns when first read.  ``factors`` is the sequence's
-    own stack of B(lo) .. B(hi).
+    arrays and the stopping indices ``n_star`` as a (2, K) array (rows s,
+    u).  The consecutive distances ``steps`` are a (min(n_max, L), 2S) array
+    over all S sites of jrange, converged or not, for L the window's length:
+    s columns then u columns, row n holding d(pt_n, pt_{n+1}) and nan where
+    there is none, since no column has room past depth L.  The per-site
+    dicts ``es``, ``eu`` and ``certs`` are built from those columns when
+    first read.  ``factors`` is the sequence's own stack of B(lo) .. B(hi).
     """
 
     window: tuple[int, int]
@@ -835,11 +781,13 @@ class ProductSweep:
 
     @cached_property
     def certs(self) -> dict[int, ConvergenceCert]:
-        """Each site's certificate, with both sides' rates from one fit down
-        the stacked step columns."""
+        """Each converged site's certificate, with both sides' rates from one
+        fit down its stacked step columns."""
         k = len(self.js)
-        rates = _fit_rates(self.steps)
-        rows = (self.steps[:, :k], self.steps[:, k:])
+        site = self.js - (self.jrange[0] if k else 0)
+        steps = self.steps[:, np.concatenate([site, site + self.steps.shape[1] // 2])]
+        rates = _fit_rates(steps)
+        rows = (steps[:, :k], steps[:, k:])
         return {
             j: ConvergenceCert(ns, nu, rs, ru, self.tol, (*rows, i))
             for i, (j, ns, nu, rs, ru) in enumerate(zip(
@@ -886,12 +834,11 @@ def product_sweep(
     a layer takes no determinant, and it takes no hypot for sigma1 or for
     the norm of u.  The layers run in buffers allocated once per sweep, so
     only O(L) core data is held at a time and every ``log_s1`` layer is a
-    row of one array.  With a
-    ``jrange`` the sweep also runs ``estimate_splitting``'s stopping rule at
-    its sites, to depth n_max, as one rule over 2K columns, the s side of
-    each site and then its u side: s_n(j) is read from layer n at start j
-    and u_n(j) from layer n at start j - n, since B_n(j - n) is the forward
-    product starting there.  The s columns run on the top right singular
+    row of one array.  With a ``jrange`` the sweep also runs the Cauchy
+    stopping rule of ``estimate_splitting`` at its S sites, to depth n_max,
+    as one rule over 2S columns, the s side of each site and then its u
+    side: s_n(j) is read from layer n at start j and u_n(j) from layer n at
+    start j - n, since B_n(j - n) is the forward product starting there.  The s columns run on the top right singular
     vector, whose complement is s_n(j) and has the same chordal steps; the
     complement is taken only for the certified fields.  A site fails when
     either side runs out of room or its product vanishes at or before the
@@ -977,9 +924,7 @@ def product_sweep(
     converged = (runs.n_star >= 0).reshape(2, n_sites).all(axis=0)
     ks = np.flatnonzero(converged)
     cols = (ks + n_sites * np.arange(2)[:, None]).ravel()  # s columns, then u columns
-    # a column records no step once its run stops, so past n* + 2 its steps
-    # are nan already
-    cand, steps = runs.cand[:, cols], runs.steps[:, cols]
+    cand = runs.cand[:, cols]
     n_star = runs.n_star[cols].reshape(2, -1)
     n_conv = len(ks)
     # the s columns ran on the top right singular vector v; E^s is its
@@ -988,7 +933,7 @@ def product_sweep(
     eu_vec = _project(cand[0, n_conv:], cand[1, n_conv:])
     failed = [lo + int(o) for o in sites[~converged]]
     return ProductSweep((lo, hi), n_max, log_s1, jrange, tol, failed,
-                        lo + sites[ks], es_vec, eu_vec, n_star, steps, factors)
+                        lo + sites[ks], es_vec, eu_vec, n_star, runs.steps, factors)
 
 
 def estimate_fields(
@@ -1001,10 +946,12 @@ def estimate_fields(
 
     jrange defaults to the window less four sites at its low end and three
     at its high end, which holds no site on a window of fewer than eight; a
-    given jrange must hold at least one.  The returned sweep also carries
-    the log-sigma layers to depth n_max + 1 for the gap and invertibility
-    profiles.
+    given jrange must hold at least one.  tol must be positive: at tol <= 0
+    no run can stop.  The returned sweep also carries the log-sigma layers
+    to depth n_max + 1 for the gap and invertibility profiles.
     """
+    if not tol > 0.0:
+        raise InvalidSpec(f"tol must be positive, got {tol}")
     if jrange is None:
         jrange = (seq.lo + 4, seq.hi - 3)
     elif jrange[0] > jrange[1]:

@@ -52,6 +52,14 @@ class Thresholds:
     def __post_init__(self):
         if not self.mu_min > 0.0:  # the SVG test compares log mu_min
             raise InvalidSpec(f"mu_min must be positive, got {self.mu_min}")
+        # below these no site can converge, no gap can be tried, or every
+        # separation passes: a verdict would rest on no evidence
+        if self.n_cap < 1:
+            raise InvalidSpec(f"n_cap must be at least 1, got {self.n_cap}")
+        if not self.split_tol > 0.0:
+            raise InvalidSpec(f"split_tol must be positive, got {self.split_tol}")
+        if not self.sep_min >= 0.0:
+            raise InvalidSpec(f"sep_min must be at least 0, got {self.sep_min}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)

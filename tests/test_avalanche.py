@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from domsplit import (
     GeneratorSpec,
     Mat2C,
     MatrixSequence,
+    ProductVanished,
     ZeroMatrix,
     ap_conditions,
     ap_report,
@@ -16,6 +18,7 @@ from domsplit import (
     check_domination,
     direction_drift,
     dist,
+    dump_sequence,
     estimate_splitting,
     expanding_image,
     most_contracted,
@@ -28,7 +31,9 @@ from domsplit import (
     window_product,
 )
 
-from conftest import column_rows, random_mat, rank_one_window
+from domsplit.cli import main
+
+from conftest import column_rows, random_mat, rank_one_window, vanishing
 
 
 def family(name, window, params=None, seed=0):
@@ -197,6 +202,18 @@ class TestDirectionDrift:
             for ours, theirs in ((drift.s_steps, cert.s_steps), (drift.u_steps, cert.u_steps)):
                 assert theirs and all(ours[n + 1] == d for n, d in theirs.items())
 
+    def test_vanished_product_raises(self):
+        # B(1) B(0) = 0: a site whose own products take both factors within
+        # n_max has a vanished product.  At j = 1 the s side starts at B(1)
+        # and the u side ends at B(0), so no product of the site takes both.
+        seq = vanishing(family("conjugated_dominated", (-30, 30), seed=4))
+        for j, n_max in ((0, 2), (2, 2), (-5, 40), (6, 40)):
+            with pytest.raises(ProductVanished):
+                direction_drift(seq, j, n_max)
+        for j, n_max in ((0, 1), (1, 40), (6, 5)):
+            drift = direction_drift(seq, j, n_max)
+            assert len(drift.u_steps) == min(n_max, j - seq.lo) - 1, j
+
     def test_example1_one_sided(self):
         seq = family("example1", (0, 40))
         tables = direction_drift(seq, 20, 15)
@@ -236,8 +253,8 @@ class TestApReport:
         assert (rep.ap3_worst, rep.ap4_worst, rep.conditions_pass) == ap_conditions(seq, 1e3)
 
     def test_mu_checked_before_any_norm(self):
-        # every pair product of this window is a zero matrix (ZeroMatrix)
-        seq = _scaled(family("ap_family", (-30, 30), _AP, 2), 1e-150)
+        # B(1) B(0) of this window is a zero matrix (ZeroMatrix)
+        seq = vanishing(family("ap_family", (-30, 30), _AP, 2))
         for check in (lambda: ap_conditions(seq, 1.0), lambda: ap_report(seq, 1.0, 10)):
             with pytest.raises(ValueError, match="mu must exceed 1"):
                 check()
@@ -345,10 +362,41 @@ class TestApReportEquivalence:
         assert rep.passed == (ok and c_fit <= rep.envelope)
 
     def test_vanishing_pairs_under_the_zero_tolerance(self):
-        # x1e-150 pushes every pair product below ENTRY_ZERO_TOL: both the
-        # scalar loop and the audit see a zero matrix
-        seq = _scaled(family("ap_family", (-30, 30), _AP, 2), 1e-150)
+        # x1e-150 pushes every raw pair product below ENTRY_ZERO_TOL: the
+        # scalar loop sees a zero matrix, and the audit, which prescales each
+        # factor before the pair product, the unscaled window's margins
+        base = family("ap_family", (-30, 30), _AP, 2)
+        seq = _scaled(base, 1e-150)
         with pytest.raises(ZeroMatrix):
             _scalar_conditions(seq, 1e3)
-        with pytest.raises(ZeroMatrix):
-            ap_report(seq, 1e3, 20)
+        assert_same_audit(ap_report(seq, 1e3, 20), ap_report(base, 1e3, 20))
+
+
+def assert_same_audit(got, want):
+    """The report of a scaled window against the unscaled one's: margins
+    within 1e-12 and the residual envelope within 1e-9, relative."""
+    assert (got.passed, got.conditions_pass) == (want.passed, want.conditions_pass)
+    assert abs(got.ap3_worst - want.ap3_worst) <= 1e-12 * want.ap3_worst
+    assert abs(got.ap4_worst - want.ap4_worst) <= 1e-12 * want.ap4_worst
+    assert abs(got.c_fit - want.c_fit) <= 1e-9 * want.c_fit
+
+
+class TestExtremeScale:
+    """Scaled far out of band, the pair products of the raw factors would
+    over- or underflow; the audit prescales each factor first."""
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e285, 1e-285])
+    def test_scaled_window_audits_as_unscaled(self, tmp_path, capsys, scale):
+        base = family("ap_family", (-30, 30), _AP, 2)
+        seq = _scaled(base, scale)
+        assert not seq.in_band
+        path = str(tmp_path / "s.json")
+        dump_sequence(seq, path)
+        argv = ["ap", "--input", path, "--mu", "1e3", "--nmax", "20"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert_same_audit(ap_report(seq, 1e3, 20), ap_report(base, 1e3, 20))
+            code = main(argv)
+        capsys.readouterr()
+        dump_sequence(base, path)
+        assert code == main(argv) == 0

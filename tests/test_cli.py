@@ -717,6 +717,12 @@ class TestNonFiniteOptions:
         (("fi",) + DIAG + ("--mu-min", "-1"), "domsplit fi: mu_min must be positive, got -1.0"),
         (("dom",) + DIAG + ("--mu-min", "-0"), "domsplit dom: mu_min must be positive, got -0.0"),
         (AP + ("--mu", "1e3", "--envelope", "-1"), "ap: --envelope must be at least 0"),
+        (("dom",) + DIAG + ("--ncap", "0"), "domsplit dom: n_cap must be at least 1, got 0"),
+        (("dom",) + DIAG + ("--ncap", "-3"), "domsplit dom: n_cap must be at least 1, got -3"),
+        (("dom",) + DIAG + ("--tol", "0"), "domsplit dom: split_tol must be positive, got 0.0"),
+        (("split",) + DIAG + ("--tol", "0"), "domsplit split: tol must be positive, got 0.0"),
+        (("dom",) + DIAG + ("--sep-min", "-1"),
+         "domsplit dom: sep_min must be at least 0, got -1.0"),
     ]
 
     @pytest.mark.parametrize("argv, message", RANGE_CASES,

@@ -2,8 +2,8 @@
 
 ``scalar_sweep`` builds a ProductSweep with the scalar engine: one
 ``forward_scan`` per start for the log-sigma layers and one
-``estimate_splitting`` per site for the fields.  Every comparison below is
-between that oracle and ``estimate_fields``, or between one of the
+``conftest.scalar_splitting`` per site for the fields.  Every comparison
+below is between that oracle and ``estimate_fields``, or between one of the
 certificate's array stages and its per-site reference.
 """
 
@@ -47,7 +47,7 @@ from domsplit.cocycle import _apply, _fit_rates, _project
 from domsplit.conditions import _certificate, _gap_search
 from domsplit.matrix2c import DEGENERATE_REL_TOL, ENTRY_ZERO_TOL, _prescale
 
-from conftest import column_rows, rank_one_window, vanishing
+from conftest import column_rows, rank_one_window, scalar_splitting, vanishing
 
 TOL = 1e-12
 
@@ -70,7 +70,7 @@ def scalar_sweep(seq, n_max, jrange, tol) -> ProductSweep:
     es, eu, certs, failed = {}, {}, {}, []
     for j in range(jrange[0], jrange[1] + 1):
         try:
-            es[j], eu[j], certs[j] = estimate_splitting(seq, j, n_max, tol)
+            es[j], eu[j], certs[j] = scalar_splitting(seq, j, n_max, tol)
         except (NoConvergence, ProductVanished):
             failed.append(j)
     js = np.array(sorted(es), dtype=np.int64)
@@ -80,9 +80,11 @@ def scalar_sweep(seq, n_max, jrange, tol) -> ProductSweep:
 
     n_star = np.array([[certs[j].n_star_s for j in js.tolist()],
                        [certs[j].n_star_u for j in js.tolist()]], dtype=np.int64).reshape(2, -1)
-    steps = np.full((n_max, 2 * len(js)), np.nan)
-    for k, j in enumerate(js.tolist()):
-        for col, table in ((k, certs[j].s_steps), (len(js) + k, certs[j].u_steps)):
+    n_sites = jrange[1] - jrange[0] + 1
+    steps = np.full((n_max, 2 * n_sites), np.nan)
+    for j in js.tolist():
+        k = j - jrange[0]
+        for col, table in ((k, certs[j].s_steps), (n_sites + k, certs[j].u_steps)):
             for n, d in table.items():
                 steps[n, col] = d
     factors = np.array([[getattr(seq[j], e) for j in seq.indices()] for e in "abcd"],
@@ -184,6 +186,40 @@ def test_verdict(pair):
     want = _certificate(seq, thresholds, scalar, [])
     assert (got.verdict, got.n_dom, got.failed_js) == (want.verdict, want.n_dom, want.failed_js)
     assert (got.svg.passed, got.fi.passed) == (want.svg.passed, want.fi.passed)
+
+
+def point_bits(pt):
+    return np.array(pt.vector()).tobytes()
+
+
+def assert_one_answer_per_site(seq, sweep):
+    """estimate_splitting at every site of the sweep's jrange: the sweep's
+    ProjPoints, n*, rates and step tables, bit for bit, where it converged,
+    and NoConvergence exactly at its failed sites."""
+    for j in range(sweep.jrange[0], sweep.jrange[1] + 1):
+        if j in sweep.failed:
+            with pytest.raises(NoConvergence):
+                estimate_splitting(seq, j, sweep.n_max, sweep.tol)
+            continue
+        es, eu, cert = estimate_splitting(seq, j, sweep.n_max, sweep.tol)
+        assert point_bits(es) == point_bits(sweep.es[j]), j
+        assert point_bits(eu) == point_bits(sweep.eu[j]), j
+        assert hexed({j: cert}) == hexed({j: sweep.certs[j]}), j
+
+
+def test_one_answer_per_site(pair):
+    seq, batched, _ = pair
+    assert_one_answer_per_site(seq, batched)
+
+
+def test_one_answer_per_site_misaligned():
+    """Past a misaligned insertion the two scalar and batched orderings part
+    (``test_misaligned_insertion_well_conditioned_part``); the per-site API
+    reads the sweep, so it answers as the certificate does at every site."""
+    seq = family("random_singular", (-60, 60), {"insertions": [0], "misaligned": True}, 1)
+    sweep = estimate_fields(seq, None, 40, 1e-9)
+    assert sweep.failed and len(sweep.js) > 20
+    assert_one_answer_per_site(seq, sweep)
 
 
 def test_case_coverage():
@@ -696,7 +732,8 @@ def eager_fields(sweep):
     read: a ProjPoint per column, and each side's rates fitted over its own
     (rows, K) step array."""
     js, k = sweep.js.tolist(), len(sweep.js)
-    rows = (sweep.steps[:, :k], sweep.steps[:, k:])
+    site = sweep.js - (sweep.jrange[0] if k else 0)
+    rows = (sweep.steps[:, site], sweep.steps[:, site + sweep.steps.shape[1] // 2])
     rates = [_fit_rates(side) for side in rows]
     certs = {
         j: ConvergenceCert(ns, nu, rs, ru, sweep.tol, (*rows, i))
