@@ -49,13 +49,13 @@ def _log_sigma1(m: Mat2C) -> float:
 def _window_norms(seq: MatrixSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log sigma1 and log sigma2 of B(j) for j = lo .. hi, and log sigma1 of
     B(j+1) B(j) for j = lo .. hi - 1, each as one array over the window.
-    Out of band the factors take their exact 2^k prescale before the pair
-    product, which then cannot over- or underflow; 2^-(k1 + k2) is taken off
-    sigma1 where that stays a normal float, else off its log.  Raises
-    ZeroMatrix when a pair product is the zero matrix."""
+    Each factor takes its exact ``_prescale_rows`` 2^k (none does in band)
+    before the pair product, which then cannot over- or underflow;
+    2^-(k1 + k2) is taken off sigma1 where that stays a normal float, else
+    off its log.  Raises ZeroMatrix when a pair product is the zero matrix."""
     factors = seq.factors
     s1, s2, _ = _singular_values(factors)
-    z, k, _ = (factors, None, None) if seq.in_band else _prescale_rows(factors)
+    z, k, _ = _prescale_rows(factors)
     p1, _, zero = _singular_values(_mul_rows(z[:, 1:], z[:, :-1]), sigma2=False)
     if zero.any():
         raise ZeroMatrix("singular values of the zero matrix")
@@ -277,10 +277,10 @@ def ap_report(
         per_n_max = [float(r.max()) for r in rows]
         # division by n mu^(-1/2) is monotone, so the row maxima give c_fit
         c_fit = max(r / (n * scale) for n, r in zip(depths, per_n_max))
-        # row n holds max_j residual / n, cut after its last positive row, as
-        # the fit's sums depend on the column's length
+        # row n holds max_j residual / n; the fit's sums depend on the
+        # column's length, so it ends at the last depth with a positive maximum
         column = np.full((depths.stop, 1), np.nan)
-        column[3:, 0] = np.divide(per_n_max, depths)
+        column[depths.start:, 0] = np.divide(per_n_max, depths)
         slope = _fit_rates(column[:np.flatnonzero(column > 0).max(initial=0) + 1])[0]
     passed = ok and (c_fit is None or c_fit <= envelope)
     return ApReport(

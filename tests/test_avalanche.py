@@ -14,6 +14,7 @@ from domsplit import (
     ap_conditions,
     ap_report,
     ap_residual,
+    backward_scan,
     build_with_truth,
     check_domination,
     direction_drift,
@@ -21,6 +22,7 @@ from domsplit import (
     dump_sequence,
     estimate_splitting,
     expanding_image,
+    forward_scan,
     most_contracted,
     mul,
     norm_angle_gap,
@@ -33,7 +35,7 @@ from domsplit import (
 
 from domsplit.cli import main
 
-from conftest import column_rows, random_mat, rank_one_window, vanishing
+from conftest import _point_steps, column_rows, random_mat, rank_one_window, vanishing
 
 
 def family(name, window, params=None, seed=0):
@@ -201,6 +203,26 @@ class TestDirectionDrift:
             _, _, cert = estimate_splitting(seq, j, 40, 1e-9)
             for ours, theirs in ((drift.s_steps, cert.s_steps), (drift.u_steps, cert.u_steps)):
                 assert theirs and all(ours[n + 1] == d for n, d in theirs.items())
+
+    @pytest.mark.parametrize("name, window, params, seed", [
+        ("conjugated_dominated", (-30, 30), None, 4),
+        ("ap_family", (-30, 30), {"mu": 1e3}, 2),
+        ("ap_family", (-30, 30), {"mu": 1e4}, 0),
+        ("example1", (-40, 40), None, 0),
+    ])
+    def test_steps_match_the_scalar_loop(self, name, window, params, seed):
+        # at tol 0 neither side stops, so every step up to the site's room
+        # is the scalar loop's step to point n, keyed n
+        seq = family(name, window, params, seed)
+        n_max = 40
+        for j in (seq.lo, seq.lo + 1, -17, 0, 5, seq.hi - 1, seq.hi):
+            drift = direction_drift(seq, j, n_max)
+            scans = (forward_scan(seq, j, min(n_max, seq.hi - j + 1)),
+                     backward_scan(seq, j, min(n_max, j - seq.lo)))
+            for ours, scan, side in zip((drift.s_steps, drift.u_steps), scans, "su"):
+                theirs = {n: d for n, _, d in _point_steps(scan, side) if d is not None}
+                assert ours.keys() == theirs.keys(), (j, side)
+                assert all(abs(ours[n] - d) <= 1e-12 for n, d in theirs.items()), (j, side)
 
     def test_vanished_product_raises(self):
         # B(1) B(0) = 0: a site whose own products take both factors within
