@@ -27,7 +27,7 @@ from .cocycle import (
     forward_scan,
     product_sweep,
 )
-from .errors import Degenerate, ProductVanished, WindowExceeded, ZeroMatrix
+from .errors import Degenerate, InvalidSpec, ProductVanished, WindowExceeded, ZeroMatrix
 from .matrix2c import Mat2C, mul, singular_values, svd2
 from .projective import dist, expanding_image, most_contracted
 
@@ -50,12 +50,12 @@ def _window_norms(seq: MatrixSequence) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """log sigma1 and log sigma2 of B(j) for j = lo .. hi, and log sigma1 of
     B(j+1) B(j) for j = lo .. hi - 1, each as one array over the window.
     Each factor takes its exact ``_prescale_rows`` 2^k (none does in band)
-    before the pair product, which then cannot over- or underflow;
+    once, for its singular values and before the pair product, which then
+    cannot over- or underflow;
     2^-(k1 + k2) is taken off sigma1 where that stays a normal float, else
     off its log.  Raises ZeroMatrix when a pair product is the zero matrix."""
-    factors = seq.factors
-    s1, s2, _ = _singular_values(factors)
-    z, k, _ = _prescale_rows(factors)
+    prescaled = z, k, _ = _prescale_rows(seq.factors)
+    s1, s2, _ = _singular_values(seq.factors, prescaled=prescaled)
     p1, _, zero = _singular_values(_mul_rows(z[:, 1:], z[:, :-1]), sigma2=False)
     if zero.any():
         raise ZeroMatrix("singular values of the zero matrix")
@@ -247,6 +247,8 @@ def ap_report(
     """
     if n_max < 3:
         raise ValueError("avalanche audit needs n_max >= 3")
+    if not 0.0 <= envelope < math.inf:  # a nan or negative envelope fails on no evidence
+        raise InvalidSpec(f"envelope must be finite and at least 0, got {envelope}")
     lo, hi = seq.window
     (log_single, _, log_pair), (ap3, ap4, ok) = _ap_margins(seq, mu)
     forward = product_sweep(seq, n_max - 1).log_s1  # layers n = 0 .. n_max

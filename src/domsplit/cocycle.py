@@ -119,16 +119,18 @@ class MatrixSequence:
     bound_M, with bound_M finite and positive.  The entry checks run on the
     factor stack first; ``_check_entries`` then takes only the entries it
     flags, in insertion order, so an error is the one that checking every
-    entry in turn would raise.  ``factors``
-    holds the entries a, b, c, d of B(lo) .. B(hi) as a read-only (4, L)
-    complex stack, which the array stages read B(j) from.  ``in_band`` says
-    whether every factor has sigma1 < BAND_EDGE and sigma2 > 1 / BAND_EDGE,
-    from the same stacked screen; on such a window ``product_sweep`` takes
-    no 2^k prescale, since sigma1(B . core) lies in [sigma2(B), sigma1(B)]
-    for a core of sigma1 = 1.  Instances are immutable and safe to share.
+    entry in turn would raise.  ``factors`` holds the entries a, b, c, d of
+    B(lo) .. B(hi) as a read-only (4, L) complex stack, and is the one copy
+    of the window that is kept: ``seq[j]`` builds a ``Mat2C`` of complex
+    entries from its column j - lo, and ``restrict`` and ``to_json_dict``
+    read it too.  ``in_band`` says whether every factor has sigma1 <
+    BAND_EDGE and sigma2 > 1 / BAND_EDGE, from the same stacked screen; on
+    such a window ``product_sweep`` takes no 2^k prescale, since
+    sigma1(B . core) lies in [sigma2(B), sigma1(B)] for a core of
+    sigma1 = 1.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("_entries", "_lo", "_hi", "bound_M", "source", "factors", "in_band")
+    __slots__ = ("_lo", "_hi", "bound_M", "source", "factors", "in_band")
 
     def __init__(
         self,
@@ -147,9 +149,7 @@ class MatrixSequence:
                               f"+-2^62 = +-{INDEX_BOUND}")
         if hi - lo + 1 != len(js):
             raise InvalidSpec("sequence window has gaps")
-        self._entries = dict(entries)
-        mats = map(self._entries.__getitem__, range(lo, hi + 1))
-        rows = [(m.a, m.b, m.c, m.d) for m in mats]
+        rows = [(m.a, m.b, m.c, m.d) for m in map(entries.__getitem__, range(lo, hi + 1))]
         factors = np.array(rows)
         in_band = False
         if factors.dtype.kind in "biufc":
@@ -187,10 +187,9 @@ class MatrixSequence:
         return self._hi - self._lo + 1
 
     def __getitem__(self, j: int) -> Mat2C:
-        try:
-            return self._entries[j]
-        except KeyError:
-            raise WindowExceeded(f"j={j} outside window [{self._lo}, {self._hi}]") from None
+        if not self._lo <= j <= self._hi:
+            raise WindowExceeded(f"j={j} outside window [{self._lo}, {self._hi}]")
+        return Mat2C(*self.factors[:, j - self._lo].tolist())
 
     def indices(self) -> range:
         return range(self._lo, self._hi + 1)
@@ -198,19 +197,13 @@ class MatrixSequence:
     def restrict(self, lo: int, hi: int) -> "MatrixSequence":
         if lo < self._lo or hi > self._hi or lo > hi:
             raise WindowExceeded(f"[{lo}, {hi}] not inside [{self._lo}, {self._hi}]")
-        sub = {j: self._entries[j] for j in range(lo, hi + 1)}
-        return MatrixSequence(sub, self.bound_M, source=self.source)
+        return MatrixSequence({j: self[j] for j in range(lo, hi + 1)}, self.bound_M,
+                              source=self.source)
 
     def to_json_dict(self) -> dict:
-        entries = []
-        for j in self.indices():
-            m = self._entries[j]
-            entries.append(
-                {
-                    "j": j,
-                    "m": [[z.real, z.imag] for z in (m.a, m.b, m.c, m.d)],
-                }
-            )
+        # [re, im] of a, b, c, d per entry: the stack's (L, 4) complex rows as float pairs
+        parts = np.ascontiguousarray(self.factors.T).view(float).reshape(-1, 4, 2).tolist()
+        entries = [{"j": j, "m": m} for j, m in zip(self.indices(), parts)]
         return {"window": [self._lo, self._hi], "bound_M": self.bound_M, "entries": entries}
 
     @staticmethod
@@ -219,17 +212,8 @@ class MatrixSequence:
             lo, hi = (_as_index(x) for x in doc["window"])
             bound = float(doc["bound_M"])
             entries = {}
-            for rec in doc["entries"]:
-                re_a, im_a = rec["m"][0]
-                re_b, im_b = rec["m"][1]
-                re_c, im_c = rec["m"][2]
-                re_d, im_d = rec["m"][3]
-                entries[_as_index(rec["j"])] = Mat2C(
-                    complex(re_a, im_a),
-                    complex(re_b, im_b),
-                    complex(re_c, im_c),
-                    complex(re_d, im_d),
-                )
+            for rec in doc["entries"]:  # "m": [re, im] of a, b, c and d
+                entries[_as_index(rec["j"])] = Mat2C(*[complex(re, im) for re, im in rec["m"]])
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             # OverflowError: a bound or entry too large for a float
             raise InvalidSpec(f"malformed sequence document: {exc}") from exc
@@ -245,9 +229,8 @@ def load_sequence(path: str) -> MatrixSequence:
 
 
 def dump_sequence(seq: MatrixSequence, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(seq.to_json_dict(), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:  # json.dumps, unlike json.dump, runs in C
+        fh.write(json.dumps(seq.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n")
 
 
 @dataclass(frozen=True, slots=True)
@@ -643,11 +626,12 @@ def _prescale_rows(z: np.ndarray):
     return _ldexp_c(z, k), k, zero
 
 
-def _singular_values(z: np.ndarray, sigma2: bool = True):
+def _singular_values(z: np.ndarray, sigma2: bool = True, prescaled: tuple | None = None):
     """``singular_values`` over a (4, m) stack of matrices [[a, b], [c, d]]:
     (sigma1, sigma2, zero), with sigma2 None unless asked for.  ``zero``
-    flags the rows that are the zero matrix; their values are 0."""
-    z, k, zero = _prescale_rows(z)
+    flags the rows that are the zero matrix; their values are 0.  A caller
+    that holds z's ``_prescale_rows`` already passes it as ``prescaled``."""
+    z, k, zero = prescaled or _prescale_rows(z)
     s1 = _gram(z)[-1]
     s1[zero] = 0.0
     s2 = _sigma2(z, s1) if sigma2 else None

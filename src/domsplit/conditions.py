@@ -50,16 +50,24 @@ class Thresholds:
     fit_n_lo: int = 2  # transient steps discarded by rate fits
 
     def __post_init__(self):
-        if not self.mu_min > 0.0:  # the SVG test compares log mu_min
-            raise InvalidSpec(f"mu_min must be positive, got {self.mu_min}")
-        # below these no site can converge, no gap can be tried, or every
-        # separation passes: a verdict would rest on no evidence
-        if self.n_cap < 1:
-            raise InvalidSpec(f"n_cap must be at least 1, got {self.n_cap}")
-        if not self.split_tol > 0.0:
-            raise InvalidSpec(f"split_tol must be positive, got {self.split_tol}")
-        if not self.sep_min >= 0.0:
-            raise InvalidSpec(f"sep_min must be at least 0, got {self.sep_min}")
+        # a nan, an infinite sep_min or split_tol, or a value past one of these
+        # bounds would let a verdict rest on no evidence or invent a witness;
+        # the SVG and UEG tests compare log mu_min and log ueg_lambda_min
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise InvalidSpec(f"{name} must be finite, got {value}")
+        for name, bad, need in (
+            ("n_max", self.n_max < 1, "be at least 1"),
+            ("mu_min", self.mu_min <= 0.0, "be positive"),
+            ("sep_min", self.sep_min < 0.0, "be at least 0"),
+            ("n_cap", self.n_cap < 1, "be at least 1"),
+            ("gap_lambda", self.gap_lambda <= 1.0, "exceed 1"),
+            ("split_tol", self.split_tol <= 0.0, "be positive"),
+            ("ueg_lambda_min", self.ueg_lambda_min <= 0.0, "be positive"),
+            ("fit_n_lo", self.fit_n_lo < 0, "be at least 0"),
+        ):
+            if bad:
+                raise InvalidSpec(f"{name} must {need}, got {getattr(self, name)}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -153,7 +161,7 @@ def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, 
     svg_sup = {n: float(r.max()) if r.size else NEG_INF for n, r in enumerate(svg_rows)}
     fi_sup = {n: float(r.max()) if r.size else NEG_INF for n, r in enumerate(fi_rows, start=1)}
 
-    n_lo = max(thresholds.fit_n_lo, 0)
+    n_lo = thresholds.fit_n_lo
     svg_pts = [(n, v) for n, v in svg_sup.items() if n >= n_lo]
     slope, intercept, resid = _fit_line(svg_pts)
     # a fit over no n at all is no evidence; one whose ratios are all exactly
@@ -253,7 +261,9 @@ def _field_record(j: int, es: ProjPoint, eu: ProjPoint, cert: ConvergenceCert) -
 
 class _SweepField:
     """A report field that, unless one was given, reads the attribute of the
-    same name of the report's sweep, which builds it when first read."""
+    same name of the report's sweep, which builds it when first read.  The
+    certificate gives none; a caller may, through ``dataclasses.replace``
+    (the benchmark's own tests perturb a field that way)."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -275,8 +285,9 @@ class DominationReport:
     ``verdict`` is one of "dominated", "not_dominated", "inconclusive".
     A negative verdict is only issued on a witnessed violation (separation
     collapse, vanished product); estimator failure alone is inconclusive.
-    The fields ``es``, ``eu`` and ``certs`` are read through ``sweep``, which
-    builds them when they are first read.
+    The fields ``es``, ``eu`` and ``certs`` live in ``sweep`` alone, which
+    builds them when they are first read; the report keeps a copy only of a
+    value passed to it in their place.
     """
 
     verdict: str

@@ -7,6 +7,7 @@ import pytest
 from domsplit import (
     Degenerate,
     GeneratorSpec,
+    InvalidSpec,
     Mat2C,
     MatrixSequence,
     ProductVanished,
@@ -262,6 +263,27 @@ class TestApReport:
         seq = family("diagonal", (0, 20))
         with pytest.raises(ValueError):
             ap_report(seq, 10.0, 2)
+
+    @pytest.mark.parametrize("envelope", [-1.0, math.nan, math.inf])
+    def test_envelope_without_evidence_rejected(self, envelope):
+        # a passed=False from such an envelope would be a failed audit on no evidence
+        seq = family("ap_family", (0, 40), {"mu": 1e4}, 0)
+        with pytest.raises(InvalidSpec, match="envelope must be finite and at least 0"):
+            ap_report(seq, 1e4, 10, envelope=envelope)
+        assert ap_report(seq, 1e4, 10, envelope=0.0).envelope == 0.0
+
+    def test_factors_prescaled_once(self, monkeypatch):
+        """One hypot pass over the factors and one over the pair products."""
+        from domsplit import avalanche, cocycle
+
+        seq = family("ap_family", (-15, 25), {"mu": 1e3}, 3)
+        calls = []
+        prescale = cocycle._prescale_rows
+        counted = lambda z: calls.append(z.shape[1]) or prescale(z)  # noqa: E731
+        monkeypatch.setattr(cocycle, "_prescale_rows", counted)
+        monkeypatch.setattr(avalanche, "_prescale_rows", counted)
+        avalanche._window_norms(seq)
+        assert calls == [len(seq), len(seq) - 1]
 
     def test_window_norms_computed_once(self, monkeypatch):
         from domsplit import avalanche

@@ -532,13 +532,15 @@ class TestBoundaryValidation:
         assert code == 2
         assert "n_max" in err
 
-    # each of these once escaped the loader as a raw OverflowError or ValueError
+    # each of these once escaped the loader as a raw OverflowError or ValueError,
+    # except the five-pair entry, whose fifth pair was ignored
     @pytest.mark.parametrize("where,text", [
         ("j", "1e999"),
         ("bound_M", "1" + "0" * 400),
         ("window", '["a", "b"]'),
         ("m", "[[1.7e308, 1.7e308], [0, 0], [0, 0], [1, 0]]"),
-    ], ids=["j-inf", "bound-400-digits", "window-strings", "entry-overflows"])
+        ("m", "[[1, 0], [0, 0], [0, 0], [1, 0], [5, 5]]"),
+    ], ids=["j-inf", "bound-400-digits", "window-strings", "entry-overflows", "entry-five-pairs"])
     def test_malformed_file_exit2(self, tmp_path, capsys, where, text):
         path = tmp_path / "s.json"
         run(capsys, "gen", "--family", "diagonal", "--window", "0", "9", "--out", str(path))

@@ -98,6 +98,30 @@ class TestMatrixSequence:
         sub = ex1.restrict(-5, 7)
         assert sub.factors.tolist() == ex1.factors[:, -5 - ex1.lo:7 - ex1.lo + 1].tolist()
 
+    def test_one_copy_of_the_window(self, ex1):
+        """The stack is the only copy of the entries: seq[j] is a Mat2C of
+        complex entries built from its column, and restrict reads it too."""
+        assert MatrixSequence.__slots__ == ("_lo", "_hi", "bound_M", "source", "factors",
+                                            "in_band")
+        for j in (ex1.lo, 0, ex1.hi):
+            m = ex1[j]
+            assert [m.a, m.b, m.c, m.d] == ex1.factors[:, j - ex1.lo].tolist()
+            assert all(type(z) is complex for z in (m.a, m.b, m.c, m.d))
+        with pytest.raises(WindowExceeded):
+            ex1[ex1.lo - 1]
+        sub = ex1.restrict(-5, 7)
+        assert sub.window == (-5, 7) and sub.bound_M == ex1.bound_M
+        assert all(sub[j] == ex1[j] for j in sub.indices())
+
+    def test_int_entries_read_back_as_floats(self, tmp_path):
+        """Entries are kept as complex floats: an int entry dumps as 1.0, and
+        an int beyond 2^53 reaches seq[j] rounded as the stack holds it."""
+        seq = MatrixSequence({0: Mat2C(1, 0, 0, 2 ** 53 + 1)}, 1e16)
+        assert seq[0] == Mat2C(1.0, 0.0, 0.0, 2.0 ** 53)
+        path = tmp_path / "seq.json"
+        dump_sequence(seq, str(path))
+        assert '"m":[[1.0,0.0],[0.0,0.0],[0.0,0.0],[9007199254740992.0,0.0]]' in path.read_text()
+
 
 def scalar_sequence(entries, bound_M):
     """The constructor's checks as one scalar loop over every entry in

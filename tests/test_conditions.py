@@ -8,6 +8,7 @@ import pytest
 
 from domsplit import (
     GeneratorSpec,
+    InvalidSpec,
     Mat2C,
     MatrixSequence,
     NotUnimodular,
@@ -229,6 +230,36 @@ class TestCheckDomination:
         assert doc["verdict"] == "dominated"
         assert doc["thresholds"]["mu_min"] == 1.05
         assert isinstance(doc["fields"], list) and doc["fields"]
+
+
+class TestThresholdsRange:
+    """A threshold that would invent or skip evidence is rejected when the
+    Thresholds are made, not read later as a verdict."""
+
+    CASES = [
+        ("n_max", 0, "n_max must be at least 1, got 0"),
+        ("mu_min", math.nan, "mu_min must be finite, got nan"),
+        ("mu_min", 0.0, "mu_min must be positive, got 0.0"),
+        ("epsilon", math.nan, "epsilon must be finite, got nan"),
+        ("fi_log_c_max", math.nan, "fi_log_c_max must be finite, got nan"),
+        ("sep_min", math.inf, "sep_min must be finite, got inf"),
+        ("n_cap", 0, "n_cap must be at least 1, got 0"),
+        ("gap_lambda", -1.0, "gap_lambda must exceed 1, got -1.0"),
+        ("gap_lambda", 1.0, "gap_lambda must exceed 1, got 1.0"),
+        ("split_tol", math.inf, "split_tol must be finite, got inf"),
+        ("ueg_lambda_min", 0.0, "ueg_lambda_min must be positive, got 0.0"),
+        ("fit_n_lo", -1, "fit_n_lo must be at least 0, got -1"),
+    ]
+
+    @pytest.mark.parametrize("name, value, message", CASES,
+                             ids=[f"{c[0]}={c[1]}" for c in CASES])
+    def test_rejects(self, name, value, message):
+        with pytest.raises(InvalidSpec) as info:
+            Thresholds(**{name: value})
+        assert str(info.value) == message
+
+    def test_every_field_has_a_case(self):
+        assert {c[0] for c in self.CASES} == set(Thresholds().to_json_dict())
 
 
 class TestEmptyFits:
