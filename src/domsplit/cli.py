@@ -380,10 +380,9 @@ def _cmd_gen(args) -> int:
         if not args.family or not args.window:
             raise InvalidSpec("gen needs --family and --window (or --spec)")
         spec = _spec_from_args(args)
-    seq, _ = build_with_truth(spec)
-    doc = seq.to_json_dict()
-    doc["source"] = spec.to_json_dict()
-    _atomic_write(args.out, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    seq, _ = build_with_truth(spec)  # its source is the spec
+    doc = json.dumps(seq.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    _atomic_write(args.out, doc + "\n")
     return EXIT_OK
 
 

@@ -111,23 +111,55 @@ def _check_entries(items, bound_M: float) -> None:
             raise InvalidSpec(f"entry at j={j} violates sigma1 < bound_M ({s1} >= {bound_M})")
 
 
+def _check_window(lo: int, hi: int, bound_M: float) -> None:
+    """The window checks of a sequence, in order: not empty, bound_M finite
+    and positive, every |j| at most INDEX_BOUND."""
+    if hi < lo:
+        raise InvalidSpec("sequence window is empty")
+    if not (math.isfinite(bound_M) and bound_M > 0.0):
+        raise InvalidSpec(f"bound_M must be finite and positive, got {bound_M}")
+    if lo < -INDEX_BOUND or hi > INDEX_BOUND:
+        raise InvalidSpec(f"window [{lo}, {hi}] reaches past the index bound "
+                          f"+-2^62 = +-{INDEX_BOUND}")
+
+
+def _check_stack(lo: int, factors: np.ndarray, bound_M: float, entries=None) -> bool:
+    """The entry checks of a (4, L) stack, and whether the window is in band.
+    The checks run on the stack first; ``_check_entries`` then takes only
+    the entries it flags, in insertion order, so an error is the one that
+    checking every entry in turn would raise.  The flagged entries are read
+    from ``entries`` where given (the dict a sequence was built from), else
+    from the stack's columns."""
+    s1, s2 = _screen(factors)
+    bad = ~(s1 < bound_M * (1.0 - 1e-12))
+    if bad.any():
+        flagged = np.flatnonzero(bad).tolist()
+        if entries is None:
+            items = ((lo + i, Mat2C(*factors[:, i].tolist())) for i in flagged)
+        else:
+            flagged = {lo + i for i in flagged}
+            items = ((j, m) for j, m in entries.items() if j in flagged)
+        _check_entries(items, bound_M)
+    return bool((s1 < BAND_EDGE).all() and (s2 > 1.0 / BAND_EDGE).all())  # nan: out
+
+
 class MatrixSequence:
     """A finite window j -> B(j) of nonzero matrices with a uniform norm bound.
 
     Entries are validated once at construction: every |j| at most
     INDEX_BOUND, every entry finite, every matrix nonzero and sigma1(B(j)) <
     bound_M, with bound_M finite and positive.  The entry checks run on the
-    factor stack first; ``_check_entries`` then takes only the entries it
-    flags, in insertion order, so an error is the one that checking every
-    entry in turn would raise.  ``factors`` holds the entries a, b, c, d of
-    B(lo) .. B(hi) as a read-only (4, L) complex stack, and is the one copy
-    of the window that is kept: ``seq[j]`` builds a ``Mat2C`` of complex
-    entries from its column j - lo, and ``restrict`` and ``to_json_dict``
-    read it too.  ``in_band`` says whether every factor has sigma1 <
-    BAND_EDGE and sigma2 > 1 / BAND_EDGE, from the same stacked screen; on
-    such a window ``product_sweep`` takes no 2^k prescale, since
+    factor stack (``_check_stack``), whether the window comes as a {j: Mat2C}
+    dict or as a stack through ``from_factors``.  ``factors`` holds the
+    entries a, b, c, d of B(lo) .. B(hi) as a read-only (4, L) complex stack,
+    and is the one copy of the window that is kept: ``seq[j]`` builds a
+    ``Mat2C`` of complex entries from its column j - lo, and ``restrict`` and
+    ``to_json_dict`` read it too.  ``in_band`` says whether every factor has
+    sigma1 < BAND_EDGE and sigma2 > 1 / BAND_EDGE, from the same stacked
+    screen; on such a window ``product_sweep`` takes no 2^k prescale, since
     sigma1(B . core) lies in [sigma2(B), sigma1(B)] for a core of
-    sigma1 = 1.  Instances are immutable and safe to share.
+    sigma1 = 1.  ``source`` is the generator spec of a generated window, or
+    None.  Instances are immutable and safe to share.
     """
 
     __slots__ = ("_lo", "_hi", "bound_M", "source", "factors", "in_band")
@@ -138,36 +170,41 @@ class MatrixSequence:
         bound_M: float,
         source: dict | None = None,
     ):
-        if not entries:
-            raise InvalidSpec("sequence window is empty")
-        if not (math.isfinite(bound_M) and bound_M > 0.0):
-            raise InvalidSpec(f"bound_M must be finite and positive, got {bound_M}")
         js = sorted(entries)
-        lo, hi = js[0], js[-1]
-        if lo < -INDEX_BOUND or hi > INDEX_BOUND:
-            raise InvalidSpec(f"window [{lo}, {hi}] reaches past the index bound "
-                              f"+-2^62 = +-{INDEX_BOUND}")
+        lo, hi = (js[0], js[-1]) if js else (0, -1)
+        _check_window(lo, hi, bound_M)
         if hi - lo + 1 != len(js):
             raise InvalidSpec("sequence window has gaps")
         rows = [(m.a, m.b, m.c, m.d) for m in map(entries.__getitem__, range(lo, hi + 1))]
         factors = np.array(rows)
-        in_band = False
         if factors.dtype.kind in "biufc":
             factors = np.ascontiguousarray(factors.T, dtype=complex)
-            s1, s2 = _screen(factors)
-            # the scalar checks see only the entries the stack cannot vouch for
-            bad = ~(s1 < bound_M * (1.0 - 1e-12))
-            if bad.any():
-                flagged = {lo + i for i in np.flatnonzero(bad).tolist()}
-                _check_entries(((j, m) for j, m in entries.items() if j in flagged), bound_M)
-            in_band = bool((s1 < BAND_EDGE).all() and (s2 > 1.0 / BAND_EDGE).all())  # nan: out
+            in_band = _check_stack(lo, factors, bound_M, entries)
         else:  # not stackable as numbers (a string, an int beyond float range)
             _check_entries(entries.items(), bound_M)
-            factors = np.array(rows, dtype=complex).T.copy()
+            factors, in_band = np.array(rows, dtype=complex).T.copy(), False
+        self._set(lo, factors, bound_M, source, in_band)
+
+    @classmethod
+    def from_factors(cls, lo: int, factors, bound_M: float,
+                     source: dict | None = None) -> "MatrixSequence":
+        """The window B(lo) .. B(lo + L - 1) of a (4, L) stack of entries a,
+        b, c, d, with the checks of the dict constructor run once on the
+        stack.  The stack is copied."""
+        factors = np.array(factors, dtype=complex)
+        if factors.ndim != 2 or len(factors) != 4:
+            raise InvalidSpec(f"factors must be a (4, L) stack, not of shape {factors.shape}")
+        lo = operator.index(lo)
+        _check_window(lo, lo + factors.shape[1] - 1, bound_M)
+        seq = cls.__new__(cls)
+        seq._set(lo, factors, bound_M, source, _check_stack(lo, factors, bound_M))
+        return seq
+
+    def _set(self, lo, factors, bound_M, source, in_band) -> None:
         self.factors = factors
         self.factors.flags.writeable = False
         self.in_band = in_band
-        self._lo, self._hi = lo, hi
+        self._lo, self._hi = lo, lo + factors.shape[1] - 1
         self.bound_M = float(bound_M)
         self.source = source
 
@@ -197,30 +234,56 @@ class MatrixSequence:
     def restrict(self, lo: int, hi: int) -> "MatrixSequence":
         if lo < self._lo or hi > self._hi or lo > hi:
             raise WindowExceeded(f"[{lo}, {hi}] not inside [{self._lo}, {self._hi}]")
-        return MatrixSequence({j: self[j] for j in range(lo, hi + 1)}, self.bound_M,
-                              source=self.source)
+        # no source: a generator spec names the window it was built over
+        return MatrixSequence.from_factors(
+            lo, self.factors[:, lo - self._lo:hi - self._lo + 1], self.bound_M)
 
     def to_json_dict(self) -> dict:
         # [re, im] of a, b, c, d per entry: the stack's (L, 4) complex rows as float pairs
         parts = np.ascontiguousarray(self.factors.T).view(float).reshape(-1, 4, 2).tolist()
         entries = [{"j": j, "m": m} for j, m in zip(self.indices(), parts)]
-        return {"window": [self._lo, self._hi], "bound_M": self.bound_M, "entries": entries}
+        doc = {"window": [self._lo, self._hi], "bound_M": self.bound_M, "entries": entries}
+        if self.source is not None:
+            doc["source"] = self.source
+        return doc
 
     @staticmethod
     def from_json_dict(doc: dict) -> "MatrixSequence":
         try:
             lo, hi = (_as_index(x) for x in doc["window"])
             bound = float(doc["bound_M"])
-            entries = {}
-            for rec in doc["entries"]:  # "m": [re, im] of a, b, c and d
-                entries[_as_index(rec["j"])] = Mat2C(*[complex(re, im) for re, im in rec["m"]])
+            factors = _entry_stack(doc["entries"], lo, hi)
+            if factors is None:
+                entries = {}
+                for rec in doc["entries"]:  # "m": [re, im] of a, b, c and d
+                    entries[_as_index(rec["j"])] = Mat2C(*[complex(re, im) for re, im in rec["m"]])
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             # OverflowError: a bound or entry too large for a float
             raise InvalidSpec(f"malformed sequence document: {exc}") from exc
+        if factors is not None:
+            return MatrixSequence.from_factors(lo, factors, bound, source=doc.get("source"))
         seq = MatrixSequence(entries, bound, source=doc.get("source"))
         if seq.window != (lo, hi):
             raise InvalidSpec("declared window does not match entries")
         return seq
+
+
+def _entry_stack(records, lo: int, hi: int) -> np.ndarray | None:
+    """The (4, L) stack of the records' "m" lists, read as a whole, when the
+    records are the sites lo .. hi in order and every "m" is four [re, im]
+    pairs of ints and floats: then it holds what complex(re, im) gives entry
+    by entry.  None for any other document, which ``from_json_dict`` reads
+    entry by entry, for the errors that loop raises."""
+    try:
+        js = [rec["j"] for rec in records]
+        parts = np.array([rec["m"] for rec in records])
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError):
+        return None
+    if not (parts.shape == (len(js), 4, 2) and parts.dtype.kind in "bif"
+            and set(map(type, js)) <= {int, float}  # not True for 1, nor a str
+            and len(js) == hi - lo + 1 and js == list(range(lo, hi + 1))):
+        return None
+    return np.ascontiguousarray(parts, dtype=float).view(complex).reshape(-1, 4).T
 
 
 def load_sequence(path: str) -> MatrixSequence:

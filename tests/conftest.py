@@ -1,18 +1,43 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from domsplit import (
     ConvergenceCert,
+    GeneratorSpec,
+    GroundTruth,
+    InvalidSpec,
     Mat2C,
     MatrixSequence,
     NoConvergence,
+    ProjPoint,
     backward_scan,
+    det,
     dist,
+    example1,
     expanding_image,
     forward_scan,
+    inverse,
     most_contracted,
+    mul,
+    project,
+    singular_values,
 )
-from domsplit.cocycle import _fit_rates
+from domsplit.cocycle import _fit_rates, _project
+from domsplit.generators import (
+    _Streams,
+    _bool,
+    _complex,
+    _indices,
+    _interval,
+    _param,
+    _potential,
+    _rank_one,
+    _rate_mode,
+    _real,
+)
 
 
 def random_mat(rng: np.random.Generator, scale: float = 1.0) -> Mat2C:
@@ -123,6 +148,201 @@ def scalar_splitting(seq, j, n_max, tol):
     cert = ConvergenceCert(n_star_s, n_star_u, _fit_rates(s_col)[0], _fit_rates(u_col)[0],
                            tol, (s_col, u_col, 0))
     return s_pts[n_star_s], u_pts[n_star_u], cert
+
+
+def scalar_bound(entries: dict) -> float:
+    """The bound as the scalar max of sigma1 over the entries: the reference
+    for ``generators._bound``."""
+    return max(singular_values(m)[0] for m in entries.values()) * (1.0 + 1e-9) + 1e-12
+
+
+# The family builders one site and one Mat2C at a time, with Python's own
+# complex arithmetic: the oracle for the array builders of ``generators``.
+
+def _haar_unit_vector(rng: np.random.Generator) -> tuple[complex, complex]:
+    g0, g1, g2, g3 = rng.standard_normal(4).tolist()
+    v = (complex(g0, g1), complex(g2, g3))
+    n = math.hypot(abs(v[0]), abs(v[1]))
+    return (v[0] / n, v[1] / n)
+
+
+def _orth(v: tuple[complex, complex]) -> tuple[complex, complex]:
+    return (-v[1].conjugate(), v[0].conjugate())
+
+
+def _unit_phase(rng: np.random.Generator) -> complex:
+    t = 2.0 * math.pi * rng.random()
+    return complex(math.cos(t), math.sin(t))
+
+
+def _points(sites: range, v0: list, v1: list) -> dict[int, ProjPoint]:
+    p = _project(np.array(v0, dtype=complex), np.array(v1, dtype=complex))
+    return dict(zip(sites, map(ProjPoint, *p.tolist())))
+
+
+def _frame(rng: np.random.Generator, sep_lo: float, sep_hi: float) -> Mat2C:
+    """Unit-column frame D(j) = (u(j), s(j)) with |det| = sin(theta_j)."""
+    u = _haar_unit_vector(rng)
+    uperp = _orth(u)
+    sin_t = sep_lo + (sep_hi - sep_lo) * rng.random()
+    cos_t = math.sqrt(1.0 - sin_t * sin_t)
+    phase = _unit_phase(rng)
+    s_col = (cos_t * u[0] + sin_t * phase * uperp[0], cos_t * u[1] + sin_t * phase * uperp[1])
+    return Mat2C(u[0], s_col[0], u[1], s_col[1])
+
+
+def _rates(rng: np.random.Generator, lp_range, lm_range) -> tuple[complex, complex]:
+    lp = lp_range[0] + (lp_range[1] - lp_range[0]) * rng.random()
+    lm = lm_range[0] + (lm_range[1] - lm_range[0]) * rng.random()
+    if not abs(lp) > abs(lm) > 0.0:
+        raise InvalidSpec("conjugated family needs |lambda+| > |lambda-| > 0")
+    return complex(lp), complex(lm)
+
+
+def _scalar_conjugated(spec):
+    lo, hi = spec.window
+    sep_lo = _param(spec, "sep_lo", 0.35, _real)
+    sep_hi = _param(spec, "sep_hi", 0.95, _real)
+    theta = _param(spec, "theta", None, _real)
+    lp_range = _param(spec, "lplus_range", (2.0, 3.0), _interval)
+    lm_range = _param(spec, "lminus_range", (0.5, 1.0), _interval)
+    constant = _param(spec, "rate_mode", "perstep", _rate_mode) == "constant"
+    streams = _Streams(spec.seed)
+    sites = range(lo, hi + 2)
+    if theta is None:
+        frames = [_frame(streams.at(j, 0), sep_lo, sep_hi) for j in sites]
+    else:
+        c, s = math.cos(theta), math.sin(theta)
+        frames = [Mat2C(c, -s, s, c)] * len(sites)
+    if constant:
+        rates = _rates(streams.at(0, 1), lp_range, lm_range)
+    entries, lplus, gaps = {}, {}, []
+    for k, j in enumerate(range(lo, hi + 1)):
+        lp, lm = rates if constant else _rates(streams.at(j, 1), lp_range, lm_range)
+        lplus[j] = lp
+        gaps.append(abs(lp) / abs(lm))
+        lam_j = Mat2C(lp, 0.0, 0.0, lm)
+        entries[j] = mul(frames[k + 1], mul(lam_j, inverse(frames[k])))
+    truth = GroundTruth(
+        es=_points(sites, [f.b for f in frames], [f.d for f in frames]),
+        eu=_points(sites, [f.a for f in frames], [f.c for f in frames]),
+        lam=min(gaps),
+        n_steps=1,
+        delta=min(abs(det(f)) for f in frames),
+    )
+    return entries, truth, lplus
+
+
+def _scalar_entries(spec):
+    """(entries, bound_M or None for the scalar max, ground truth) of a
+    family, site by site."""
+    lo, hi = spec.window
+    sites = range(lo, hi + 1)
+    family = spec.family
+    if family == "example1":
+        truth = GroundTruth(
+            es={j: project((1.0, 2.0 ** (-abs(j)))) for j in sites},
+            eu={j: project((1.0, 0.0)) for j in sites},
+            lam=2.0, n_steps=1,
+            delta=min(2.0 ** (-abs(j)) / math.sqrt(1.0 + 4.0 ** (-abs(j))) for j in sites),
+        )
+        return {j: example1(j) for j in sites}, 8.0, truth
+    if family == "diagonal":
+        lplus = _param(spec, "lplus", 2.0, _complex)
+        lminus = _param(spec, "lminus", 1.0, _complex)
+        truth = GroundTruth(
+            es={j: ProjPoint.infinity() for j in sites},
+            eu={j: ProjPoint.finite(0.0) for j in sites},
+            lam=abs(lplus) / abs(lminus), n_steps=1, delta=1.0,
+        )
+        return {j: Mat2C(lplus, 0.0, 0.0, lminus) for j in sites}, None, truth
+    if family == "conjugated_dominated":
+        entries, truth, _ = _scalar_conjugated(spec)
+        return entries, None, truth
+    if family == "schrodinger":
+        energy = _param(spec, "energy", 3.0, _complex)
+        pot = _param(spec, "potential", "zeros", _potential)
+        if pot == "zeros":
+            table = {j: 0.0 for j in sites}
+        elif isinstance(pot, dict):
+            table = pot
+        else:
+            table = {lo + k: v for k, v in enumerate(pot)}
+        return {j: Mat2C(energy - table[j], -1.0, 1.0, 0.0) for j in sites}, None, None
+    streams = _Streams(spec.seed)
+    if family == "random_bounded":
+        scale = _param(spec, "scale", 1.0, _real)
+        entries = {}
+        for j in sites:
+            g = streams.at(j, 2).standard_normal(8).tolist()
+            entries[j] = Mat2C(scale * complex(g[0], g[1]), scale * complex(g[2], g[3]),
+                               scale * complex(g[4], g[5]), scale * complex(g[6], g[7]))
+        return entries, None, None
+    if family == "random_singular":
+        base = GeneratorSpec("conjugated_dominated", spec.window, seed=spec.seed, params={
+            k: v for k, v in spec.params.items() if k not in ("insertions", "misaligned")})
+        entries, truth, lplus = _scalar_conjugated(base)
+        insertions = _param(spec, "insertions", (), _indices)
+        misaligned = _param(spec, "misaligned", False, _bool)
+        for p in insertions:
+            image = (truth.es if misaligned else truth.eu)[p + 1].vector()
+            entries[p] = _rank_one(lplus[p], image, truth.eu[p].vector(), truth.es[p].vector())
+        return entries, None, replace(truth, singular_sites=tuple(sorted(insertions)))
+    if family == "unitary":
+        angle = _param(spec, "angle", None, _real)
+        if angle is not None:
+            c, s = math.cos(angle), math.sin(angle)
+            return {j: Mat2C(c, -s, s, c) for j in sites}, 1.0 + 1e-9, None
+        entries = {}
+        for j in sites:
+            u = _haar_unit_vector(streams.at(j, 3))
+            w = _orth(u)
+            ph = streams.at(j, 4).random()
+            phase = complex(math.cos(2 * math.pi * ph), math.sin(2 * math.pi * ph))
+            entries[j] = Mat2C(u[0], phase * w[0], u[1], phase * w[1])
+        return entries, 1.0 + 1e-9, None
+    assert family == "ap_family", family
+    mu = _param(spec, "mu", 1e4, _real)
+    angle_floor = 1.2 * mu ** -0.25
+    angle_cap = 0.9
+    us = {j: _haar_unit_vector(streams.at(j, 5)) for j in range(lo, hi + 2)}
+    entries = {}
+    for j in sites:
+        rng = streams.at(j, 6)
+        t = rng.random()
+        if j in (0, 1, 2):
+            t = 0.0
+        c1 = math.exp(math.log(angle_floor) + t * (math.log(angle_cap) - math.log(angle_floor)))
+        s1 = math.sqrt(1.0 - c1 * c1)
+        ph = _unit_phase(rng)
+        u_prev = us[j - 1] if j - 1 >= lo else _haar_unit_vector(streams.at(j - 1, 5))
+        u_perp = _orth(u_prev)
+        v1 = (c1 * u_prev[0] + s1 * ph * u_perp[0], c1 * u_prev[1] + s1 * ph * u_perp[1])
+        v2 = _orth(v1)
+        g = (0.25 + 0.7 * rng.random()) / mu
+        u1, u2 = us[j], _orth(us[j])
+        entries[j] = Mat2C(
+            u1[0] * v1[0].conjugate() + g * u2[0] * v2[0].conjugate(),
+            u1[0] * v1[1].conjugate() + g * u2[0] * v2[1].conjugate(),
+            u1[1] * v1[0].conjugate() + g * u2[1] * v2[0].conjugate(),
+            u1[1] * v1[1].conjugate() + g * u2[1] * v2[1].conjugate(),
+        )
+    return entries, 1.0 + 1e-6, None
+
+
+def scalar_build(spec):
+    """``build_with_truth`` one site and one Mat2C at a time: the family's
+    entries as a dict, the scalar max of sigma1 as the bound where the family
+    does not fix one, and the ground truth."""
+    entries, bound_M, truth = _scalar_entries(spec)
+    if bound_M is None:
+        try:
+            bound_M = scalar_bound(entries)
+        except OverflowError:
+            raise InvalidSpec(
+                f"params {spec.params} take a {spec.family} entry beyond float range"
+            ) from None
+    return MatrixSequence(entries, bound_M, source=spec.to_json_dict()), truth
 
 
 def to_numpy(m: Mat2C) -> np.ndarray:

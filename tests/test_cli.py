@@ -78,6 +78,18 @@ class TestGen:
         for j in mem.indices():
             assert seq[j] == mem[j]
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_load_dump_gives_gen_bytes(self, tmp_path, capsys, family):
+        """A generated file read back and written out is gen's own file,
+        its source block included."""
+        out, back = tmp_path / "g.json", tmp_path / "b.json"
+        code, _, _ = run(capsys, "gen", "--family", family, "--seed", "3",
+                         "--window", "-30", "30", "--out", str(out))
+        assert code == 0
+        dump_sequence(load_sequence(str(out)), str(back))
+        assert back.read_bytes() == out.read_bytes()
+        assert json.loads(out.read_text())["source"]["family"] == family
+
     def test_spec_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(

@@ -1,11 +1,13 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domsplit import cocycle
 from domsplit import (
     Degenerate,
     DomsplitError,
@@ -226,6 +228,148 @@ class TestConstructorScreen:
         entries = {0: Mat2C(1.0, 0, 0, 1), 1: Mat2C(cell, 0, 0, 1)}
         with pytest.raises(InvalidSpec, match=f"^{message}$"):
             MatrixSequence(entries, 2.0)
+
+
+class TestFromFactors:
+    @settings(max_examples=300, deadline=None)
+    @given(constructor_cases())
+    def test_checks_as_the_dict_constructor(self, case):
+        """A stack gets the dict constructor's errors and bits, reading its
+        flagged entries from its own columns in j order."""
+        entries, bound = case
+        js = sorted(entries)
+        try:
+            factors = np.array([[complex(z) for z in (entries[j].a, entries[j].b,
+                                                      entries[j].c, entries[j].d)] for j in js]).T
+        except OverflowError:  # an int beyond float range: only the dict takes it
+            return
+        complex_entries = {j: Mat2C(*factors[:, k].tolist()) for k, j in enumerate(js)}
+        got = _outcome(lambda: MatrixSequence.from_factors(js[0], factors, bound).factors)
+        assert got == _outcome(lambda: MatrixSequence(complex_entries, bound).factors)
+
+    def test_copies_the_stack(self):
+        factors = np.array([[2.0], [0.0], [0.0], [1.0]], dtype=complex)
+        seq = MatrixSequence.from_factors(-3, factors, 4.0, source={"x": 1})
+        factors[0, 0] = 9.0
+        assert seq.window == (-3, -3) and seq[-3] == Mat2C(2.0, 0.0, 0.0, 1.0)
+        assert not seq.factors.flags.writeable and factors.flags.writeable
+        assert seq.source == {"x": 1} and seq.in_band
+
+    @pytest.mark.parametrize("factors,message", [
+        (np.zeros((4, 0)), "sequence window is empty"),
+        (np.ones((3, 5)), "factors must be a (4, L) stack, not of shape (3, 5)"),
+        (np.ones(4), "factors must be a (4, L) stack, not of shape (4,)"),
+    ])
+    def test_rejects_stack(self, factors, message):
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+            MatrixSequence.from_factors(0, factors, 4.0)
+
+    def test_window_checks_in_order(self):
+        with pytest.raises(InvalidSpec, match="^bound_M must be finite"):
+            MatrixSequence.from_factors(2 ** 63, np.ones((4, 2)), math.nan)
+        with pytest.raises(InvalidSpec, match="index bound"):
+            MatrixSequence.from_factors(2 ** 63, np.ones((4, 2)), 4.0)
+
+
+class TestSource:
+    def test_round_trip_keeps_source(self, tmp_path):
+        spec = GeneratorSpec("conjugated_dominated", (-8, 8), {"rate_mode": "constant"}, 5)
+        seq, _ = build_with_truth(spec)
+        assert seq.to_json_dict()["source"] == spec.to_json_dict()
+        path = tmp_path / "seq.json"
+        dump_sequence(seq, str(path))
+        back = load_sequence(str(path))
+        assert back.source == spec.to_json_dict()
+        assert back.to_json_dict() == seq.to_json_dict()
+
+    def test_restrict_drops_source(self):
+        seq, _ = build_with_truth(GeneratorSpec("example1", (-8, 8)))
+        sub = seq.restrict(-2, 3)
+        assert sub.source is None and "source" not in sub.to_json_dict()
+        assert sub.factors.tobytes() == seq.factors[:, 6:12].tobytes()
+
+    def test_sequence_without_source_writes_none(self, ex1):
+        assert "source" not in MatrixSequence({0: Mat2C(2.0, 0, 0, 1)}, 4.0).to_json_dict()
+
+
+def scalar_load(doc):
+    """``from_json_dict`` one entry at a time, each built with complex(re,
+    im) into a Mat2C and handed to the dict constructor: the reference for
+    the loader's stack."""
+    try:
+        lo, hi = (cocycle._as_index(x) for x in doc["window"])
+        bound = float(doc["bound_M"])
+        entries = {}
+        for rec in doc["entries"]:
+            entries[cocycle._as_index(rec["j"])] = Mat2C(*[complex(re, im) for re, im in rec["m"]])
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise InvalidSpec(f"malformed sequence document: {exc}") from exc
+    seq = MatrixSequence(entries, bound, source=doc.get("source"))
+    if seq.window != (lo, hi):
+        raise InvalidSpec("declared window does not match entries")
+    return seq
+
+
+_CELL_VALUES = st.one_of(
+    st.floats(-4.0, 4.0), st.integers(-3, 3), st.booleans(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, 1.7e308, 2 ** 53 + 1, 2 ** 63, -(2 ** 63),
+                     2 ** 64 + 1, 10 ** 400, "1.5", None, [1.0], 1e-320]),
+)
+
+
+@st.composite
+def loader_docs(draw):
+    """Documents near a well-formed file: each entry's pairs, j and the
+    record itself may be replaced by something the loader must refuse or
+    read as the per-entry loop reads it."""
+    n = draw(st.integers(0, 4))
+    lo = draw(st.integers(-3, 3))
+    plain = st.floats(-4.0, 4.0)
+    entries = []
+    for k in range(n):
+        m = [[draw(plain), draw(plain)] for _ in range(4)]
+        if draw(st.integers(0, 2)) == 0:
+            m[draw(st.integers(0, 3))][draw(st.integers(0, 1))] = draw(_CELL_VALUES)
+        if draw(st.integers(0, 9)) == 0:
+            m = draw(st.sampled_from([m[:3], m + [[5.0, 5.0]], [p + [0.0] for p in m], "abcd"]))
+        j = lo + k
+        if draw(st.integers(0, 6)) == 0:
+            j = draw(st.sampled_from([float(j), True, str(j), j + 0.5, j + 1, None]))
+        entries.append({"j": j, "m": m} if draw(st.integers(0, 19)) else [j, m])
+    if n > 1 and draw(st.integers(0, 5)) == 0:
+        entries.reverse()
+    hi = lo + n - 1 + draw(st.sampled_from([0] * 8 + [1, -1]))
+    bound = draw(st.sampled_from([100.0] * 6 + [5.0, 1e-3, 1e400]))
+    doc = {"window": [lo, hi], "bound_M": bound,
+           "entries": entries}
+    if draw(st.booleans()):
+        doc["source"] = {"family": "x"}
+    return doc
+
+
+class TestLoaderStack:
+    @settings(max_examples=600, deadline=None)
+    @given(loader_docs())
+    def test_loads_as_the_entry_loop(self, doc):
+        """The loader's stack gives the per-entry loop's sequence, or its
+        error type and message."""
+        got = _load_outcome(lambda: MatrixSequence.from_json_dict(doc))
+        assert got == _load_outcome(lambda: scalar_load(doc))
+
+    def test_generated_file_takes_the_stack(self, tmp_path):
+        seq, _ = build_with_truth(GeneratorSpec("conjugated_dominated", (-30, 30), seed=2))
+        doc = seq.to_json_dict()
+        assert cocycle._entry_stack(doc["entries"], -30, 30) is not None
+        back = MatrixSequence.from_json_dict(doc)
+        assert back.factors.tobytes() == seq.factors.tobytes() and back.in_band == seq.in_band
+
+
+def _load_outcome(load):
+    try:
+        seq = load()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return seq.window, seq.bound_M, seq.factors.tobytes(), seq.in_band, seq.source
 
 
 class TestWindowProduct:

@@ -27,6 +27,8 @@ from domsplit import (
 from domsplit import generators
 from domsplit.generators import FAMILIES
 
+from conftest import scalar_bound, scalar_build
+
 LN2 = math.log(2.0)
 
 
@@ -292,15 +294,19 @@ def _hex(z) -> tuple[str, str]:
     return float.hex(z.real), float.hex(z.imag)
 
 
-def build_bits(spec: GeneratorSpec) -> list:
-    """A build as bits: the factor stack, bound_M and the truth as float.hex."""
-    seq, truth = build_with_truth(spec)
-    bits = [seq.factors.tobytes(), seq.bound_M.hex()]
+def bits(seq, truth) -> list:
+    """A build as bits: the factor stack, bound_M and every ground truth
+    field, floats as float.hex."""
+    out = [seq.factors.tobytes(), seq.bound_M.hex()]
     if truth is not None:
         for side in (truth.es, truth.eu):
-            bits.append([(j, *_hex(p.v1), *_hex(p.v2)) for j, p in side.items()])
-        bits.append((truth.lam.hex(), truth.n_steps, truth.delta.hex(), truth.singular_sites))
-    return bits
+            out.append([(j, *_hex(p.v1), *_hex(p.v2)) for j, p in side.items()])
+        out.append((truth.lam.hex(), truth.n_steps, truth.delta.hex(), truth.singular_sites))
+    return out
+
+
+def build_bits(spec: GeneratorSpec) -> list:
+    return bits(*build_with_truth(spec))
 
 
 FAMILY_CASES = [
@@ -369,10 +375,9 @@ class TestStreams:
             assert got == [want[k % 2]] * 3, k
 
 
-def scalar_bound(entries: dict) -> float:
-    """The bound as the scalar max of sigma1 over the entries: the reference
-    for ``generators._bound_from_entries``."""
-    return max(singular_values(m)[0] for m in entries.values()) * (1.0 + 1e-9) + 1e-12
+def stack(entries: dict) -> np.ndarray:
+    """The entries as a (4, L) stack, columns in insertion order."""
+    return np.array([(m.a, m.b, m.c, m.d) for m in entries.values()], dtype=complex).T.copy()
 
 
 class TestBound:
@@ -381,23 +386,191 @@ class TestBound:
         for seed in (0, 1, 2):
             seq, _ = build_with_truth(GeneratorSpec(family, (-45, 45), params, seed))
             entries = {j: seq[j] for j in seq.indices()}
-            assert generators._bound_from_entries(entries).hex() == scalar_bound(entries).hex()
+            assert generators._bound(seq.factors).hex() == scalar_bound(entries).hex()
             for c in (1e-290, 1e-150, 1e150, 1e290):
                 scaled = {j: m.scale(c) for j, m in entries.items()}
-                assert generators._bound_from_entries(scaled).hex() == scalar_bound(scaled).hex()
+                assert generators._bound(stack(scaled)).hex() == scalar_bound(scaled).hex()
 
     def test_ties_and_reordering(self):
         m = Mat2C(1.0 + 2.0j, -0.5, 0.25j, 3.0)
         entries = {3: m.scale(1 - 2**-52), 1: m, 2: m.scale(-1.0), 0: m.scale(0.5)}
-        assert generators._bound_from_entries(entries).hex() == scalar_bound(entries).hex()
+        assert generators._bound(stack(entries)).hex() == scalar_bound(entries).hex()
 
     @pytest.mark.parametrize("bad", [Mat2C(0j, 0j, 0j, 0j), Mat2C(1.7e308 + 1.7e308j, 0, 0, 1)])
     def test_raises_as_scalar_max(self, bad):
-        entries = {0: Mat2C(1.0, 0, 0, 1), 1: bad, 2: Mat2C(2.0, 0, 0, 1)}
+        entries = {0: Mat2C(1.0, 0, 0, 1), 1: bad, 2: Mat2C(2.0, 0, 0, 1), 3: bad}
         with pytest.raises(Exception) as want:
             scalar_bound(entries)
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-            generators._bound_from_entries(entries)
+            generators._bound(stack(entries))
+
+    def test_first_of_each_distinct_column(self):
+        """A constant window takes one scalar sigma1, and the first failing
+        column still decides the error."""
+        one = Mat2C(2.0, 0.5j, 0, 1)
+        calls = []
+        sv = generators.singular_values
+        with mock.patch.object(generators, "singular_values",
+                               lambda m: calls.append(m) or sv(m)):
+            bound = generators._bound(stack({j: one for j in range(50)}))
+        assert calls == [one] and bound.hex() == scalar_bound({0: one}).hex()
+        zero, huge = Mat2C(0j, 0j, 0j, 0j), Mat2C(1.7e308 + 1.7e308j, 0, 0, 1)
+        for first, then in ((zero, huge), (huge, zero)):
+            entries = {0: one, 1: first, 2: then, 3: first, 4: then}
+            with pytest.raises(Exception) as want:
+                scalar_bound(entries)
+            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                generators._bound(stack(entries))
+
+
+# Python 3.14 multiplies and divides a float into a complex without making
+# it (x, 0.0) first; the stacks keep the arithmetic of 3.10 - 3.13.
+SCALAR_ARITHMETIC = pytest.mark.skipif(
+    sys.version_info >= (3, 14), reason="mixed float/complex arithmetic changed in 3.14")
+
+_PARTS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, -1e300, 5e-324, 1.7e308)
+
+
+def _as_pair(z):
+    """A Python number as the bits generators._Cx would hold: (type, re, im)."""
+    if isinstance(z, complex):
+        return complex, z.real.hex(), z.imag.hex()
+    return float, float(z).hex()
+
+
+def _pairs(z, n: int) -> list:
+    """The n sites of a float array or a generators._Cx as _as_pair gives them."""
+    if isinstance(z, generators._Cx):
+        re, im = np.broadcast_to(z.re, (n,)).tolist(), np.broadcast_to(z.im, (n,)).tolist()
+        return [(complex, a.hex(), b.hex()) for a, b in zip(re, im)]
+    return [(float, a.hex()) for a in np.broadcast_to(z, (n,)).tolist()]
+
+
+@SCALAR_ARITHMETIC
+class TestCx:
+    """generators._Cx against Python's own complex and float arithmetic,
+    operation by operation, on signed zeros, ties of |re| and |im|,
+    subnormals and values that overflow."""
+
+    values = [complex(a, b) for a in _PARTS for b in _PARTS] + list(_PARTS)
+
+    def as_array(self, xs):
+        if all(isinstance(x, complex) for x in xs):
+            return generators._Cx(np.array([x.real for x in xs]), np.array([x.imag for x in xs]))
+        return np.array(xs, dtype=float)
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+    def test_binary(self, op):
+        import operator
+        f = getattr(operator, op)
+        cs = [v for v in self.values if isinstance(v, complex)]
+        fs = [v for v in self.values if isinstance(v, float)]
+        for xs_kind, ys_kind in ((cs, cs), (cs, fs), (fs, cs)):
+            xs = [x for x in xs_kind for _ in ys_kind]
+            ys = [y for _ in xs_kind for y in ys_kind]
+            want = []
+            keep = []
+            for k, (x, y) in enumerate(zip(xs, ys)):
+                try:
+                    want.append(_as_pair(f(x, y)))
+                    keep.append(k)
+                except ZeroDivisionError:
+                    pass
+            xs, ys = [xs[k] for k in keep], [ys[k] for k in keep]
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = f(self.as_array(xs), self.as_array(ys))
+            assert _pairs(got, len(xs)) == want, op
+
+    def test_unary(self):
+        cs = [v for v in self.values if isinstance(v, complex)]
+        z = self.as_array(cs)
+        assert _pairs(-z, len(cs)) == [_as_pair(-x) for x in cs]
+        assert _pairs(z.conjugate(), len(cs)) == [_as_pair(x.conjugate()) for x in cs]
+        # abs(complex) raises OverflowError where the modulus is inf
+        finite = [x for x in cs if math.hypot(x.real, x.imag) < math.inf]
+        got = abs(self.as_array(finite))
+        assert [float(v).hex() for v in got] == [abs(x).hex() for x in finite]
+
+    def test_division_by_zero(self):
+        one = generators._Cx(np.ones(2), np.zeros(2))
+        with pytest.raises(ZeroDivisionError, match="^complex division by zero$"):
+            one / generators._Cx(np.array([1.0, 0.0]), np.array([0.0, -0.0]))
+
+
+ORACLE_CASES = [
+    *[(f, p, w) for f, p in FAMILY_CASES for w in ((-45, 45), (0, 400))],
+    ("random_singular", {"insertions": [7, 0], "misaligned": True}, (-45, 45)),
+    ("conjugated_dominated", {"theta": 0.3, "rate_mode": "constant"}, (-45, 45)),
+    ("schrodinger", {"energy": complex(1.5, -0.25), "potential": [0.1 * k for k in range(91)]},
+     (-45, 45)),
+    ("random_bounded", {"scale": -2.5}, (-45, 45)),
+    ("unitary", {"angle": 0.7}, (-45, 45)),
+    ("diagonal", {"lplus": 3j, "lminus": complex(-1.0, 0.5)}, (-45, 45)),
+]
+
+
+@SCALAR_ARITHMETIC
+class TestScalarOracle:
+    """Each family's stack, bound and ground truth, bit for bit as the scalar
+    builders of ``conftest`` give them one Mat2C at a time."""
+
+    @pytest.mark.parametrize("family,params,window", ORACLE_CASES)
+    def test_matches_scalar_builders(self, family, params, window):
+        for seed in range(6):
+            spec = GeneratorSpec(family, window, params, seed)
+            assert build_bits(spec) == bits(*scalar_build(spec)), seed
+
+    @pytest.mark.parametrize("family,params", [
+        ("conjugated_dominated", {}),
+        ("conjugated_dominated", {"rate_mode": "constant"}),
+        ("random_singular", {"insertions": [0]}),
+        ("random_singular", {"insertions": [0], "misaligned": True}),
+        ("ap_family", {"mu": 1e2}),
+        ("ap_family", {"mu": 1e3}),
+        ("ap_family", {"mu": 1e4}),
+    ])
+    def test_long_windows(self, family, params):
+        window = (-1000, 1000) if family == "conjugated_dominated" else (-200, 200)
+        spec = GeneratorSpec(family, window, params, 7)
+        assert build_bits(spec) == bits(*scalar_build(spec))
+
+    @pytest.mark.parametrize("family,params", [
+        ("conjugated_dominated", {"sep_lo": 1e-13, "sep_hi": 1e-13}),
+        ("conjugated_dominated", {"sep_lo": 5e-324, "sep_hi": 5e-324}),
+        # the scalar loop met a site's rate test before its frame's inverse
+        ("conjugated_dominated", {"sep_lo": 1e-13, "sep_hi": 1e-13, "lplus_range": [0.1, 0.2]}),
+        ("conjugated_dominated", {"lplus_range": [0.6, 0.9]}),
+        ("conjugated_dominated", {"lplus_range": [0.6, 0.9], "rate_mode": "constant"}),
+        ("conjugated_dominated", {"lplus_range": [-1.7e308, 1.7e308]}),
+        ("random_bounded", {"scale": 1e308}),
+        ("schrodinger", {"energy": 1.7e308, "potential": [-1.7e308] * 11}),
+        ("random_singular", {"insertions": [0], "theta": 0.0, "lplus_range": [2.0, 2.0]}),
+    ])
+    def test_errors_as_scalar_builders(self, family, params):
+        def outcome(build):
+            try:
+                return bits(*build())
+            except Exception as exc:  # the type and message are what is compared
+                return type(exc), str(exc)
+
+        for seed in range(3):
+            spec = GeneratorSpec(family, (-5, 5), params, seed)
+            assert outcome(lambda: build_with_truth(spec)) == outcome(lambda: scalar_build(spec))
+
+    @pytest.mark.parametrize("family,params", FAMILY_CASES)
+    def test_no_matrix_per_entry(self, family, params):
+        """A window is built as one stack: the only Mat2C built are the
+        insertions and the columns that the bound takes to the scalar max."""
+        calls = []
+        init = Mat2C.__init__
+
+        def counted(m, *args):
+            calls.append(args)
+            init(m, *args)
+
+        with mock.patch.object(Mat2C, "__init__", counted):
+            build_with_truth(GeneratorSpec(family, (0, 400), params, 1))
+        assert len(calls) <= 4, (family, len(calls))
 
 
 class TestParams:
