@@ -16,17 +16,21 @@ avalanche audit and the per-site ``estimate_splitting`` and
 Each of its layers takes one Gram quadratic, of the raw product factor .
 core: log sigma1 is the accumulated log scale, and the directions and the
 degeneracy test are read off that raw product.  The 2^k prescale of the raw
-product reads the exact moduli of its entries, as ``_prescale`` does, and
-runs only on windows with a factor outside the band sigma1 < 1e100, sigma2 >
-1e-100, which ``MatrixSequence`` decides once at construction: a core has
-sigma1 = 1, so sigma1(B . core) lies in [sigma2(B), sigma1(B)], and no layer
-of an in-band window can leave the prescale's band (1e-120, 1e120) or
-vanish.  Every layer writes into buffers allocated once per sweep.  One
-stopping rule runs over the s and u columns of every site.  The scalar path
-(``ScaledProduct``, the scans, ``sn`` and ``un``) stays as the sweep's
-oracle.  The array stages use numpy's own complex arithmetic, complex
-modulus, hypot and log, so they agree with the scalar engine within 1e-12
-relative to max(1, |x|), not bit for bit.
+product reads the exact moduli of its entries, as ``_prescale`` does, and is
+a per-row rescue: a core has sigma1 = 1, so sigma1(B . core) lies in
+[sigma2(B), sigma1(B)], and a layer whose factors all lie in the band
+sigma1 < 1e100, sigma2 > 1e-100 has no row that the prescale would change.
+Only the layers that read a factor out of band, which ``MatrixSequence``
+finds once at construction, and the layers after a row vanished check sigma1
+row by row, and only the rows out of band take the prescale.  Every layer
+writes into buffers allocated once per sweep, and sigma1 into its row of one
+grid, whose log and running sum down the depth axis are taken once after the
+last layer.  The svg and fi profiles of ``conditions`` are passes over those
+staircase grids.  One stopping rule runs over the s and u columns of every
+site.  The scalar path (``ScaledProduct``, the scans, ``sn`` and ``un``)
+stays as the sweep's oracle.  The array stages use numpy's own complex
+arithmetic, complex modulus, hypot and log, so they agree with the scalar
+engine within 1e-12 relative to max(1, |x|), not bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     Degenerate,
@@ -123,13 +128,15 @@ def _check_window(lo: int, hi: int, bound_M: float) -> None:
                           f"+-2^62 = +-{INDEX_BOUND}")
 
 
-def _check_stack(lo: int, factors: np.ndarray, bound_M: float, entries=None) -> bool:
-    """The entry checks of a (4, L) stack, and whether the window is in band.
-    The checks run on the stack first; ``_check_entries`` then takes only
-    the entries it flags, in insertion order, so an error is the one that
-    checking every entry in turn would raise.  The flagged entries are read
-    from ``entries`` where given (the dict a sequence was built from), else
-    from the stack's columns."""
+def _check_stack(lo: int, factors: np.ndarray, bound_M: float, entries=None) -> int:
+    """The entry checks of a (4, L) stack, and the sweep layers that read a
+    factor outside the band: layer n reads B(lo + n - 1) .. B(hi), so these
+    are the layers 1 .. 1 + the last such factor's offset (0 when every
+    factor is in band).  The checks run on the stack first; ``_check_entries``
+    then takes only the entries it flags, in insertion order, so an error is
+    the one that checking every entry in turn would raise.  The flagged
+    entries are read from ``entries`` where given (the dict a sequence was
+    built from), else from the stack's columns."""
     s1, s2 = _screen(factors)
     bad = ~(s1 < bound_M * (1.0 - 1e-12))
     if bad.any():
@@ -140,7 +147,8 @@ def _check_stack(lo: int, factors: np.ndarray, bound_M: float, entries=None) -> 
             flagged = {lo + i for i in flagged}
             items = ((j, m) for j, m in entries.items() if j in flagged)
         _check_entries(items, bound_M)
-    return bool((s1 < BAND_EDGE).all() and (s2 > 1.0 / BAND_EDGE).all())  # nan: out
+    out = np.flatnonzero(~((s1 < _BAND) & (s2 > 1.0 / _BAND)))  # nan: out
+    return int(out[-1]) + 1 if out.size else 0
 
 
 class MatrixSequence:
@@ -154,15 +162,15 @@ class MatrixSequence:
     entries a, b, c, d of B(lo) .. B(hi) as a read-only (4, L) complex stack,
     and is the one copy of the window that is kept: ``seq[j]`` builds a
     ``Mat2C`` of complex entries from its column j - lo, and ``restrict`` and
-    ``to_json_dict`` read it too.  ``in_band`` says whether every factor has
-    sigma1 < BAND_EDGE and sigma2 > 1 / BAND_EDGE, from the same stacked
-    screen; on such a window ``product_sweep`` takes no 2^k prescale, since
-    sigma1(B . core) lies in [sigma2(B), sigma1(B)] for a core of
-    sigma1 = 1.  ``source`` is the generator spec of a generated window, or
-    None.  Instances are immutable and safe to share.
+    ``to_json_dict`` read it too.  ``rescue_layers`` comes from the same
+    stacked screen: a ``product_sweep`` layer n <= rescue_layers reads a
+    factor with sigma1 >= 1e100 or sigma2 <= 1e-100, and only such layers
+    check their rows' sigma1 for the 2^k rescue (0 on a window in band).
+    ``source`` is the generator spec of a generated window, or None.
+    Instances are immutable and safe to share.
     """
 
-    __slots__ = ("_lo", "_hi", "bound_M", "source", "factors", "in_band")
+    __slots__ = ("_lo", "_hi", "bound_M", "source", "factors", "rescue_layers")
 
     def __init__(
         self,
@@ -179,11 +187,12 @@ class MatrixSequence:
         factors = np.array(rows)
         if factors.dtype.kind in "biufc":
             factors = np.ascontiguousarray(factors.T, dtype=complex)
-            in_band = _check_stack(lo, factors, bound_M, entries)
+            rescue_layers = _check_stack(lo, factors, bound_M, entries)
         else:  # not stackable as numbers (a string, an int beyond float range)
             _check_entries(entries.items(), bound_M)
-            factors, in_band = np.array(rows, dtype=complex).T.copy(), False
-        self._set(lo, factors, bound_M, source, in_band)
+            factors = np.array(rows, dtype=complex).T.copy()
+            rescue_layers = factors.shape[1]  # unscreened: every layer checks
+        self._set(lo, factors, bound_M, source, rescue_layers)
 
     @classmethod
     def from_factors(cls, lo: int, factors, bound_M: float,
@@ -200,10 +209,10 @@ class MatrixSequence:
         seq._set(lo, factors, bound_M, source, _check_stack(lo, factors, bound_M))
         return seq
 
-    def _set(self, lo, factors, bound_M, source, in_band) -> None:
+    def _set(self, lo, factors, bound_M, source, rescue_layers) -> None:
         self.factors = factors
         self.factors.flags.writeable = False
-        self.in_band = in_band
+        self.rescue_layers = rescue_layers
         self._lo, self._hi = lo, lo + factors.shape[1] - 1
         self.bound_M = float(bound_M)
         self.source = source
@@ -709,13 +718,16 @@ def _singular_values(z: np.ndarray, sigma2: bool = True, prescaled: tuple | None
 # is at least s), and its moduli and sigma1 (at most 2 sqrt(2) s) are finite.
 _SCREEN_MAX = 1e300
 
-# A window is in band when every factor B has sigma1 < BAND_EDGE and sigma2 >
-# 1 / BAND_EDGE.  A sweep's core has sigma1 = 1, so sigma1(B . core) lies in
-# [sigma2(B), sigma1(B)] and the largest entry of B . core in [sigma1 / 2,
-# sigma1]: 20 decades inside the prescale's band (1e-120, 1e120) and far
-# above ENTRY_ZERO_TOL, at every depth.  sigma2 > 0 means |det| > DET_REL_TOL
-# sigma1^2, so the rounding of det cannot carry a factor into the band.
-BAND_EDGE = 1e100
+# A factor B is in band when sigma1(B) < _BAND and sigma2(B) > 1 / _BAND, and a
+# sweep row when the sigma1 of its raw product lies in (1 / _BAND, _BAND).  A
+# core has sigma1 = 1, so sigma1(B . core) lies in [sigma2(B), sigma1(B)]: a
+# layer whose factors are all in band, with no vanished row, has every row in
+# band.  An in-band row's largest entry lies in [sigma1 / 2, sigma1], 20
+# decades inside the prescale's band (1e-120, 1e120) and far above
+# ENTRY_ZERO_TOL, so ``_prescale_rows`` would leave it as it is.  sigma2 > 0
+# means |det| > DET_REL_TOL sigma1^2, so the rounding of det cannot carry a
+# factor into the band.
+_BAND = 1e100
 
 
 def _screen(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -763,14 +775,15 @@ class _DirectionRuns:
     def advance(self, n, room, vanished, degenerate, pts, tol):
         """Layer n at each column: room says the column may look at depth n;
         pts is its unit direction as a (2, W) array, meaningful where neither
-        flag is set.  Room only shrinks as n grows, so a column without it is
-        done."""
+        flag is set.  Either flag is None where it holds at no column.  Room
+        only shrinks as n grows, so a column without it is done."""
         self.done |= ~room
         live = ~self.done
-        # the scalar scan raises ProductVanished before it reads this layer
-        self.done |= live & vanished
-        live &= ~vanished
-        ok = live & ~degenerate
+        if vanished is not None:
+            # the scalar scan raises ProductVanished before it reads this layer
+            self.done |= live & vanished
+            live &= ~vanished
+        ok = live if degenerate is None else live & ~degenerate
         step = ok & self.prev_ok
         d = _dist(self.prev, pts)
         np.copyto(self.steps[n - 1], d, where=step)
@@ -785,29 +798,40 @@ class _DirectionRuns:
         np.copyto(self.prev_ok, ok, where=live)
 
 
+def _staircase_rows(grid: np.ndarray, count: int) -> list[np.ndarray]:
+    """Rows 0 .. count - 1 of a staircase grid whose row k holds
+    grid.shape[1] - k cells, as views; a row past the grid's last is empty."""
+    last, width = len(grid) - 1, grid.shape[1]
+    return [grid[min(k, last), :max(width - k, 0)] for k in range(count)]
+
+
 @dataclass(frozen=True)
 class ProductSweep:
     """Everything one ``product_sweep`` yields.
 
-    ``log_s1[n]`` and ``log_s2[n]`` hold log sigma1 and log sigma2 of B_n(j)
-    for j = lo .. hi - n + 1, n = 0 .. n_max + 1 (layer 0 is the identity and
-    has one start more, hi + 1); -inf marks a vanished product.  ``log_s2``
-    is built from ``factors`` and ``log_s1`` when first read.  At the sites
-    of ``jrange`` the sweep holds the sites where estimation failed and, as
+    ``log_s1_grid`` is the staircase of log sigma1 of B_n(j): row n holds it
+    at columns j - lo for j = lo .. hi - n + 1, n = 0 .. min(n_max, L) + 1
+    for L the window's length (layer 0 is the identity and has one start
+    more, hi + 1), and +inf in the cells past that; -inf marks a vanished
+    product.  ``log_s2_grid`` holds log sigma2 the same way, with -inf past
+    the staircase, and is built from ``factors`` and the log sigma1 grid
+    when first read.  ``log_s1[n]`` and ``log_s2[n]``, n = 0 .. n_max + 1,
+    are the rows of those grids without their padding.  At the sites of
+    ``jrange`` the sweep holds the sites where estimation failed and, as
     columns over the K sites whose fields converged, ``js`` in ascending
     order, the fields' unit representatives ``es_vec`` / ``eu_vec`` as (2, K)
     arrays and the stopping indices ``n_star`` as a (2, K) array (rows s,
     u).  The consecutive distances ``steps`` are a (min(n_max, L), 2S) array
-    over all S sites of jrange, converged or not, for L the window's length:
-    s columns then u columns, row n holding d(pt_n, pt_{n+1}) and nan where
-    there is none, since no column has room past depth L.  The per-site
-    dicts ``es``, ``eu`` and ``certs`` are built from those columns when
-    first read.  ``factors`` is the sequence's own stack of B(lo) .. B(hi).
+    over all S sites of jrange, converged or not: s columns then u columns,
+    row n holding d(pt_n, pt_{n+1}) and nan where there is none, since no
+    column has room past depth L.  The per-site dicts ``es``, ``eu`` and
+    ``certs`` are built from those columns when first read.  ``factors`` is
+    the sequence's own stack of B(lo) .. B(hi).
     """
 
     window: tuple[int, int]
     n_max: int
-    log_s1: list[np.ndarray] = field(repr=False)
+    log_s1_grid: np.ndarray = field(repr=False)
     jrange: tuple[int, int] | None
     tol: float
     failed: list[int]
@@ -842,19 +866,55 @@ class ProductSweep:
         }
 
     @cached_property
-    def log_s2(self) -> list[np.ndarray]:
+    def log_s1(self) -> list[np.ndarray]:
+        return _staircase_rows(self.log_s1_grid, self.n_max + 2)
+
+    @cached_property
+    def log_s2_grid(self) -> np.ndarray:
         """log sigma2 = log|det| - log sigma1, with log|det| of B_n(j) summed
-        factor by factor from B(j) up, as ``ScaledProduct`` sums it."""
-        flog_det = _log_abs_dets(self.factors)
-        log_s2 = [np.zeros(len(flog_det) + 1)]
-        log_det = np.zeros(len(flog_det))
-        for n, ls1 in enumerate(self.log_s1[1:], start=1):
-            log_det = log_det[:len(ls1)] + flog_det[n - 1:]
-            vanished = ls1 == NEG_INF
-            ls2 = log_det - np.where(vanished, 0.0, ls1)
-            ls2[vanished] = NEG_INF
-            log_s2.append(ls2)
-        return log_s2
+        factor by factor from B(j) up, as ``ScaledProduct`` sums it: one
+        accumulate down the depth axis of a sliding window over the factors'
+        log|det|, whose row n - 1 holds log|det B(j + n - 1)| at column j."""
+        ls1 = self.log_s1_grid
+        depth, width = ls1.shape
+        flog_det = np.concatenate([_log_abs_dets(self.factors), np.zeros(depth - 1)])
+        ls2 = np.empty_like(ls1)
+        ls2[0] = 0.0
+        np.add.accumulate(sliding_window_view(flog_det, width), axis=0, out=ls2[1:])
+        with np.errstate(invalid="ignore"):  # -inf - -inf on vanished cells, set below
+            np.subtract(ls2[1:], ls1[1:], out=ls2[1:])  # -inf past the staircase
+        if ls1.min() == NEG_INF:
+            ls2[ls1 == NEG_INF] = NEG_INF
+        return ls2
+
+    @cached_property
+    def log_s2(self) -> list[np.ndarray]:
+        return _staircase_rows(self.log_s2_grid, self.n_max + 2)
+
+
+def _rescue(raw: np.ndarray, quad: tuple, vanished: np.ndarray | None) -> np.ndarray | None:
+    """The rows of a layer's ``_gram`` quadratic ``quad`` of its raw products
+    whose sigma1 leaves (1 / _BAND, _BAND), or is nan, taken again from
+    their ``_prescale_rows``, in place; sigma1 then is that of the raw
+    product.  Rows that vanish join ``vanished``, the mask of the rows that
+    had vanished before, which is returned (None while no row has).  A
+    vanished row, whose entries are at most ENTRY_ZERO_TOL, has sigma1 0."""
+    s1 = quad[-1]
+    rescue = ~((s1 > 1.0 / _BAND) & (s1 < _BAND))
+    if vanished is not None:
+        rescue[vanished] = False
+    rows = rescue.nonzero()[0]
+    if rows.size:
+        z, k, zero = _prescale_rows(raw[:, rows])
+        if k is not None:  # else z is raw, whose quadratic quad holds
+            for whole, part in zip(quad, _gram(z)):
+                whole[rows] = part
+            s1[rows] = np.ldexp(s1[rows], -k)
+        if zero.any():
+            if vanished is None:
+                vanished = np.zeros(len(s1), dtype=bool)
+            vanished[rows[zero]] = True
+    return vanished
 
 
 def product_sweep(
@@ -872,25 +932,31 @@ def product_sweep(
     of that raw product: log sigma1 of B_n(j) is the accumulated log scale,
     the sum of the raw products' log sigma1, and the directions and the
     degeneracy test are read off the raw product, since neither changes
-    under the 2^k prescale or the 1/sigma1 renormalization.  The 2^k
-    prescale and the vanished-row masks run only on windows with a factor
-    outside the band (``MatrixSequence.in_band``): a core has sigma1 = 1, so
-    sigma1(B . core) lies in [sigma2(B), sigma1(B)], and on an in-band
-    window no raw product leaves (1e-120, 1e120) or vanishes.  The
-    degeneracy test reads sigma2 off the quadratic too (``_degenerate``), so
-    a layer takes no determinant, and it takes no hypot for sigma1 or for
-    the norm of u.  The layers run in buffers allocated once per sweep, so
-    only O(L) core data is held at a time and every ``log_s1`` layer is a
-    row of one array.  With a ``jrange`` the sweep also runs the Cauchy
-    stopping rule of ``estimate_splitting`` at its S sites, to depth n_max,
-    as one rule over 2S columns, the s side of each site and then its u
-    side: s_n(j) is read from layer n at start j and u_n(j) from layer n at
-    start j - n, since B_n(j - n) is the forward product starting there.  The s columns run on the top right singular
-    vector, whose complement is s_n(j) and has the same chordal steps; the
-    complement is taken only for the certified fields.  A site fails when
-    either side runs out of room or its product vanishes at or before the
-    depth where its run stops.  The stopping rule runs until every column
-    has stopped, vanished or run out of room; the layers go on to n_max + 1.
+    under the 2^k prescale or the 1/sigma1 renormalization.  A layer whose
+    factors are all in band, with no vanished row, has every row in band
+    (``_BAND``), where the prescale changes nothing.  So only the layers
+    1 .. ``seq.rescue_layers``, and every layer once a row has vanished,
+    check sigma1 per row, and only the rows out of band take the 2^k
+    prescale (``_rescue``); a vanished row stays vanished, under a mask.
+    The degeneracy test reads sigma2 off the quadratic too
+    (``_degenerate``), so a layer takes no determinant, and it takes no
+    hypot for sigma1 or for the norm of u.  The layers run in buffers
+    allocated once per sweep, so only O(L) core data is held at a time.
+    Each layer writes the sigma1 of its raw products into its row of one
+    grid, and one log and one accumulate down the depth axis turn that into
+    the log sigma1 grid after the last layer.  With a ``jrange`` the sweep
+    also runs the Cauchy stopping rule of ``estimate_splitting`` at its S
+    sites, to depth n_max, as one rule over 2S columns, the s side of each
+    site and then its u side: s_n(j) is read from layer n at start j and
+    u_n(j) from layer n at start j - n, since B_n(j - n) is the forward
+    product starting there.  The sites are a contiguous range, so the
+    directions are taken only on the rows that the columns with room read.
+    The s columns run on the top right singular vector, whose complement is
+    s_n(j) and has the same chordal steps; the complement is taken only for
+    the certified fields.  A site fails when either side runs out of room
+    or its product vanishes at or before the depth where its run stops.
+    The stopping rule runs until every column has stopped, vanished or run
+    out of room; the layers go on to n_max + 1.
     """
     if n_max < 1:
         raise InvalidSpec(f"n_max must be at least 1, got {n_max}")
@@ -902,72 +968,84 @@ def product_sweep(
 
     sites = np.arange(jrange[0] - lo, jrange[1] - lo + 1) if jrange is not None else np.arange(0)
     n_sites = len(sites)
+    first, last = (int(sites[0]), int(sites[-1])) if n_sites else (0, -1)
     # one column per side of each site, s columns then u columns.  At layer n
     # the s column of site j reads start j (s_n(j)) and its u column start
     # j - n (u_n(j)); a column has room while n <= its depth.
     runs = _DirectionRuns(2 * n_sites, min(n_max, size))
-    start = np.concatenate([sites, sites])
     depth = np.concatenate([size - sites, sites])
-    unflagged = np.zeros(2 * n_sites, dtype=bool)
+    pts = np.zeros((2, 2 * n_sites), dtype=complex)
 
-    in_band = seq.in_band
     # buffers allocated once: raw and core take turns as (4, m) views of the
-    # two flat stacks, and row n of ls1 holds log sigma1 of layer n, -inf on
-    # vanished rows (a vanished row stays vanished, and -inf + log 1 = -inf)
+    # two flat stacks, and row n of s1 holds sigma1 of layer n's raw
+    # products, 0 on vanished rows
     stacks = np.zeros((2, 4 * size), dtype=complex)
     core = stacks[0].reshape(4, size)
     core[0] = core[3] = 1.0
-    ls1 = np.zeros((min(n_max, size) + 2, size + 1))
-    pts = np.empty((2, 2 * n_sites), dtype=complex)
+    s1 = np.full((min(n_max, size) + 2, size + 1), math.inf)  # +inf past the staircase
+    s1[0] = 1.0
+    vanished = None  # the rows that vanished, once one has
     for n in range(1, min(n_max + 1, size) + 1):
         m = size - n + 1  # starts lo .. hi - n + 1
         raw = _mul_rows(factors[:, n - 1:n - 1 + m], core[:, :m],
                         out=stacks[n % 2, :4 * m].reshape(4, m))
-        if in_band:  # no raw product leaves the prescale's band or vanishes
-            vanished = None
-            p, r, q, aq, s1sq, s1raw = _gram(raw)
-            inv = 1.0 / s1raw
+        if n <= seq.rescue_layers or vanished is not None:
+            # rows out of band may overflow the quadratic: they are rescued;
+            # 1 / 0 on vanished rows: a vanished core stays zero, so the row
+            # stays vanished
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                quad = _gram(raw)
+                vanished = _rescue(raw, quad, None if vanished is None else vanished[:m])
+                inv = 1.0 / quad[-1]
+            if vanished is not None:
+                inv[vanished] = 0.0
         else:
-            z, k, vanished = _prescale_rows(raw)
-            p, r, q, aq, s1sq, s1 = _gram(z)
-            # sigma1 of raw, 1 on vanished rows
-            s1raw = np.where(vanished, 1.0, s1 if k is None else np.ldexp(s1, -k))
-            inv = 1.0 / s1raw
-            inv[vanished] = 0.0  # a vanished core stays zero, so the row stays vanished
+            quad = _gram(raw)
+            inv = 1.0 / quad[-1]
+        p, r, q, aq, s1sq, s1[n, :m] = quad
         core = np.multiply(raw, inv, out=raw)
-        log_row = np.add(ls1[n - 1, :m], np.log(s1raw), out=ls1[n, :m])
-        if vanished is not None:
-            log_row[vanished] = NEG_INF
 
         if n > n_max or n_sites == 0 or runs.done.all():
             continue
-        # the directions and sigma2 / sigma1 do not change under the 2^k
-        # prescale or the 1/sigma1 renormalisation, so z's quadratic answers
-        # for core
-        degenerate = _degenerate(p, r, s1sq)
+        # the rows a .. b - 1 hold what the columns with room read: the s
+        # columns of the sites before s_end and the u columns from site
+        # u_start on.  The directions and sigma2 / sigma1 do not change under
+        # the 2^k prescale or the 1/sigma1 renormalisation, so the raw
+        # quadratic answers for core.
+        a, b = max(first - n, 0), min(last + 1, m)
+        s_end, u_start = min(max(m - first, 0), n_sites), min(max(n - first, 0), n_sites)
+        s_rows = slice(first - a, first - a + s_end)
+        u_rows = slice(first + u_start - n - a, last + 1 - n - a)
+        p, r, q, aq, s1sq = (x[a:b] for x in (p, r, q, aq, s1sq))
         v0, v1 = _right_vectors(p, r, q, aq, s1sq)
-        ux, uy = _apply(core, v0, v1)
-
-        # past its room a column's start leaves 0 .. m - 1, and the gathers
-        # clip it: the column is done, so it reads any row
-        start[n_sites:] = sites - n
-        for x, w in zip(pts, (v0, v1)):
-            w.take(sites, out=x[:n_sites], mode="clip")
+        pts[0, :s_end], pts[1, :s_end] = v0[s_rows], v1[s_rows]
+        u = pts[:, n_sites + u_start:]
+        u[0], u[1] = _apply(core[:, a + u_rows.start:a + u_rows.stop], v0[u_rows], v1[u_rows])
         # |core v| = sigma1(core) = 1 wherever the row has not vanished, so the
         # sum of its squared parts cannot over- or underflow
-        u = pts[:, n_sites:]
-        for x, w in zip(u, (ux, uy)):
-            w.take(start[n_sites:], out=x, mode="clip")
         nu = np.sqrt((u.real * u.real + u.imag * u.imag).sum(axis=0))
         nu[nu == 0.0] = 1.0
         u *= 1.0 / nu
-        runs.advance(n, depth >= n,
-                     vanished.take(start, mode="clip")
-                     if vanished is not None and vanished.any() else unflagged,
-                     degenerate.take(start, mode="clip") if degenerate.any() else unflagged,
-                     pts, tol)
 
-    log_s1 = [ls1[min(n, size + 1), :max(size - n + 1, 0)] for n in range(n_max + 2)]
+        def columns(flag):
+            """flag over the rows a .. b - 1 as a flag per column, None where
+            it holds at no row."""
+            if not flag.any():
+                return None
+            out = np.zeros(2 * n_sites, dtype=bool)
+            out[:s_end], out[n_sites + u_start:] = flag[s_rows], flag[u_rows]
+            return out
+
+        runs.advance(n, depth >= n, None if vanished is None else columns(vanished[a:b]),
+                     columns(_degenerate(p, r, s1sq)), pts, tol)
+
+    # log 0 = -inf on vanished rows, and past the staircase log inf = inf,
+    # and -inf + inf = nan under a vanished row, set to +inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s1 = np.log(s1, out=s1)
+        np.add.accumulate(log_s1, axis=0, out=log_s1)
+    if vanished is not None:
+        log_s1[np.isnan(log_s1)] = math.inf
     converged = (runs.n_star >= 0).reshape(2, n_sites).all(axis=0)
     ks = np.flatnonzero(converged)
     cols = (ks + n_sites * np.arange(2)[:, None]).ravel()  # s columns, then u columns

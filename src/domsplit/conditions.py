@@ -22,6 +22,7 @@ from .cocycle import (
     _dist,
     _fit_lines,
     _staircase_cells,
+    _staircase_rows,
     _unit,
     estimate_fields,
     invariance_residuals,
@@ -142,24 +143,38 @@ def _fit_line(points: list[tuple[int, float]]) -> tuple[float, float, float]:
     return slope, intercept, resid
 
 
-def _log_ratios(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """max(num(j), num(j+1)) - denom(j) in the log domain, +inf where the
-    denominator product vanished; num has one start more than denom."""
-    m = len(denom)
-    vanished = denom == NEG_INF
-    r = np.maximum(num[:m], num[1:m + 1]) - np.where(vanished, 0.0, denom)
-    r[vanished] = INF
+def _log_ratio_grid(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """max(num[k, j], num[k, j + 1]) - den[k, j] in the log domain over a
+    staircase whose row k holds den.shape[1] - k cells, +inf where the
+    denominator product vanished.  den holds +inf past the staircase, so
+    the cells there are -inf, or nan where num is +inf too."""
+    width = den.shape[1]
+    r = np.maximum(num[:, :width], num[:, 1:width + 1])
+    with np.errstate(invalid="ignore"):  # inf - inf, and -inf - -inf where den vanished
+        r -= den
+    if den.min(initial=INF) == NEG_INF:
+        r[den == NEG_INF] = INF
     return r
+
+
+def _staircase_fit(grid: np.ndarray, n_first: int, count: int) -> tuple[dict, list]:
+    """{n: sup of row n} and the rows without their padding, for the count
+    depths n_first .. of a ``_log_ratio_grid``; -inf on an empty row.  The
+    sup skips the nan cells past the staircase."""
+    sup = np.fmax.reduce(grid, axis=1, initial=NEG_INF).tolist()
+    last = len(sup) - 1
+    return ({n_first + k: sup[min(k, last)] for k in range(count)},
+            _staircase_rows(grid, count))
 
 
 def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, RateFit]:
     lo = sweep.window[0]
     n_max = sweep.n_max
-    ls1, ls2 = sweep.log_s1, sweep.log_s2
-    svg_rows = [_log_ratios(ls2[n], ls1[n + 1]) for n in range(n_max + 1)]
-    fi_rows = [_log_ratios(ls1[n], ls1[n + 1]) for n in range(1, n_max + 1)]
-    svg_sup = {n: float(r.max()) if r.size else NEG_INF for n, r in enumerate(svg_rows)}
-    fi_sup = {n: float(r.max()) if r.size else NEG_INF for n, r in enumerate(fi_rows, start=1)}
+    ls1, ls2 = sweep.log_s1_grid, sweep.log_s2_grid
+    # svg: sigma2(B_n) / sigma1(B_{n+1}), n = 0 .. n_max; fi: sigma1(B_n) /
+    # sigma1(B_{n+1}), n = 1 .. n_max; each row one start shorter than its numerator
+    svg_sup, svg_rows = _staircase_fit(_log_ratio_grid(ls2[:-1], ls1[1:, :-1]), 0, n_max + 1)
+    fi_sup, fi_rows = _staircase_fit(_log_ratio_grid(ls1[1:-1], ls1[2:, :-2]), 1, n_max)
 
     n_lo = thresholds.fit_n_lo
     svg_pts = [(n, v) for n, v in svg_sup.items() if n >= n_lo]
@@ -221,7 +236,9 @@ def norm_floor(seq: MatrixSequence, n_max: int) -> dict[int, float]:
 
 
 def _norm_floor(sweep: ProductSweep) -> dict[int, float]:
-    return {n: float(sweep.log_s1[n].min()) for n in range(1, sweep.n_max + 1)}
+    # the log sigma1 grid holds +inf past its staircase
+    floor = sweep.log_s1_grid[1:sweep.n_max + 1].min(axis=1)
+    return dict(enumerate(floor.tolist(), start=1))
 
 
 def ueg_check(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:

@@ -32,6 +32,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -256,10 +258,12 @@ def example1_closed_product(j: int, n: int) -> tuple[int, Mat2C]:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Construction-time invariants of a generated dominated sequence."""
+    """Construction-time invariants of a generated dominated sequence.
+    ``es`` and ``eu`` map each site to its field; a conjugated family keeps
+    them as unit vectors (``_Points``)."""
 
-    es: dict[int, ProjPoint]
-    eu: dict[int, ProjPoint]
+    es: Mapping[int, ProjPoint]
+    eu: Mapping[int, ProjPoint]
     lam: float  # per-step gap |lambda+|/|lambda-| certified by the construction
     n_steps: int  # the N for which the gap holds (1 for these families)
     delta: float  # min_j |det D(j)|; separation floor is 2*delta
@@ -393,11 +397,33 @@ def _sequence(spec: GeneratorSpec, factors: np.ndarray, bound_M: float | None = 
                                        source=spec.to_json_dict())
 
 
-def _points(sites: range, v0, v1) -> dict[int, ProjPoint]:
+class _Points(Mapping):
+    """The read-only map from the sites lo, lo + 1, .. to the points whose
+    unit representatives are the columns of a (2, K) array; a ``ProjPoint``
+    is built only when its site is looked up."""
+
+    def __init__(self, lo: int, vectors: np.ndarray):
+        self._lo, self._vectors = lo, vectors
+
+    def __getitem__(self, j) -> ProjPoint:
+        try:
+            k = operator.index(j) - self._lo
+        except TypeError:
+            raise KeyError(j) from None
+        if not 0 <= k < len(self):
+            raise KeyError(j)
+        return ProjPoint(*self._vectors[:, k].tolist())
+
+    def __iter__(self):
+        return iter(range(self._lo, self._lo + len(self)))
+
+    def __len__(self) -> int:
+        return self._vectors.shape[1]
+
+
+def _points(sites: range, v0, v1) -> _Points:
     """project((v0[k], v1[k])) at each site k, through the batched _project."""
-    v0, v1 = _stack((v0, v1), len(sites))
-    p = _project(v0, v1)
-    return dict(zip(sites, map(ProjPoint, *p.tolist())))
+    return _Points(sites.start, _project(*_stack((v0, v1), len(sites))))
 
 
 def _build_example1(spec: GeneratorSpec):

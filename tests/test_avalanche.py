@@ -433,7 +433,7 @@ class TestExtremeScale:
     def test_scaled_window_audits_as_unscaled(self, tmp_path, capsys, scale):
         base = family("ap_family", (-30, 30), _AP, 2)
         seq = _scaled(base, scale)
-        assert not seq.in_band
+        assert seq.rescue_layers == len(seq)  # every factor out of band
         path = str(tmp_path / "s.json")
         dump_sequence(seq, path)
         argv = ["ap", "--input", path, "--mu", "1e3", "--nmax", "20"]

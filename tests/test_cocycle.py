@@ -104,7 +104,7 @@ class TestMatrixSequence:
         """The stack is the only copy of the entries: seq[j] is a Mat2C of
         complex entries built from its column, and restrict reads it too."""
         assert MatrixSequence.__slots__ == ("_lo", "_hi", "bound_M", "source", "factors",
-                                            "in_band")
+                                            "rescue_layers")
         for j in (ex1.lo, 0, ex1.hi):
             m = ex1[j]
             assert [m.a, m.b, m.c, m.d] == ex1.factors[:, j - ex1.lo].tolist()
@@ -253,7 +253,7 @@ class TestFromFactors:
         factors[0, 0] = 9.0
         assert seq.window == (-3, -3) and seq[-3] == Mat2C(2.0, 0.0, 0.0, 1.0)
         assert not seq.factors.flags.writeable and factors.flags.writeable
-        assert seq.source == {"x": 1} and seq.in_band
+        assert seq.source == {"x": 1} and seq.rescue_layers == 0
 
     @pytest.mark.parametrize("factors,message", [
         (np.zeros((4, 0)), "sequence window is empty"),
@@ -361,7 +361,7 @@ class TestLoaderStack:
         doc = seq.to_json_dict()
         assert cocycle._entry_stack(doc["entries"], -30, 30) is not None
         back = MatrixSequence.from_json_dict(doc)
-        assert back.factors.tobytes() == seq.factors.tobytes() and back.in_band == seq.in_band
+        assert back.factors.tobytes() == seq.factors.tobytes() and back.rescue_layers == seq.rescue_layers
 
 
 def _load_outcome(load):
@@ -369,7 +369,7 @@ def _load_outcome(load):
         seq = load()
     except Exception as exc:  # the type and message are what is compared
         return type(exc), str(exc)
-    return seq.window, seq.bound_M, seq.factors.tobytes(), seq.in_band, seq.source
+    return seq.window, seq.bound_M, seq.factors.tobytes(), seq.rescue_layers, seq.source
 
 
 class TestWindowProduct:

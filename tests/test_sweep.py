@@ -44,7 +44,7 @@ from domsplit import (
 )
 from domsplit import ap_report, cocycle
 from domsplit.cocycle import _apply, _fit_rates, _project
-from domsplit.conditions import _certificate, _gap_search
+from domsplit.conditions import _certificate, _gap_search, _norm_floor, _svg_fi_fits
 from domsplit.matrix2c import DEGENERATE_REL_TOL, ENTRY_ZERO_TOL, _prescale
 
 from conftest import column_rows, rank_one_window, scalar_splitting, vanishing
@@ -55,16 +55,18 @@ TOL = 1e-12
 def scalar_sweep(seq, n_max, jrange, tol) -> ProductSweep:
     lo, hi = seq.window
     size = len(seq)
-    log_s1 = [np.zeros(size + 1)] + [np.full(max(size - n + 1, 0), -math.inf)
-                                     for n in range(1, n_max + 2)]
-    log_s2 = [np.zeros(size + 1)] + [np.full(max(size - n + 1, 0), -math.inf)
-                                     for n in range(1, n_max + 2)]
+    # the sweep's staircase grids: -inf on vanished products, and +inf (log
+    # sigma1) or -inf (log sigma2) past the staircase
+    log_s1, log_s2 = np.full((2, min(n_max, size) + 2, size + 1), -math.inf)
+    log_s1[0] = log_s2[0] = 0.0
+    for n in range(1, len(log_s1)):
+        log_s1[n, size - n + 1:] = math.inf
     for j in seq.indices():
         try:
             for n, prod in enumerate(forward_scan(seq, j, min(n_max + 1, hi - j + 1))):
                 if n:
-                    log_s1[n][j - lo] = prod.log_sigma1
-                    log_s2[n][j - lo] = prod.log_sigma2
+                    log_s1[n, j - lo] = prod.log_sigma1
+                    log_s2[n, j - lo] = prod.log_sigma2
         except ProductVanished:
             pass
     es, eu, certs, failed = {}, {}, {}, []
@@ -92,7 +94,7 @@ def scalar_sweep(seq, n_max, jrange, tol) -> ProductSweep:
     sweep = ProductSweep((lo, hi), n_max, log_s1, jrange, tol, failed,
                          js, vectors(es), vectors(eu), n_star, steps, factors)
     # the scalar engine's, in place of the ones built on read
-    sweep.__dict__.update(log_s2=log_s2, es=es, eu=eu, certs=certs)
+    sweep.__dict__.update(log_s2_grid=log_s2, es=es, eu=eu, certs=certs)
     return sweep
 
 
@@ -273,8 +275,9 @@ def test_one_gram_per_layer(jrange):
     assert len(sweep.js) == (13 if jrange else 0)
 
 
-# -- the band screen: in-band windows take no prescale, bit for bit ----------
+# -- the band rescue: only rows out of band take the prescale, bit for bit ----
 
+BAND = 1e100  # a factor is in band when sigma1 < BAND and sigma2 > 1 / BAND
 BAND_FAMILIES = {
     "conjugated_dominated": lambda: family("conjugated_dominated", (-45, 45), seed=1),
     "ap_family-1e2": lambda: family("ap_family", (-15, 25), {"mu": 1e2}, 4),
@@ -288,19 +291,20 @@ BAND_FAMILIES = {
 BAND_SCALES = (1.0, 1e-99, 1e99, "top", "bottom")
 
 
-def scalar_in_band(seq):
-    """The band as the scalar engine reads it: every factor has sigma1 <
-    BAND_EDGE and sigma2 > 1 / BAND_EDGE."""
+def scalar_rescue_layers(seq):
+    """The sweep layers that read a factor outside the band, as the scalar
+    engine reads the band: 1 + the offset of the last such factor, or 0."""
     svs = [singular_values(seq[j]) for j in seq.indices()]
-    return all(s1 < cocycle.BAND_EDGE and s2 > 1.0 / cocycle.BAND_EDGE for s1, s2 in svs)
+    out = [i for i, (s1, s2) in enumerate(svs) if not (s1 < BAND and s2 > 1.0 / BAND)]
+    return out[-1] + 1 if out else 0
 
 
 def band_window(name, scale):
     seq = BAND_FAMILIES[name]()
     if scale == "top":
-        scale = 0.5 * cocycle.BAND_EDGE / max(singular_values(seq[j])[0] for j in seq.indices())
+        scale = 0.5 * BAND / max(singular_values(seq[j])[0] for j in seq.indices())
     elif scale == "bottom":
-        scale = 2.0 / cocycle.BAND_EDGE / min(singular_values(seq[j])[1] for j in seq.indices())
+        scale = 2.0 / BAND / min(singular_values(seq[j])[1] for j in seq.indices())
     return seq if scale == 1.0 else scaled(seq, scale)
 
 
@@ -310,31 +314,61 @@ def sweep_bytes(sweep):
     return [a.tobytes() for a in arrays], sweep.failed
 
 
+def rescued_rows(seq, n_max=40):
+    """The sweep of seq with and without sites, bit for bit that of a sweep
+    that takes every row through ``_prescale_rows``, which is what the
+    prescale of every row gave before the rescue; returns the row counts of
+    the ``_prescale_rows`` calls, each on rows whose sigma1 leaves the band."""
+    calls = []
+    prescale = cocycle._prescale_rows
+
+    def spied(z):
+        out = prescale(z)
+        s1 = cocycle._singular_values(z, sigma2=False, prescaled=out)[0]
+        assert not ((s1 > 1.0 / BAND) & (s1 < BAND)).any()  # 0 where the row vanished
+        calls.append(z.shape[1])
+        return out
+
+    with mock.patch.object(cocycle, "_prescale_rows", spied):
+        # log sigma2 is built, and its factors prescaled, when first read
+        got = [estimate_fields(seq, None, n_max, 1e-9), product_sweep(seq, n_max)]
+    got = [sweep_bytes(sweep) for sweep in got]
+    every_row = copy.copy(seq)
+    every_row.rescue_layers = len(seq)
+    with mock.patch.object(cocycle, "_BAND", 1.0):  # no sigma1 lies in (1, 1)
+        want = [sweep_bytes(estimate_fields(every_row, None, n_max, 1e-9)),
+                sweep_bytes(product_sweep(every_row, n_max))]
+    assert got == want
+    return calls
+
+
 @pytest.mark.parametrize("scale", BAND_SCALES, ids=str)
 @pytest.mark.parametrize("name", sorted(BAND_FAMILIES))
 def test_in_band_sweep_is_bit_identical(name, scale):
-    """With the band flag forced off, a sweep takes today's prescale path; on
-    every window, in band or not, it yields the same bits as the flag-on
-    sweep, and an in-band sweep calls ``_prescale_rows`` zero times."""
+    """On every window, in band or not, the sweep yields the bits of a sweep
+    that rescues every row; ``_prescale_rows`` sees only rows out of band,
+    and none on a window in band."""
     seq = band_window(name, scale)
-    assert seq.in_band == scalar_in_band(seq)
+    assert seq.rescue_layers == scalar_rescue_layers(seq)
     if scale in (1.0, 1e99, "top", "bottom"):
-        assert seq.in_band
-    off = copy.copy(seq)
-    off.in_band = False
-    n_max = 40
-    with mock.patch.object(cocycle, "_prescale_rows", wraps=cocycle._prescale_rows) as spy:
-        on = estimate_fields(seq, None, n_max, 1e-9)
-    assert spy.call_count == (0 if seq.in_band else n_max + 1)
-    assert sweep_bytes(on) == sweep_bytes(estimate_fields(off, None, n_max, 1e-9))
-    assert sweep_bytes(product_sweep(seq, n_max)) == sweep_bytes(product_sweep(off, n_max))
+        assert seq.rescue_layers == 0
+    calls = rescued_rows(seq)
+    assert seq.rescue_layers or not calls
 
 
 @pytest.mark.parametrize("name", ["band-tiny", "band-huge", "singular-aligned", "vanishing",
                                   "prescale-tiny", "prescale-huge"])
 def test_out_of_band_cases_are_flagged(name):
+    """A rank-one factor is out of band, but the rows through an aligned one
+    are not, so that window takes no prescale at all; the scaled windows
+    rescue every row of every layer."""
     seq = CASES[name][0]()
-    assert not seq.in_band and not scalar_in_band(seq)
+    assert seq.rescue_layers == scalar_rescue_layers(seq) > 0
+    calls = rescued_rows(seq)
+    if name == "singular-aligned":
+        assert calls == []
+    elif name != "vanishing":
+        assert calls == [len(seq) - n + 1 for n in range(1, 42)] * 2
 
 
 def test_misaligned_insertion_well_conditioned_part():
@@ -633,6 +667,88 @@ def test_tables_built_when_read(staged):
     again = _certificate(seq, Thresholds(n_max=sweep.n_max), sweep, [])
     assert again.svg == report.svg and again.fi == report.fi
     assert "rows" not in repr(report.svg)
+
+
+# -- the whole-grid profiles against the depth-by-depth loop -----------------
+
+
+def loop_log_s2(sweep):
+    """log sigma2 layer by layer, log|det| summed factor by factor from B(j)
+    up, as ``ProductSweep.log_s2`` took it before its grid: the reference
+    for its bits."""
+    flog_det = cocycle._log_abs_dets(sweep.factors)
+    log_s2 = [np.zeros(len(flog_det) + 1)]
+    log_det = np.zeros(len(flog_det))
+    for n, ls1 in enumerate(sweep.log_s1[1:], start=1):
+        log_det = log_det[:len(ls1)] + flog_det[n - 1:]
+        vanished = ls1 == -math.inf
+        ls2 = log_det - np.where(vanished, 0.0, ls1)
+        ls2[vanished] = -math.inf
+        log_s2.append(ls2)
+    return log_s2
+
+
+def loop_log_ratios(num, denom):
+    """max(num(j), num(j+1)) - denom(j) in the log domain, +inf where the
+    denominator product vanished; num has one start more than denom."""
+    m = len(denom)
+    vanished = denom == -math.inf
+    r = np.maximum(num[:m], num[1:m + 1]) - np.where(vanished, 0.0, denom)
+    r[vanished] = math.inf
+    return r
+
+
+def loop_profiles(sweep):
+    """The svg and fi rows and suprema and the norm floor depth by depth, as
+    ``conditions`` took them before its grid passes."""
+    ls1, ls2 = sweep.log_s1, loop_log_s2(sweep)
+    svg = [loop_log_ratios(ls2[n], ls1[n + 1]) for n in range(sweep.n_max + 1)]
+    fi = [loop_log_ratios(ls1[n], ls1[n + 1]) for n in range(1, sweep.n_max + 1)]
+    svg_sup = {n: float(r.max()) if r.size else -math.inf for n, r in enumerate(svg)}
+    fi_sup = {n: float(r.max()) if r.size else -math.inf for n, r in enumerate(fi, start=1)}
+    floor = {n: float(ls1[n].min()) for n in range(1, sweep.n_max + 1) if ls1[n].size}
+    return ls2, svg, svg_sup, fi, fi_sup, floor
+
+
+def hex_values(d):
+    return {k: v.hex() for k, v in d.items()}
+
+
+PROFILE_CASES = {
+    **{f"case-{name}": (build, n_max) for name, (build, n_max, _, _) in CASES.items()},
+    **{f"stage-{name}": (build, n_max) for name, (build, n_max, _) in STAGE_CASES.items()},
+    # shorter than n_max + 2: the deepest rows are empty
+    "short": (lambda: family("conjugated_dominated", (-8, 8), seed=2), 40),
+    "short-vanishing": (lambda: vanishing(family("conjugated_dominated", (-8, 8), seed=2)), 40),
+    "one-entry": (lambda: family("diagonal", (0, 0)), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_CASES))
+def test_profiles_match_the_depth_loop(name):
+    """log sigma2, the svg and fi ratio rows, their suprema and the norm
+    floor from the grids are the bits of the loop over depths, on windows
+    with vanished products, rank-one factors (log sigma2 = -inf) and fewer
+    entries than n_max + 2."""
+    build, n_max = PROFILE_CASES[name]
+    sweep = product_sweep(build(), n_max)
+    ls2, svg, svg_sup, fi, fi_sup, floor = loop_profiles(sweep)
+    assert [r.tobytes() for r in sweep.log_s2] == [r.tobytes() for r in ls2]
+    got_svg, got_fi = _svg_fi_fits(sweep, Thresholds(n_max=n_max))
+    for got, rows, sup in ((got_svg, svg, svg_sup), (got_fi, fi, fi_sup)):
+        assert [r.tobytes() for r in got.rows[2]] == [r.tobytes() for r in rows]
+        assert hex_values(got.sup_log) == hex_values(sup)
+    got_floor = _norm_floor(sweep)
+    assert hex_values({n: got_floor[n] for n in floor}) == hex_values(floor)
+
+
+def test_profile_cases_cover_the_edges():
+    """The profile cases reach vanished products, -inf log sigma2 cells and
+    empty rows."""
+    sweeps = {name: product_sweep(build(), n_max) for name, (build, n_max) in PROFILE_CASES.items()}
+    assert np.isneginf(sweeps["short-vanishing"].log_s1_grid).any()
+    assert any(np.isneginf(r).any() and np.isfinite(r).any() for r in sweeps["stage-rank-one"].log_s2)
+    assert sweeps["short"].log_s1[20].size == 0
 
 
 # -- the row classification of the power-of-two prescale ----------------------
