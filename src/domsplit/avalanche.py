@@ -18,8 +18,8 @@ from .cocycle import (
     MatrixSequence,
     _fit_rates,
     _LN2,
+    _ldexp_c,
     _mul_rows,
-    _prescale_rows,
     _singular_values,
     _site_window,
     _staircase_cells,
@@ -49,19 +49,19 @@ def _log_sigma1(m: Mat2C) -> float:
 def _window_norms(seq: MatrixSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log sigma1 and log sigma2 of B(j) for j = lo .. hi, and log sigma1 of
     B(j+1) B(j) for j = lo .. hi - 1, each as one array over the window.
-    Each factor takes its exact ``_prescale_rows`` 2^k (none does in band)
-    once, for its singular values and before the pair product, which then
-    cannot over- or underflow;
-    2^-(k1 + k2) is taken off sigma1 where that stays a normal float, else
-    off its log.  Raises ZeroMatrix when a pair product is the zero matrix."""
-    prescaled = z, k, _ = _prescale_rows(seq.factors)
-    s1, s2, _ = _singular_values(seq.factors, prescaled=prescaled)
+    The factors' values are the sequence's kept ones.  Each factor takes its
+    exact 2^k prescale (``seq.prescale_k``; none does in band) before the
+    pair product, which then cannot over- or underflow; 2^-(k1 + k2) is
+    taken off sigma1 where that stays a normal float, else off its log.
+    Raises ZeroMatrix when a pair product is the zero matrix."""
+    k = seq.prescale_k
+    z = seq.factors if k is None else _ldexp_c(seq.factors, k)
     p1, _, zero = _singular_values(_mul_rows(z[:, 1:], z[:, :-1]), sigma2=False)
     if zero.any():
         raise ZeroMatrix("singular values of the zero matrix")
     # divide: sigma2 = 0 on rank-one factors, and the raw pairs that underflow
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        log_s1, log_s2, log_pair = np.log(s1), np.log(s2), np.log(p1)
+        log_s1, log_s2, log_pair = np.log(seq.sigma1), np.log(seq.sigma2), np.log(p1)
         if k is not None:
             shift = k[1:] + k[:-1]
             raw = np.ldexp(p1, -shift)
@@ -284,7 +284,8 @@ def ap_report(
         column = np.full((depths.stop, 1), np.nan)
         column[depths.start:, 0] = np.divide(per_n_max, depths)
         slope = _fit_rates(column[:np.flatnonzero(column > 0).max(initial=0) + 1])[0]
-    passed = ok and (c_fit is None or c_fit <= envelope)
+    # a window too short for a residual (L < 3) has no evidence, and cannot pass
+    passed = ok and c_fit is not None and c_fit <= envelope
     return ApReport(
         mu=mu,
         ap3_worst=ap3,

@@ -546,6 +546,12 @@ def _cmd_ap(args) -> int:
     seq, cfg = _resolve_sequence(args)
     report = ap_report(seq, args.mu, args.nmax, envelope=args.envelope)
     cfg.update({"nmax": args.nmax, "mu": args.mu, "envelope": args.envelope})
+    if report.passed:
+        code, verdict = EXIT_OK, "pass"
+    elif report.c_fit is None:  # no residual, so no evidence either way
+        code, verdict = EXIT_INCONCLUSIVE, "inconclusive (window too short for a residual)"
+    else:
+        code, verdict = EXIT_FAIL, "FAIL"
 
     if args.format == "json":
         result = report.to_json_dict()
@@ -562,11 +568,11 @@ def _cmd_ap(args) -> int:
             f"  ap4 worst pair ratio: {report.ap4_worst:.6g} (allowed {args.mu ** 0.25:.6g})",
             f"  conditions          : {'pass' if report.conditions_pass else 'FAIL'}",
             f"  residual C_fit      : {report.c_fit} (envelope {report.envelope})",
-            f"  verdict             : {'pass' if report.passed else 'FAIL'}",
+            f"  verdict             : {verdict}",
         ]
         payload = "\n".join(lines) + "\n"
     _atomic_write(args.out, payload)
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,6 +8,12 @@ after the exact 2^k prescale of ``singular_values`` so that no factor's
 determinant over- or underflows; that keeps sigma2 of a product exact in the
 log domain far below the entrywise noise floor of the core determinant.
 
+``MatrixSequence`` screens its factors once, at construction, and keeps
+what the screen takes: sigma1, sigma2 and the prescaled |det| with its 2^k
+of every B(j).  Every later stage reads those arrays (the band of the
+sweep's rescue, log sigma2, the invariance residuals, the avalanche audit's
+single norms) and takes no factor's values again.
+
 Two engines share that recurrence.  ``ScaledProduct`` and the scans build
 one product at a time from ``Mat2C`` values; ``product_sweep`` builds depth n
 for every start j at once as numpy arrays, and is what the certificate, the
@@ -22,10 +28,13 @@ a per-row rescue: a core has sigma1 = 1, so sigma1(B . core) lies in
 sigma1 < 1e100, sigma2 > 1e-100 has no row that the prescale would change.
 Only the layers that read a factor out of band, which ``MatrixSequence``
 finds once at construction, and the layers after a row vanished check sigma1
-row by row, and only the rows out of band take the prescale.  Every layer
-writes into buffers allocated once per sweep, and sigma1 into its row of one
-grid, whose log and running sum down the depth axis are taken once after the
-last layer.  The svg and fi profiles of ``conditions`` are passes over those
+row by row, and only the rows out of band take the prescale; a row whose raw
+product is exactly zero vanishes without it.  Every layer writes into
+buffers allocated once per sweep, and sigma1 into its row of one grid, whose
+log is taken once after the last layer and whose running sum down the depth
+axis is one add per row (``_depth_sums``), as is that of log|det|; the grids
+and the step rows a sweep returns share one allocation.  The svg
+and fi profiles of ``conditions`` are passes over those
 staircase grids.  One stopping rule runs over the s and u columns of every
 site.  The scalar path (``ScaledProduct``, the scans, ``sn`` and ``un``)
 stays as the sweep's oracle.  The array stages use numpy's own complex
@@ -44,7 +53,6 @@ from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     Degenerate,
@@ -128,16 +136,18 @@ def _check_window(lo: int, hi: int, bound_M: float) -> None:
                           f"+-2^62 = +-{INDEX_BOUND}")
 
 
-def _check_stack(lo: int, factors: np.ndarray, bound_M: float, entries=None) -> int:
-    """The entry checks of a (4, L) stack, and the sweep layers that read a
-    factor outside the band: layer n reads B(lo + n - 1) .. B(hi), so these
-    are the layers 1 .. 1 + the last such factor's offset (0 when every
-    factor is in band).  The checks run on the stack first; ``_check_entries``
-    then takes only the entries it flags, in insertion order, so an error is
-    the one that checking every entry in turn would raise.  The flagged
-    entries are read from ``entries`` where given (the dict a sequence was
-    built from), else from the stack's columns."""
-    s1, s2 = _screen(factors)
+def _check_stack(lo: int, factors: np.ndarray, bound_M: float, entries=None,
+                 screen: tuple | None = None) -> tuple:
+    """The entry checks of a (4, L) stack, and its screen (sigma1, sigma2,
+    adet, k) of ``_screen`` with every row filled in.  The checks run on the
+    stack first; ``_check_entries`` then takes only the entries it flags, in
+    insertion order, so an error is the one that checking every entry in
+    turn would raise.  The flagged entries are read from ``entries`` where
+    given (the dict a sequence was built from), else from the stack's
+    columns.  ``screen`` is the stack's ``_screen`` when the caller took it
+    already.  The rows the screen left as nan passed the scalar checks, so
+    they are finite and nonzero, and ``_factor_values`` takes them."""
+    s1, s2, adet, k = screen or _screen(factors)
     bad = ~(s1 < bound_M * (1.0 - 1e-12))
     if bad.any():
         flagged = np.flatnonzero(bad).tolist()
@@ -147,8 +157,13 @@ def _check_stack(lo: int, factors: np.ndarray, bound_M: float, entries=None) -> 
             flagged = {lo + i for i in flagged}
             items = ((j, m) for j, m in entries.items() if j in flagged)
         _check_entries(items, bound_M)
-    out = np.flatnonzero(~((s1 < _BAND) & (s2 > 1.0 / _BAND)))  # nan: out
-    return int(out[-1]) + 1 if out.size else 0
+        rows = np.flatnonzero(np.isnan(s1))
+        if rows.size:
+            s1[rows], s2[rows], adet[rows], k_rows = _factor_values(factors[:, rows])
+            if k_rows is not None:
+                k = np.zeros(len(s1), dtype=np.int64) if k is None else k
+                k[rows] = k_rows
+    return s1, s2, adet, k
 
 
 class MatrixSequence:
@@ -162,15 +177,22 @@ class MatrixSequence:
     entries a, b, c, d of B(lo) .. B(hi) as a read-only (4, L) complex stack,
     and is the one copy of the window that is kept: ``seq[j]`` builds a
     ``Mat2C`` of complex entries from its column j - lo, and ``restrict`` and
-    ``to_json_dict`` read it too.  ``rescue_layers`` comes from the same
-    stacked screen: a ``product_sweep`` layer n <= rescue_layers reads a
-    factor with sigma1 >= 1e100 or sigma2 <= 1e-100, and only such layers
+    ``to_json_dict`` read it too.  The checks' screen is kept as read-only
+    arrays over the window, and every stage that needs a factor's values
+    reads them there: ``sigma1`` and ``sigma2`` as ``singular_values`` takes
+    them, and ``adet``, the |det| of B(j) after the exact 2^k prescale of
+    ``_prescale_rows``, with ``prescale_k`` those k (None when no factor
+    takes one), so that ``log_abs_dets`` is log|det B(j)| as
+    ``_log_abs_det`` takes it.  ``restrict`` slices them.  ``rescue_layers``
+    comes from them too: a ``product_sweep`` layer n <= rescue_layers reads
+    a factor with sigma1 >= 1e100 or sigma2 <= 1e-100, and only such layers
     check their rows' sigma1 for the 2^k rescue (0 on a window in band).
     ``source`` is the generator spec of a generated window, or None.
     Instances are immutable and safe to share.
     """
 
-    __slots__ = ("_lo", "_hi", "bound_M", "source", "factors", "rescue_layers")
+    __slots__ = ("_lo", "_hi", "bound_M", "source", "factors", "sigma1", "sigma2", "adet",
+                 "prescale_k", "rescue_layers")
 
     def __init__(
         self,
@@ -187,32 +209,36 @@ class MatrixSequence:
         factors = np.array(rows)
         if factors.dtype.kind in "biufc":
             factors = np.ascontiguousarray(factors.T, dtype=complex)
-            rescue_layers = _check_stack(lo, factors, bound_M, entries)
         else:  # not stackable as numbers (a string, an int beyond float range)
             _check_entries(entries.items(), bound_M)
             factors = np.array(rows, dtype=complex).T.copy()
-            rescue_layers = factors.shape[1]  # unscreened: every layer checks
-        self._set(lo, factors, bound_M, source, rescue_layers)
+        self._set(lo, factors, bound_M, source, _check_stack(lo, factors, bound_M, entries))
 
     @classmethod
-    def from_factors(cls, lo: int, factors, bound_M: float,
-                     source: dict | None = None) -> "MatrixSequence":
+    def from_factors(cls, lo: int, factors, bound_M: float, source: dict | None = None,
+                     screen: tuple | None = None) -> "MatrixSequence":
         """The window B(lo) .. B(lo + L - 1) of a (4, L) stack of entries a,
         b, c, d, with the checks of the dict constructor run once on the
-        stack.  The stack is copied."""
+        stack.  The stack is copied.  ``screen`` is the stack's ``_screen``
+        when the caller took it already; the sequence keeps its arrays."""
         factors = np.array(factors, dtype=complex)
         if factors.ndim != 2 or len(factors) != 4:
             raise InvalidSpec(f"factors must be a (4, L) stack, not of shape {factors.shape}")
         lo = operator.index(lo)
         _check_window(lo, lo + factors.shape[1] - 1, bound_M)
         seq = cls.__new__(cls)
-        seq._set(lo, factors, bound_M, source, _check_stack(lo, factors, bound_M))
+        seq._set(lo, factors, bound_M, source, _check_stack(lo, factors, bound_M, screen=screen))
         return seq
 
-    def _set(self, lo, factors, bound_M, source, rescue_layers) -> None:
+    def _set(self, lo, factors, bound_M, source, screen) -> None:
         self.factors = factors
-        self.factors.flags.writeable = False
-        self.rescue_layers = rescue_layers
+        self.sigma1, self.sigma2, self.adet, k = screen
+        self.prescale_k = k if k is not None and k.any() else None
+        for a in (factors, self.sigma1, self.sigma2, self.adet, self.prescale_k):
+            if a is not None:
+                a.flags.writeable = False
+        out = np.flatnonzero(~((self.sigma1 < _BAND) & (self.sigma2 > 1.0 / _BAND)))
+        self.rescue_layers = int(out[-1]) + 1 if out.size else 0
         self._lo, self._hi = lo, lo + factors.shape[1] - 1
         self.bound_M = float(bound_M)
         self.source = source
@@ -243,9 +269,22 @@ class MatrixSequence:
     def restrict(self, lo: int, hi: int) -> "MatrixSequence":
         if lo < self._lo or hi > self._hi or lo > hi:
             raise WindowExceeded(f"[{lo}, {hi}] not inside [{self._lo}, {self._hi}]")
+        cut = slice(lo - self._lo, hi - self._lo + 1)
+        k = None if self.prescale_k is None else self.prescale_k[cut].copy()
+        sub = MatrixSequence.__new__(MatrixSequence)
         # no source: a generator spec names the window it was built over
-        return MatrixSequence.from_factors(
-            lo, self.factors[:, lo - self._lo:hi - self._lo + 1], self.bound_M)
+        sub._set(lo, self.factors[:, cut].copy(), self.bound_M, None,
+                 (self.sigma1[cut].copy(), self.sigma2[cut].copy(), self.adet[cut].copy(), k))
+        return sub
+
+    def log_abs_dets(self) -> np.ndarray:
+        """log|det B(j)| for j = lo .. hi, -inf where det is 0, as
+        ``_log_abs_det`` takes it: the log of the prescaled |det| less
+        2k log 2."""
+        out = np.full(len(self.adet), NEG_INF)
+        pos = self.adet > 0.0
+        out[pos] = np.log(self.adet[pos])
+        return out if self.prescale_k is None else out - 2 * self.prescale_k * _LN2
 
     def to_json_dict(self) -> dict:
         # [re, im] of a, b, c, d per entry: the stack's (L, 4) complex rows as float pairs
@@ -579,18 +618,25 @@ def _project(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
         norm = np.hypot(np.abs(v0), np.abs(v1))
     if (norm <= _VEC_ZERO_TOL).any():
         raise ZeroVector("cannot project a zero vector")
-    k = _pow2_rescue(v0, v1)
-    if k is not None:
-        v0, v1 = _ldexp_c(v0, k), _ldexp_c(v1, k)
-        norm = np.hypot(np.abs(v0), np.abs(v1))
+    # a vector's largest part lies in [norm / 2, norm], so norms within
+    # (4e-280, 5e279) leave every one inside the rescue's band (1e-280, 1e280)
+    # with a factor 2 to spare for rounding
+    if not (norm.min() > 4e-280 and norm.max() < 5e279):
+        k = _pow2_rescue(v0, v1)
+        if k is not None:
+            v0, v1 = _ldexp_c(v0, k), _ldexp_c(v1, k)
+            norm = np.hypot(np.abs(v0), np.abs(v1))
     x, y = v0 / norm, v1 / norm
     # _phase_to_first_positive with x as the lead; x = 0 is the point at infinity
     at_inf = x == 0
     lead = np.where(at_inf, 1.0, x)
-    k = _pow2_rescue(lead)
-    if k is not None:
-        lead = _ldexp_c(lead, k)
-    ph = np.conj(lead) / np.abs(lead)
+    alead = np.abs(lead)  # about 1 at most, and at most sqrt(2) times its largest part
+    if not alead.min() > 4e-280:
+        k = _pow2_rescue(lead)
+        if k is not None:
+            lead = _ldexp_c(lead, k)
+            alead = np.abs(lead)
+    ph = np.conj(lead) / alead
     out = np.empty((2, len(x)), dtype=complex)
     out[0] = np.where(at_inf, 0.0, np.abs(x * ph))
     out[1] = np.where(at_inf, 1.0, y * ph)
@@ -662,10 +708,15 @@ def _unit(w0: np.ndarray, w1: np.ndarray, nw: np.ndarray):
     return w0 / nw, w1 / nw
 
 
-def _sigma2(z: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """sigma2 = |det| / sigma1, or 0 where |det| <= DET_REL_TOL sigma1^2."""
+def _abs_det(z: np.ndarray) -> np.ndarray:
+    """|ad - bc| of each row of a (4, m) stack of matrices [[a, b], [c, d]]."""
     a, b, c, d = z
-    adet = np.abs(a * d - b * c)
+    return np.abs(a * d - b * c)
+
+
+def _sigma2(adet: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """sigma2 = adet / sigma1, or 0 where adet <= DET_REL_TOL sigma1^2, for
+    adet the |det| of a matrix of largest singular value s1."""
     with np.errstate(invalid="ignore", divide="ignore"):  # sigma1 = 0 rows
         return np.where(adet > DET_REL_TOL * s1 * s1, np.minimum(adet / s1, s1), 0.0)
 
@@ -706,11 +757,25 @@ def _singular_values(z: np.ndarray, sigma2: bool = True, prescaled: tuple | None
     z, k, zero = prescaled or _prescale_rows(z)
     s1 = _gram(z)[-1]
     s1[zero] = 0.0
-    s2 = _sigma2(z, s1) if sigma2 else None
+    s2 = _sigma2(_abs_det(z), s1) if sigma2 else None
     if k is not None:
         s1 = np.ldexp(s1, -k)
         s2 = None if s2 is None else np.ldexp(s2, -k)
     return s1, s2, zero
+
+
+def _factor_values(z: np.ndarray) -> tuple:
+    """(sigma1, sigma2, adet, k) of each row of a (4, m) stack of finite
+    nonzero matrices: sigma1 and sigma2 as ``_singular_values`` takes them,
+    and the |det| that its sigma2 reads, that of the row after its exact 2^k
+    prescale, with those k (None when no row takes one)."""
+    z, k, _ = _prescale_rows(z)
+    s1 = _gram(z)[-1]
+    adet = _abs_det(z)
+    s2 = _sigma2(adet, s1)
+    if k is not None:
+        s1, s2 = np.ldexp(s1, -k), np.ldexp(s2, -k)
+    return s1, s2, adet, k
 
 
 # A matrix whose largest real or imaginary part s is finite and lies in
@@ -730,47 +795,42 @@ _SCREEN_MAX = 1e300
 _BAND = 1e100
 
 
-def _screen(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigma1 and sigma2 of each row of a (4, m) stack of matrices, as
-    ``_singular_values`` takes them, and nan on the rows that it cannot
-    vouch for: a non-finite part, or a largest part at most ENTRY_ZERO_TOL
-    or above _SCREEN_MAX.  Only those rows can fail a scalar check other
-    than the sigma1 bound."""
+def _screen(z: np.ndarray) -> tuple:
+    """``_factor_values`` of each row of a (4, m) stack of matrices, and nan
+    on the rows that it cannot vouch for: a non-finite part, or a largest
+    part at most ENTRY_ZERO_TOL or above _SCREEN_MAX (their k is 0).  Only
+    those rows can fail a scalar check other than the sigma1 bound."""
     parts = np.abs(np.ascontiguousarray(z).view(float)).max(axis=0)
     s = np.maximum(parts[0::2], parts[1::2])
     ok = (s > ENTRY_ZERO_TOL) & (s <= _SCREEN_MAX)  # False on nan
     if ok.all():
-        return _singular_values(z)[:2]
-    s1, s2 = np.full((2, len(s)), np.nan)
+        return _factor_values(z)
+    s1, s2, adet = np.full((3, len(s)), np.nan)
+    k = np.zeros(len(s), dtype=np.int64)
     if ok.any():
-        s1[ok], s2[ok], _ = _singular_values(z[:, ok])
-    return s1, s2
-
-
-def _log_abs_dets(z: np.ndarray) -> np.ndarray:
-    """``_log_abs_det`` over a (4, m) stack of nonzero matrices."""
-    (a, b, c, d), k, _ = _prescale_rows(z)
-    adet = np.abs(a * d - b * c)
-    out = np.full(len(adet), NEG_INF)
-    pos = adet > 0.0
-    out[pos] = np.log(adet[pos])
-    return out if k is None else out - 2 * k * _LN2
+        s1[ok], s2[ok], adet[ok], k_ok = _factor_values(z[:, ok])
+        if k_ok is not None:
+            k[ok] = k_ok
+    return s1, s2, adet, k
 
 
 class _DirectionRuns:
     """The Cauchy stopping rule of ``estimate_splitting`` over W columns at
     once, each one side (s or u) of one site: per-column run counters, the
-    point opening the current run, and every consecutive distance.  Layer n
-    is fed by one ``advance``, which updates that state in place."""
+    point opening the current run, and every consecutive distance, written
+    into ``steps``, a (depth, W) array.  Layer n is fed by one ``advance``,
+    which updates that state in place."""
 
-    def __init__(self, width: int, depth: int):
+    def __init__(self, steps: np.ndarray):
+        width = steps.shape[1]
         self.run = np.zeros(width, dtype=np.int64)
         self.done = np.zeros(width, dtype=bool)  # stopped, vanished or out of room
         self.n_star = np.full(width, -1, dtype=np.int64)
         self.prev_ok = np.zeros(width, dtype=bool)  # prev holds a point
         self.prev = np.zeros((2, width), dtype=complex)
         self.cand = np.zeros((2, width), dtype=complex)
-        self.steps = np.full((depth, width), np.nan)  # [n - 1]: d(pt_{n-1}, pt_n)
+        self.steps = steps  # [n - 1]: d(pt_{n-1}, pt_n)
+        steps.fill(np.nan)
 
     def advance(self, n, room, vanished, degenerate, pts, tol):
         """Layer n at each column: room says the column may look at depth n;
@@ -814,8 +874,8 @@ class ProductSweep:
     for L the window's length (layer 0 is the identity and has one start
     more, hi + 1), and +inf in the cells past that; -inf marks a vanished
     product.  ``log_s2_grid`` holds log sigma2 the same way, with -inf past
-    the staircase, and is built from ``factors`` and the log sigma1 grid
-    when first read.  ``log_s1[n]`` and ``log_s2[n]``, n = 0 .. n_max + 1,
+    the staircase, and is built from the sequence's kept log|det| and the
+    log sigma1 grid when first read.  ``log_s1[n]`` and ``log_s2[n]``, n = 0 .. n_max + 1,
     are the rows of those grids without their padding.  At the sites of
     ``jrange`` the sweep holds the sites where estimation failed and, as
     columns over the K sites whose fields converged, ``js`` in ascending
@@ -825,8 +885,13 @@ class ProductSweep:
     over all S sites of jrange, converged or not: s columns then u columns,
     row n holding d(pt_n, pt_{n+1}) and nan where there is none, since no
     column has room past depth L.  The per-site dicts ``es``, ``eu`` and
-    ``certs`` are built from those columns when first read.  ``factors`` is
-    the sequence's own stack of B(lo) .. B(hi).
+    ``certs`` are built from those columns when first read.  ``seq`` is the
+    swept sequence, whose factor stack and kept factor values the later
+    stages read.  ``log_s2_room`` is the array of the log sigma1 grid's shape
+    that ``log_s2_grid`` is written into; the sweep allocates it in one block
+    with the log sigma1 grid and ``steps``.  ``vanished`` says whether a
+    product vanished, which is when the grids hold -inf, so that the stages
+    look for -inf cells only then.
     """
 
     window: tuple[int, int]
@@ -840,7 +905,9 @@ class ProductSweep:
     eu_vec: np.ndarray = field(repr=False)
     n_star: np.ndarray = field(repr=False)
     steps: np.ndarray = field(repr=False)
-    factors: np.ndarray = field(repr=False)
+    seq: MatrixSequence = field(repr=False)
+    log_s2_room: np.ndarray = field(repr=False, compare=False)
+    vanished: bool
 
     @cached_property
     def es(self) -> dict[int, ProjPoint]:
@@ -872,18 +939,22 @@ class ProductSweep:
     @cached_property
     def log_s2_grid(self) -> np.ndarray:
         """log sigma2 = log|det| - log sigma1, with log|det| of B_n(j) summed
-        factor by factor from B(j) up, as ``ScaledProduct`` sums it: one
-        accumulate down the depth axis of a sliding window over the factors'
-        log|det|, whose row n - 1 holds log|det B(j + n - 1)| at column j."""
+        factor by factor from B(j) up, as ``ScaledProduct`` sums it: row
+        n - 1 of a staircase holds log|det B(j + n - 1)| at column j, from
+        the sequence's kept log|det|, and ``_depth_sums`` runs down it."""
         ls1 = self.log_s1_grid
-        depth, width = ls1.shape
-        flog_det = np.concatenate([_log_abs_dets(self.factors), np.zeros(depth - 1)])
-        ls2 = np.empty_like(ls1)
+        flog_det = self.seq.log_abs_dets()
+        size = len(flog_det)
+        ls2 = self.log_s2_room
+        ls2.fill(NEG_INF)
         ls2[0] = 0.0
-        np.add.accumulate(sliding_window_view(flog_det, width), axis=0, out=ls2[1:])
+        for n in range(1, min(len(ls2), size + 1)):  # row n holds size - n + 1 starts
+            ls2[n, :size - n + 1] = flog_det[n - 1:]
+        _depth_sums(ls2, size)
         with np.errstate(invalid="ignore"):  # -inf - -inf on vanished cells, set below
-            np.subtract(ls2[1:], ls1[1:], out=ls2[1:])  # -inf past the staircase
-        if ls1.min() == NEG_INF:
+            # past the staircase -inf - +inf: the padding stays -inf
+            np.subtract(ls2[1:, :size], ls1[1:, :size], out=ls2[1:, :size])
+        if self.vanished:
             ls2[ls1 == NEG_INF] = NEG_INF
         return ls2
 
@@ -892,28 +963,52 @@ class ProductSweep:
         return _staircase_rows(self.log_s2_grid, self.n_max + 2)
 
 
+def _depth_sums(grid: np.ndarray, size: int) -> None:
+    """The running sum down the depth axis of a staircase grid over a window
+    of ``size`` starts, in place: row n - 1 is added into row n, which holds
+    size - n + 1 cells, cell by cell, n = 1, 2, ...: the additions of
+    ``np.add.accumulate`` in its order.  One add per row, rather than one
+    accumulate down the axis, whose pass is latency-bound; the cells past
+    the staircase are left as they are."""
+    for n in range(1, min(len(grid), size + 1)):
+        row = slice(0, size - n + 1)
+        np.add(grid[n, row], grid[n - 1, row], out=grid[n, row])
+
+
 def _rescue(raw: np.ndarray, quad: tuple, vanished: np.ndarray | None) -> np.ndarray | None:
     """The rows of a layer's ``_gram`` quadratic ``quad`` of its raw products
     whose sigma1 leaves (1 / _BAND, _BAND), or is nan, taken again from
     their ``_prescale_rows``, in place; sigma1 then is that of the raw
     product.  Rows that vanish join ``vanished``, the mask of the rows that
-    had vanished before, which is returned (None while no row has).  A
+    had vanished before, which is returned (None while no row has); a row
+    whose raw product is exactly zero joins it without the prescale.  A
     vanished row, whose entries are at most ENTRY_ZERO_TOL, has sigma1 0."""
     s1 = quad[-1]
     rescue = ~((s1 > 1.0 / _BAND) & (s1 < _BAND))
     if vanished is not None:
         rescue[vanished] = False
     rows = rescue.nonzero()[0]
+    if not rows.size:
+        return vanished
+    # a raw product that is exactly zero has vanished: its quadratic is all
+    # zeros, and the prescale would leave it as it is
+    exact = s1[rows] == 0.0
+    if exact.any():
+        exact[exact] = ~raw[:, rows[exact]].any(axis=0)
+        zero, rows = rows[exact], rows[~exact]
+    else:
+        zero = rows[:0]
     if rows.size:
-        z, k, zero = _prescale_rows(raw[:, rows])
+        z, k, tiny = _prescale_rows(raw[:, rows])
         if k is not None:  # else z is raw, whose quadratic quad holds
             for whole, part in zip(quad, _gram(z)):
                 whole[rows] = part
             s1[rows] = np.ldexp(s1[rows], -k)
-        if zero.any():
-            if vanished is None:
-                vanished = np.zeros(len(s1), dtype=bool)
-            vanished[rows[zero]] = True
+        zero = np.concatenate([zero, rows[tiny]])
+    if zero.size:
+        if vanished is None:
+            vanished = np.zeros(len(s1), dtype=bool)
+        vanished[zero] = True
     return vanished
 
 
@@ -942,9 +1037,11 @@ def product_sweep(
     (``_degenerate``), so a layer takes no determinant, and it takes no
     hypot for sigma1 or for the norm of u.  The layers run in buffers
     allocated once per sweep, so only O(L) core data is held at a time.
-    Each layer writes the sigma1 of its raw products into its row of one
-    grid, and one log and one accumulate down the depth axis turn that into
-    the log sigma1 grid after the last layer.  With a ``jrange`` the sweep
+    A raw product that is exactly zero is marked vanished without the
+    prescale.  Each layer writes the sigma1 of its raw products into its row
+    of one grid, and one log and one add per row down the depth axis
+    (``_depth_sums``) turn that into the log sigma1 grid after the last
+    layer.  With a ``jrange`` the sweep
     also runs the Cauchy stopping rule of ``estimate_splitting`` at its S
     sites, to depth n_max, as one rule over 2S columns, the s side of each
     site and then its u side: s_n(j) is read from layer n at start j and
@@ -969,10 +1066,20 @@ def product_sweep(
     sites = np.arange(jrange[0] - lo, jrange[1] - lo + 1) if jrange is not None else np.arange(0)
     n_sites = len(sites)
     first, last = (int(sites[0]), int(sites[-1])) if n_sites else (0, -1)
+    # the sweep's staircase arrays share one allocation: the sigma1 grid, the
+    # room that log sigma2 is built in when first read, and the step rows.
+    # glibc sets its heap trim threshold from the largest block it has freed,
+    # so a caller that drops one sweep while it makes the next keeps reusing
+    # the pages of one block; with three blocks a dom-long op handed about
+    # 3.8 MB back to the OS and faulted it in again every other call
+    rows = min(n_max, size)
+    shape = (rows + 2, size + 1)
+    cells = shape[0] * shape[1]
+    block = np.empty(2 * cells + rows * 2 * n_sites)
     # one column per side of each site, s columns then u columns.  At layer n
     # the s column of site j reads start j (s_n(j)) and its u column start
     # j - n (u_n(j)); a column has room while n <= its depth.
-    runs = _DirectionRuns(2 * n_sites, min(n_max, size))
+    runs = _DirectionRuns(block[2 * cells:].reshape(rows, 2 * n_sites))
     depth = np.concatenate([size - sites, sites])
     pts = np.zeros((2, 2 * n_sites), dtype=complex)
 
@@ -982,7 +1089,8 @@ def product_sweep(
     stacks = np.zeros((2, 4 * size), dtype=complex)
     core = stacks[0].reshape(4, size)
     core[0] = core[3] = 1.0
-    s1 = np.full((min(n_max, size) + 2, size + 1), math.inf)  # +inf past the staircase
+    s1 = block[:cells].reshape(shape)
+    s1.fill(math.inf)  # +inf past the staircase
     s1[0] = 1.0
     vanished = None  # the rows that vanished, once one has
     for n in range(1, min(n_max + 1, size) + 1):
@@ -1040,12 +1148,10 @@ def product_sweep(
                      columns(_degenerate(p, r, s1sq)), pts, tol)
 
     # log 0 = -inf on vanished rows, and past the staircase log inf = inf,
-    # and -inf + inf = nan under a vanished row, set to +inf
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # which the running sum leaves as it is
+    with np.errstate(divide="ignore"):
         log_s1 = np.log(s1, out=s1)
-        np.add.accumulate(log_s1, axis=0, out=log_s1)
-    if vanished is not None:
-        log_s1[np.isnan(log_s1)] = math.inf
+    _depth_sums(log_s1, size)
     converged = (runs.n_star >= 0).reshape(2, n_sites).all(axis=0)
     ks = np.flatnonzero(converged)
     cols = (ks + n_sites * np.arange(2)[:, None]).ravel()  # s columns, then u columns
@@ -1058,7 +1164,8 @@ def product_sweep(
     eu_vec = _project(cand[0, n_conv:], cand[1, n_conv:])
     failed = [lo + int(o) for o in sites[~converged]]
     return ProductSweep((lo, hi), n_max, log_s1, jrange, tol, failed,
-                        lo + sites[ks], es_vec, eu_vec, n_star, runs.steps, factors)
+                        lo + sites[ks], es_vec, eu_vec, n_star, runs.steps, seq,
+                        block[cells:2 * cells].reshape(shape), vanished is not None)
 
 
 def estimate_fields(
@@ -1071,12 +1178,15 @@ def estimate_fields(
 
     jrange defaults to the window less four sites at its low end and three
     at its high end, which holds no site on a window of fewer than eight; a
-    given jrange must hold at least one.  tol must be positive: at tol <= 0
-    no run can stop.  The returned sweep also carries the log-sigma layers
+    given jrange must hold at least one.  tol must lie in (0, 2]: at tol <= 0
+    no run can stop, and past 2, the chordal diameter, every step closes a
+    run.  The returned sweep also carries the log-sigma layers
     to depth n_max + 1 for the gap and invertibility profiles.
     """
     if not tol > 0.0:
         raise InvalidSpec(f"tol must be positive, got {tol}")
+    if tol > 2.0:
+        raise InvalidSpec(f"tol must be at most 2, the largest chordal distance, got {tol}")
     if jrange is None:
         jrange = (seq.lo + 4, seq.hi - 3)
     elif jrange[0] > jrange[1]:
@@ -1116,15 +1226,17 @@ def invariance_residuals(
     at both j and j + 1, as arrays (js, res_s, res_u) in ascending j.
 
     The pushforward B(j)v, the kernel test and the distance to the field at
-    j + 1 are taken for all such j at once.  The two rank-one cases, E^s(j)
+    j + 1 are taken for all such j at once, with sigma1 and sigma2 of B(j)
+    read from the sequence's kept values.  The two rank-one cases, E^s(j)
     on the kernel of B(j) and the image line of a rank-one B(j), go to the
     scalar function, with the points of their two sites alone; they arise
     only at singular insertions.
     """
     k = np.flatnonzero(sweep.js[1:] == sweep.js[:-1] + 1)
     js = sweep.js[k]
-    m = sweep.factors[:, js - sweep.window[0]]
-    s1, s2, _ = _singular_values(m)
+    cols = js - seq.lo
+    m = seq.factors[:, cols]
+    s1, s2 = seq.sigma1[cols], seq.sigma2[cols]
     res = []
     hits = s2 == 0.0  # the unstable side reads the image line
     for vec in (sweep.es_vec, sweep.eu_vec):

@@ -53,7 +53,9 @@ class Thresholds:
     def __post_init__(self):
         # a nan, an infinite sep_min or split_tol, or a value past one of these
         # bounds would let a verdict rest on no evidence or invent a witness;
-        # the SVG and UEG tests compare log mu_min and log ueg_lambda_min
+        # the SVG and UEG tests compare log mu_min and log ueg_lambda_min.  A
+        # chordal distance never exceeds 2, so sep_min >= 2 would witness a
+        # collapse of any fields, and past split_tol = 2 every step closes a run
         for name, value in asdict(self).items():
             if not math.isfinite(value):
                 raise InvalidSpec(f"{name} must be finite, got {value}")
@@ -61,9 +63,11 @@ class Thresholds:
             ("n_max", self.n_max < 1, "be at least 1"),
             ("mu_min", self.mu_min <= 0.0, "be positive"),
             ("sep_min", self.sep_min < 0.0, "be at least 0"),
+            ("sep_min", self.sep_min >= 2.0, "be below 2, the largest chordal distance"),
             ("n_cap", self.n_cap < 1, "be at least 1"),
             ("gap_lambda", self.gap_lambda <= 1.0, "exceed 1"),
             ("split_tol", self.split_tol <= 0.0, "be positive"),
+            ("split_tol", self.split_tol > 2.0, "be at most 2, the largest chordal distance"),
             ("ueg_lambda_min", self.ueg_lambda_min <= 0.0, "be positive"),
             ("fit_n_lo", self.fit_n_lo < 0, "be at least 0"),
         ):
@@ -143,16 +147,17 @@ def _fit_line(points: list[tuple[int, float]]) -> tuple[float, float, float]:
     return slope, intercept, resid
 
 
-def _log_ratio_grid(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+def _log_ratio_grid(num: np.ndarray, den: np.ndarray, vanished: bool) -> np.ndarray:
     """max(num[k, j], num[k, j + 1]) - den[k, j] in the log domain over a
     staircase whose row k holds den.shape[1] - k cells, +inf where the
-    denominator product vanished.  den holds +inf past the staircase, so
-    the cells there are -inf, or nan where num is +inf too."""
+    denominator product vanished, which only a sweep with a ``vanished``
+    product has.  den holds +inf past the staircase, so the cells there are
+    -inf, or nan where num is +inf too."""
     width = den.shape[1]
     r = np.maximum(num[:, :width], num[:, 1:width + 1])
     with np.errstate(invalid="ignore"):  # inf - inf, and -inf - -inf where den vanished
         r -= den
-    if den.min(initial=INF) == NEG_INF:
+    if vanished:
         r[den == NEG_INF] = INF
     return r
 
@@ -173,8 +178,10 @@ def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, 
     ls1, ls2 = sweep.log_s1_grid, sweep.log_s2_grid
     # svg: sigma2(B_n) / sigma1(B_{n+1}), n = 0 .. n_max; fi: sigma1(B_n) /
     # sigma1(B_{n+1}), n = 1 .. n_max; each row one start shorter than its numerator
-    svg_sup, svg_rows = _staircase_fit(_log_ratio_grid(ls2[:-1], ls1[1:, :-1]), 0, n_max + 1)
-    fi_sup, fi_rows = _staircase_fit(_log_ratio_grid(ls1[1:-1], ls1[2:, :-2]), 1, n_max)
+    vanished = sweep.vanished
+    svg_sup, svg_rows = _staircase_fit(_log_ratio_grid(ls2[:-1], ls1[1:, :-1], vanished),
+                                       0, n_max + 1)
+    fi_sup, fi_rows = _staircase_fit(_log_ratio_grid(ls1[1:-1], ls1[2:, :-2], vanished), 1, n_max)
 
     n_lo = thresholds.fit_n_lo
     svg_pts = [(n, v) for n, v in svg_sup.items() if n >= n_lo]
@@ -371,7 +378,7 @@ def _gap_search(
     lives = np.searchsorted(js, hi + 1 - np.arange(1, n_limit + 1), side="right")
     for n, live in enumerate(lives.tolist(), start=1):
         x0, x1, logs, gone = x0[:, :live], x1[:, :live], logs[:, :live], gone[:, :live]
-        w0, w1 = _apply(sweep.factors[:, rows[:live] + n], x0, x1)
+        w0, w1 = _apply(sweep.seq.factors[:, rows[:live] + n], x0, x1)
         nw = np.hypot(np.abs(w0), np.abs(w1))
         gone = gone | (nw == 0.0)
         vanished = gone.any()

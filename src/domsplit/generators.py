@@ -368,13 +368,12 @@ def _potential(x):
     raise ValueError("not 'zeros', a list, or a {j: v} table")
 
 
-def _bound(factors: np.ndarray) -> float:
-    """(1 + 1e-9) max sigma1(B(j)) + 1e-12 over a (4, L) stack.  sigma1 is
-    taken on the stack; ``singular_values`` takes it again, in column order,
-    on the first of each distinct column within 1e-12 of the maximum or left
-    to the scalar checks, so the bound and any error are those of the scalar
-    max over every column."""
-    s1 = _screen(factors)[0]
+def _bound(factors: np.ndarray, s1: np.ndarray) -> float:
+    """(1 + 1e-9) max sigma1(B(j)) + 1e-12 over a (4, L) stack, with s1 its
+    sigma1 from ``_screen``.  ``singular_values`` takes sigma1 again, in
+    column order, on the first of each distinct column within 1e-12 of the
+    maximum or left to the scalar checks, so the bound and any error are
+    those of the scalar max over every column."""
     top = np.fmax.reduce(s1, initial=0.0)  # flagged columns are nan
     near = np.flatnonzero(~(s1 < top * (1.0 - 1e-12)))
     cols = np.ascontiguousarray(factors[:, near].T).view(np.dtype((np.void, 64))).ravel()
@@ -385,16 +384,19 @@ def _bound(factors: np.ndarray) -> float:
 
 def _sequence(spec: GeneratorSpec, factors: np.ndarray, bound_M: float | None = None):
     """The (4, L) stack over the spec's window as a MatrixSequence with the
-    spec as its source; bound_M from ``_bound`` unless given."""
+    spec as its source; bound_M from ``_bound`` unless given, and the
+    stack's screen, taken once for it, handed on to the sequence."""
+    screen = None
     if bound_M is None:
+        screen = _screen(factors)
         try:
-            bound_M = _bound(factors)
+            bound_M = _bound(factors, screen[0])
         except OverflowError:  # the draws are bounded, so the params put it there
             raise InvalidSpec(
                 f"params {spec.params} take a {spec.family} entry beyond float range"
             ) from None
     return MatrixSequence.from_factors(spec.window[0], factors, bound_M,
-                                       source=spec.to_json_dict())
+                                       source=spec.to_json_dict(), screen=screen)
 
 
 class _Points(Mapping):

@@ -25,6 +25,7 @@ from domsplit import (
     project,
     singular_values,
 )
+from domsplit import cocycle
 from domsplit.cocycle import _fit_rates, _project
 from domsplit.generators import (
     _Streams,
@@ -76,6 +77,19 @@ def vanishing(seq: MatrixSequence) -> MatrixSequence:
     entries[0] = Mat2C(1 + 0j, 0j, 0j, 0j)
     entries[1] = Mat2C(0j, 0j, 0j, 1 + 0j)
     return MatrixSequence(entries, max(seq.bound_M, 2.0))
+
+
+def prescaled_log_abs_dets(z: np.ndarray) -> np.ndarray:
+    """log|det| of each row of a (4, m) stack of nonzero matrices, -inf where
+    det is 0, the det taken after the row's exact 2^k ``_prescale_rows`` and
+    2k log 2 taken off its log: what the sweep took from its factors before
+    the sequence kept their screen, and the reference for its bits."""
+    (a, b, c, d), k, _ = cocycle._prescale_rows(z)
+    adet = np.abs(a * d - b * c)
+    out = np.full(len(adet), -math.inf)
+    pos = adet > 0.0
+    out[pos] = np.log(adet[pos])
+    return out if k is None else out - 2 * k * math.log(2.0)
 
 
 def column_rows(columns) -> list[list]:

@@ -272,18 +272,27 @@ class TestApReport:
             ap_report(seq, 1e4, 10, envelope=envelope)
         assert ap_report(seq, 1e4, 10, envelope=0.0).envelope == 0.0
 
-    def test_factors_prescaled_once(self, monkeypatch):
-        """One hypot pass over the factors and one over the pair products."""
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 900, 2.0 ** -900])
+    def test_factors_read_from_the_screen(self, monkeypatch, scale):
+        """The factors' singular values and 2^k come from the sequence's
+        kept screen: one hypot pass and one set of singular values, over the
+        pair products alone."""
         from domsplit import avalanche, cocycle
 
-        seq = family("ap_family", (-15, 25), {"mu": 1e3}, 3)
+        seq = _scaled(family("ap_family", (-15, 25), {"mu": 1e3}, 3), scale)
+        s1, s2, _ = cocycle._singular_values(seq.factors)
+        with np.errstate(divide="ignore"):
+            want = [np.log(s1), np.log(s2)]
         calls = []
-        prescale = cocycle._prescale_rows
-        counted = lambda z: calls.append(z.shape[1]) or prescale(z)  # noqa: E731
-        monkeypatch.setattr(cocycle, "_prescale_rows", counted)
-        monkeypatch.setattr(avalanche, "_prescale_rows", counted)
-        avalanche._window_norms(seq)
-        assert calls == [len(seq), len(seq) - 1]
+        prescale, values = cocycle._prescale_rows, cocycle._singular_values
+        monkeypatch.setattr(cocycle, "_prescale_rows",
+                            lambda z: calls.append(("prescale", z.shape[1])) or prescale(z))
+        monkeypatch.setattr(avalanche, "_singular_values",
+                            lambda z, **kw: calls.append(("values", z.shape[1])) or values(z, **kw))
+        got = avalanche._window_norms(seq)
+        assert calls == [("values", len(seq) - 1), ("prescale", len(seq) - 1)]
+        assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want]
+        assert (seq.prescale_k is None) == (scale == 1.0)
 
     def test_window_norms_computed_once(self, monkeypatch):
         from domsplit import avalanche
@@ -344,6 +353,7 @@ class TestApReportGrid:
         seq = family("ap_family", (0, 1), _AP, 3)
         rep = ap_report(seq, 1e3, 10)
         assert rep.residuals == {} and rep.c_fit is None
+        assert rep.conditions_pass and not rep.passed  # no residual is no evidence
         assert column_rows(rep.residual_columns()) == []
 
 

@@ -737,6 +737,12 @@ class TestNonFiniteOptions:
         (("split",) + DIAG + ("--tol", "0"), "domsplit split: tol must be positive, got 0.0"),
         (("dom",) + DIAG + ("--sep-min", "-1"),
          "domsplit dom: sep_min must be at least 0, got -1.0"),
+        (("dom",) + DIAG + ("--sep-min", "2"),
+         "domsplit dom: sep_min must be below 2, the largest chordal distance, got 2.0"),
+        (("dom",) + DIAG + ("--tol", "1e308"),
+         "domsplit dom: split_tol must be at most 2, the largest chordal distance, got 1e+308"),
+        (("split",) + DIAG + ("--tol", "3"),
+         "domsplit split: tol must be at most 2, the largest chordal distance, got 3.0"),
     ]
 
     @pytest.mark.parametrize("argv, message", RANGE_CASES,
@@ -757,6 +763,51 @@ class TestNonFiniteOptions:
         code, _, _ = run(capsys, "ap", "--family", "ap_family", "--window", "0", "30",
                          "--mu", "1e3", "--envelope", "5", "--nmax", "10")
         assert code == 0
+
+
+class TestFiniteEdges:
+    """The thresholds end where the quantity they bound ends, and `ap`
+    passes only on a residual and a pair: each of these inputs once gave a
+    verdict on no evidence, or a witness that any fields would give."""
+
+    def test_sep_min_two_is_refused(self, capsys):
+        # orthogonal fields, d(Eu, Es) = 2: once exit 1, "separation collapse"
+        argv = ("dom", "--family", "diagonal", "--window", "-30", "30", "--sep-min")
+        code, out, err = run(capsys, *argv, "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("domsplit dom: sep_min must be below 2")
+        code, out, _ = run(capsys, *argv, repr(math.nextafter(2.0, 0.0)))
+        assert code == 0 and "verdict        : dominated" in out
+
+    def test_tol_past_two_is_refused(self, capsys):
+        # once exit 0, dominated: every step closed a run
+        window = ("--family", "conjugated_dominated", "--seed", "1", "--window", "-30", "30")
+        for verb in ("dom", "split"):
+            code, out, err = run(capsys, verb, *window, "--tol", "1e308")
+            assert (code, out) == (2, "")
+            assert "must be at most 2, the largest chordal distance" in err
+        code, _, err = run(capsys, "dom", *window, "--jrange", "-6", "6", "--tol", "2")
+        assert code in (0, 1, 3) and err == ""
+
+    @pytest.mark.parametrize("hi", [0, 1])
+    def test_ap_without_residual_is_inconclusive(self, capsys, hi):
+        # once exit 0, "verdict: pass" with C_fit None (and ap4 0 on one factor)
+        argv = ("ap", "--family", "ap_family", "--params", '{"mu": 1e4}', "--mu", "1e4",
+                "--nmax", "3", "--window", "0", str(hi))
+        code, out, _ = run(capsys, *argv)
+        assert code == 3
+        assert "residual C_fit      : None" in out
+        assert "verdict             : inconclusive" in out
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 3 and json.loads(out)["result"]["passed"] is False
+
+    def test_ap_with_one_residual_decides(self, capsys):
+        code, out, _ = run(capsys, "ap", "--family", "ap_family", "--params", '{"mu": 1e4}',
+                           "--mu", "1e4", "--nmax", "3", "--window", "0", "2",
+                           "--format", "json")
+        result = json.loads(out)["result"]
+        assert result["c_fit"] is not None
+        assert code == (0 if result["passed"] else 1)
 
 
 class TestInternalError:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from domsplit import (
     window_product,
 )
 
-from conftest import random_mat, random_unit_vector
+from conftest import prescaled_log_abs_dets, random_mat, random_unit_vector, rank_one_window
+from test_generators import FAMILY_CASES
 
 
 def example1_seq(lo=-45, hi=56):
@@ -96,14 +98,16 @@ class TestMatrixSequence:
         ]
         with pytest.raises(ValueError):
             ex1.factors[0, 0] = 1.0
-        assert product_sweep(ex1, 3).factors is ex1.factors
+        assert product_sweep(ex1, 3).seq is ex1
         sub = ex1.restrict(-5, 7)
         assert sub.factors.tolist() == ex1.factors[:, -5 - ex1.lo:7 - ex1.lo + 1].tolist()
 
     def test_one_copy_of_the_window(self, ex1):
         """The stack is the only copy of the entries: seq[j] is a Mat2C of
         complex entries built from its column, and restrict reads it too."""
+        # beside the stack, the factors' screen: values, not copies of entries
         assert MatrixSequence.__slots__ == ("_lo", "_hi", "bound_M", "source", "factors",
+                                            "sigma1", "sigma2", "adet", "prescale_k",
                                             "rescue_layers")
         for j in (ex1.lo, 0, ex1.hi):
             m = ex1[j]
@@ -228,6 +232,107 @@ class TestConstructorScreen:
         entries = {0: Mat2C(1.0, 0, 0, 1), 1: Mat2C(cell, 0, 0, 1)}
         with pytest.raises(InvalidSpec, match=f"^{message}$"):
             MatrixSequence(entries, 2.0)
+
+
+SCREEN_CASES = [*FAMILY_CASES, ("random_singular", {"insertions": [0], "misaligned": True})]
+
+
+def assert_kept_screen(seq):
+    """The sequence's kept factor values are those of its stack, bit for
+    bit: sigma1 and sigma2 of ``_singular_values``, and the |det|, 2^k and
+    log|det| of each factor's exact prescale; read-only, and never nan."""
+    s1, s2, zero = cocycle._singular_values(seq.factors)
+    assert not zero.any()
+    assert seq.sigma1.tobytes() == s1.tobytes()
+    assert seq.sigma2.tobytes() == s2.tobytes()
+    z, k, _ = cocycle._prescale_rows(seq.factors)
+    assert seq.adet.tobytes() == cocycle._abs_det(z).tobytes()
+    assert (seq.prescale_k is None) == (k is None)
+    assert k is None or seq.prescale_k.tobytes() == k.tobytes()
+    assert seq.log_abs_dets().tobytes() == prescaled_log_abs_dets(seq.factors).tobytes()
+    for a in (seq.sigma1, seq.sigma2, seq.adet):
+        assert a.shape == (len(seq),) and not a.flags.writeable
+        assert not np.isnan(a).any()
+    with pytest.raises(ValueError):
+        seq.sigma1[0] = 1.0
+
+
+def _scaled_stack(seq, c):
+    return MatrixSequence.from_factors(seq.lo, seq.factors * c, seq.bound_M * c)
+
+
+class TestKeptScreen:
+    @pytest.mark.parametrize("family,params", SCREEN_CASES)
+    def test_equals_the_stack_values(self, family, params):
+        for seed in (0, 1):
+            seq, _ = build_with_truth(GeneratorSpec(family, (-45, 45), params, seed))
+            # x 2^+-900: every row out of the prescale's band takes a 2^k
+            for s in (seq, _scaled_stack(seq, 2.0 ** 900), _scaled_stack(seq, 2.0 ** -900)):
+                assert_kept_screen(s)
+                assert_kept_screen(s.restrict(-10, 20))
+            assert _scaled_stack(seq, 2.0 ** 900).prescale_k is not None
+
+    def test_rank_one_window(self):
+        seq = rank_one_window(5)
+        assert_kept_screen(seq)
+        assert (seq.sigma2 == 0.0).all() and seq.rescue_layers == len(seq)
+        assert (seq.log_abs_dets() < 2 * np.log(seq.sigma1) - 27).all()  # det is rounding noise
+
+    def test_restrict_slices_the_screen(self):
+        seq, _ = build_with_truth(GeneratorSpec("random_singular", (-45, 45),
+                                                {"insertions": [7, 0]}, 2))
+        big = _scaled_stack(seq, 2.0 ** 900)
+        for s, (lo, hi) in ((seq, (-20, 5)), (seq, (1, 30)), (big, (-3, 3)), (big, (45, 45))):
+            sub = s.restrict(lo, hi)
+            cut = slice(lo - s.lo, hi - s.lo + 1)
+            for got, whole in zip((sub.sigma1, sub.sigma2, sub.adet),
+                                  (s.sigma1, s.sigma2, s.adet)):
+                assert got.tobytes() == whole[cut].tobytes()
+            assert sub.rescue_layers == MatrixSequence.from_factors(
+                lo, sub.factors, s.bound_M).rescue_layers
+            assert_kept_screen(sub)
+        assert seq.restrict(1, 30).rescue_layers == 7  # the rank-one B(7) is out of band
+
+    def test_rows_the_screen_cannot_vouch_for(self):
+        """Entries whose largest part is at most ENTRY_ZERO_TOL, or above
+        1e300, pass the scalar checks and are filled in from them."""
+        entries = {0: Mat2C(1.0, 0.5, 0.0, 2.0), 1: Mat2C(complex(1e-300, 1e-300), 0, 0, 0),
+                   2: Mat2C(2e300, 0.0, 1e300j, 1.0), 3: Mat2C(0.5j, 0, 0, 1.5)}
+        by_dict = MatrixSequence(entries, 1e301)
+        assert np.isnan(cocycle._screen(by_dict.factors)[0][[1, 2]]).all()
+        by_stack = MatrixSequence.from_factors(0, by_dict.factors, 1e301)
+        for seq in (by_dict, by_stack):
+            assert_kept_screen(seq)
+            assert seq.sigma1[1] > 0.0 and seq.rescue_layers == 3
+
+    def test_entries_that_do_not_stack_as_numbers(self):
+        entries = {0: Mat2C(Fraction(1, 3), 0, 0, 1), 1: Mat2C(2.0, Fraction(1, 7), 0, 1)}
+        seq = MatrixSequence(entries, 4.0)
+        assert_kept_screen(seq)
+        assert seq.rescue_layers == 0
+
+    def test_generated_window_screened_once(self, monkeypatch):
+        """The generator's bound and the constructor's checks share one
+        screen of the stack, and the kept values are those of a fresh one."""
+        from domsplit import generators
+
+        calls = []
+        screen = cocycle._screen
+
+        def counted(z):
+            calls.append(z.shape[1])
+            return screen(z)
+
+        monkeypatch.setattr(cocycle, "_screen", counted)
+        monkeypatch.setattr(generators, "_screen", counted)
+        seq, _ = build_with_truth(GeneratorSpec("conjugated_dominated", (-45, 45), {}, 3))
+        assert calls == [len(seq)]
+        fresh = MatrixSequence.from_factors(seq.lo, seq.factors, seq.bound_M)
+        assert calls == [len(seq)] * 2
+        for got, want in zip((seq.sigma1, seq.sigma2, seq.adet), (fresh.sigma1, fresh.sigma2,
+                                                                  fresh.adet)):
+            assert got.tobytes() == want.tobytes()
+        assert seq.rescue_layers == fresh.rescue_layers
 
 
 class TestFromFactors:

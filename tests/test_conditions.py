@@ -243,10 +243,13 @@ class TestThresholdsRange:
         ("epsilon", math.nan, "epsilon must be finite, got nan"),
         ("fi_log_c_max", math.nan, "fi_log_c_max must be finite, got nan"),
         ("sep_min", math.inf, "sep_min must be finite, got inf"),
+        ("sep_min", 2.0, "sep_min must be below 2, the largest chordal distance, got 2.0"),
         ("n_cap", 0, "n_cap must be at least 1, got 0"),
         ("gap_lambda", -1.0, "gap_lambda must exceed 1, got -1.0"),
         ("gap_lambda", 1.0, "gap_lambda must exceed 1, got 1.0"),
         ("split_tol", math.inf, "split_tol must be finite, got inf"),
+        ("split_tol", math.nextafter(2.0, 3.0),
+         "split_tol must be at most 2, the largest chordal distance, got 2.0000000000000004"),
         ("ueg_lambda_min", 0.0, "ueg_lambda_min must be positive, got 0.0"),
         ("fit_n_lo", -1, "fit_n_lo must be at least 0, got -1"),
     ]
@@ -257,6 +260,10 @@ class TestThresholdsRange:
         with pytest.raises(InvalidSpec) as info:
             Thresholds(**{name: value})
         assert str(info.value) == message
+
+    def test_edges_of_the_chordal_range_are_kept(self):
+        t = Thresholds(sep_min=math.nextafter(2.0, 0.0), split_tol=2.0)
+        assert (t.sep_min, t.split_tol) == (math.nextafter(2.0, 0.0), 2.0)
 
     def test_every_field_has_a_case(self):
         assert {c[0] for c in self.CASES} == set(Thresholds().to_json_dict())

@@ -24,7 +24,7 @@ from domsplit import (
     svd2,
     window_product,
 )
-from domsplit import generators
+from domsplit import cocycle, generators
 from domsplit.generators import FAMILIES
 
 from conftest import scalar_bound, scalar_build
@@ -380,21 +380,26 @@ def stack(entries: dict) -> np.ndarray:
     return np.array([(m.a, m.b, m.c, m.d) for m in entries.values()], dtype=complex).T.copy()
 
 
+def bound_of(factors: np.ndarray) -> float:
+    """``_bound`` of a stack with the sigma1 of its own screen."""
+    return generators._bound(factors, cocycle._screen(factors)[0])
+
+
 class TestBound:
     @pytest.mark.parametrize("family,params", FAMILY_CASES)
     def test_matches_scalar_max(self, family, params):
         for seed in (0, 1, 2):
             seq, _ = build_with_truth(GeneratorSpec(family, (-45, 45), params, seed))
             entries = {j: seq[j] for j in seq.indices()}
-            assert generators._bound(seq.factors).hex() == scalar_bound(entries).hex()
+            assert bound_of(seq.factors).hex() == scalar_bound(entries).hex()
             for c in (1e-290, 1e-150, 1e150, 1e290):
                 scaled = {j: m.scale(c) for j, m in entries.items()}
-                assert generators._bound(stack(scaled)).hex() == scalar_bound(scaled).hex()
+                assert bound_of(stack(scaled)).hex() == scalar_bound(scaled).hex()
 
     def test_ties_and_reordering(self):
         m = Mat2C(1.0 + 2.0j, -0.5, 0.25j, 3.0)
         entries = {3: m.scale(1 - 2**-52), 1: m, 2: m.scale(-1.0), 0: m.scale(0.5)}
-        assert generators._bound(stack(entries)).hex() == scalar_bound(entries).hex()
+        assert bound_of(stack(entries)).hex() == scalar_bound(entries).hex()
 
     @pytest.mark.parametrize("bad", [Mat2C(0j, 0j, 0j, 0j), Mat2C(1.7e308 + 1.7e308j, 0, 0, 1)])
     def test_raises_as_scalar_max(self, bad):
@@ -402,7 +407,7 @@ class TestBound:
         with pytest.raises(Exception) as want:
             scalar_bound(entries)
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-            generators._bound(stack(entries))
+            bound_of(stack(entries))
 
     def test_first_of_each_distinct_column(self):
         """A constant window takes one scalar sigma1, and the first failing
@@ -412,7 +417,7 @@ class TestBound:
         sv = generators.singular_values
         with mock.patch.object(generators, "singular_values",
                                lambda m: calls.append(m) or sv(m)):
-            bound = generators._bound(stack({j: one for j in range(50)}))
+            bound = bound_of(stack({j: one for j in range(50)}))
         assert calls == [one] and bound.hex() == scalar_bound({0: one}).hex()
         zero, huge = Mat2C(0j, 0j, 0j, 0j), Mat2C(1.7e308 + 1.7e308j, 0, 0, 1)
         for first, then in ((zero, huge), (huge, zero)):
@@ -420,7 +425,7 @@ class TestBound:
             with pytest.raises(Exception) as want:
                 scalar_bound(entries)
             with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-                generators._bound(stack(entries))
+                bound_of(stack(entries))
 
 
 # Python 3.14 multiplies and divides a float into a complex without making

@@ -47,7 +47,13 @@ from domsplit.cocycle import _apply, _fit_rates, _project
 from domsplit.conditions import _certificate, _gap_search, _norm_floor, _svg_fi_fits
 from domsplit.matrix2c import DEGENERATE_REL_TOL, ENTRY_ZERO_TOL, _prescale
 
-from conftest import column_rows, rank_one_window, scalar_splitting, vanishing
+from conftest import (
+    column_rows,
+    prescaled_log_abs_dets,
+    rank_one_window,
+    scalar_splitting,
+    vanishing,
+)
 
 TOL = 1e-12
 
@@ -89,10 +95,9 @@ def scalar_sweep(seq, n_max, jrange, tol) -> ProductSweep:
         for col, table in ((k, certs[j].s_steps), (n_sites + k, certs[j].u_steps)):
             for n, d in table.items():
                 steps[n, col] = d
-    factors = np.array([[getattr(seq[j], e) for j in seq.indices()] for e in "abcd"],
-                       dtype=complex)
     sweep = ProductSweep((lo, hi), n_max, log_s1, jrange, tol, failed,
-                         js, vectors(es), vectors(eu), n_star, steps, factors)
+                         js, vectors(es), vectors(eu), n_star, steps, seq, np.empty_like(log_s1),
+                         bool(np.isneginf(log_s1).any()))
     # the scalar engine's, in place of the ones built on read
     sweep.__dict__.update(log_s2_grid=log_s2, es=es, eu=eu, certs=certs)
     return sweep
@@ -330,7 +335,6 @@ def rescued_rows(seq, n_max=40):
         return out
 
     with mock.patch.object(cocycle, "_prescale_rows", spied):
-        # log sigma2 is built, and its factors prescaled, when first read
         got = [estimate_fields(seq, None, n_max, 1e-9), product_sweep(seq, n_max)]
     got = [sweep_bytes(sweep) for sweep in got]
     every_row = copy.copy(seq)
@@ -360,14 +364,15 @@ def test_in_band_sweep_is_bit_identical(name, scale):
                                   "prescale-tiny", "prescale-huge"])
 def test_out_of_band_cases_are_flagged(name):
     """A rank-one factor is out of band, but the rows through an aligned one
-    are not, so that window takes no prescale at all; the scaled windows
-    rescue every row of every layer."""
+    are not, so that window takes no prescale at all, and neither do the
+    exactly zero rows of the vanishing window; the scaled windows rescue
+    every row of every layer."""
     seq = CASES[name][0]()
     assert seq.rescue_layers == scalar_rescue_layers(seq) > 0
     calls = rescued_rows(seq)
-    if name == "singular-aligned":
+    if name in ("singular-aligned", "vanishing"):
         assert calls == []
-    elif name != "vanishing":
+    else:
         assert calls == [len(seq) - n + 1 for n in range(1, 42)] * 2
 
 
@@ -620,7 +625,7 @@ def test_projection(staged):
         assert [p.vector() for p in field.values()] == list(zip(*vec.tolist()))
         assert_canonical(vec)
         rows = sweep.js - sweep.window[0]
-        w0, w1 = _apply(tuple(f[rows] for f in sweep.factors), vec[0], vec[1])
+        w0, w1 = _apply(tuple(f[rows] for f in sweep.seq.factors), vec[0], vec[1])
         keep = np.hypot(np.abs(w0), np.abs(w1)) > 1e-290  # a vanished image has no line
         got = _project(w0[keep], w1[keep])
         assert_canonical(got)
@@ -644,6 +649,54 @@ def test_projection_rescues(v):
     got = _project(np.array([v[0]]), np.array([v[1]]))
     assert_canonical(got)
     assert_close(got[:, 0], np.array(project(v).vector()))
+
+
+def always_rescued_project(v0, v1):
+    """``_project`` as it took its two 2^k rescues before it read the norms
+    it already holds: the reference for the bits of the skipped rescues."""
+    with np.errstate(over="ignore"):
+        norm = np.hypot(np.abs(v0), np.abs(v1))
+    k = cocycle._pow2_rescue(v0, v1)
+    if k is not None:
+        v0, v1 = cocycle._ldexp_c(v0, k), cocycle._ldexp_c(v1, k)
+        norm = np.hypot(np.abs(v0), np.abs(v1))
+    x, y = v0 / norm, v1 / norm
+    at_inf = x == 0
+    lead = np.where(at_inf, 1.0, x)
+    k = cocycle._pow2_rescue(lead)
+    if k is not None:
+        lead = cocycle._ldexp_c(lead, k)
+    ph = np.conj(lead) / np.abs(lead)
+    out = np.empty((2, len(x)), dtype=complex)
+    out[0] = np.where(at_inf, 0.0, np.abs(x * ph))
+    out[1] = np.where(at_inf, 1.0, y * ph)
+    return out
+
+
+# norms at the edges of the skip test, (4e-280, 5e279), and a factor 2 and 4
+# either side, with leads from 1 down past the lead's own edge
+PROJECT_SCALES = [c * f for c in (4e-280, 5e279) for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
+
+
+@pytest.mark.parametrize("scale", [1.0, *PROJECT_SCALES], ids=str)
+def test_projection_skips_rescues_it_does_not_need(scale):
+    rng = np.random.default_rng(11)
+    parts = rng.standard_normal((4, 40))
+    v0, v1 = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    v0[:10] *= 10.0 ** -np.arange(250, 350, 10)  # leads down to the subnormals
+    v0[10] = 0.0  # the point at infinity
+    v0, v1 = v0 * scale, v1 * scale
+    calls = []
+    rescue = cocycle._pow2_rescue
+    with mock.patch.object(cocycle, "_pow2_rescue", lambda *z: calls.append(1) or rescue(*z)):
+        got = _project(v0, v1)
+    assert got.tobytes() == always_rescued_project(v0, v1).tobytes()
+    assert_canonical(got)
+    if scale == 1.0:  # only the leads near the subnormals need a look
+        assert len(calls) == 1
+    one = _project(v0[11:] / scale, v1[11:] / scale)
+    with mock.patch.object(cocycle, "_pow2_rescue", side_effect=AssertionError("rescued")):
+        assert _project(v0[11:] / scale, v1[11:] / scale).tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("v", [(0j, 0j), (1e-301 + 0j, 0j)])
@@ -676,7 +729,7 @@ def loop_log_s2(sweep):
     """log sigma2 layer by layer, log|det| summed factor by factor from B(j)
     up, as ``ProductSweep.log_s2`` took it before its grid: the reference
     for its bits."""
-    flog_det = cocycle._log_abs_dets(sweep.factors)
+    flog_det = prescaled_log_abs_dets(sweep.seq.factors)
     log_s2 = [np.zeros(len(flog_det) + 1)]
     log_det = np.zeros(len(flog_det))
     for n, ls1 in enumerate(sweep.log_s1[1:], start=1):
@@ -732,6 +785,7 @@ def test_profiles_match_the_depth_loop(name):
     entries than n_max + 2."""
     build, n_max = PROFILE_CASES[name]
     sweep = product_sweep(build(), n_max)
+    assert sweep.vanished == bool(np.isneginf(sweep.log_s1_grid).any())
     ls2, svg, svg_sup, fi, fi_sup, floor = loop_profiles(sweep)
     assert [r.tobytes() for r in sweep.log_s2] == [r.tobytes() for r in ls2]
     got_svg, got_fi = _svg_fi_fits(sweep, Thresholds(n_max=n_max))
@@ -749,6 +803,85 @@ def test_profile_cases_cover_the_edges():
     assert np.isneginf(sweeps["short-vanishing"].log_s1_grid).any()
     assert any(np.isneginf(r).any() and np.isfinite(r).any() for r in sweeps["stage-rank-one"].log_s2)
     assert sweeps["short"].log_s1[20].size == 0
+
+
+def accumulate_sums(grid, size):
+    """The depth sums as one ``np.add.accumulate`` down the grid, as the
+    sweep and ``log_s2_grid`` took them before their row adds, with the
+    cells past the staircase (row n holds size - n + 1) kept as they were:
+    the reference for the row adds' bits."""
+    with np.errstate(invalid="ignore"):  # -inf + inf past the staircase
+        out = np.add.accumulate(grid, axis=0)
+    n, j = np.indices(grid.shape)
+    past = (n > 0) & (j > size - n)
+    out[past] = grid[past]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_CASES))
+def test_depth_sums_match_accumulate(name):
+    """Both depth sums, of log sigma1 in the sweep and of log|det| in
+    ``log_s2_grid``, are row adds with the bits of one accumulate."""
+    build, n_max = PROFILE_CASES[name]
+    seq = build()
+    depth_sums = cocycle._depth_sums
+    seen = []
+
+    def spied(grid, size):
+        want = accumulate_sums(grid, size)
+        depth_sums(grid, size)
+        assert size == len(seq) and grid.shape == (min(n_max, size) + 2, size + 1)
+        assert grid.tobytes() == want.tobytes()
+        seen.append(size)
+
+    with mock.patch.object(cocycle, "_depth_sums", spied):
+        product_sweep(seq, n_max).log_s2_grid
+    assert len(seen) == 2
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_CASES))
+def test_stages_read_the_kept_screen(name):
+    """The invariance stage and log sigma2 take no singular value, prescale
+    or det of a factor: they read the sequence's kept values."""
+    build, n_max, jrange = STAGE_CASES[name]
+    seq = build()
+    sweep = estimate_fields(seq, jrange, n_max, 1e-9)
+    assert sweep.vanished == bool(np.isneginf(sweep.log_s1_grid).any())
+    taken = AssertionError("a factor's values taken again")
+    with mock.patch.object(cocycle, "_singular_values", side_effect=taken), \
+            mock.patch.object(cocycle, "_prescale_rows", side_effect=taken), \
+            mock.patch.object(cocycle, "_factor_values", side_effect=taken), \
+            mock.patch.object(cocycle, "_screen", side_effect=taken):
+        invariance_residuals(seq, sweep)
+        assert "log_s2_grid" not in vars(sweep)
+        sweep.log_s2_grid
+
+
+def test_exact_zero_rows_vanish_without_the_prescale():
+    """A raw product that is exactly zero vanishes without a
+    ``_prescale_rows`` call: cli-fleet's vanishing window (jrange -6 .. 6,
+    n_max 40) made one per layer that a row newly vanished in, 40 in all.
+    The sweep keeps the bits of the prescale-every-row path."""
+    seq = vanishing(_conj(21))
+    assert rescued_rows(seq) == []
+    prescale = cocycle._prescale_rows
+    calls = []
+    with mock.patch.object(cocycle, "_prescale_rows",
+                           lambda z: calls.append(z.shape[1]) or prescale(z)):
+        report = check_domination(seq, Thresholds(), jrange=(-6, 6))
+    assert calls == [] and report.verdict == "not_dominated"
+    assert np.isneginf(report.sweep.log_s1_grid).sum() == sum(range(1, 41))
+
+
+def test_underflowed_rows_still_take_the_prescale():
+    """Entries near 1e-170 square below the smallest subnormal, so sigma1
+    of the raw quadratic is 0 on rows that have not vanished: those take
+    the prescale, and no product reads as vanished."""
+    seq = scaled(_conj(2), 1e-170)
+    assert (cocycle._gram(seq.factors)[-1] == 0.0).all()
+    calls = rescued_rows(seq)
+    assert calls == [len(seq) - n + 1 for n in range(1, 42)] * 2
+    assert not np.isneginf(product_sweep(seq, 40).log_s1_grid).any()
 
 
 # -- the row classification of the power-of-two prescale ----------------------
@@ -835,8 +968,12 @@ def test_log_s2_built_on_first_read():
     sweep = product_sweep(seq, 20)
     assert "log_s2" not in vars(sweep)
     assert sweep.log_s2 is sweep.log_s2
+    # written into its room in the one block of the sweep's staircase arrays
+    assert sweep.log_s2_grid is sweep.log_s2_room
+    assert sweep.log_s1_grid.base is sweep.log_s2_room.base is sweep.steps.base
     # the audit reads log sigma1 only, so it never takes a log|det|
-    with mock.patch.object(cocycle, "_log_abs_dets", side_effect=AssertionError("log|det| taken")):
+    with mock.patch.object(MatrixSequence, "log_abs_dets",
+                           side_effect=AssertionError("log|det| taken")):
         ap_report(family("ap_family", (-15, 25), {"mu": 1e3}, 3), 1e3, 20)
 
 
@@ -986,7 +1123,7 @@ def det_degenerate(z):
     with sigma2 from the determinant, and the relative gap (sigma1 - sigma2)
     / sigma1 it compares with t; nan on zero rows."""
     s1 = cocycle._gram(z)[-1]
-    s2 = cocycle._sigma2(z, s1)
+    s2 = cocycle._sigma2(cocycle._abs_det(z), s1)
     with np.errstate(invalid="ignore"):
         return (s1 - s2) <= DEGENERATE_REL_TOL * s1, (s1 - s2) / s1
 
