@@ -18,11 +18,13 @@ from .cocycle import (
     MatrixSequence,
     _fit_rates,
     _LN2,
+    _depth_sums,
     _ldexp_c,
     _mul_rows,
     _singular_values,
     _site_window,
     _staircase_cells,
+    _staircase_rows,
     _step_table,
     forward_scan,
     product_sweep,
@@ -240,8 +242,9 @@ def ap_report(
 
     Every forward norm log sigma1(B_n(j)) comes from one ``product_sweep``;
     the single and pair norms are computed once for the window, and the
-    residual is built depth by depth for every start j at once.  Its rows
-    stay arrays; ``ApReport.residuals`` is built from them when first read.
+    residual is one pass over the sweep's log sigma1 grid and the depth sums
+    of those norms.  Its rows stay views of that grid; ``ApReport.residuals``
+    is built from them when first read.
     Raises ZeroMatrix when a pair product vanishes and ProductVanished, for
     the lowest start and then the shortest length, when a longer one does.
     """
@@ -251,32 +254,42 @@ def ap_report(
         raise InvalidSpec(f"envelope must be finite and at least 0, got {envelope}")
     lo, hi = seq.window
     (log_single, _, log_pair), (ap3, ap4, ok) = _ap_margins(seq, mu)
-    forward = product_sweep(seq, n_max - 1).log_s1  # layers n = 0 .. n_max
+    sweep = product_sweep(seq, n_max - 1)  # layers n = 0 .. n_max
     size = hi - lo + 1
     starts = max(size - 2, 0)  # j = lo .. hi - 2 have room for n = 3
     depths = range(3, min(n_max, size) + 1)
-    # the lowest start, then the shortest length, as one forward_scan per start
-    vanished = [(j, n) for n in range(2, depths.stop)
-                for j in np.flatnonzero(forward[n][:starts] == NEG_INF).tolist()]
-    if vanished:
-        j, n = min(vanished)
-        raise ProductVanished(f"product of length {n} starting at j={lo + j} vanished")
+    top = depths.stop - 1
+    if sweep.vanished:
+        # the lowest start, then the shortest length, as one forward_scan per start
+        j, n = np.nonzero(sweep.log_s1_grid[2:top + 1, :starts].T == NEG_INF)
+        if len(j):
+            raise ProductVanished(
+                f"product of length {n[0] + 2} starting at j={lo + j[0]} vanished")
 
-    # one row per depth n, at starts lo .. hi - n + 1, summed in ap_residual's order
-    rows = []
-    mids = np.zeros(starts)
-    pairs = log_pair[:starts]
-    for n in depths:
-        m = size - n + 1
-        mids = mids[:m] + log_single[n - 2:n - 2 + m]
-        pairs = pairs[:m] + log_pair[n - 2:n - 2 + m]
-        rows.append(np.abs(forward[n] + mids - pairs))
+    # row n of the staircase holds the pair (mids, pairs) of what depth n adds
+    # at the starts j = lo .. hi - n + 1, and (0, 0) past them: log sigma1 of
+    # B(j + n - 2) from n = 3 and of B(j + n - 1) B(j + n - 2) from n = 2, so
+    # that the depth sums run in ap_residual's order
+    terms = np.zeros((size + 1, 2))
+    terms[2:, 0] = log_single[:-1]
+    terms[2:, 1] = log_pair
+    sums = np.zeros((top + 1, size, 2))
+    for n in range(2, top + 1):
+        sums[n, :size - n + 1] = terms[n:]
+    sums[2:3, :, 0] = 0.0  # the mids start at depth 3
+    _depth_sums(sums, size)
+    mids, pairs = sums[3:, :starts, 0], sums[3:, :starts, 1]
+    grid = np.abs(sweep.log_s1_grid[3:top + 1, :starts] + mids - pairs)
+    rows = _staircase_rows(grid, len(depths))
 
     scale = mu ** -0.5
     c_fit = None
     slope = None
     if rows:
-        per_n_max = [float(r.max()) for r in rows]
+        # row k holds starts - k cells and -inf past them, which no row max
+        # takes; max, not fmax, so that a nan residual still propagates
+        grid[np.arange(starts) >= starts - np.arange(len(depths))[:, None]] = NEG_INF
+        per_n_max = grid.max(axis=1).tolist()
         # division by n mu^(-1/2) is monotone, so the row maxima give c_fit
         c_fit = max(r / (n * scale) for n, r in zip(depths, per_n_max))
         # row n holds max_j residual / n; the fit's sums depend on the

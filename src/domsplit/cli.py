@@ -77,8 +77,9 @@ def _dump_json(doc: dict) -> str:
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
     the small skeleton of a report is written in Python, and each grid in
     one pass over its columns: a table the CLI passes as ``_Columns`` straight
-    from the report's arrays, and a list of number rows transposed into
-    columns.  Both give the bytes json.dumps would."""
+    from the report's arrays, whose cell texts ``_cell_texts`` makes, and a
+    list of number rows transposed into columns.  Both give the bytes
+    json.dumps would."""
     out: list[str] = []
     _encode(doc, "\n", out)
     out.append("\n")
@@ -117,7 +118,7 @@ def _encode(o, nl: str, out: list[str]) -> None:
     if text is not None:
         out.append(text)
     elif type(o) is _Columns:
-        out.append(_grid(list(map(_array_texts, o)), nl) if len(o[0]) else "[]")
+        out.append(_grid([_cell_texts(a, '"') for a in o], nl) if len(o[0]) else "[]")
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -154,19 +155,25 @@ def _encode(o, nl: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _array_texts(a) -> list[str]:
-    """The JSON texts of the cells of an int or float array."""
-    if a.dtype.kind != "f":
-        lo = int(a.min())
-        span = int(a.max()) - lo + 1
-        if span > len(a):
-            return list(map(int.__repr__, a.tolist()))
-        # a column of few distinct values, such as j or n: each text once
-        texts = list(map(int.__repr__, range(lo, lo + span)))
-        return list(map(texts.__getitem__, (a - lo).tolist()))
-    texts = list(map(float.__repr__, a.tolist()))
-    for i in np.flatnonzero(~np.isfinite(a)).tolist():
-        texts[i] = f'"{texts[i]}"'  # repr names inf, -inf and nan
+def _cell_texts(a, quote: str) -> list[str]:
+    """The texts of the cells of an int or float array: repr's, with inf,
+    -inf and nan between ``quote``s.  orjson writes every int and every
+    positional float as repr does, so one orjson pass gives those; the
+    cells repr writes with an exponent or a name are taken again with repr,
+    whatever exponent form orjson gives them."""
+    import orjson  # here, not at module import: only table reports need it
+
+    if not len(a):
+        return []
+    texts = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)
+    texts = texts[1:-1].decode().split(",")
+    if a.dtype.kind == "f":
+        mag = np.abs(a)
+        # repr writes 0 and 1e-4 <= |x| < 1e16 positionally (never nan)
+        redo = np.flatnonzero((a != 0) & ~((mag >= 1e-4) & (mag < 1e16))).tolist()
+        cells = a[redo].tolist()
+        for i, x, text in zip(redo, cells, map(float.__repr__, cells)):
+            texts[i] = text if x - x == 0.0 else quote + text + quote
     return texts
 
 
@@ -199,6 +206,18 @@ def _csv_payload(rows, header: list[str]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _csv_table(columns, header: list[str]) -> str:
+    """The CSV text of the header, then the rows read across the columns,
+    int or float arrays of one length: csv.writer's text, since no number
+    text holds a comma, a quote or a newline that it would quote."""
+    width, count = len(columns), len(columns[0])
+    parts = [","] * (2 * width * count)
+    for c, a in enumerate(columns):
+        parts[2 * c::2 * width] = _cell_texts(a, "")
+    parts[2 * width - 1::2 * width] = ["\n"] * count
+    return ",".join(header) + "\n" + "".join(parts)
 
 
 def _same_param(x, y) -> bool:
@@ -413,8 +432,7 @@ def _cmd_profile(args, command: str) -> int:
             result["table"] = _Columns(fit.table_columns())
         payload = _dump_json(_report_doc(command, cfg, result))
     elif args.format == "csv":
-        rows = zip(*(a.tolist() for a in fit.table_columns()))
-        payload = _csv_payload(rows, ["j", "n", "ratio_log"])
+        payload = _csv_table(fit.table_columns(), ["j", "n", "ratio_log"])
     else:
         lines = [
             f"{command} profile over window {seq.window}, n <= {args.nmax}",
@@ -505,8 +523,7 @@ def _cmd_dom(args) -> int:
             result["fi"]["table"] = _Columns(report.fi.table_columns())
         payload = _dump_json(_report_doc("dom", cfg, result))
     elif args.format == "csv":
-        rows = zip(*(a.tolist() for a in report.svg.table_columns()))
-        payload = _csv_payload(rows, ["j", "n", "ratio_log"])
+        payload = _csv_table(report.svg.table_columns(), ["j", "n", "ratio_log"])
     else:
         lines = [
             f"dominated-splitting certificate over window {seq.window}",
@@ -559,8 +576,7 @@ def _cmd_ap(args) -> int:
             result["residuals"] = _Columns(report.residual_columns())
         payload = _dump_json(_report_doc("ap", cfg, result))
     elif args.format == "csv":
-        rows = zip(*(a.tolist() for a in report.residual_columns()))
-        payload = _csv_payload(rows, ["j", "n", "residual", "bound"])
+        payload = _csv_table(report.residual_columns(), ["j", "n", "residual", "bound"])
     else:
         lines = [
             f"avalanche audit at mu = {args.mu:g} over window {seq.window}",

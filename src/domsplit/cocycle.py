@@ -749,12 +749,11 @@ def _prescale_rows(z: np.ndarray):
     return _ldexp_c(z, k), k, zero
 
 
-def _singular_values(z: np.ndarray, sigma2: bool = True, prescaled: tuple | None = None):
+def _singular_values(z: np.ndarray, sigma2: bool = True):
     """``singular_values`` over a (4, m) stack of matrices [[a, b], [c, d]]:
     (sigma1, sigma2, zero), with sigma2 None unless asked for.  ``zero``
-    flags the rows that are the zero matrix; their values are 0.  A caller
-    that holds z's ``_prescale_rows`` already passes it as ``prescaled``."""
-    z, k, zero = prescaled or _prescale_rows(z)
+    flags the rows that are the zero matrix; their values are 0."""
+    z, k, zero = _prescale_rows(z)
     s1 = _gram(z)[-1]
     s1[zero] = 0.0
     s2 = _sigma2(_abs_det(z), s1) if sigma2 else None
@@ -969,7 +968,7 @@ def _depth_sums(grid: np.ndarray, size: int) -> None:
     size - n + 1 cells, cell by cell, n = 1, 2, ...: the additions of
     ``np.add.accumulate`` in its order.  One add per row, rather than one
     accumulate down the axis, whose pass is latency-bound; the cells past
-    the staircase are left as they are."""
+    the staircase are left as they are.  A cell may span trailing axes."""
     for n in range(1, min(len(grid), size + 1)):
         row = slice(0, size - n + 1)
         np.add(grid[n, row], grid[n - 1, row], out=grid[n, row])

@@ -977,6 +977,16 @@ def _refuse(token):
 _CELLS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                                           1e16, 1e22, -1e22])
 _INTS = st.integers(-(2 ** 63), 2 ** 63 - 1) | st.integers(-3, 3)
+# the edges of repr's two float forms (positional for 1e-4 <= |x| < 1e16),
+# subnormals, integral floats around 2^53, the largest float and the names
+_TINY = np.finfo(float).tiny
+_EDGES = np.array([np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), np.nextafter(1e16, 0),
+                   1e16, np.nextafter(1e16, math.inf), 0.0, 5e-324, np.nextafter(_TINY, 0),
+                   _TINY, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, np.finfo(float).max])
+_EDGE_FLOATS = np.concatenate([_EDGES, -_EDGES, [math.inf, -math.inf, math.nan]])
+_EDGE_INTS = np.resize([-(2 ** 63), 2 ** 63 - 1, -1, 0, 1], len(_EDGE_FLOATS))
+_EDGE_COLUMNS = [_EDGE_INTS, _EDGE_FLOATS, _EDGE_FLOATS[::-1]]
+_EMPTY_COLUMNS = [np.array([], dtype=np.int64), np.array([])]
 
 
 @st.composite
@@ -1041,13 +1051,34 @@ class TestReportEncoder:
     @example(columns=[np.array([-1, 0, 2]), np.array([3, 3, 2 ** 62]),
                       np.array([math.inf, -0.0, math.nan]), np.array([1e22, 5e-324, 1e16])],
              depth=1)
-    @example(columns=[np.array([], dtype=np.int64), np.array([])], depth=1)
+    @example(columns=_EMPTY_COLUMNS, depth=1)
+    @example(columns=_EDGE_COLUMNS, depth=0)
     def test_columns_match_json_of_rows(self, columns, depth):
         rows = column_rows(columns)
         doc, want = cli._Columns(columns), rows
         for _ in range(depth):
             doc, want = {"t": [doc]}, {"t": [want]}
         assert _dump_json(doc) == json.dumps(_named(want), sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_column_grids())
+    @example(columns=_EMPTY_COLUMNS)
+    @example(columns=_EDGE_COLUMNS)
+    def test_csv_table_matches_csv_writer(self, columns):
+        header = [f"c{k}" for k in range(len(columns))]
+        assert cli._csv_table(columns, header) == cli._csv_payload(column_rows(columns), header)
+
+    def test_cell_texts_are_repr_on_random_bit_patterns(self):
+        # every finite float64, and again with exponents of the positional
+        # form, so that a drift of orjson's text from repr's shows here
+        rng = np.random.default_rng(20260601)
+        bits = rng.integers(0, 2 ** 64, size=(2, 60_000), dtype=np.uint64)
+        bits[1] = (bits[1] & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (
+            rng.integers(1023 - 14, 1023 + 54, size=60_000, dtype=np.uint64) << np.uint64(52))
+        cells = bits.ravel().view(np.float64)
+        cells = cells[np.isfinite(cells)]
+        assert len(cells) >= 100_000
+        assert cli._cell_texts(cells, '"') == list(map(float.__repr__, cells.tolist()))
 
     def test_unserialisable_values_raise(self):
         with pytest.raises(TypeError):

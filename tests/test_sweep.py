@@ -329,7 +329,11 @@ def rescued_rows(seq, n_max=40):
 
     def spied(z):
         out = prescale(z)
-        s1 = cocycle._singular_values(z, sigma2=False, prescaled=out)[0]
+        scaled, k, zero = out
+        s1 = cocycle._gram(scaled)[-1]
+        s1[zero] = 0.0
+        if k is not None:
+            s1 = np.ldexp(s1, -k)
         assert not ((s1 > 1.0 / BAND) & (s1 < BAND)).any()  # 0 where the row vanished
         calls.append(z.shape[1])
         return out
