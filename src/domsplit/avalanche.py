@@ -24,7 +24,6 @@ from .cocycle import (
     _singular_values,
     _site_window,
     _staircase_cells,
-    _staircase_rows,
     _step_table,
     forward_scan,
     product_sweep,
@@ -182,7 +181,7 @@ def direction_drift(seq: MatrixSequence, j: int, n_max: int) -> DriftTables:
     s_depth, u_depth = min(n_max, sub.hi - j + 1), min(n_max, j - sub.lo)
     for n, start in ((s_depth, j), (u_depth, j - u_depth)):
         # a product through a vanished one vanishes too, so the deepest tells
-        if n and sweep.log_s1[n][start - sub.lo] == NEG_INF:
+        if n and sweep.log_s1_grid[n, start - sub.lo] == NEG_INF:
             raise ProductVanished(f"product of length {n} starting at j={start} vanished")
     s_steps, u_steps = ({n + 1: d for n, d in _step_table(col).items()} for col in sweep.steps.T)
     return DriftTables(s_steps, u_steps, *_fit_rates(sweep.steps))
@@ -192,9 +191,9 @@ def direction_drift(seq: MatrixSequence, j: int, n_max: int) -> DriftTables:
 class ApReport:
     """Avalanche audit: hypothesis margins, residual grid, and envelope fit.
 
-    ``rows`` holds what the residuals are built from, when first read:
-    (lo, 3, one residual array over j per n), where the array of depth n
-    holds residual(j, n) at starts j = lo .. hi - n + 1.
+    ``rows`` holds (lo, 3, the padded residual grid), whose row n - 3 holds
+    residual(j, n) at starts j = lo .. hi - n + 1; ``residuals`` is built
+    from it when first read.
     """
 
     mu: float
@@ -243,8 +242,8 @@ def ap_report(
     Every forward norm log sigma1(B_n(j)) comes from one ``product_sweep``;
     the single and pair norms are computed once for the window, and the
     residual is one pass over the sweep's log sigma1 grid and the depth sums
-    of those norms.  Its rows stay views of that grid; ``ApReport.residuals``
-    is built from them when first read.
+    of those norms.  The report keeps that grid; ``ApReport.residuals`` is
+    built from it when first read.
     Raises ZeroMatrix when a pair product vanishes and ProductVanished, for
     the lowest start and then the shortest length, when a longer one does.
     """
@@ -279,13 +278,15 @@ def ap_report(
     sums[2:3, :, 0] = 0.0  # the mids start at depth 3
     _depth_sums(sums, size)
     mids, pairs = sums[3:, :starts, 0], sums[3:, :starts, 1]
-    grid = np.abs(sweep.log_s1_grid[3:top + 1, :starts] + mids - pairs)
-    rows = _staircase_rows(grid, len(depths))
+    # written over the mids: a block of its own, with its temporaries, made
+    # glibc trim and fault in again ~200 KB of heap per call in a closed loop
+    grid = np.add(sweep.log_s1_grid[3:top + 1, :starts], mids, out=mids)
+    np.abs(np.subtract(grid, pairs, out=grid), out=grid)
 
     scale = mu ** -0.5
     c_fit = None
     slope = None
-    if rows:
+    if depths:
         # row k holds starts - k cells and -inf past them, which no row max
         # takes; max, not fmax, so that a nan residual still propagates
         grid[np.arange(starts) >= starts - np.arange(len(depths))[:, None]] = NEG_INF
@@ -308,5 +309,5 @@ def ap_report(
         c_fit=c_fit,
         fitted_slope=slope,
         passed=passed,
-        rows=(lo, 3, rows),
+        rows=(lo, 3, grid),
     )

@@ -9,10 +9,7 @@ the same configuration produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
-import itertools
 import json
 import math
 import os
@@ -77,9 +74,8 @@ def _dump_json(doc: dict) -> str:
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
     the small skeleton of a report is written in Python, and each grid in
     one pass over its columns: a table the CLI passes as ``_Columns`` straight
-    from the report's arrays, whose cell texts ``_cell_texts`` makes, and a
-    list of number rows transposed into columns.  Both give the bytes
-    json.dumps would."""
+    from the report's arrays, whose cell texts ``_cell_texts`` makes.  That
+    gives the bytes json.dumps would."""
     out: list[str] = []
     _encode(doc, "\n", out)
     out.append("\n")
@@ -123,10 +119,6 @@ def _encode(o, nl: str, out: list[str]) -> None:
         if not o:
             out.append("[]")
             return
-        columns = _row_columns(o)
-        if columns is not None:
-            out.append(_grid(columns, nl))
-            return
         inner = nl + "  "
         sep = "[" + inner
         for item in o:
@@ -160,7 +152,7 @@ def _cell_texts(a, quote: str) -> list[str]:
     -inf and nan between ``quote``s.  orjson writes every int and every
     positional float as repr does, so one orjson pass gives those; the
     cells repr writes with an exponent or a name are taken again with repr,
-    whatever exponent form orjson gives them."""
+    whatever exponent form orjson gives them, and a name from a lookup."""
     import orjson  # here, not at module import: only table reports need it
 
     if not len(a):
@@ -171,19 +163,10 @@ def _cell_texts(a, quote: str) -> list[str]:
         mag = np.abs(a)
         # repr writes 0 and 1e-4 <= |x| < 1e16 positionally (never nan)
         redo = np.flatnonzero((a != 0) & ~((mag >= 1e-4) & (mag < 1e16))).tolist()
-        cells = a[redo].tolist()
-        for i, x, text in zip(redo, cells, map(float.__repr__, cells)):
-            texts[i] = text if x - x == 0.0 else quote + text + quote
+        named = {name: quote + name + quote for name in ("inf", "-inf", "nan")}
+        for i, text in zip(redo, map(float.__repr__, a[redo].tolist())):
+            texts[i] = named.get(text, text)
     return texts
-
-
-def _row_columns(rows) -> list[list[str]] | None:
-    """The cell texts of a list of rows, column by column; None unless every
-    row is a list of one nonzero width and every cell an int or float."""
-    if (set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1 or not rows[0]
-            or not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
-        return None
-    return [list(map(_scalar, cells)) for cells in zip(*rows)]
 
 
 def _grid(columns: list[list[str]], nl: str) -> str:
@@ -200,22 +183,15 @@ def _grid(columns: list[list[str]], nl: str) -> str:
     return "".join(parts)
 
 
-def _csv_payload(rows, header: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _csv_table(columns, header: list[str]) -> str:
     """The CSV text of the header, then the rows read across the columns,
-    int or float arrays of one length: csv.writer's text, since no number
-    text holds a comma, a quote or a newline that it would quote."""
+    int or float arrays or lists of texts, all of one length: csv.writer's
+    text, since no number text, nor any text a verb passes, holds a comma, a
+    quote or a newline that it would quote."""
     width, count = len(columns), len(columns[0])
     parts = [","] * (2 * width * count)
     for c, a in enumerate(columns):
-        parts[2 * c::2 * width] = _cell_texts(a, "")
+        parts[2 * c::2 * width] = a if type(a) is list else _cell_texts(a, "")
     parts[2 * width - 1::2 * width] = ["\n"] * count
     return ",".join(header) + "\n" + "".join(parts)
 
@@ -456,35 +432,35 @@ def _cmd_split(args) -> int:
     cfg.update({"nmax": args.nmax, "tol": args.tol, "jrange": list(jrange)})
 
     fields = []
-    seps = _dist(sweep.es_vec, sweep.eu_vec).tolist()
+    sep_column = _dist(sweep.es_vec, sweep.eu_vec)
+    seps = sep_column.tolist()
     for (j, cert), sep in zip(sweep.certs.items(), seps):
         rec = _field_record(j, es[j], eu[j], cert)
         rec["separation"] = sep
         if args.table:
-            rec["s_steps"] = [[n, d] for n, d in sorted(cert.s_steps.items())]
-            rec["u_steps"] = [[n, d] for n, d in sorted(cert.u_steps.items())]
+            # column k of each side's step grid, at the depths that have a step
+            s_grid, u_grid, k = cert.rows
+            for key, grid in (("s_steps", s_grid), ("u_steps", u_grid)):
+                steps = grid[:, k]
+                n = np.flatnonzero(steps == steps)
+                rec[key] = _Columns((n, steps[n]))
         fields.append(rec)
 
-    res_js, res_s, res_u = invariance_residuals(seq, sweep)
     result = {
         "fields": fields,
         "failed_js": failed,
         "min_separation": min(seps) if seps else None,
-        "invariance_residuals": [
-            list(r) for r in zip(res_js.tolist(), res_s.tolist(), res_u.tolist())
-        ],
+        "invariance_residuals": _Columns(invariance_residuals(seq, sweep)),
     }
 
     if args.format == "json":
         payload = _dump_json(_report_doc("split", cfg, result))
     elif args.format == "csv":
-        rows = []
-        for rec in fields:
-            def flat(v):
-                return "inf" if v == "inf" else f"{v[0]!r}+{v[1]!r}j"
-            rows.append([rec["j"], flat(rec["Es"]), flat(rec["Eu"]), rec["separation"],
-                         rec["n_star_s"], rec["n_star_u"]])
-        payload = _csv_payload(rows, ["j", "Es", "Eu", "separation", "n_star_s", "n_star_u"])
+        def flat(v):
+            return "inf" if v == "inf" else f"{v[0]!r}+{v[1]!r}j"
+        es_texts, eu_texts = ([flat(rec[key]) for rec in fields] for key in ("Es", "Eu"))
+        payload = _csv_table((sweep.js, es_texts, eu_texts, sep_column, *sweep.n_star),
+                             ["j", "Es", "Eu", "separation", "n_star_s", "n_star_u"])
     else:
         lines = [f"invariant directions over jrange {list(jrange)} (window {seq.window})"]
         for rec in fields:

@@ -497,13 +497,13 @@ def _step_table(column: np.ndarray) -> dict[int, float]:
     return {n: d for n, d in enumerate(column.tolist()) if d == d}
 
 
-def _staircase_cells(j0: int, n0: int, rows: list[np.ndarray]):
-    """j, n and value of every cell of a staircase table, as arrays in (j, n)
-    order: row k holds n = n0 + k at the starts j = j0 .. j0 + len - 1."""
-    lens = np.array([len(r) for r in rows], dtype=np.int64)
-    j, k = np.nonzero(np.arange(lens.max(initial=0))[:, None] < lens)
-    flat = np.concatenate([np.empty(0), *rows])
-    return j0 + j, n0 + k, flat[(np.cumsum(lens) - lens)[k] + j]
+def _staircase_cells(j0: int, n0: int, grid: np.ndarray):
+    """j, n and value of every cell of a staircase grid, as arrays in (j, n)
+    order: row k holds n = n0 + k at the grid.shape[1] - k starts from j0,
+    and the padding past them is not read."""
+    count, width = grid.shape
+    j, k = np.nonzero(np.arange(width)[:, None] < width - np.arange(count))
+    return j0 + j, n0 + k, grid[k, j]
 
 
 # Chordal steps at or below this are rounding noise of the metric (diameter

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .cocycle import (
     _dist,
     _fit_lines,
     _staircase_cells,
-    _staircase_rows,
     _unit,
     estimate_fields,
     invariance_residuals,
@@ -83,10 +81,10 @@ class RateFit:
     """Least-squares fit of log(sup_j ratio_n) against n.
 
     ``rate`` is the signed per-step exponent (the slope); a decaying profile
-    has rate < 0 and fitted mu = exp(-rate).  Entries of ``sup_log`` and
-    ``table`` are natural-log ratios; +-inf mark vanished / rank-one products.
-    ``rows`` holds what the table is built from, when it is first read:
-    (first j, first n, one ratio array over j per n).
+    has rate < 0 and fitted mu = exp(-rate).  Entries of ``sup_log`` and the
+    table are natural-log ratios; +-inf mark vanished / rank-one products.
+    ``rows`` holds the table: (first j, first n, the padded ratio grid whose
+    row k holds depth first n + k at grid.shape[1] - k starts from first j).
     """
 
     rate: float
@@ -102,22 +100,10 @@ class RateFit:
     def mu(self) -> float:
         return math.exp(-self.rate)
 
-    @cached_property
-    def table(self) -> dict[tuple[int, int], float]:
-        """{(j, n): log ratio}, n by n and j ascending within each n."""
-        if not self.rows:
-            return {}
-        j_lo, n_first, rows = self.rows
-        keys = [
-            (j, n) for n, row in enumerate(rows, start=n_first)
-            for j in range(j_lo, j_lo + len(row))
-        ]
-        return dict(zip(keys, np.concatenate(rows).tolist()))
-
     def table_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The j, n and log ratio of every table cell, as arrays in (j, n)
-        order, read from ``rows`` without building the table."""
-        return _staircase_cells(*(self.rows or (0, 0, [])))
+        order, read from the grid in ``rows``."""
+        return _staircase_cells(*(self.rows or (0, 0, np.empty((0, 0)))))
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,14 +148,13 @@ def _log_ratio_grid(num: np.ndarray, den: np.ndarray, vanished: bool) -> np.ndar
     return r
 
 
-def _staircase_fit(grid: np.ndarray, n_first: int, count: int) -> tuple[dict, list]:
-    """{n: sup of row n} and the rows without their padding, for the count
-    depths n_first .. of a ``_log_ratio_grid``; -inf on an empty row.  The
-    sup skips the nan cells past the staircase."""
+def _staircase_fit(grid: np.ndarray, n_first: int, count: int) -> dict[int, float]:
+    """{n: sup of row n} for the count depths n_first .. of a
+    ``_log_ratio_grid``; -inf on an empty row.  The sup skips the nan cells
+    past the staircase."""
     sup = np.fmax.reduce(grid, axis=1, initial=NEG_INF).tolist()
     last = len(sup) - 1
-    return ({n_first + k: sup[min(k, last)] for k in range(count)},
-            _staircase_rows(grid, count))
+    return {n_first + k: sup[min(k, last)] for k in range(count)}
 
 
 def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, RateFit]:
@@ -179,9 +164,10 @@ def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, 
     # svg: sigma2(B_n) / sigma1(B_{n+1}), n = 0 .. n_max; fi: sigma1(B_n) /
     # sigma1(B_{n+1}), n = 1 .. n_max; each row one start shorter than its numerator
     vanished = sweep.vanished
-    svg_sup, svg_rows = _staircase_fit(_log_ratio_grid(ls2[:-1], ls1[1:, :-1], vanished),
-                                       0, n_max + 1)
-    fi_sup, fi_rows = _staircase_fit(_log_ratio_grid(ls1[1:-1], ls1[2:, :-2], vanished), 1, n_max)
+    svg_grid = _log_ratio_grid(ls2[:-1], ls1[1:, :-1], vanished)
+    fi_grid = _log_ratio_grid(ls1[1:-1], ls1[2:, :-2], vanished)
+    svg_sup = _staircase_fit(svg_grid, 0, n_max + 1)
+    fi_sup = _staircase_fit(fi_grid, 1, n_max)
 
     n_lo = thresholds.fit_n_lo
     svg_pts = [(n, v) for n, v in svg_sup.items() if n >= n_lo]
@@ -193,7 +179,7 @@ def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, 
         and -slope > math.log(thresholds.mu_min)
         and not any(v == INF for v in svg_sup.values())
     )
-    svg_fit = RateFit(slope, intercept, n_lo, n_max, resid, svg_sup, svg_ok, (lo, 0, svg_rows))
+    svg_fit = RateFit(slope, intercept, n_lo, n_max, resid, svg_sup, svg_ok, (lo, 0, svg_grid))
 
     fi_pts = [(n, v) for n, v in fi_sup.items() if n >= max(n_lo, 1)]
     fslope, fintercept, fresid = _fit_line(fi_pts)
@@ -205,7 +191,7 @@ def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, 
         and not any(v == INF for v in fi_sup.values())
     )
     fi_fit = RateFit(fslope, fintercept, max(n_lo, 1), n_max, fresid, fi_sup, fi_ok,
-                     (lo, 1, fi_rows))
+                     (lo, 1, fi_grid))
     return svg_fit, fi_fit
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from domsplit import (
 )
 
 from domsplit.cli import main
+from domsplit.cocycle import ProductSweep
 
 from conftest import _point_steps, column_rows, random_mat, rank_one_window, vanishing
 
@@ -236,6 +238,18 @@ class TestDirectionDrift:
         for j, n_max in ((0, 1), (1, 40), (6, 5)):
             drift = direction_drift(seq, j, n_max)
             assert len(drift.u_steps) == min(n_max, j - seq.lo) - 1, j
+
+    def test_depth_past_the_window_is_the_window_length(self):
+        # no site has room past the window's length L, so any n_max from L
+        # on gives the same tables, read from the grid without a row per depth
+        seq = family("conjugated_dominated", (-30, 30), seed=4)
+        vanished = vanishing(seq)  # B(1) B(0) = 0
+        no_rows = property(lambda sweep: pytest.fail("read a row per depth"))
+        with mock.patch.object(ProductSweep, "log_s1", no_rows):
+            for s, j in ((seq, seq.lo), (seq, -5), (seq, 0), (seq, seq.hi), (vanished, 1)):
+                assert direction_drift(s, j, 10 ** 6) == direction_drift(s, j, len(s))
+            with pytest.raises(ProductVanished):
+                direction_drift(vanished, 6, 10 ** 6)
 
     def test_example1_one_sided(self):
         seq = family("example1", (0, 40))

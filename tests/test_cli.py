@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import math
 from unittest import mock
@@ -31,6 +34,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def csv_writer_text(rows, header):
+    """The text csv.writer gives the header and then the rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 class TestGen:
@@ -194,6 +206,39 @@ class TestSplit:
         assert got == pytest.approx(want, rel=0, abs=1e-12)  # distances lie in [0, 2]
         assert result["min_separation"] == min(got)
         assert result["min_separation"] == pytest.approx(min(want), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("window", ["rank_one", "conjugated_dominated", "unitary",
+                                        "random_singular"])
+    def test_csv_and_steps_match_the_records(self, tmp_path, capsys, window):
+        # the steps, residuals and csv are written from arrays; written from
+        # the per-site dicts and the field records instead, they are the same
+        if window == "rank_one":
+            seq = rank_one_window(5)
+        else:
+            params = {"insertions": [0]} if window == "random_singular" else {}
+            lo = -10 if window == "unitary" else -45  # the unitary sites all fail
+            seq, _ = build_with_truth(GeneratorSpec(window, (lo, -lo), params, 2))
+        path = str(tmp_path / "s.json")
+        dump_sequence(seq, path)
+        code, out, _ = run(capsys, "split", "--input", path, "--format", "json", "--table")
+        result = json.loads(out)["result"]
+        sweep = estimate_fields(seq, None, 40, 1e-9)
+        assert [r["j"] for r in result["fields"]] == sorted(sweep.certs)
+        for rec in result["fields"]:
+            cert = sweep.certs[rec["j"]]
+            assert rec["s_steps"] == [[n, d] for n, d in sorted(cert.s_steps.items())]
+            assert rec["u_steps"] == [[n, d] for n, d in sorted(cert.u_steps.items())]
+        js, res_s, res_u = cocycle.invariance_residuals(seq, sweep)
+        assert result["invariance_residuals"] == column_rows((js, res_s, res_u))
+
+        def flat(v):
+            return "inf" if v == "inf" else f"{v[0]!r}+{v[1]!r}j"
+        rows = [[r["j"], flat(r["Es"]), flat(r["Eu"]), r["separation"], r["n_star_s"],
+                 r["n_star_u"]] for r in result["fields"]]
+        csv_code, csv_out, _ = run(capsys, "split", "--input", path, "--format", "csv")
+        assert csv_code == code
+        assert csv_out == csv_writer_text(rows, ["j", "Es", "Eu", "separation", "n_star_s",
+                                                 "n_star_u"])
 
 
 class TestEmptyJrange:
@@ -383,13 +428,12 @@ class TestAp:
         # the rows come from the grid; written from the sorted dict instead,
         # the documents are the same bytes
         from domsplit import ap_report
-        from domsplit.cli import _csv_payload
 
         seq, _ = build_with_truth(GeneratorSpec("ap_family", (0, 30), {"mu": 1e3}, 3))
         rows = [[j, n, r, n * 1e3 ** -0.5] for (j, n), r in
                 sorted(ap_report(seq, 1e3, 10).residuals.items())]
         code, out, _ = run(capsys, "ap", *self.AP_GOLDEN, "--format", "csv")
-        assert code == 0 and out == _csv_payload(rows, ["j", "n", "residual", "bound"])
+        assert code == 0 and out == csv_writer_text(rows, ["j", "n", "residual", "bound"])
         code, out, _ = run(capsys, "ap", *self.AP_GOLDEN, "--format", "json", "--table")
         doc = json.loads(out)
         assert code == 0 and doc["result"]["residuals"] == rows
@@ -1066,7 +1110,7 @@ class TestReportEncoder:
     @example(columns=_EDGE_COLUMNS)
     def test_csv_table_matches_csv_writer(self, columns):
         header = [f"c{k}" for k in range(len(columns))]
-        assert cli._csv_table(columns, header) == cli._csv_payload(column_rows(columns), header)
+        assert cli._csv_table(columns, header) == csv_writer_text(column_rows(columns), header)
 
     def test_cell_texts_are_repr_on_random_bit_patterns(self):
         # every finite float64, and again with exponents of the positional
@@ -1106,6 +1150,62 @@ class TestReportEncoder:
         assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out
         if argv[0] != "split":  # the grids the CLI writes from columns
             assert _report_tables(doc["result"], argv[0]) == _library_tables(argv)
+
+
+_EDGE_THRESHOLDS = st.sampled_from(["0", "1e-300", "1e-9", "1", "2", "1e300"])
+_VERB_OPTIONS = {
+    "svg": ("--epsilon", "--mu-min"),
+    "fi": ("--epsilon", "--mu-min"),
+    "split": ("--tol",),
+    "dom": ("--tol", "--epsilon", "--mu-min", "--sep-min"),
+    "ap": ("--mu", "--envelope"),
+}
+
+
+@st.composite
+def _verb_runs(draw):
+    """The arguments of one verb on a generated window of 1 to 8 entries,
+    with --nmax and the verb's thresholds at their edges."""
+    verb = draw(st.sampled_from(sorted(_VERB_OPTIONS)))
+    lo = draw(st.integers(-4, 4))
+    hi = lo + draw(st.integers(0, 7))
+    argv = [verb, "--family", draw(st.sampled_from(sorted(FAMILIES))),
+            "--seed", str(draw(st.integers(0, 3))), "--window", str(lo), str(hi),
+            "--nmax", draw(st.sampled_from(["1", "2", "3", "40"])), "--format", "json"]
+    for option in _VERB_OPTIONS[verb]:
+        if (verb, option) == ("ap", "--mu") or draw(st.booleans()):
+            argv += [option, draw(_EDGE_THRESHOLDS)]
+    if verb == "dom" and draw(st.booleans()):
+        argv += ["--ncap", draw(st.sampled_from(["0", "1", "40"]))]
+    return argv
+
+
+class TestVerbContract:
+    """Every verb, on short windows with thresholds at their edges, exits
+    with a code the README names, writes strict JSON, and exits 0 or 1 only
+    on the evidence that code stands for."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(_verb_runs())
+    def test_exit_codes_match_the_report(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3), err
+        assert "internal error" not in err
+        if code == 2:
+            return
+        result = json.loads(out, parse_constant=_refuse)["result"]
+        verb = argv[0]
+        if verb == "dom":
+            assert (code == 1) == bool(result["witnesses"])
+            if code == 0:
+                assert result["fields"] and not result["failed_js"]
+        elif verb == "ap" and code in (0, 1):
+            assert result["c_fit"] is not None
+        elif verb in ("svg", "fi") and code == 0:
+            assert result["passed"]
 
 
 class TestStrictJson:

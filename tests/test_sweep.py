@@ -718,9 +718,11 @@ def test_tables_built_when_read(staged):
         want = eager_table(sweep, kind)
         rows = [[j, n, v] for (j, n), v in sorted(want.items())]
         assert column_rows(fit.table_columns()) == rows
-        assert "table" not in vars(fit)  # neither the certificate nor a listing builds it
-        assert list(fit.table.items()) == list(want.items())
-        assert fit.table is fit.table
+        # rows holds the padded grid: row k is depth n_first + k from the window's start
+        lo, n_first, grid = fit.rows
+        assert (lo, n_first) == (sweep.window[0], 0 if kind == "svg" else 1)
+        assert {(lo + i, n_first + k): v for k, row in enumerate(cocycle._staircase_rows(
+            grid, len(grid))) for i, v in enumerate(row.tolist())} == want
     again = _certificate(seq, Thresholds(n_max=sweep.n_max), sweep, [])
     assert again.svg == report.svg and again.fi == report.fi
     assert "rows" not in repr(report.svg)
@@ -767,6 +769,15 @@ def loop_profiles(sweep):
     return ls2, svg, svg_sup, fi, fi_sup, floor
 
 
+def row_cells(j0, n0, rows):
+    """j, n and value of every cell of a table given as one array per depth,
+    in (j, n) order: the reader of the row form the report grids replaced."""
+    lens = np.array([len(r) for r in rows], dtype=np.int64)
+    j, k = np.nonzero(np.arange(lens.max(initial=0))[:, None] < lens)
+    flat = np.concatenate([np.empty(0), *rows])
+    return j0 + j, n0 + k, flat[(np.cumsum(lens) - lens)[k] + j]
+
+
 def hex_values(d):
     return {k: v.hex() for k, v in d.items()}
 
@@ -794,7 +805,13 @@ def test_profiles_match_the_depth_loop(name):
     assert [r.tobytes() for r in sweep.log_s2] == [r.tobytes() for r in ls2]
     got_svg, got_fi = _svg_fi_fits(sweep, Thresholds(n_max=n_max))
     for got, rows, sup in ((got_svg, svg, svg_sup), (got_fi, fi, fi_sup)):
-        assert [r.tobytes() for r in got.rows[2]] == [r.tobytes() for r in rows]
+        lo, n_first, grid = got.rows
+        assert [r.tobytes() for r in cocycle._staircase_rows(grid, len(rows))] == [
+            r.tobytes() for r in rows]
+        # the grid's mask-and-index reader gives the cells of the rows, bit for bit
+        for got_cells, want_cells in zip(got.table_columns(), row_cells(lo, n_first, rows)):
+            assert got_cells.dtype == want_cells.dtype
+            assert got_cells.tobytes() == want_cells.tobytes()
         assert hex_values(got.sup_log) == hex_values(sup)
     got_floor = _norm_floor(sweep)
     assert hex_values({n: got_floor[n] for n in floor}) == hex_values(floor)
