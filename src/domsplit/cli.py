@@ -73,9 +73,10 @@ def _dump_json(doc: dict) -> str:
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
     the small skeleton of a report is written in Python, and each grid in
-    one pass over its columns: a table the CLI passes as ``_Columns`` straight
-    from the report's arrays, whose cell texts ``_cell_texts`` makes.  That
-    gives the bytes json.dumps would."""
+    one pass over its columns: a table or a list of [n, value] pairs, which
+    the CLI passes as ``_Columns`` straight from the report's arrays, whose
+    cell texts ``_cell_texts`` makes, or as columns of texts made already.
+    That gives the bytes json.dumps would."""
     out: list[str] = []
     _encode(doc, "\n", out)
     out.append("\n")
@@ -83,8 +84,9 @@ def _dump_json(doc: dict) -> str:
 
 
 class _Columns(tuple):
-    """A grid given as its columns, int or float arrays of one length: the
-    report holds the list of rows read across them."""
+    """A grid given as its columns, int or float arrays or lists of cell
+    texts, of one length: the report holds the list of rows read across
+    them."""
 
     __slots__ = ()
 
@@ -114,7 +116,8 @@ def _encode(o, nl: str, out: list[str]) -> None:
     if text is not None:
         out.append(text)
     elif type(o) is _Columns:
-        out.append(_grid([_cell_texts(a, '"') for a in o], nl) if len(o[0]) else "[]")
+        texts = [a if type(a) is list else _cell_texts(a, '"') for a in o]
+        out.append(_grid(texts, nl) if len(o[0]) else "[]")
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -151,9 +154,10 @@ def _cell_texts(a, quote: str) -> list[str]:
     """The texts of the cells of an int or float array: repr's, with inf,
     -inf and nan between ``quote``s.  orjson writes every int and every
     positional float as repr does, so one orjson pass gives those; the
-    cells repr writes with an exponent or a name are taken again with repr,
-    whatever exponent form orjson gives them, and a name from a lookup."""
-    import orjson  # here, not at module import: only table reports need it
+    finite cells repr writes with an exponent are taken again with repr,
+    whatever exponent form orjson gives them, and the others are named by
+    mask."""
+    import orjson  # here, not at module import: only reports with grids need it
 
     if not len(a):
         return []
@@ -161,12 +165,33 @@ def _cell_texts(a, quote: str) -> list[str]:
     texts = texts[1:-1].decode().split(",")
     if a.dtype.kind == "f":
         mag = np.abs(a)
-        # repr writes 0 and 1e-4 <= |x| < 1e16 positionally (never nan)
-        redo = np.flatnonzero((a != 0) & ~((mag >= 1e-4) & (mag < 1e16))).tolist()
-        named = {name: quote + name + quote for name in ("inf", "-inf", "nan")}
+        finite = mag < math.inf
+        # repr writes 0 and 1e-4 <= |x| < 1e16 positionally
+        redo = np.flatnonzero((a != 0) & ((mag < 1e-4) | (mag >= 1e16)) & finite).tolist()
         for i, text in zip(redo, map(float.__repr__, a[redo].tolist())):
-            texts[i] = named.get(text, text)
+            texts[i] = text
+        if np.count_nonzero(finite) < len(a):
+            for name, cells in (("inf", a == math.inf), ("-inf", a == -math.inf), ("nan", a != a)):
+                for i in np.flatnonzero(cells).tolist():
+                    texts[i] = quote + name + quote
     return texts
+
+
+def _pairs(table: dict) -> _Columns:
+    """An {n: float} table as the columns of its [n, value] pairs in
+    ascending n: the list that ``to_json_dict`` gives, for the encoder."""
+    ns = sorted(table)
+    return _Columns((np.array(ns, dtype=np.int64), np.array([table[n] for n in ns], dtype=float)))
+
+
+def _site_steps(grid: np.ndarray) -> list[_Columns]:
+    """For each column k of a step grid, its (n, step) pairs at the rows n
+    that hold a step, not nan, as columns of texts: one ``_cell_texts`` pass
+    over the whole grid, cut column by column."""
+    k, n = np.nonzero(~np.isnan(grid.T))  # in (k, n) order
+    n_texts, step_texts = _cell_texts(n, '"'), _cell_texts(grid.T[k, n], '"')
+    ends = np.cumsum(np.bincount(k, minlength=grid.shape[1])).tolist()
+    return [_Columns((n_texts[a:b], step_texts[a:b])) for a, b in zip([0] + ends, ends)]
 
 
 def _grid(columns: list[list[str]], nl: str) -> str:
@@ -404,6 +429,7 @@ def _cmd_profile(args, command: str) -> int:
 
     if args.format == "json":
         result = fit.to_json_dict()
+        result["sup_log"] = _pairs(fit.sup_log)
         if args.table:
             result["table"] = _Columns(fit.table_columns())
         payload = _dump_json(_report_doc(command, cfg, result))
@@ -434,16 +460,17 @@ def _cmd_split(args) -> int:
     fields = []
     sep_column = _dist(sweep.es_vec, sweep.eu_vec)
     seps = sep_column.tolist()
-    for (j, cert), sep in zip(sweep.certs.items(), seps):
+    certs = sweep.certs
+    if args.table and certs:
+        # every site's cert reads its column k of the same two step grids
+        s_grid, u_grid, _ = next(iter(certs.values())).rows
+        s_steps, u_steps = _site_steps(s_grid), _site_steps(u_grid)
+    for (j, cert), sep in zip(certs.items(), seps):
         rec = _field_record(j, es[j], eu[j], cert)
         rec["separation"] = sep
         if args.table:
-            # column k of each side's step grid, at the depths that have a step
-            s_grid, u_grid, k = cert.rows
-            for key, grid in (("s_steps", s_grid), ("u_steps", u_grid)):
-                steps = grid[:, k]
-                n = np.flatnonzero(steps == steps)
-                rec[key] = _Columns((n, steps[n]))
+            k = cert.rows[2]
+            rec["s_steps"], rec["u_steps"] = s_steps[k], u_steps[k]
         fields.append(rec)
 
     result = {
@@ -494,6 +521,9 @@ def _cmd_dom(args) -> int:
 
     if args.format == "json":
         result = report.to_json_dict()
+        for key, table in (("svg", report.svg.sup_log), ("fi", report.fi.sup_log)):
+            result[key]["sup_log"] = _pairs(table)
+        result["norm_floor_log"] = _pairs(report.norm_floor_log)
         if args.table:
             result["svg"]["table"] = _Columns(report.svg.table_columns())
             result["fi"]["table"] = _Columns(report.fi.table_columns())

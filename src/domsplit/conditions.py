@@ -9,7 +9,7 @@ a finite window can only certify behaviour at its own scale.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class Thresholds:
         # the SVG and UEG tests compare log mu_min and log ueg_lambda_min.  A
         # chordal distance never exceeds 2, so sep_min >= 2 would witness a
         # collapse of any fields, and past split_tol = 2 every step closes a run
-        for name, value in asdict(self).items():
+        for name, value in self.to_json_dict().items():
             if not math.isfinite(value):
                 raise InvalidSpec(f"{name} must be finite, got {value}")
         for name, bad, need in (
@@ -73,7 +73,8 @@ class Thresholds:
                 raise InvalidSpec(f"{name} must {need}, got {getattr(self, name)}")
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # every field is a number: asdict's deep copy would copy nothing
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -367,7 +368,7 @@ def _gap_search(
         w0, w1 = _apply(sweep.seq.factors[:, rows[:live] + n], x0, x1)
         nw = np.hypot(np.abs(w0), np.abs(w1))
         gone = gone | (nw == 0.0)
-        vanished = gone.any()
+        vanished = np.count_nonzero(gone) > 0
         if vanished:  # a vanished vector stays zero, and dividing by 1 keeps its log
             nw = np.where(gone, 1.0, nw)
         logs = logs + np.log(nw)

@@ -22,7 +22,7 @@ from domsplit import (
     invariance_residual,
     load_sequence,
 )
-from domsplit import DomsplitError, cli, cocycle
+from domsplit import DomsplitError, __version__, cli, cocycle
 from domsplit.cli import _dump_json, main
 from domsplit.generators import FAMILIES
 
@@ -1259,3 +1259,68 @@ class TestStrictJson:
                              "--format", "json", "--table")
         assert out, err
         json.loads(out, parse_constant=_refuse)
+
+
+def _plain_result(argv, table: bool) -> dict:
+    """The result dict that the library's reports give for ``argv``, with
+    the --table grids as lists of rows: what the CLI writes, before any
+    grid or [n, value] list is handed to the encoder as columns."""
+    from domsplit import check_domination, fi_profile, svg_profile
+    from domsplit.conditions import Thresholds
+
+    args = cli._build_parser().parse_args(argv)
+    seq, _ = cli._resolve_sequence(args)
+    if args.command == "dom":
+        rep = check_domination(seq, Thresholds(n_max=args.nmax), jrange=args.jrange)
+        result = rep.to_json_dict()
+        if table:
+            result["svg"]["table"] = column_rows(rep.svg.table_columns())
+            result["fi"]["table"] = column_rows(rep.fi.table_columns())
+        return result
+    profile = svg_profile if args.command == "svg" else fi_profile
+    fit = profile(seq, args.nmax, Thresholds(n_max=args.nmax))
+    result = fit.to_json_dict()
+    if table:
+        result["table"] = column_rows(fit.table_columns())
+    return result
+
+
+class TestPlainPayload:
+    """svg, fi and dom --format json write json.dumps(sort_keys=True,
+    indent=2) of the plain report dict, non-finite floats named, byte for
+    byte: the [n, value] lists and the grids that the encoder takes as
+    columns, on windows whose reports hold inf, -inf, nan and exponent-form
+    numbers."""
+
+    @pytest.fixture(scope="class", params=["vanishing", "rank-one", "x1e-150"])
+    def window(self, request, tmp_path_factory):
+        if request.param == "vanishing":
+            seq = vanishing(build_with_truth(GeneratorSpec(
+                "conjugated_dominated", (-45, 45), {"rate_mode": "constant"}, 1))[0])
+            extra = []
+        elif request.param == "rank-one":
+            seq, extra = rank_one_window(5), ["--nmax", "12"]
+        else:
+            base, _ = build_with_truth(GeneratorSpec("conjugated_dominated", (-30, 30), {}, 3))
+            seq = MatrixSequence.from_factors(base.lo, base.factors * 1e-150, base.bound_M * 1e-150)
+            extra = []
+        path = tmp_path_factory.mktemp(request.param) / "seq.json"
+        dump_sequence(seq, str(path))
+        return str(path), seq.window, extra
+
+    @pytest.mark.parametrize("table", [False, True], ids=["plain", "table"])
+    @pytest.mark.parametrize("verb", ["svg", "fi", "dom"])
+    def test_payload_is_json_dumps_of_the_report(self, capsys, window, verb, table):
+        path, (lo, hi), extra = window
+        argv = [verb, "--input", path, *extra]
+        code, out, err = run(capsys, *argv, "--format", "json", *(["--table"] if table else []))
+        assert code in (0, 1, 3) and out, err
+        args = cli._build_parser().parse_args(argv)
+        config = {"input": path, "window": [lo, hi], "nmax": args.nmax}
+        if verb == "dom":
+            config.update(tol=args.tol, thresholds=cli._DEFAULTS.to_json_dict() | {"n_max": args.nmax})
+        else:
+            config.update(epsilon=args.epsilon, mu_min=args.mu_min)
+        doc = {"tool": "domsplit", "version": __version__, "command": verb, "config": config,
+               "result": _plain_result(argv, table)}
+        assert out == json.dumps(_named(doc), sort_keys=True, indent=2) + "\n"

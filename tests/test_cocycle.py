@@ -1,6 +1,10 @@
 import cmath
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -475,6 +479,143 @@ def _load_outcome(load):
     except Exception as exc:  # the type and message are what is compared
         return type(exc), str(exc)
     return seq.window, seq.bound_M, seq.factors.tobytes(), seq.rescue_layers, seq.source
+
+
+def json_load(path) -> MatrixSequence:
+    """The reference loader: ``from_json_dict`` of ``json.load`` of the file
+    read as UTF-8 text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return MatrixSequence.from_json_dict(json.load(fh))
+
+
+def _file_outcome(load):
+    """The factor bits and the document text of the loaded sequence, whose
+    numbers keep their type (an int 2^64 is not the float 2^64), or the
+    error type and message."""
+    try:
+        seq = load()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return seq.factors.tobytes(), seq.rescue_layers, json.dumps(seq.to_json_dict())
+
+
+_BASE_DOC = build_with_truth(GeneratorSpec("conjugated_dominated", (-6, 6), {}, 4))[0].to_json_dict()
+
+
+def _base_text(**changes) -> str:
+    doc = json.loads(json.dumps(_BASE_DOC))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def _shifted_text(lo: int) -> str:
+    """The base document moved to start at j = lo."""
+    doc = json.loads(json.dumps(_BASE_DOC))
+    doc["window"] = [lo, lo + len(doc["entries"]) - 1]
+    for k, rec in enumerate(doc["entries"]):
+        rec["j"] = lo + k
+    return json.dumps(doc)
+
+
+def _entry_text(token: str) -> str:
+    """The base document with the real part of a of its fourth entry written as token."""
+    doc = json.loads(json.dumps(_BASE_DOC))
+    doc["entries"][3]["m"][0][0] = "@"
+    return json.dumps(doc).replace('"@"', token)
+
+
+# the forms orjson refuses, and those it would read otherwise than json does
+_LOADER_TEXTS = {
+    "nan": _entry_text("NaN"),
+    "infinity": _entry_text("Infinity"),
+    "minus-infinity": _entry_text("-Infinity"),
+    "1e400": _entry_text("1e400"),
+    "beyond-double": _entry_text("1" + "0" * 400),
+    "int-2^64": _entry_text(str(2 ** 64)),
+    "bound-beyond-double": _base_text().replace('"bound_M": ', '"bound_M": 1' + "0" * 400 + ", \"x\": "),
+    "bound-25-digits": _base_text(bound_M=10 ** 24 + 7),
+    "lone-surrogate": _base_text(source={"family": "\ud800"}),
+    "seed-2^64+3": _base_text(source={"seed": 2 ** 64 + 3}),
+    "seed-2^63-1": _base_text(source={"seed": 2 ** 63 - 1, "low": -(2 ** 63)}),
+    "bom": "\ufeff" + _base_text(),
+    "duplicate-bound-last": _base_text()[:-1] + ', "bound_M": 1e-3}',
+    "duplicate-bound-first": '{"bound_M": 1e-3, ' + _base_text()[1:],
+    "j-2^64": _shifted_text(2 ** 64),
+    "j-2^64+5": _shifted_text(2 ** 64 + 5),
+    "j-minus-2^64": _shifted_text(-(2 ** 64) - 50),
+    "j-below-int64": _shifted_text(-(2 ** 63) - 20),  # 19 digits
+    "j-2^63": _shifted_text(2 ** 63),
+    "crlf-broken": json.dumps(_BASE_DOC, indent=1).replace("\n", "\r\n").replace(
+        '"entries"', '"entries" ::'),
+    "cr-broken": json.dumps(_BASE_DOC, indent=1).replace("\n", "\r").replace(
+        '"bound_M"', "bound_M"),
+    "truncated": _base_text()[:700],
+}
+
+
+class TestLoadSequence:
+    """``load_sequence`` parses with orjson and reads the text again with
+    json where orjson refuses it or may have rounded an integer literal: it
+    gives the json loader's sequence, or its error type and message."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("loader")
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=loader_docs(), indent=st.sampled_from([None, 1]), newline=st.sampled_from(["\n", "\r\n"]))
+    def test_loads_as_json_does(self, folder, doc, indent, newline):
+        path = folder / "doc.json"
+        path.write_bytes(json.dumps(doc, indent=indent).replace("\n", newline).encode())
+        assert _file_outcome(lambda: load_sequence(str(path))) == _file_outcome(lambda: json_load(path))
+
+    @pytest.mark.parametrize("name", sorted(_LOADER_TEXTS))
+    def test_hand_cases_load_as_json_does(self, tmp_path, name):
+        path = tmp_path / "doc.json"
+        path.write_bytes(_LOADER_TEXTS[name].encode("utf-8", "surrogatepass"))
+        want = _file_outcome(lambda: json_load(path))
+        assert _file_outcome(lambda: load_sequence(str(path))) == want
+
+    def test_far_indices_are_named_exactly(self, tmp_path):
+        path = tmp_path / "far.json"
+        path.write_text(_shifted_text(2 ** 64 + 5))
+        with pytest.raises(InvalidSpec, match=rf"window \[{2 ** 64 + 5}, {2 ** 64 + 17}\] reaches"):
+            load_sequence(str(path))
+
+    def test_refused_forms_keep_their_messages(self, tmp_path):
+        path = tmp_path / "doc.json"
+        for name in ("nan", "infinity", "minus-infinity", "1e400"):
+            path.write_text(_LOADER_TEXTS[name])
+            with pytest.raises(InvalidSpec, match="entry at j=-3 is not finite"):
+                load_sequence(str(path))
+        path.write_text(_LOADER_TEXTS["bound-25-digits"])
+        assert load_sequence(str(path)).bound_M == float(10 ** 24 + 7)
+        path.write_text(_LOADER_TEXTS["seed-2^64+3"])
+        assert load_sequence(str(path)).source == {"seed": 2 ** 64 + 3}
+
+    def test_orjson_reads_random_doubles_as_json_does(self):
+        """The premise of the loader: orjson reads every finite double to
+        json's bits, in repr's form and in fixed-digit forms."""
+        import orjson
+
+        rng = np.random.default_rng(20261020)
+        bits = rng.integers(0, 2 ** 64, size=(2, 60_000), dtype=np.uint64)
+        # the second half with exponents near 1, where most entries lie
+        bits[1] = (bits[1] & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (
+            rng.integers(1023 - 40, 1023 + 40, size=60_000, dtype=np.uint64) << np.uint64(52))
+        cells = bits.ravel().view(np.float64)
+        values = cells[np.isfinite(cells)].tolist()
+        assert len(values) >= 100_000
+        for form in (repr, "%.17g".__mod__, "%.25e".__mod__, "%.12g".__mod__):
+            text = "[" + ",".join(map(form, values)) + "]"
+            got, want = orjson.loads(text), json.loads(text)
+            assert list(map(type, got)) == list(map(type, want))
+            assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+    def test_import_leaves_orjson_unloaded(self):
+        code = "import sys, domsplit; assert 'orjson' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cocycle.__file__))}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestWindowProduct:
