@@ -19,9 +19,9 @@ from .cocycle import (
     _fit_rates,
     _LN2,
     _depth_sums,
+    _factor_values,
     _ldexp_c,
     _mul_rows,
-    _singular_values,
     _site_window,
     _staircase_cells,
     _step_table,
@@ -57,8 +57,8 @@ def _window_norms(seq: MatrixSequence) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Raises ZeroMatrix when a pair product is the zero matrix."""
     k = seq.prescale_k
     z = seq.factors if k is None else _ldexp_c(seq.factors, k)
-    p1, _, zero = _singular_values(_mul_rows(z[:, 1:], z[:, :-1]), sigma2=False)
-    if zero.any():
+    p1 = _factor_values(_mul_rows(z[:, 1:], z[:, :-1]))[0]
+    if np.count_nonzero(p1) < len(p1):  # sigma1 is 0 on the zero matrices alone
         raise ZeroMatrix("singular values of the zero matrix")
     # divide: sigma2 = 0 on rank-one factors, and the raw pairs that underflow
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
@@ -75,7 +75,7 @@ def _ap_margins(seq: MatrixSequence, mu: float):
     """The window norms of ``_window_norms`` and, from them, the result of
     ``ap_conditions``: (norms, (ap3_worst, ap4_worst, pass))."""
     if not 1.0 < mu < math.inf:  # also rejects nan
-        raise ValueError(f"mu must exceed 1 and be finite, got {mu}")
+        raise InvalidSpec(f"mu must exceed 1 and be finite, got {mu}")
     norms = log_s1, log_s2, log_pair = _window_norms(seq)
     ap3_log = float(np.max(log_s2 - log_s1))  # -inf where sigma2 = 0
     ap4_log = float(np.max(log_s1[1:] + log_s1[:-1] - log_pair, initial=NEG_INF))
@@ -87,7 +87,8 @@ def ap_conditions(seq: MatrixSequence, mu: float) -> tuple[float, float, bool]:
     """Worst single-step gap ratio and pairwise norm-product ratio.
 
     Returns (ap3_worst, ap4_worst, pass) where pass requires
-    ap3_worst <= 1/mu and ap4_worst <= mu^(1/4).
+    ap3_worst <= 1/mu and ap4_worst <= mu^(1/4).  Raises InvalidSpec unless
+    1 < mu < inf.
     """
     return _ap_margins(seq, mu)[1]
 
@@ -244,11 +245,12 @@ def ap_report(
     residual is one pass over the sweep's log sigma1 grid and the depth sums
     of those norms.  The report keeps that grid; ``ApReport.residuals`` is
     built from it when first read.
-    Raises ZeroMatrix when a pair product vanishes and ProductVanished, for
-    the lowest start and then the shortest length, when a longer one does.
+    Raises InvalidSpec for n_max < 3 or mu outside (1, inf), ZeroMatrix
+    when a pair product vanishes and ProductVanished, for the lowest start
+    and then the shortest length, when a longer one does.
     """
     if n_max < 3:
-        raise ValueError("avalanche audit needs n_max >= 3")
+        raise InvalidSpec(f"n_max must be at least 3, got {n_max}")
     if not 0.0 <= envelope < math.inf:  # a nan or negative envelope fails on no evidence
         raise InvalidSpec(f"envelope must be finite and at least 0, got {envelope}")
     lo, hi = seq.window

@@ -330,8 +330,10 @@ def _finite(text: str) -> float:
     return x
 
 
-def _add_io_options(p: argparse.ArgumentParser, with_nmax: bool = True) -> None:
-    p.add_argument("--input", help="sequence JSON file")
+def _add_io_options(p: argparse.ArgumentParser, report: bool = True) -> None:
+    """With ``report``, also the options that only a report reads."""
+    if report:
+        p.add_argument("--input", help="sequence JSON file")
     p.add_argument("--family", help="generator family (instead of --input)")
     p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"))
     p.add_argument("--seed", type=int, default=0)
@@ -344,11 +346,12 @@ def _add_io_options(p: argparse.ArgumentParser, with_nmax: bool = True) -> None:
     p.add_argument("--rate-mode", dest="rate_mode", choices=RATE_MODES)
     p.add_argument("--insertions", nargs="*", type=int)
     p.add_argument("--misaligned", action="store_true")
-    if with_nmax:
+    if report:
         p.add_argument("--nmax", type=int, default=_DEFAULTS.n_max)
-    p.add_argument("--format", choices=["json", "csv", "text"], default="text")
+        p.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    p.add_argument("--table", action="store_true", help="emit per-(j, n) grids")
+    if report:
+        p.add_argument("--table", action="store_true", help="emit per-(j, n) grids")
 
 
 @functools.cache  # built on the first call, then shared: parse_args leaves it as it is
@@ -358,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write a generated sequence file")
-    _add_io_options(gen, with_nmax=False)
+    _add_io_options(gen, report=False)
     gen.add_argument("--spec", help="GeneratorSpec JSON file (instead of flags)")
 
     for name, helptext in (
@@ -557,15 +560,6 @@ def _cmd_dom(args) -> int:
 
 
 def _cmd_ap(args) -> int:
-    if args.nmax < 3:
-        print("ap: --nmax must be at least 3", file=sys.stderr)
-        return EXIT_USAGE
-    if args.mu <= 1.0:
-        print("ap: --mu must exceed 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.envelope < 0.0:
-        print("ap: --envelope must be at least 0", file=sys.stderr)
-        return EXIT_USAGE
     seq, cfg = _resolve_sequence(args)
     report = ap_report(seq, args.mu, args.nmax, envelope=args.envelope)
     cfg.update({"nmax": args.nmax, "mu": args.mu, "envelope": args.envelope})

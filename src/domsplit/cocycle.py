@@ -28,8 +28,8 @@ a per-row rescue: a core has sigma1 = 1, so sigma1(B . core) lies in
 sigma1 < 1e100, sigma2 > 1e-100 has no row that the prescale would change.
 Only the layers that read a factor out of band, which ``MatrixSequence``
 finds once at construction, and the layers after a row vanished check sigma1
-row by row, and only the rows out of band take the prescale; a row whose raw
-product is exactly zero vanishes without it.  Every layer writes into
+row by row, and only the rows out of band take the prescale, whose zero
+flag is the one test of a vanished row.  Every layer writes into
 buffers allocated once per sweep, and sigma1 into its row of one grid, whose
 log is taken once after the last layer and whose running sum down the depth
 axis is one add per row (``_depth_sums``), as is that of log|det|; the grids
@@ -186,8 +186,9 @@ class MatrixSequence:
     them, and ``adet``, the |det| of B(j) after the exact 2^k prescale of
     ``_prescale_rows``, with ``prescale_k`` those k (None when no factor
     takes one), so that ``log_abs_dets`` is log|det B(j)| as
-    ``_log_abs_det`` takes it.  ``restrict`` slices them.  ``rescue_layers``
-    comes from them too: a ``product_sweep`` layer n <= rescue_layers reads
+    ``_log_abs_det`` takes it.  ``restrict`` goes through ``from_factors``,
+    whose screen, row by row, gives their slices.  ``rescue_layers`` comes
+    from them too: a ``product_sweep`` layer n <= rescue_layers reads
     a factor with sigma1 >= 1e100 or sigma2 <= 1e-100, and only such layers
     check their rows' sigma1 for the 2^k rescue (0 on a window in band).
     ``source`` is the generator spec of a generated window, or None.
@@ -272,13 +273,9 @@ class MatrixSequence:
     def restrict(self, lo: int, hi: int) -> "MatrixSequence":
         if lo < self._lo or hi > self._hi or lo > hi:
             raise WindowExceeded(f"[{lo}, {hi}] not inside [{self._lo}, {self._hi}]")
-        cut = slice(lo - self._lo, hi - self._lo + 1)
-        k = None if self.prescale_k is None else self.prescale_k[cut].copy()
-        sub = MatrixSequence.__new__(MatrixSequence)
         # no source: a generator spec names the window it was built over
-        sub._set(lo, self.factors[:, cut].copy(), self.bound_M, None,
-                 (self.sigma1[cut].copy(), self.sigma2[cut].copy(), self.adet[cut].copy(), k))
-        return sub
+        return MatrixSequence.from_factors(lo, self.factors[:, lo - self._lo:hi - self._lo + 1],
+                                           self.bound_M)
 
     def log_abs_dets(self) -> np.ndarray:
         """log|det B(j)| for j = lo .. hi, -inf where det is 0, as
@@ -775,25 +772,12 @@ def _prescale_rows(z: np.ndarray):
     return _ldexp_c(z, k), k, zero
 
 
-def _singular_values(z: np.ndarray, sigma2: bool = True):
-    """``singular_values`` over a (4, m) stack of matrices [[a, b], [c, d]]:
-    (sigma1, sigma2, zero), with sigma2 None unless asked for.  ``zero``
-    flags the rows that are the zero matrix; their values are 0."""
-    z, k, zero = _prescale_rows(z)
-    s1 = _gram(z)[-1]
-    s1[zero] = 0.0
-    s2 = _sigma2(_abs_det(z), s1) if sigma2 else None
-    if k is not None:
-        s1 = np.ldexp(s1, -k)
-        s2 = None if s2 is None else np.ldexp(s2, -k)
-    return s1, s2, zero
-
-
 def _factor_values(z: np.ndarray) -> tuple:
     """(sigma1, sigma2, adet, k) of each row of a (4, m) stack of finite
-    nonzero matrices: sigma1 and sigma2 as ``_singular_values`` takes them,
-    and the |det| that its sigma2 reads, that of the row after its exact 2^k
-    prescale, with those k (None when no row takes one)."""
+    matrices: sigma1 and sigma2 as ``singular_values`` takes them, and the
+    |det| that its sigma2 reads, that of the row after its exact 2^k
+    prescale, with those k (None when no row takes one).  sigma1 is 0 just on
+    the zero matrices: the prescale moves every other row into its band."""
     z, k, _ = _prescale_rows(z)
     s1 = _gram(z)[-1]
     adet = _abs_det(z)
@@ -1005,8 +989,7 @@ def _rescue(raw: np.ndarray, quad: tuple, vanished: np.ndarray | None) -> np.nda
     whose sigma1 leaves (1 / _BAND, _BAND), or is nan, taken again from
     their ``_prescale_rows``, in place; sigma1 then is that of the raw
     product.  Rows that vanish join ``vanished``, the mask of the rows that
-    had vanished before, which is returned (None while no row has); a row
-    whose raw product is exactly zero joins it without the prescale.  A
+    had vanished before, which is returned (None while no row has).  A
     vanished row, whose entries are at most ENTRY_ZERO_TOL, has sigma1 0."""
     s1 = quad[-1]
     rescue = ~((s1 > 1.0 / _BAND) & (s1 < _BAND))
@@ -1015,25 +998,15 @@ def _rescue(raw: np.ndarray, quad: tuple, vanished: np.ndarray | None) -> np.nda
     rows = rescue.nonzero()[0]
     if not rows.size:
         return vanished
-    # a raw product that is exactly zero has vanished: its quadratic is all
-    # zeros, and the prescale would leave it as it is
-    exact = s1[rows] == 0.0
-    if np.count_nonzero(exact):
-        exact[exact] = ~raw[:, rows[exact]].any(axis=0)
-        zero, rows = rows[exact], rows[~exact]
-    else:
-        zero = rows[:0]
-    if rows.size:
-        z, k, tiny = _prescale_rows(raw[:, rows])
-        if k is not None:  # else z is raw, whose quadratic quad holds
-            for whole, part in zip(quad, _gram(z)):
-                whole[rows] = part
-            s1[rows] = np.ldexp(s1[rows], -k)
-        zero = np.concatenate([zero, rows[tiny]])
-    if zero.size:
+    z, k, tiny = _prescale_rows(raw[:, rows])
+    if k is not None:  # else z is raw, whose quadratic quad holds
+        for whole, part in zip(quad, _gram(z)):
+            whole[rows] = part
+        s1[rows] = np.ldexp(s1[rows], -k)
+    if np.count_nonzero(tiny):
         if vanished is None:
             vanished = np.zeros(len(s1), dtype=bool)
-        vanished[zero] = True
+        vanished[rows[tiny]] = True
     return vanished
 
 
@@ -1062,8 +1035,7 @@ def product_sweep(
     (``_degenerate``), so a layer takes no determinant, and it takes no
     hypot for sigma1 or for the norm of u.  The layers run in buffers
     allocated once per sweep, so only O(L) core data is held at a time.
-    A raw product that is exactly zero is marked vanished without the
-    prescale.  Each layer writes the sigma1 of its raw products into its row
+    Each layer writes the sigma1 of its raw products into its row
     of one grid, and one log and one add per row down the depth axis
     (``_depth_sums``) turn that into the log sigma1 grid after the last
     layer.  With a ``jrange`` the sweep

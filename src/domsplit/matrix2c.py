@@ -52,9 +52,6 @@ class Mat2C:
     c: complex
     d: complex
 
-    def __matmul__(self, other: "Mat2C") -> "Mat2C":
-        return mul(self, other)
-
     def apply(self, v: tuple[complex, complex]) -> tuple[complex, complex]:
         """Matrix-vector product."""
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])

@@ -275,7 +275,7 @@ class TestApReport:
 
     def test_needs_nmax_three(self):
         seq = family("diagonal", (0, 20))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="^n_max must be at least 3, got 2$"):
             ap_report(seq, 10.0, 2)
 
     @pytest.mark.parametrize("envelope", [-1.0, math.nan, math.inf])
@@ -294,19 +294,65 @@ class TestApReport:
         from domsplit import avalanche, cocycle
 
         seq = _scaled(family("ap_family", (-15, 25), {"mu": 1e3}, 3), scale)
-        s1, s2, _ = cocycle._singular_values(seq.factors)
+        s1, s2, _, _ = cocycle._factor_values(seq.factors)
         with np.errstate(divide="ignore"):
             want = [np.log(s1), np.log(s2)]
         calls = []
-        prescale, values = cocycle._prescale_rows, cocycle._singular_values
+        prescale, values = cocycle._prescale_rows, cocycle._factor_values
         monkeypatch.setattr(cocycle, "_prescale_rows",
                             lambda z: calls.append(("prescale", z.shape[1])) or prescale(z))
-        monkeypatch.setattr(avalanche, "_singular_values",
-                            lambda z, **kw: calls.append(("values", z.shape[1])) or values(z, **kw))
+        monkeypatch.setattr(avalanche, "_factor_values",
+                            lambda z: calls.append(("values", z.shape[1])) or values(z))
         got = avalanche._window_norms(seq)
         assert calls == [("values", len(seq) - 1), ("prescale", len(seq) - 1)]
         assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want]
         assert (seq.prescale_k is None) == (scale == 1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 900, 2.0 ** -900])
+    @pytest.mark.parametrize("name, params", [("ap_family", {"mu": 1e3}),
+                                              ("random_singular", {"insertions": [0]})])
+    def test_pair_norms_are_the_prescaled_gram_roots(self, monkeypatch, name, params, scale):
+        """The pairs' sigma1 that ``_factor_values`` gives has the bits of
+        the exact 2^k prescale, the Gram root, 0 on the zero rows and 2^-k
+        back, taken directly, on in-band windows and their x 2^+-900 copies."""
+        from domsplit import avalanche, cocycle
+
+        def gram_roots(z):
+            z, k, zero = cocycle._prescale_rows(z)
+            s1 = cocycle._gram(z)[-1]
+            s1[zero] = 0.0
+            return (s1 if k is None else np.ldexp(s1, -k)), None, None, None
+
+        seq = _scaled(family(name, (-15, 25), params, 3), scale)
+        assert (seq.prescale_k is None) == (scale == 1.0)
+        got = avalanche._window_norms(seq)
+        monkeypatch.setattr(avalanche, "_factor_values", gram_roots)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in avalanche._window_norms(seq)]
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 900, 2.0 ** -900])
+    def test_vanishing_pair_raises_zero_matrix(self, scale):
+        from domsplit import avalanche
+
+        seq = _scaled(vanishing(family("ap_family", (-15, 25), _AP, 3)), scale)
+        with pytest.raises(ZeroMatrix, match="^singular values of the zero matrix$"):
+            avalanche._window_norms(seq)
+
+    @pytest.mark.parametrize("tiny, vanishes", [(1e-301, True), (1e-299, False)])
+    def test_zero_matrix_up_to_the_entry_tolerance(self, tiny, vanishes):
+        """B(1) B(0) = [[tiny, 0], [0, 0]] after the factors' prescale: it is
+        the zero matrix when tiny is at most ENTRY_ZERO_TOL, and else a
+        matrix whose sigma1 is tiny."""
+        from domsplit import avalanche
+
+        base = family("ap_family", (-15, 25), _AP, 3)
+        entries = {j: base[j] for j in base.indices()}
+        entries[0], entries[1] = Mat2C(1.0, 0.0, 0.0, 0.0), Mat2C(tiny, 0.0, 0.0, 1.0)
+        seq = MatrixSequence(entries, base.bound_M)
+        if vanishes:
+            with pytest.raises(ZeroMatrix, match="^singular values of the zero matrix$"):
+                avalanche._window_norms(seq)
+        else:
+            assert avalanche._window_norms(seq)[2][-seq.lo] == math.log(tiny)
 
     def test_window_norms_computed_once(self, monkeypatch):
         from domsplit import avalanche
@@ -323,7 +369,7 @@ class TestApReport:
         # B(1) B(0) of this window is a zero matrix (ZeroMatrix)
         seq = vanishing(family("ap_family", (-30, 30), _AP, 2))
         for check in (lambda: ap_conditions(seq, 1.0), lambda: ap_report(seq, 1.0, 10)):
-            with pytest.raises(ValueError, match="mu must exceed 1"):
+            with pytest.raises(InvalidSpec, match="mu must exceed 1"):
                 check()
 
 
@@ -331,7 +377,7 @@ class TestApReport:
     def test_mu_must_be_finite_and_above_one(self, mu):
         seq = family("ap_family", (-15, 25), _AP, 3)
         for check in (lambda: ap_conditions(seq, mu), lambda: ap_report(seq, mu, 10)):
-            with pytest.raises(ValueError, match="mu must exceed 1"):
+            with pytest.raises(InvalidSpec, match="mu must exceed 1"):
                 check()
 
 

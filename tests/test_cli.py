@@ -102,6 +102,15 @@ class TestGen:
         assert back.read_bytes() == out.read_bytes()
         assert json.loads(out.read_text())["source"]["family"] == family
 
+    @pytest.mark.parametrize("option", [("--input", "seq.json"), ("--format", "csv"),
+                                        ("--table",)], ids=lambda o: o[0])
+    def test_report_options_refused(self, capsys, option):
+        # gen writes a sequence file, so it takes none of the options a report reads
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "--family", "example1", "--window", "-2", "2", *option])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
     def test_spec_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(
@@ -774,7 +783,10 @@ class TestNonFiniteOptions:
         (("svg",) + DIAG + ("--mu-min", "0"), "domsplit svg: mu_min must be positive, got 0.0"),
         (("fi",) + DIAG + ("--mu-min", "-1"), "domsplit fi: mu_min must be positive, got -1.0"),
         (("dom",) + DIAG + ("--mu-min", "-0"), "domsplit dom: mu_min must be positive, got -0.0"),
-        (AP + ("--mu", "1e3", "--envelope", "-1"), "ap: --envelope must be at least 0"),
+        (AP + ("--mu", "1e3", "--envelope", "-1"),
+         "domsplit ap: envelope must be finite and at least 0, got -1.0"),
+        (AP + ("--mu", "1e3", "--nmax", "2"), "domsplit ap: n_max must be at least 3, got 2"),
+        (("ap",) + DIAG + ("--mu", "1"), "domsplit ap: mu must exceed 1 and be finite, got 1.0"),
         (("dom",) + DIAG + ("--ncap", "0"), "domsplit dom: n_cap must be at least 1, got 0"),
         (("dom",) + DIAG + ("--ncap", "-3"), "domsplit dom: n_cap must be at least 1, got -3"),
         (("dom",) + DIAG + ("--tol", "0"), "domsplit dom: split_tol must be positive, got 0.0"),

@@ -243,10 +243,10 @@ SCREEN_CASES = [*FAMILY_CASES, ("random_singular", {"insertions": [0], "misalign
 
 def assert_kept_screen(seq):
     """The sequence's kept factor values are those of its stack, bit for
-    bit: sigma1 and sigma2 of ``_singular_values``, and the |det|, 2^k and
+    bit: sigma1 and sigma2 of ``_factor_values``, and the |det|, 2^k and
     log|det| of each factor's exact prescale; read-only, and never nan."""
-    s1, s2, zero = cocycle._singular_values(seq.factors)
-    assert not zero.any()
+    s1, s2, _, _ = cocycle._factor_values(seq.factors)
+    assert (s1 > 0.0).all()  # no factor is the zero matrix
     assert seq.sigma1.tobytes() == s1.tobytes()
     assert seq.sigma2.tobytes() == s2.tobytes()
     z, k, _ = cocycle._prescale_rows(seq.factors)

@@ -368,14 +368,17 @@ def test_in_band_sweep_is_bit_identical(name, scale):
                                   "prescale-tiny", "prescale-huge"])
 def test_out_of_band_cases_are_flagged(name):
     """A rank-one factor is out of band, but the rows through an aligned one
-    are not, so that window takes no prescale at all, and neither do the
-    exactly zero rows of the vanishing window; the scaled windows rescue
-    every row of every layer."""
+    are not, so that window takes no prescale at all; the vanishing window
+    takes it only on the row that newly vanishes at each layer n = 2 .. 41,
+    in each of the two sweeps; the scaled windows rescue every row of every
+    layer."""
     seq = CASES[name][0]()
     assert seq.rescue_layers == scalar_rescue_layers(seq) > 0
     calls = rescued_rows(seq)
-    if name in ("singular-aligned", "vanishing"):
+    if name == "singular-aligned":
         assert calls == []
+    elif name == "vanishing":
+        assert calls == [1] * 80
     else:
         assert calls == [len(seq) - n + 1 for n in range(1, 42)] * 2
 
@@ -869,8 +872,7 @@ def test_stages_read_the_kept_screen(name):
     sweep = estimate_fields(seq, jrange, n_max, 1e-9)
     assert sweep.vanished == bool(np.isneginf(sweep.log_s1_grid).any())
     taken = AssertionError("a factor's values taken again")
-    with mock.patch.object(cocycle, "_singular_values", side_effect=taken), \
-            mock.patch.object(cocycle, "_prescale_rows", side_effect=taken), \
+    with mock.patch.object(cocycle, "_prescale_rows", side_effect=taken), \
             mock.patch.object(cocycle, "_factor_values", side_effect=taken), \
             mock.patch.object(cocycle, "_screen", side_effect=taken):
         invariance_residuals(seq, sweep)
@@ -878,19 +880,20 @@ def test_stages_read_the_kept_screen(name):
         sweep.log_s2_grid
 
 
-def test_exact_zero_rows_vanish_without_the_prescale():
-    """A raw product that is exactly zero vanishes without a
-    ``_prescale_rows`` call: cli-fleet's vanishing window (jrange -6 .. 6,
-    n_max 40) made one per layer that a row newly vanished in, 40 in all.
-    The sweep keeps the bits of the prescale-every-row path."""
+def test_exact_zero_rows_vanish_by_the_prescale_flag():
+    """A raw product that is exactly zero vanishes through the zero flag of
+    ``_prescale_rows``, the one test of a vanished row: cli-fleet's
+    vanishing window (jrange -6 .. 6, n_max 40) makes one one-row call per
+    layer that a row newly vanishes in, 40 in all.  The sweep keeps the bits
+    of the prescale-every-row path."""
     seq = vanishing(_conj(21))
-    assert rescued_rows(seq) == []
+    assert rescued_rows(seq) == [1] * 80
     prescale = cocycle._prescale_rows
     calls = []
     with mock.patch.object(cocycle, "_prescale_rows",
                            lambda z: calls.append(z.shape[1]) or prescale(z)):
         report = check_domination(seq, Thresholds(), jrange=(-6, 6))
-    assert calls == [] and report.verdict == "not_dominated"
+    assert calls == [1] * 40 and report.verdict == "not_dominated"
     assert np.isneginf(report.sweep.log_s1_grid).sum() == sum(range(1, 41))
 
 
