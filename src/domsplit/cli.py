@@ -27,7 +27,8 @@ from .errors import (
     NotUnimodular,
     WindowExceeded,
 )
-from .generators import RATE_MODES, GeneratorSpec, build_with_truth, family_params
+from .generators import (DIAGONAL_DEFAULTS, RATE_MODES, GeneratorSpec, build_with_truth,
+                         family_params)
 from .projective import ProjPoint
 
 EXIT_OK = 0
@@ -274,9 +275,9 @@ def _family_params(args) -> dict:
         flag("misaligned", True, "--misaligned")
     if getattr(args, "rate_mode", None):
         flag("rate_mode", args.rate_mode, "--rate-mode")
-    if args.family == "diagonal":
-        params.setdefault("lplus", 2.0)
-        params.setdefault("lminus", 1.0)
+    if args.family == "diagonal":  # so that the config echo records the defaults
+        for key, value in DIAGONAL_DEFAULTS.items():
+            params.setdefault(key, value)
     return params
 
 
@@ -409,7 +410,8 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_profile(args, command: str) -> int:
+def _cmd_profile(args) -> int:
+    command = args.command
     seq, cfg = _resolve_sequence(args)
     thresholds = Thresholds(n_max=args.nmax, mu_min=args.mu_min, epsilon=args.epsilon)
     if command == "svg":
@@ -480,7 +482,7 @@ def _cmd_split(args) -> int:
         "fields": fields,
         "failed_js": failed,
         "min_separation": min(seps) if seps else None,
-        "invariance_residuals": _Columns(invariance_residuals(seq, sweep)),
+        "invariance_residuals": _Columns(invariance_residuals(sweep)),
     }
 
     if args.format == "json":
@@ -591,25 +593,16 @@ def _cmd_ap(args) -> int:
     return code
 
 
+_COMMANDS = {"gen": _cmd_gen, "svg": _cmd_profile, "fi": _cmd_profile, "split": _cmd_split,
+             "dom": _cmd_dom, "ap": _cmd_ap}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # the subparsers are required, so argparse admits only the verbs of _COMMANDS
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command in ("svg", "fi"):
-            return _cmd_profile(args, args.command)
-        if args.command == "split":
-            return _cmd_split(args)
-        if args.command == "dom":
-            return _cmd_dom(args)
-        if args.command == "ap":
-            return _cmd_ap(args)
-        parser.error(f"unknown command {args.command}")
-    except (InvalidSpec, WindowExceeded, NotUnimodular) as exc:
-        print(f"domsplit {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (json.JSONDecodeError, OSError) as exc:
+        return _COMMANDS[args.command](args)
+    except (InvalidSpec, WindowExceeded, NotUnimodular, json.JSONDecodeError, OSError) as exc:
         print(f"domsplit {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomsplitError as exc:
@@ -619,7 +612,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"domsplit {args.command}: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -36,10 +36,13 @@ axis is one add per row (``_depth_sums``), as is that of log|det|; the grids
 and the step rows a sweep returns share one allocation.  The svg
 and fi profiles of ``conditions`` are passes over those
 staircase grids.  One stopping rule runs over the s and u columns of every
-site.  The scalar path (``ScaledProduct``, the scans, ``sn`` and ``un``)
-stays as the sweep's oracle.  The array stages use numpy's own complex
-arithmetic, complex modulus, hypot and log, so they agree with the scalar
-engine within 1e-12 relative to max(1, |x|), not bit for bit.  They test
+site.  Every certificate stage reads only the sweep and its sequence, and
+the invariance residuals take a rank-one B(j)'s kernel and image lines on
+arrays too.  The scalar path (``ScaledProduct``, the scans, ``sn``, ``un``
+and ``invariance_residual``) stays as the oracle of the array stages.
+These use numpy's own complex arithmetic, complex modulus, hypot and log,
+so they agree with the scalar engine within 1e-12 relative to max(1, |x|),
+not bit for bit.  They test
 a mask with ``np.count_nonzero``, which runs in C, rather than
 ``ndarray.any`` or ``all``, which pass through numpy's Python wrappers at
 about three times the cost, some hundred times a sweep.
@@ -867,13 +870,6 @@ class _DirectionRuns:
         np.copyto(self.prev_ok, ok, where=live)
 
 
-def _staircase_rows(grid: np.ndarray, count: int) -> list[np.ndarray]:
-    """Rows 0 .. count - 1 of a staircase grid whose row k holds
-    grid.shape[1] - k cells, as views; a row past the grid's last is empty."""
-    last, width = len(grid) - 1, grid.shape[1]
-    return [grid[min(k, last), :max(width - k, 0)] for k in range(count)]
-
-
 @dataclass(frozen=True)
 class ProductSweep:
     """Everything one ``product_sweep`` yields.
@@ -884,20 +880,20 @@ class ProductSweep:
     more, hi + 1), and +inf in the cells past that; -inf marks a vanished
     product.  ``log_s2_grid`` holds log sigma2 the same way, with -inf past
     the staircase, and is built from the sequence's kept log|det| and the
-    log sigma1 grid when first read.  ``log_s1[n]`` and ``log_s2[n]``, n = 0 .. n_max + 1,
-    are the rows of those grids without their padding.  At the sites of
-    ``jrange`` the sweep holds the sites where estimation failed and, as
-    columns over the K sites whose fields converged, ``js`` in ascending
-    order, the fields' unit representatives ``es_vec`` / ``eu_vec`` as (2, K)
-    arrays and the stopping indices ``n_star`` as a (2, K) array (rows s,
-    u).  The consecutive distances ``steps`` are a (min(n_max, L), 2S) array
-    over all S sites of jrange, converged or not: s columns then u columns,
-    row n holding d(pt_n, pt_{n+1}) and nan where there is none, since no
-    column has room past depth L.  The per-site dicts ``es``, ``eu`` and
-    ``certs`` are built from those columns when first read.  ``seq`` is the
-    swept sequence, whose factor stack and kept factor values the later
-    stages read.  ``log_s2_room`` is the array of the log sigma1 grid's shape
-    that ``log_s2_grid`` is written into; the sweep allocates it in one block
+    log sigma1 grid when first read; every stage reads these two grids.  At
+    the sites of ``jrange`` the sweep holds the sites where estimation failed
+    and, as columns over the K sites whose fields converged, ``js`` in
+    ascending order, the fields' unit representatives ``es_vec`` /
+    ``eu_vec`` as (2, K) arrays and the stopping indices ``n_star`` as a
+    (2, K) array (rows s, u).  The consecutive distances ``steps`` are a
+    (min(n_max, L), 2S) array over all S sites of jrange, converged or not:
+    s columns then u columns, row n holding d(pt_n, pt_{n+1}) and nan where
+    there is none, since no column has room past depth L.  The per-site
+    dicts ``es``, ``eu`` and ``certs`` are built from those columns when
+    first read.  ``seq`` is the swept sequence, the one source of the factor
+    stack and kept factor values that the later stages read.
+    ``log_s2_room`` is the array of the log sigma1 grid's shape that
+    ``log_s2_grid`` is written into; the sweep allocates it in one block
     with the log sigma1 grid and ``steps``.  ``vanished`` says whether a
     product vanished, which is when the grids hold -inf, so that the stages
     look for -inf cells only then.
@@ -942,10 +938,6 @@ class ProductSweep:
         }
 
     @cached_property
-    def log_s1(self) -> list[np.ndarray]:
-        return _staircase_rows(self.log_s1_grid, self.n_max + 2)
-
-    @cached_property
     def log_s2_grid(self) -> np.ndarray:
         """log sigma2 = log|det| - log sigma1, with log|det| of B_n(j) summed
         factor by factor from B(j) up, as ``ScaledProduct`` sums it: row
@@ -966,10 +958,6 @@ class ProductSweep:
         if self.vanished:
             ls2[ls1 == NEG_INF] = NEG_INF
         return ls2
-
-    @cached_property
-    def log_s2(self) -> list[np.ndarray]:
-        return _staircase_rows(self.log_s2_grid, self.n_max + 2)
 
 
 def _depth_sums(grid: np.ndarray, size: int) -> None:
@@ -1216,36 +1204,39 @@ def invariance_residual(
     return res_s, res_u
 
 
-def invariance_residuals(
-    seq: MatrixSequence, sweep: ProductSweep
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def invariance_residuals(sweep: ProductSweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``invariance_residual`` at every j where the sweep's fields converged
     at both j and j + 1, as arrays (js, res_s, res_u) in ascending j.
 
     The pushforward B(j)v, the kernel test and the distance to the field at
-    j + 1 are taken for all such j at once, with sigma1 and sigma2 of B(j)
-    read from the sequence's kept values.  The two rank-one cases, E^s(j)
-    on the kernel of B(j) and the image line of a rank-one B(j), go to the
-    scalar function, with the points of their two sites alone; they arise
-    only at singular insertions.
+    j + 1 are taken for all such j at once, with B(j), its sigma1 and sigma2
+    read from the sweep's sequence.  On a rank-one B(j) (kept sigma2 = 0)
+    the lines of v, the top right singular vector of B(j) after its kept
+    2^k, stand in for the pushforward: E^u(j + 1) is measured against the
+    image line of B v, and an E^s(j) on the kernel against the kernel line,
+    the complement of v.  Only those rows can hit the kernel: a hit needs
+    |B v| <= KERNEL_REL_TOL sigma1, and a kept sigma2 > 0 exceeds
+    DET_REL_TOL sigma1.
     """
+    seq = sweep.seq
     k = np.flatnonzero(sweep.js[1:] == sweep.js[:-1] + 1)
     js = sweep.js[k]
     cols = js - seq.lo
     m = seq.factors[:, cols]
-    s1, s2 = seq.sigma1[cols], seq.sigma2[cols]
-    res = []
-    hits = s2 == 0.0  # the unstable side reads the image line
-    for vec in (sweep.es_vec, sweep.eu_vec):
-        w0, w1 = _apply(m, vec[0, k], vec[1, k])
-        hit = np.hypot(np.abs(w0), np.abs(w1)) <= KERNEL_REL_TOL * s1
-        hits |= hit
-        w0[hit] = 1.0  # any nonzero vector; the scalar function answers for these
-        res.append(_dist(_project(w0, w1), vec[:, k + 1]))
-    res_s, res_u = res
-    for i in np.flatnonzero(hits).tolist():
-        j, c = int(js[i]), int(k[i])
-        es, eu = ({j + t: ProjPoint(*vec[:, c + t].tolist()) for t in (0, 1)}
-                  for vec in (sweep.es_vec, sweep.eu_vec))
-        res_s[i], res_u[i] = invariance_residual(seq, j, es, eu)
-    return js, res_s, res_u
+    es, eu = sweep.es_vec, sweep.eu_vec
+    w_s, w_u = _apply(m, es[0, k], es[1, k]), _apply(m, eu[0, k], eu[1, k])
+    s_next = es[:, k + 1]
+    rank_one = np.flatnonzero(seq.sigma2[cols] == 0.0)
+    if rank_one.size:
+        z = m[:, rank_one]
+        if seq.prescale_k is not None:
+            z = _ldexp_c(z, seq.prescale_k[cols[rank_one]])
+        v0, v1 = _right_vectors(*_gram(z)[:5])
+        w_u[0][rank_one], w_u[1][rank_one] = _apply(z, v0, v1)  # the image line
+        hit = (np.hypot(np.abs(w_s[0][rank_one]), np.abs(w_s[1][rank_one]))
+               <= KERNEL_REL_TOL * seq.sigma1[cols[rank_one]])
+        rows = rank_one[hit]
+        # the kernel line, against E^s(j) itself
+        w_s[0][rows], w_s[1][rows] = -np.conj(v1[hit]), np.conj(v0[hit])
+        s_next[:, rows] = es[:, k[rows]]
+    return js, _dist(_project(*w_s), s_next), _dist(_project(*w_u), eu[:, k + 1])

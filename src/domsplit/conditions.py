@@ -399,17 +399,13 @@ def check_domination(
         n_max = max(1, len(seq) - 2)
         notes.append(f"n_max capped to {n_max} by window length {len(seq)}")
     sweep = estimate_fields(seq, jrange, n_max, thresholds.split_tol)
-    return _certificate(seq, thresholds, sweep, notes)
+    return _certificate(thresholds, sweep, notes)
 
 
-def _certificate(
-    seq: MatrixSequence,
-    thresholds: Thresholds,
-    sweep: ProductSweep,
-    notes: list[str],
-) -> DominationReport:
-    """The verdict from one sweep's log-sigma layers and fields."""
-    lo, hi = seq.window
+def _certificate(thresholds: Thresholds, sweep: ProductSweep, notes: list[str]) -> DominationReport:
+    """The verdict from one sweep's log-sigma grids and fields, and from its
+    sequence, the only one that the stages read."""
+    lo, hi = sweep.window
     witnesses: list[str] = []
     svg_fit, fi_fit = _svg_fi_fits(sweep, thresholds)
     floor = _norm_floor(sweep)
@@ -435,7 +431,7 @@ def _certificate(
         i = int(np.argmin(sep))  # the first of equal minima, as a scan in j would keep
         min_sep, argmin = float(sep[i]), int(sweep.js[i])
 
-    _, res_s, res_u = invariance_residuals(seq, sweep)
+    _, res_s, res_u = invariance_residuals(sweep)
     inv_max = float(np.maximum(res_s, res_u).max()) if len(res_s) else None
 
     n_dom, lambda_dom = _gap_search(sweep, thresholds)

@@ -444,10 +444,14 @@ def _build_example1(spec: GeneratorSpec):
     return _sequence(spec, _stack((a, -3.0, 0.0, d), len(sites)), 8.0), truth
 
 
+# the diagonal family's param defaults, which the CLI's config echo records too
+DIAGONAL_DEFAULTS = {"lplus": 2.0, "lminus": 1.0}
+
+
 def _build_diagonal(spec: GeneratorSpec):
     lo, hi = spec.window
-    lplus = _param(spec, "lplus", 2.0, _complex)
-    lminus = _param(spec, "lminus", 1.0, _complex)
+    lplus = _param(spec, "lplus", DIAGONAL_DEFAULTS["lplus"], _complex)
+    lminus = _param(spec, "lminus", DIAGONAL_DEFAULTS["lminus"], _complex)
     if abs(lplus) <= abs(lminus):
         raise InvalidSpec("diagonal family needs |lplus| > |lminus|")
     if abs(lminus) == 0.0:

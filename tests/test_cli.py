@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -198,6 +199,26 @@ class TestSplit:
         for g, w in zip(got, want):  # numpy's arithmetic against the scalar engine's
             assert g[1:] == pytest.approx(w[1:], rel=0, abs=1e-12), g[0]
 
+    @pytest.mark.parametrize("family", ["diagonal", "conjugated_dominated"])
+    def test_text_points(self, capsys, family):
+        """The text names E^s at infinity as inf and a real point by its real
+        part (diagonal), and a complex point as re+imi (conjugated): each is
+        the affine coordinate of the JSON record."""
+        argv = ("split", "--family", family, "--window", "-30", "30", "--jrange", "-2", "2")
+        code, out, _ = run(capsys, *argv)
+        _, doc, _ = run(capsys, *argv, "--format", "json")
+        fields = json.loads(doc)["result"]["fields"]
+        lines = out.splitlines()[1:-1]
+        assert code == 0 and len(lines) == len(fields) == 5
+        for line, rec in zip(lines, fields):
+            texts = re.search(r"Es=(\S+)  Eu=(\S+)", line).groups()
+            if family == "diagonal":
+                assert texts == ("inf", "0")
+                continue
+            for text, (x, y) in zip(texts, (rec["Es"], rec["Eu"])):
+                assert text.endswith("i")
+                assert complex(text[:-1] + "j") == pytest.approx(complex(x, y), rel=1e-11)
+
     @pytest.mark.parametrize("window", ["rank_one", "conjugated_dominated"])
     def test_separations_are_dist(self, tmp_path, capsys, window):
         if window == "rank_one":
@@ -237,7 +258,7 @@ class TestSplit:
             cert = sweep.certs[rec["j"]]
             assert rec["s_steps"] == [[n, d] for n, d in sorted(cert.s_steps.items())]
             assert rec["u_steps"] == [[n, d] for n, d in sorted(cert.u_steps.items())]
-        js, res_s, res_u = cocycle.invariance_residuals(seq, sweep)
+        js, res_s, res_u = cocycle.invariance_residuals(sweep)
         assert result["invariance_residuals"] == column_rows((js, res_s, res_u))
 
         def flat(v):
@@ -738,6 +759,25 @@ class TestBoundaryValidation:
 
         assert entries("both", *flag) == entries("params")
 
+    def test_potential_as_list_table_or_file(self, tmp_path, capsys):
+        """--potential takes inline JSON or, as the README says, a JSON file
+        path; --params takes a list or a {j: v} table: each builds the same
+        entries."""
+        pot = tmp_path / "pot.json"
+        pot.write_text("[1, -1, 0.5]")
+
+        def entries(*extra):
+            path = tmp_path / "o.json"
+            code, _, err = run(capsys, "gen", "--family", "schrodinger", "--window", "0", "2",
+                               *extra, "--out", str(path))
+            assert code == 0, err
+            return json.loads(path.read_text())["entries"]
+
+        want = entries("--potential", "[1, -1, 0.5]")
+        assert entries("--potential", str(pot)) == want
+        assert entries("--params", '{"potential": {"0": 1, "1": -1, "2": 0.5}}') == want
+        assert entries() != want  # the zero potential
+
     def test_params_not_an_object_exit2(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--family", "diagonal", "--window", "0", "3",
                            "--params", "[1]", "--out", str(tmp_path / "o.json"))
@@ -799,6 +839,31 @@ class TestNonFiniteOptions:
          "domsplit dom: split_tol must be at most 2, the largest chordal distance, got 1e+308"),
         (("split",) + DIAG + ("--tol", "3"),
          "domsplit split: tol must be at most 2, the largest chordal distance, got 3.0"),
+        (("dom",) + DIAG + ("--jrange", "-1", "5"),
+         "domsplit dom: jrange [-1, 5] outside window [0, 20]"),
+        (("split",) + DIAG + ("--jrange", "15", "21"),
+         "domsplit split: jrange [15, 21] outside window [0, 20]"),
+        (("dom",) + DIAG + ("--params", "nope"),
+         "domsplit dom: --params is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (("dom", "--nmax", "10"), "domsplit dom: one of --input or --family is required"),
+        (("split", "--family", "diagonal"), "domsplit split: --family needs --window LO HI"),
+        (("gen", "--family", "diagonal"),
+         "domsplit gen: gen needs --family and --window (or --spec)"),
+        (("gen", "--family", "schrodinger", "--window", "0", "2",
+          "--params", '{"potential": {"0": 1, "2": 0}}'),
+         "domsplit gen: potential table misses sites [1]"),
+        (("gen", "--family", "diagonal", "--window", "0", "5", "--lminus", "0"),
+         "domsplit gen: diagonal family needs lminus != 0"),
+        (("gen", "--family", "conjugated_dominated", "--window", "0", "5",
+          "--params", '{"sep_lo": 0}'),
+         "domsplit gen: conjugator separation range must sit inside (0, 1]"),
+        (("gen", "--family", "conjugated_dominated", "--window", "0", "5",
+          "--params", '{"sep_hi": 1.5}'),
+         "domsplit gen: conjugator separation range must sit inside (0, 1]"),
+        # one constant rate pair for the whole window, drawn with |lambda+| < |lambda-|
+        (("gen", "--family", "conjugated_dominated", "--window", "0", "5", "--rate-mode",
+          "constant", "--params", '{"lplus_range": [0.5, 0.6], "lminus_range": [0.7, 0.8]}'),
+         "domsplit gen: conjugated family needs |lambda+| > |lambda-| > 0"),
     ]
 
     @pytest.mark.parametrize("argv, message", RANGE_CASES,

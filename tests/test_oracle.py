@@ -95,7 +95,8 @@ def test_scalar_engine(case):
 def test_batched_engine(case):
     seq, sweep, refs = case
     compared2 = check(
-        lambda j, n: (float(sweep.log_s1[n][j - seq.lo]), float(sweep.log_s2[n][j - seq.lo])),
+        lambda j, n: (float(sweep.log_s1_grid[n, j - seq.lo]),
+                      float(sweep.log_s2_grid[n, j - seq.lo])),
         refs,
     )
     assert compared2 >= 0.25 * sum(len(rows) for rows in refs.values())

@@ -33,6 +33,7 @@ from domsplit import (
     build_with_truth,
     check_domination,
     dist,
+    dump_sequence,
     estimate_fields,
     estimate_splitting,
     forward_scan,
@@ -43,6 +44,7 @@ from domsplit import (
     singular_values,
 )
 from domsplit import ap_report, cocycle
+from domsplit.cli import main
 from domsplit.cocycle import _apply, _fit_rates, _project
 from domsplit.conditions import _certificate, _gap_search, _norm_floor, _svg_fi_fits
 from domsplit.matrix2c import DEGENERATE_REL_TOL, ENTRY_ZERO_TOL, _prescale
@@ -156,6 +158,12 @@ def pair(request):
     return seq, batched, scalar_sweep(seq, n_max, batched.jrange, tol)
 
 
+def staircase_row(grid, n):
+    """Row n of a staircase grid without its padding: the grid.shape[1] - n
+    cells of depth n, and none at a depth past the window's length."""
+    return grid[min(n, len(grid) - 1), :max(grid.shape[1] - n, 0)]
+
+
 def assert_logs_close(got, want):
     assert len(got) == len(want)
     for n, (g, w) in enumerate(zip(got, want)):
@@ -168,8 +176,8 @@ def assert_logs_close(got, want):
 
 def test_log_sigma_layers(pair):
     seq, batched, scalar = pair
-    assert_logs_close(batched.log_s1, scalar.log_s1)
-    assert_logs_close(batched.log_s2, scalar.log_s2)
+    assert_logs_close(batched.log_s1_grid, scalar.log_s1_grid)
+    assert_logs_close(batched.log_s2_grid, scalar.log_s2_grid)
 
 
 def test_fields_and_certificates(pair):
@@ -189,8 +197,8 @@ def test_fields_and_certificates(pair):
 def test_verdict(pair):
     seq, batched, scalar = pair
     thresholds = Thresholds(n_max=batched.n_max)
-    got = _certificate(seq, thresholds, batched, [])
-    want = _certificate(seq, thresholds, scalar, [])
+    got = _certificate(thresholds, batched, [])
+    want = _certificate(thresholds, scalar, [])
     assert (got.verdict, got.n_dom, got.failed_js) == (want.verdict, want.n_dom, want.failed_js)
     assert (got.svg.passed, got.fi.passed) == (want.svg.passed, want.fi.passed)
 
@@ -232,7 +240,7 @@ def test_one_answer_per_site_misaligned():
 def test_case_coverage():
     """The fleet reaches every branch the sweep masks."""
     vanished = product_sweep(CASES["vanishing"][0](), 40)
-    assert any(np.isneginf(layer).any() for layer in vanished.log_s1)
+    assert np.isneginf(vanished.log_s1_grid).any()
     unitary = estimate_fields(CASES["unitary"][0](), None, 30, 1e-9)
     assert unitary.failed and not unitary.certs  # every layer degenerate
     tiny = CASES["prescale-tiny"][0]()
@@ -314,7 +322,7 @@ def band_window(name, scale):
 
 
 def sweep_bytes(sweep):
-    arrays = [*sweep.log_s1, *sweep.log_s2, sweep.js, sweep.es_vec, sweep.eu_vec,
+    arrays = [sweep.log_s1_grid, sweep.log_s2_grid, sweep.js, sweep.es_vec, sweep.eu_vec,
               sweep.n_star, sweep.steps]
     return [a.tobytes() for a in arrays], sweep.failed
 
@@ -395,9 +403,11 @@ def test_misaligned_insertion_well_conditioned_part():
     scalar = scalar_sweep(seq, 40, batched.jrange, 1e-9)
     lo = seq.lo
     for n in range(1, 42):
-        starts = np.arange(lo, lo + len(scalar.log_s1[n]))
+        starts = np.arange(lo, seq.hi - n + 2)
         clear = (starts > p) | (starts + n - 1 < p)
-        for got, want in ((batched.log_s1[n], scalar.log_s1[n]), (batched.log_s2[n], scalar.log_s2[n])):
+        for got, want in ((batched.log_s1_grid, scalar.log_s1_grid),
+                          (batched.log_s2_grid, scalar.log_s2_grid)):
+            got, want = got[n, :len(starts)], want[n, :len(starts)]
             err = np.abs(got[clear] - want[clear]) / np.maximum(1.0, np.abs(want[clear]))
             assert err.size == 0 or err.max() <= TOL, n
     compared = 0
@@ -413,8 +423,8 @@ def test_misaligned_insertion_well_conditioned_part():
         compared += 1
     assert compared >= 20
     thresholds = Thresholds()
-    got = _certificate(seq, thresholds, batched, [])
-    want = _certificate(seq, thresholds, scalar, [])
+    got = _certificate(thresholds, batched, [])
+    want = _certificate(thresholds, scalar, [])
     assert got.verdict == want.verdict == "not_dominated"
 
 
@@ -433,7 +443,8 @@ class TestDepthValidation:
         # directions at depth beyond the window simply run out of room
         seq = family("diagonal", (0, 9))
         sweep = estimate_fields(seq, (0, 9), 30, 1e-9)
-        assert len(sweep.log_s1) == 32 and sweep.log_s1[12].size == 0
+        # L + 2 = 12 depths of the 32 that n_max asks for: none past the window
+        assert sweep.log_s1_grid.shape == (12, 11)
         # the stopping rule needs four directions on each side
         assert sweep.failed == scalar_sweep(seq, 30, (0, 9), 1e-9).failed == [0, 1, 2, 3, 7, 8, 9]
 
@@ -512,8 +523,8 @@ def eager_table(sweep, kind):
     lo = sweep.window[0]
     table = {}
     for n in range(0 if kind == "svg" else 1, sweep.n_max + 1):
-        num = sweep.log_s2[n] if kind == "svg" else sweep.log_s1[n]
-        den = sweep.log_s1[n + 1]
+        num = staircase_row(sweep.log_s2_grid if kind == "svg" else sweep.log_s1_grid, n)
+        den = staircase_row(sweep.log_s1_grid, n + 1)
         for i in range(len(den)):
             vanished = den[i] == -math.inf
             table[(lo + i, n)] = math.inf if vanished else float(max(num[i], num[i + 1]) - den[i])
@@ -573,7 +584,7 @@ def test_stage_case_coverage():
         act(seq[0], sweep.es[0])
     seq = rank_one_window(5)
     sweep = estimate_fields(seq, None, 10, 1e-9)
-    pairs = invariance_residuals(seq, sweep)[0]
+    pairs = invariance_residuals(sweep)[0]
     assert len(pairs) > 10 and all(singular_values(seq[j])[1] == 0.0 for j in pairs.tolist())
     seq = diagonal_with_kernel()
     sweep = estimate_fields(seq, None, 20, 1e-9)
@@ -587,12 +598,57 @@ def test_stage_case_coverage():
     assert 0.0 < abs(seq[0].apply(sweep.es[0].vector())[1]) < 2.2e-308
 
 
-def test_invariance_residuals(staged):
-    seq, sweep = staged
-    js, res_s, res_u = invariance_residuals(seq, sweep)
+def fleet(name, params, seed=0):
+    return family(name, (-45, 45), params, seed)
+
+
+# the benchmark's cli-fleet windows with rank-one factors, and the rank-one
+# window scaled by 2^+-900, which its image line reads after the kept 2^k;
+# STAGE_CASES' example1 is the README golden's window
+RANK_ONE_CASES = {
+    "fleet-singular-aligned": (lambda: fleet("random_singular", {"insertions": [0]}), 40, (-6, 6)),
+    "fleet-singular-misaligned": (
+        lambda: fleet("random_singular", {"insertions": [0], "misaligned": True}), 40, (-6, 6)),
+    "fleet-example1": (lambda: fleet("example1", {}), 40, None),
+    "fleet-vanishing": (lambda: vanishing(fleet("conjugated_dominated", {"rate_mode": "constant"})),
+                        40, (-6, 6)),
+    "rank-one-2^-900": (lambda: scaled(rank_one_window(5), 2.0 ** -900), 10, None),
+    "rank-one-2^900": (lambda: scaled(rank_one_window(5), 2.0 ** 900), 10, None),
+}
+INVARIANCE_CASES = {**STAGE_CASES, **RANK_ONE_CASES}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE_CASES))
+def test_invariance_residuals(name):
+    """The array residuals against the scalar oracle at every pair, rank-one
+    pairs included."""
+    build, n_max, jrange = INVARIANCE_CASES[name]
+    seq = build()
+    sweep = estimate_fields(seq, jrange, n_max, 1e-9)
+    js, res_s, res_u = invariance_residuals(sweep)
     assert js.tolist() == [j for j in sweep.es if j + 1 in sweep.es]
     for j, rs, ru in zip(js.tolist(), res_s.tolist(), res_u.tolist()):
         assert_close((rs, ru), invariance_residual(seq, j, sweep.es, sweep.eu))
+    if name in RANK_ONE_CASES and name != "fleet-vanishing":  # only its site 1 converges
+        assert np.count_nonzero(seq.sigma2[js - seq.lo] == 0.0)
+
+
+def test_stages_read_only_the_sweep(tmp_path, capsys):
+    """No certificate stage calls the scalar engine: not on aligned or
+    misaligned rank-one insertions, Example 1's numerically rank-one
+    factors, a vanishing window, or a window of rank-one factors only."""
+    cases = [(build(), jrange) for name, (build, _, jrange) in RANK_ONE_CASES.items()
+             if name.startswith("fleet-")] + [(rank_one_window(5), None)]
+    scalar = AssertionError("the scalar engine ran")
+    with mock.patch.multiple(cocycle, **{name: mock.Mock(side_effect=scalar) for name in (
+            "invariance_residual", "svd2", "act", "kernel_line", "image_line")}):
+        for seq, jrange in cases:
+            check_domination(seq, jrange=jrange)
+            path = str(tmp_path / "seq.json")
+            dump_sequence(seq, path)
+            extra = () if jrange is None else ("--jrange", *map(str, jrange))
+            code = main(["split", "--input", path, "--format", "json", *extra])
+            assert "internal error" not in capsys.readouterr().err and code in (0, 3)
 
 
 @pytest.mark.parametrize("gap_lambda", [2.0, 1e3, 1e12])
@@ -716,7 +772,7 @@ def test_projection_rejects_zero(v):
 
 def test_tables_built_when_read(staged):
     seq, sweep = staged
-    report = _certificate(seq, Thresholds(n_max=sweep.n_max), sweep, [])
+    report = _certificate(Thresholds(n_max=sweep.n_max), sweep, [])
     for fit, kind in ((report.svg, "svg"), (report.fi, "fi")):
         want = eager_table(sweep, kind)
         rows = [[j, n, v] for (j, n), v in sorted(want.items())]
@@ -724,9 +780,9 @@ def test_tables_built_when_read(staged):
         # rows holds the padded grid: row k is depth n_first + k from the window's start
         lo, n_first, grid = fit.rows
         assert (lo, n_first) == (sweep.window[0], 0 if kind == "svg" else 1)
-        assert {(lo + i, n_first + k): v for k, row in enumerate(cocycle._staircase_rows(
-            grid, len(grid))) for i, v in enumerate(row.tolist())} == want
-    again = _certificate(seq, Thresholds(n_max=sweep.n_max), sweep, [])
+        assert {(lo + i, n_first + k): v for k in range(len(grid))
+                for i, v in enumerate(staircase_row(grid, k).tolist())} == want
+    again = _certificate(Thresholds(n_max=sweep.n_max), sweep, [])
     assert again.svg == report.svg and again.fi == report.fi
     assert "rows" not in repr(report.svg)
 
@@ -736,18 +792,22 @@ def test_tables_built_when_read(staged):
 
 def loop_log_s2(sweep):
     """log sigma2 layer by layer, log|det| summed factor by factor from B(j)
-    up, as ``ProductSweep.log_s2`` took it before its grid: the reference
-    for its bits."""
+    up, as the sweep took it before its grid: the reference for its bits."""
     flog_det = prescaled_log_abs_dets(sweep.seq.factors)
     log_s2 = [np.zeros(len(flog_det) + 1)]
     log_det = np.zeros(len(flog_det))
-    for n, ls1 in enumerate(sweep.log_s1[1:], start=1):
+    for n, ls1 in enumerate(log_s1_rows(sweep)[1:], start=1):
         log_det = log_det[:len(ls1)] + flog_det[n - 1:]
         vanished = ls1 == -math.inf
         ls2 = log_det - np.where(vanished, 0.0, ls1)
         ls2[vanished] = -math.inf
         log_s2.append(ls2)
     return log_s2
+
+
+def log_s1_rows(sweep):
+    """The rows n = 0 .. n_max + 1 of the log sigma1 grid without padding."""
+    return [staircase_row(sweep.log_s1_grid, n) for n in range(sweep.n_max + 2)]
 
 
 def loop_log_ratios(num, denom):
@@ -763,7 +823,7 @@ def loop_log_ratios(num, denom):
 def loop_profiles(sweep):
     """The svg and fi rows and suprema and the norm floor depth by depth, as
     ``conditions`` took them before its grid passes."""
-    ls1, ls2 = sweep.log_s1, loop_log_s2(sweep)
+    ls1, ls2 = log_s1_rows(sweep), loop_log_s2(sweep)
     svg = [loop_log_ratios(ls2[n], ls1[n + 1]) for n in range(sweep.n_max + 1)]
     fi = [loop_log_ratios(ls1[n], ls1[n + 1]) for n in range(1, sweep.n_max + 1)]
     svg_sup = {n: float(r.max()) if r.size else -math.inf for n, r in enumerate(svg)}
@@ -805,11 +865,12 @@ def test_profiles_match_the_depth_loop(name):
     sweep = product_sweep(build(), n_max)
     assert sweep.vanished == bool(np.isneginf(sweep.log_s1_grid).any())
     ls2, svg, svg_sup, fi, fi_sup, floor = loop_profiles(sweep)
-    assert [r.tobytes() for r in sweep.log_s2] == [r.tobytes() for r in ls2]
+    assert [staircase_row(sweep.log_s2_grid, n).tobytes() for n in range(n_max + 2)] == [
+        r.tobytes() for r in ls2]
     got_svg, got_fi = _svg_fi_fits(sweep, Thresholds(n_max=n_max))
     for got, rows, sup in ((got_svg, svg, svg_sup), (got_fi, fi, fi_sup)):
         lo, n_first, grid = got.rows
-        assert [r.tobytes() for r in cocycle._staircase_rows(grid, len(rows))] == [
+        assert [staircase_row(grid, k).tobytes() for k in range(len(rows))] == [
             r.tobytes() for r in rows]
         # the grid's mask-and-index reader gives the cells of the rows, bit for bit
         for got_cells, want_cells in zip(got.table_columns(), row_cells(lo, n_first, rows)):
@@ -825,8 +886,10 @@ def test_profile_cases_cover_the_edges():
     empty rows."""
     sweeps = {name: product_sweep(build(), n_max) for name, (build, n_max) in PROFILE_CASES.items()}
     assert np.isneginf(sweeps["short-vanishing"].log_s1_grid).any()
-    assert any(np.isneginf(r).any() and np.isfinite(r).any() for r in sweeps["stage-rank-one"].log_s2)
-    assert sweeps["short"].log_s1[20].size == 0
+    rank_one = sweeps["stage-rank-one"].log_s2_grid
+    assert any(np.isneginf(r).any() and np.isfinite(r).any()
+               for r in (staircase_row(rank_one, n) for n in range(len(rank_one))))
+    assert sweeps["short"].log_s1_grid.shape == (19, 18)  # L + 2 = 19 depths, not n_max + 2
 
 
 def accumulate_sums(grid, size):
@@ -875,7 +938,7 @@ def test_stages_read_the_kept_screen(name):
     with mock.patch.object(cocycle, "_prescale_rows", side_effect=taken), \
             mock.patch.object(cocycle, "_factor_values", side_effect=taken), \
             mock.patch.object(cocycle, "_screen", side_effect=taken):
-        invariance_residuals(seq, sweep)
+        invariance_residuals(sweep)
         assert "log_s2_grid" not in vars(sweep)
         sweep.log_s2_grid
 
@@ -990,8 +1053,8 @@ def test_steps_capped_at_the_window():
 def test_log_s2_built_on_first_read():
     seq = _conj()
     sweep = product_sweep(seq, 20)
-    assert "log_s2" not in vars(sweep)
-    assert sweep.log_s2 is sweep.log_s2
+    assert "log_s2_grid" not in vars(sweep)
+    assert sweep.log_s2_grid is sweep.log_s2_grid
     # written into its room in the one block of the sweep's staircase arrays
     assert sweep.log_s2_grid is sweep.log_s2_room
     assert sweep.log_s1_grid.base is sweep.log_s2_room.base is sweep.steps.base
@@ -1080,8 +1143,8 @@ def test_one_column_fit_matches_the_wide_stack(build, jrange):
 def test_invariance_fallback_builds_no_fields():
     seq = rank_one_window(5)
     sweep = estimate_fields(seq, None, 10, 1e-9)
-    js, _, _ = invariance_residuals(seq, sweep)
-    assert len(js) > 10  # every pair takes the scalar fallback
+    js, _, _ = invariance_residuals(sweep)
+    assert len(js) > 10  # every pair is rank one
     assert not {"es", "eu", "certs"} & vars(sweep).keys()
 
 
@@ -1101,7 +1164,7 @@ def test_direction_stage_stops_when_every_side_is_done():
         sweep = estimate_fields(seq, None, 40, 1e-9)
     assert layers == list(range(1, max(layers) + 1))
     assert max(layers) == sweep.n_star.max() + 3 == 22
-    assert len(sweep.log_s1) == 42 and len(sweep.js) == 50
+    assert sweep.log_s1_grid.shape == (42, 92) and len(sweep.js) == 50
 
 
 def three_hypot_right_vectors(p, r, q, s1sq):
