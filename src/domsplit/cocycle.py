@@ -1215,8 +1215,8 @@ def invariance_residuals(sweep: ProductSweep) -> tuple[np.ndarray, np.ndarray, n
     2^k, stand in for the pushforward: E^u(j + 1) is measured against the
     image line of B v, and an E^s(j) on the kernel against the kernel line,
     the complement of v.  Only those rows can hit the kernel: a hit needs
-    |B v| <= KERNEL_REL_TOL sigma1, and a kept sigma2 > 0 exceeds
-    DET_REL_TOL sigma1.
+    |B(j) E^s(j)| <= KERNEL_REL_TOL sigma1, and a kept sigma2 > 0, which
+    bounds it below, exceeds DET_REL_TOL sigma1.
     """
     seq = sweep.seq
     k = np.flatnonzero(sweep.js[1:] == sweep.js[:-1] + 1)
