@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .avalanche import RESIDUAL_ENVELOPE, ap_report
-from .cocycle import MatrixSequence, _dist, estimate_fields, invariance_residuals, load_sequence
+from .cocycle import (MatrixSequence, _dist, _sequence_text, estimate_fields,
+                      invariance_residuals, load_sequence)
 from .conditions import Thresholds, _field_record, check_domination, fi_profile, svg_profile
 from .errors import (
     DomsplitError,
@@ -265,8 +266,10 @@ def _family_params(args) -> dict:
         if pot != "zeros":
             try:
                 pot = json.loads(pot)
-            except json.JSONDecodeError:
-                with open(args.potential, "r", encoding="utf-8") as fh:
+            except json.JSONDecodeError as exc:
+                if not os.path.isfile(pot):
+                    raise InvalidSpec(f"--potential is not a file or valid JSON: {exc}") from exc
+                with open(pot, "r", encoding="utf-8") as fh:
                     pot = json.load(fh)
         flag("potential", pot, "--potential")
     if getattr(args, "insertions", None):
@@ -281,11 +284,21 @@ def _family_params(args) -> dict:
     return params
 
 
+def _refuse_unread(args, source: str, *extra: str) -> None:
+    """Exit 2 naming the first given option of ``extra`` and of those that
+    only a generator reads, in the order of --help: ``source`` reads none."""
+    for name in (*extra, "seed", "params", "lplus", "lminus", "energy", "potential", "theta",
+                 "rate_mode", "insertions", "misaligned"):
+        if getattr(args, name) is not None:
+            raise InvalidSpec(f"--{name.replace('_', '-')} is not read with {source}")
+
+
 def _resolve_sequence(args) -> tuple[MatrixSequence, dict]:
     """Loads --input or generates --family; returns (sequence, config echo)."""
     if args.input and args.family:
         raise InvalidSpec("give either --input or --family, not both")
     if args.input:
+        _refuse_unread(args, "--input")
         seq = load_sequence(args.input)
         if args.window:
             seq = seq.restrict(args.window[0], args.window[1])
@@ -305,7 +318,7 @@ def _spec_from_args(args) -> GeneratorSpec:
         family=args.family,
         window=(args.window[0], args.window[1]),
         params=_family_params(args),
-        seed=args.seed,
+        seed=0 if args.seed is None else args.seed,
     )
 
 
@@ -337,7 +350,7 @@ def _add_io_options(p: argparse.ArgumentParser, report: bool = True) -> None:
         p.add_argument("--input", help="sequence JSON file")
     p.add_argument("--family", help="generator family (instead of --input)")
     p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)  # 0 where not given
     p.add_argument("--params", help="extra family parameters as inline JSON")
     p.add_argument("--lplus", type=_finite)
     p.add_argument("--lminus", type=_finite)
@@ -346,7 +359,7 @@ def _add_io_options(p: argparse.ArgumentParser, report: bool = True) -> None:
     p.add_argument("--theta", type=_finite)
     p.add_argument("--rate-mode", dest="rate_mode", choices=RATE_MODES)
     p.add_argument("--insertions", nargs="*", type=int)
-    p.add_argument("--misaligned", action="store_true")
+    p.add_argument("--misaligned", action="store_true", default=None)
     if report:
         p.add_argument("--nmax", type=int, default=_DEFAULTS.n_max)
         p.add_argument("--format", choices=["json", "csv", "text"], default="text")
@@ -398,6 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     if args.spec:
+        _refuse_unread(args, "--spec", "family", "window")
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = GeneratorSpec.from_json_dict(json.load(fh))
     else:
@@ -405,8 +419,7 @@ def _cmd_gen(args) -> int:
             raise InvalidSpec("gen needs --family and --window (or --spec)")
         spec = _spec_from_args(args)
     seq, _ = build_with_truth(spec)  # its source is the spec
-    doc = json.dumps(seq.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    _atomic_write(args.out, doc + "\n")
+    _atomic_write(args.out, _sequence_text(seq))
     return EXIT_OK
 
 
@@ -465,12 +478,9 @@ def _cmd_split(args) -> int:
     fields = []
     sep_column = _dist(sweep.es_vec, sweep.eu_vec)
     seps = sep_column.tolist()
-    certs = sweep.certs
-    if args.table and certs:
-        # every site's cert reads its column k of the same two step grids
-        s_grid, u_grid, _ = next(iter(certs.values())).rows
-        s_steps, u_steps = _site_steps(s_grid), _site_steps(u_grid)
-    for (j, cert), sep in zip(certs.items(), seps):
+    if args.table:  # site k's steps are column k of the step grid's s and u halves
+        s_steps, u_steps = (_site_steps(g) for g in np.split(sweep.steps, 2, axis=1))
+    for (j, cert), sep in zip(sweep.certs.items(), seps):
         rec = _field_record(j, es[j], eu[j], cert)
         rec["separation"] = sep
         if args.table:

@@ -365,9 +365,14 @@ def load_sequence(path: str) -> MatrixSequence:
     return MatrixSequence.from_json_dict(doc)
 
 
+def _sequence_text(seq: MatrixSequence) -> str:
+    """The text of seq's sequence file, the one that ``gen`` and ``dump_sequence`` write."""
+    return json.dumps(seq.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def dump_sequence(seq: MatrixSequence, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:  # json.dumps, unlike json.dump, runs in C
-        fh.write(json.dumps(seq.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_sequence_text(seq))
 
 
 @dataclass(frozen=True, slots=True)
@@ -498,9 +503,9 @@ class ConvergenceCert:
     """Per-n consecutive distances and the fitted geometric decay rates.
 
     ``s_steps`` and ``u_steps`` map n to the step d(pt_n, pt_{n+1}) of each
-    side.  ``rows`` holds what they are built from, when first read:
-    (s steps, u steps, k), two arrays whose column k holds this site's step
-    at row n and nan where there is none.
+    side.  ``rows`` holds what they are built from, when first read: the s
+    and u halves of the sweep's step grid and k, this site's column in both,
+    which holds its step at row n and nan where there is none.
     """
 
     n_star_s: int
@@ -924,17 +929,15 @@ class ProductSweep:
 
     @cached_property
     def certs(self) -> dict[int, ConvergenceCert]:
-        """Each converged site's certificate, with both sides' rates from one
-        fit down its stacked step columns."""
-        k = len(self.js)
-        site = self.js - (self.jrange[0] if k else 0)
-        steps = self.steps[:, np.concatenate([site, site + self.steps.shape[1] // 2])]
-        rates = _fit_rates(steps)
-        rows = (steps[:, :k], steps[:, k:])
+        """Each converged site's certificate: site k reads column k of the step
+        grid's s and u halves, and their rates from one fit down the grid."""
+        rates = _fit_rates(self.steps)
+        half = len(rates) // 2
+        rows = (self.steps[:, :half], self.steps[:, half:])
+        sites = (self.js - self.jrange[0]).tolist() if half else []
         return {
-            j: ConvergenceCert(ns, nu, rs, ru, self.tol, (*rows, i))
-            for i, (j, ns, nu, rs, ru) in enumerate(zip(
-                self.js.tolist(), *self.n_star.tolist(), rates[:k], rates[k:]))
+            j: ConvergenceCert(ns, nu, rates[k], rates[half + k], self.tol, (*rows, k))
+            for j, k, ns, nu in zip(self.js.tolist(), sites, *self.n_star.tolist())
         }
 
     @cached_property

@@ -119,19 +119,16 @@ class RateFit:
         }
 
 
-def _fit_line(points: list[tuple[int, float]]) -> tuple[float, float, float]:
+def _fit_line(ns: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     """(slope, intercept, max abs residual) of the least-squares line through
-    the finite points.  With no finite point it is (-inf, -inf, 0), and with
-    one a flat line through it."""
-    finite = [(n, y) for n, y in points if math.isfinite(y)]
-    if not finite:
-        return NEG_INF, NEG_INF, 0.0
-    if len(finite) == 1:
-        return 0.0, finite[0][1], 0.0
-    xs, ys = np.array(finite, dtype=float).T[:, :, None]
+    the points (ns[k], ys[k]) of the finite ys, ns a float row.  With no
+    finite point it is (-inf, -inf, 0), and with one a flat line through it."""
+    finite = np.isfinite(ys)
+    xs, ys = ns[finite, None], ys[finite, None]  # one column each
+    if len(ys) < 2:
+        return (0.0, float(ys[0, 0]), 0.0) if len(ys) else (NEG_INF, NEG_INF, 0.0)
     slope, intercept = (float(v[0]) for v in _fit_lines(xs, ys, np.ones(ys.shape, dtype=bool)))
-    resid = max(abs(y - (intercept + slope * n)) for n, y in finite)
-    return slope, intercept, resid
+    return slope, intercept, float(np.abs(ys - (intercept + slope * xs)).max())
 
 
 def _log_ratio_grid(num: np.ndarray, den: np.ndarray, vanished: bool) -> np.ndarray:
@@ -149,13 +146,11 @@ def _log_ratio_grid(num: np.ndarray, den: np.ndarray, vanished: bool) -> np.ndar
     return r
 
 
-def _staircase_fit(grid: np.ndarray, n_first: int, count: int) -> dict[int, float]:
-    """{n: sup of row n} for the count depths n_first .. of a
-    ``_log_ratio_grid``; -inf on an empty row.  The sup skips the nan cells
-    past the staircase."""
-    sup = np.fmax.reduce(grid, axis=1, initial=NEG_INF).tolist()
-    last = len(sup) - 1
-    return {n_first + k: sup[min(k, last)] for k in range(count)}
+def _sup_row(grid: np.ndarray, count: int) -> np.ndarray:
+    """The sup of each of the count depth rows of a ``_log_ratio_grid``, -inf on
+    an empty row and, past the last row, that row's; nan cells are skipped."""
+    sup = np.fmax.reduce(grid, axis=1, initial=NEG_INF)
+    return sup[np.minimum(np.arange(count), len(sup) - 1)]
 
 
 def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, RateFit]:
@@ -167,32 +162,27 @@ def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, 
     vanished = sweep.vanished
     svg_grid = _log_ratio_grid(ls2[:-1], ls1[1:, :-1], vanished)
     fi_grid = _log_ratio_grid(ls1[1:-1], ls1[2:, :-2], vanished)
-    svg_sup = _staircase_fit(svg_grid, 0, n_max + 1)
-    fi_sup = _staircase_fit(fi_grid, 1, n_max)
+    svg_sup = _sup_row(svg_grid, n_max + 1)
+    fi_sup = _sup_row(fi_grid, n_max)
 
     n_lo = thresholds.fit_n_lo
-    svg_pts = [(n, v) for n, v in svg_sup.items() if n >= n_lo]
-    slope, intercept, resid = _fit_line(svg_pts)
+    fi_lo = max(n_lo, 1)
+    slope, intercept, resid = _fit_line(np.arange(n_lo, n_max + 1.0), svg_sup[n_lo:])
     # a fit over no n at all is no evidence; one whose ratios are all exactly
     # zero (rank one, -inf in the log) is, and passes
-    svg_ok = (
-        bool(svg_pts)
-        and -slope > math.log(thresholds.mu_min)
-        and not any(v == INF for v in svg_sup.values())
-    )
-    svg_fit = RateFit(slope, intercept, n_lo, n_max, resid, svg_sup, svg_ok, (lo, 0, svg_grid))
+    svg_ok = n_lo <= n_max and -slope > math.log(thresholds.mu_min) and not (svg_sup == INF).any()
+    svg_fit = RateFit(slope, intercept, n_lo, n_max, resid, dict(enumerate(svg_sup.tolist())),
+                      svg_ok, (lo, 0, svg_grid))
 
-    fi_pts = [(n, v) for n, v in fi_sup.items() if n >= max(n_lo, 1)]
-    fslope, fintercept, fresid = _fit_line(fi_pts)
-    svg_log_mu = -slope
+    fslope, fintercept, fresid = _fit_line(np.arange(fi_lo, n_max + 1.0), fi_sup[fi_lo - 1:])
     fi_ok = (
-        bool(fi_pts)
-        and fslope < (1.0 - thresholds.epsilon) * svg_log_mu
+        fi_lo <= n_max
+        and fslope < (1.0 - thresholds.epsilon) * -slope
         and fintercept <= thresholds.fi_log_c_max
-        and not any(v == INF for v in fi_sup.values())
+        and not (fi_sup == INF).any()
     )
-    fi_fit = RateFit(fslope, fintercept, max(n_lo, 1), n_max, fresid, fi_sup, fi_ok,
-                     (lo, 1, fi_grid))
+    fi_fit = RateFit(fslope, fintercept, fi_lo, n_max, fresid, dict(enumerate(fi_sup.tolist(), 1)),
+                     fi_ok, (lo, 1, fi_grid))
     return svg_fit, fi_fit
 
 
@@ -204,14 +194,16 @@ def _require_window(seq: MatrixSequence, n_max: int) -> None:
 
 
 def svg_profile(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
-    """Worst-case gap ratios sigma2(B_n)/sigma1(B_{n+1}) and their decay fit."""
+    """Worst-case gap ratios sigma2(B_n)/sigma1(B_{n+1}), n = 0 .. n_max, and
+    their decay fit.  n_max sets the depth; ``thresholds.n_max`` is not read."""
     _require_window(seq, n_max)
     svg_fit, _ = _svg_fi_fits(product_sweep(seq, n_max), thresholds)
     return svg_fit
 
 
 def fi_profile(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
-    """Worst-case norm ratios sigma1(B_n)/sigma1(B_{n+1}) and their growth fit.
+    """Worst-case norm ratios sigma1(B_n)/sigma1(B_{n+1}), n = 1 .. n_max, and
+    their growth fit.  n_max sets the depth; ``thresholds.n_max`` is not read.
 
     Passes when the fitted growth stays below (1 - epsilon) times the fitted
     SVG rate and the fitted constant stays moderate; on a finite window an
@@ -226,29 +218,29 @@ def fi_profile(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresho
 def norm_floor(seq: MatrixSequence, n_max: int) -> dict[int, float]:
     """{n: inf_j log sigma1(B_n(j))} for n = 1 .. n_max."""
     _require_window(seq, n_max)
-    return _norm_floor(product_sweep(seq, n_max))
+    return dict(enumerate(_norm_floor(product_sweep(seq, n_max)).tolist(), 1))
 
 
-def _norm_floor(sweep: ProductSweep) -> dict[int, float]:
-    # the log sigma1 grid holds +inf past its staircase
-    floor = sweep.log_s1_grid[1:sweep.n_max + 1].min(axis=1)
-    return dict(enumerate(floor.tolist(), start=1))
+def _norm_floor(sweep: ProductSweep) -> np.ndarray:
+    """The row of inf_j log sigma1(B_n(j)), n = 1 .. n_max; the min skips the
+    cells past the log sigma1 grid's staircase, which hold +inf."""
+    return sweep.log_s1_grid[1:sweep.n_max + 1].min(axis=1)
 
 
 def ueg_check(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
-    """Uniform exponential growth of inf_j ||A_n(j)|| for unimodular input."""
+    """Uniform exponential growth of inf_j ||A_n(j)||, n = 1 .. n_max, for
+    unimodular input.  n_max sets the depth; ``thresholds.n_max`` is not read."""
     a, b, c, d = seq.factors
     off = np.flatnonzero(np.abs(a * d - b * c - 1.0) > 1e-10)
     if off.size:
         raise NotUnimodular(f"det(B({seq.lo + int(off[0])})) differs from 1 beyond 1e-10")
     _require_window(seq, n_max)
     floor = _norm_floor(product_sweep(seq, n_max))
-    pts = [(n, v) for n, v in floor.items() if n >= max(thresholds.fit_n_lo, 1)]
-    slope, intercept, resid = _fit_line(pts)
-    passed = bool(pts) and slope >= math.log(thresholds.ueg_lambda_min) and all(
-        math.isfinite(v) for v in floor.values()
-    )
-    return RateFit(slope, intercept, max(thresholds.fit_n_lo, 1), n_max, resid, floor, passed)
+    n_lo = max(thresholds.fit_n_lo, 1)
+    slope, intercept, resid = _fit_line(np.arange(n_lo, n_max + 1.0), floor[n_lo - 1:])
+    passed = (n_lo <= n_max and slope >= math.log(thresholds.ueg_lambda_min)
+              and bool(np.isfinite(floor).all()))
+    return RateFit(slope, intercept, n_lo, n_max, resid, dict(enumerate(floor.tolist(), 1)), passed)
 
 
 def _field_record(j: int, es: ProjPoint, eu: ProjPoint, cert: ConvergenceCert) -> dict:
@@ -436,7 +428,7 @@ def _certificate(thresholds: Thresholds, sweep: ProductSweep, notes: list[str]) 
 
     n_dom, lambda_dom = _gap_search(sweep, thresholds)
 
-    vanished = any(v == NEG_INF for v in floor.values())
+    vanished = bool((floor == NEG_INF).any())
     if vanished:
         witnesses.append("condition (d)': some inf_j ||B_n(j)|| vanished on the window")
     if min_sep is not None and min_sep <= thresholds.sep_min:
@@ -468,7 +460,7 @@ def _certificate(thresholds: Thresholds, sweep: ProductSweep, notes: list[str]) 
         n_dom=n_dom,
         lambda_dom=lambda_dom,
         invariance_max_residual=inv_max,
-        norm_floor_log=floor,
+        norm_floor_log=dict(enumerate(floor.tolist(), 1)),
         witnesses=witnesses,
         notes=notes,
         thresholds=thresholds,

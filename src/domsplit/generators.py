@@ -30,7 +30,6 @@ family does not read at all is refused the same way.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import operator
 from collections.abc import Mapping
@@ -305,9 +304,6 @@ class GeneratorSpec:
             )
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InvalidSpec(f"malformed generator spec: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def _param(spec: GeneratorSpec, name: str, default, read):

@@ -103,6 +103,15 @@ class TestGen:
         assert back.read_bytes() == out.read_bytes()
         assert json.loads(out.read_text())["source"]["family"] == family
 
+    @pytest.mark.parametrize("family", ["example1", "schrodinger", "random_singular"])
+    def test_stdout_gives_file_bytes(self, tmp_path, capsys, family):
+        """gen --out - writes the bytes of gen --out FILE: one writer of the format."""
+        out = tmp_path / "g.json"
+        argv = ("gen", "--family", family, "--seed", "3", "--window", "-30", "30", "--out")
+        assert run(capsys, *argv, str(out))[0] == 0
+        code, text, _ = run(capsys, *argv, "-")
+        assert code == 0 and text.encode() == out.read_bytes()
+
     @pytest.mark.parametrize("option", [("--input", "seq.json"), ("--format", "csv"),
                                         ("--table",)], ids=lambda o: o[0])
     def test_report_options_refused(self, capsys, option):
@@ -864,6 +873,35 @@ class TestNonFiniteOptions:
         (("gen", "--family", "conjugated_dominated", "--window", "0", "5", "--rate-mode",
           "constant", "--params", '{"lplus_range": [0.5, 0.6], "lminus_range": [0.7, 0.8]}'),
          "domsplit gen: conjugated family needs |lambda+| > |lambda-| > 0"),
+        # a mistyped inline potential is a JSON error, not a missing file
+        (("gen", "--family", "schrodinger", "--window", "0", "2", "--potential", "[1, -1"),
+         "domsplit gen: --potential is not a file or valid JSON: "
+         "Expecting ',' delimiter: line 1 column 7 (char 6)"),
+        # no generator reads these with --input or --spec; the file is never opened
+        (("dom", "--input", "seq.json", "--seed", "3"),
+         "domsplit dom: --seed is not read with --input"),
+        (("dom", "--input", "seq.json", "--seed", "0"),
+         "domsplit dom: --seed is not read with --input"),
+        (("split", "--input", "seq.json", "--params", '{"mu": 3}'),
+         "domsplit split: --params is not read with --input"),
+        (("dom", "--input", "seq.json", "--jrange", "-2", "2", "--lplus", "3"),
+         "domsplit dom: --lplus is not read with --input"),
+        (("svg", "--input", "seq.json", "--theta", "1", "--energy", "2"),
+         "domsplit svg: --energy is not read with --input"),
+        (("fi", "--input", "seq.json", "--potential", "zeros"),
+         "domsplit fi: --potential is not read with --input"),
+        (("dom", "--input", "seq.json", "--rate-mode", "constant"),
+         "domsplit dom: --rate-mode is not read with --input"),
+        (("ap", "--input", "seq.json", "--mu", "1e3", "--insertions"),
+         "domsplit ap: --insertions is not read with --input"),
+        (("dom", "--input", "seq.json", "--misaligned"),
+         "domsplit dom: --misaligned is not read with --input"),
+        (("gen", "--spec", "spec.json", "--seed", "2", "--family", "diagonal"),
+         "domsplit gen: --family is not read with --spec"),
+        (("gen", "--spec", "spec.json", "--window", "0", "5"),
+         "domsplit gen: --window is not read with --spec"),
+        (("gen", "--spec", "spec.json", "--lminus", "0.5"),
+         "domsplit gen: --lminus is not read with --spec"),
     ]
 
     @pytest.mark.parametrize("argv, message", RANGE_CASES,

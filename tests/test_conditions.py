@@ -455,16 +455,17 @@ class TestFitLine:
     def test_matches_polyfit(self):
         from domsplit.conditions import _fit_line
 
-        pts = [(2, 0.3), (3, -1.1), (4, -2.9), (5, -3.2), (7, -6.0), (8, math.inf)]
-        slope, intercept, resid = _fit_line(pts)
-        xs, ys = zip(*pts[:-1])
-        want = np.polyfit(xs, ys, 1)
+        ns = np.array([2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
+        ys = np.array([0.3, -1.1, -2.9, -3.2, -6.0, math.inf])
+        slope, intercept, resid = _fit_line(ns, ys)
+        want = np.polyfit(ns[:-1], ys[:-1], 1)
         assert abs(slope - want[0]) <= 1e-12 and abs(intercept - want[1]) <= 1e-12
-        assert abs(resid - max(abs(y - np.polyval(want, x)) for x, y in pts[:-1])) <= 1e-12
+        assert abs(resid - np.abs(ys[:-1] - np.polyval(want, ns[:-1])).max()) <= 1e-12
 
     def test_fallbacks(self):
         from domsplit.conditions import _fit_line
 
-        assert _fit_line([]) == (-math.inf, -math.inf, 0.0)
-        assert _fit_line([(2, -math.inf), (3, -math.inf)]) == (-math.inf, -math.inf, 0.0)
-        assert _fit_line([(2, math.inf), (3, -1.5)]) == (0.0, -1.5, 0.0)
+        ns = np.array([2.0, 3.0])
+        assert _fit_line(ns[:0], ns[:0]) == (-math.inf, -math.inf, 0.0)
+        assert _fit_line(ns, np.array([-math.inf, -math.inf])) == (-math.inf, -math.inf, 0.0)
+        assert _fit_line(ns, np.array([math.inf, -1.5])) == (0.0, -1.5, 0.0)

@@ -90,7 +90,7 @@ class TestExample1:
 class TestGeneratorSpec:
     def test_json_roundtrip(self):
         spec = GeneratorSpec("conjugated_dominated", (-5, 5), params={"sep_lo": 0.4}, seed=9)
-        back = GeneratorSpec.from_json_dict(json.loads(spec.to_json()))
+        back = GeneratorSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
         assert back == spec
 
     def test_unknown_family(self):
