@@ -20,6 +20,7 @@ from .cocycle import (
     _LN2,
     _depth_sums,
     _factor_values,
+    _json_fields,
     _ldexp_c,
     _mul_rows,
     _site_window,
@@ -220,16 +221,7 @@ class ApReport:
         return j, n, r, n * self.mu ** -0.5
 
     def to_json_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "ap3_worst": self.ap3_worst,
-            "ap4_worst": self.ap4_worst,
-            "conditions_pass": self.conditions_pass,
-            "envelope": self.envelope,
-            "c_fit": self.c_fit,
-            "fitted_slope": self.fitted_slope,
-            "passed": self.passed,
-        }
+        return _json_fields(self)
 
 
 def ap_report(

@@ -186,6 +186,16 @@ def _pairs(table: dict) -> _Columns:
     return _Columns((np.array(ns, dtype=np.int64), np.array([table[n] for n in ns], dtype=float)))
 
 
+def _fit_doc(fit, table: bool) -> dict:
+    """A fit's JSON document with its sup_log as columns, and with its table
+    when ``table`` is set."""
+    doc = fit.to_json_dict()
+    doc["sup_log"] = _pairs(fit.sup_log)
+    if table:
+        doc["table"] = _Columns(fit.table_columns())
+    return doc
+
+
 def _site_steps(grid: np.ndarray) -> list[_Columns]:
     """For each column k of a step grid, its (n, step) pairs at the rows n
     that hold a step, not nan, as columns of texts: one ``_cell_texts`` pass
@@ -446,11 +456,7 @@ def _cmd_profile(args) -> int:
         code = EXIT_FAIL
 
     if args.format == "json":
-        result = fit.to_json_dict()
-        result["sup_log"] = _pairs(fit.sup_log)
-        if args.table:
-            result["table"] = _Columns(fit.table_columns())
-        payload = _dump_json(_report_doc(command, cfg, result))
+        payload = _dump_json(_report_doc(command, cfg, _fit_doc(fit, args.table)))
     elif args.format == "csv":
         payload = _csv_table(fit.table_columns(), ["j", "n", "ratio_log"])
     else:
@@ -536,12 +542,8 @@ def _cmd_dom(args) -> int:
 
     if args.format == "json":
         result = report.to_json_dict()
-        for key, table in (("svg", report.svg.sup_log), ("fi", report.fi.sup_log)):
-            result[key]["sup_log"] = _pairs(table)
+        result["svg"], result["fi"] = (_fit_doc(fit, args.table) for fit in (report.svg, report.fi))
         result["norm_floor_log"] = _pairs(report.norm_floor_log)
-        if args.table:
-            result["svg"]["table"] = _Columns(report.svg.table_columns())
-            result["fi"]["table"] = _Columns(report.fi.table_columns())
         payload = _dump_json(_report_doc("dom", cfg, result))
     elif args.format == "csv":
         payload = _csv_table(report.svg.table_columns(), ["j", "n", "ratio_log"])

@@ -54,7 +54,7 @@ import cmath
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterator, Mapping
 
@@ -302,12 +302,17 @@ class MatrixSequence:
     def from_json_dict(doc: dict) -> "MatrixSequence":
         try:
             lo, hi = (_as_index(x) for x in doc["window"])
+            if isinstance(doc["bound_M"], (str, bool)):  # float() would read "4" and true
+                raise TypeError(f"bound_M {doc['bound_M']!r} is not a number")
             bound = float(doc["bound_M"])
             factors = _entry_stack(doc["entries"], lo, hi)
             if factors is None:
                 entries = {}
                 for rec in doc["entries"]:  # "m": [re, im] of a, b, c and d
-                    entries[_as_index(rec["j"])] = Mat2C(*[complex(re, im) for re, im in rec["m"]])
+                    j = _as_index(rec["j"])
+                    if j in entries:
+                        raise ValueError(f"entry j={j} appears twice")
+                    entries[j] = Mat2C(*[complex(re, im) for re, im in rec["m"]])
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             # OverflowError: a bound or entry too large for a float
             raise InvalidSpec(f"malformed sequence document: {exc}") from exc
@@ -317,6 +322,29 @@ class MatrixSequence:
         if seq.window != (lo, hi):
             raise InvalidSpec("declared window does not match entries")
         return seq
+
+
+_PAIRS = {"pairs": True}  # field metadata: an {n: value} table, written as [n, value] pairs
+
+
+def _json_fields(obj, skip: tuple[str, ...] = ()) -> dict:
+    """The JSON document of a report dataclass: every field that takes part
+    in == and is not in ``skip``, under its own name.  A value with its own
+    ``to_json_dict`` is written as that document, a tuple as a list, and the
+    table of a field marked ``_PAIRS`` as its [n, value] pairs in ascending
+    n; any other value as it is."""
+    doc = {}
+    for f in fields(obj):
+        if f.compare and f.name not in skip:
+            value = getattr(obj, f.name)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif "pairs" in f.metadata:
+                value = [[n, v] for n, v in sorted(value.items())]
+            elif hasattr(value, "to_json_dict"):
+                value = value.to_json_dict()
+            doc[f.name] = value
+    return doc
 
 
 def _entry_stack(records, lo: int, hi: int) -> np.ndarray | None:
@@ -722,20 +750,23 @@ def _right_vectors(p, r, q, aq, s1sq):
     # hypot(|w0|, |w1|) from |q| and the real entries: hypot(x, +-0) = |x|
     # (C99 F.10.4.3) and |conj q| = |q|, so this rounds as the moduli would
     nw = np.hypot(np.where(pivot_p, np.abs(dr), aq), np.where(pivot_p, aq, np.abs(dp)))
-    nw[nw == 0.0] = 1.0
+    nw[nw == 0.0] = 1.0  # as _unit would, but a few us sooner: every degenerate row comes here
     return _unit(w0, w1, nw)
 
 
 def _unit(w0: np.ndarray, w1: np.ndarray, nw: np.ndarray):
-    """(w0 / nw, w1 / nw) for nw > 0 the norm of each vector (w0, w1).  As
-    rescale_pow2 in svd2: numpy's complex division takes the reciprocal of
-    nw, which overflows for a subnormal nw, so the vectors with nw < 1e-280
-    are scaled by an exact 2^k and their norm taken again first."""
-    small = nw < 1e-280
-    if np.count_nonzero(small):
-        k = np.where(small, -np.floor(np.log2(nw)), 0).astype(np.int64)
-        w0, w1 = _ldexp_c(w0, k), _ldexp_c(w1, k)
-        nw = np.where(small, np.hypot(np.abs(w0), np.abs(w1)), nw)
+    """(w0 / nw, w1 / nw) for nw the norm of each vector (w0, w1); a zero
+    vector is divided by 1 and stays zero.  As rescale_pow2 in svd2: numpy's
+    complex division takes the reciprocal of nw, which overflows for a
+    subnormal nw, so the vectors with 0 < nw < 1e-280 are scaled by an exact
+    2^k and their norm taken again first."""
+    if np.count_nonzero(nw < 1e-280):
+        nw = np.where(nw == 0.0, 1.0, nw)
+        small = nw < 1e-280
+        if np.count_nonzero(small):  # not when every such vector is zero, as in a vanished run
+            k = np.where(small, -np.floor(np.log2(nw)), 0).astype(np.int64)
+            w0, w1 = _ldexp_c(w0, k), _ldexp_c(w1, k)
+            nw = np.where(small, np.hypot(np.abs(w0), np.abs(w1)), nw)
     return w0 / nw, w1 / nw
 
 

@@ -9,7 +9,7 @@ a finite window can only certify behaviour at its own scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -17,9 +17,11 @@ from .cocycle import (
     ConvergenceCert,
     MatrixSequence,
     ProductSweep,
+    _PAIRS,
     _apply,
     _dist,
     _fit_lines,
+    _json_fields,
     _staircase_cells,
     _unit,
     estimate_fields,
@@ -73,8 +75,7 @@ class Thresholds:
                 raise InvalidSpec(f"{name} must {need}, got {getattr(self, name)}")
 
     def to_json_dict(self) -> dict:
-        # every field is a number: asdict's deep copy would copy nothing
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return _json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class RateFit:
     n_lo: int
     n_hi: int
     residual_max: float
-    sup_log: dict[int, float] = dc_field(repr=False)
+    sup_log: dict[int, float] = dc_field(repr=False, metadata=_PAIRS)
     passed: bool = False
     rows: tuple = dc_field(default=(), repr=False, compare=False)
 
@@ -107,16 +108,7 @@ class RateFit:
         return _staircase_cells(*(self.rows or (0, 0, np.empty((0, 0)))))
 
     def to_json_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "log_c": self.log_c,
-            "mu": self.mu,
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "residual_max": self.residual_max,
-            "passed": self.passed,
-            "sup_log": [[n, v] for n, v in sorted(self.sup_log.items())],
-        }
+        return _json_fields(self) | {"mu": self.mu}
 
 
 def _fit_line(ns: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -305,7 +297,7 @@ class DominationReport:
     n_dom: int | None
     lambda_dom: float | None
     invariance_max_residual: float | None
-    norm_floor_log: dict[int, float]
+    norm_floor_log: dict[int, float] = dc_field(metadata=_PAIRS)
     witnesses: list[str]
     notes: list[str]
     thresholds: Thresholds
@@ -315,24 +307,8 @@ class DominationReport:
 
     def to_json_dict(self) -> dict:
         es, eu, certs = self.es, self.eu, self.certs
-        return {
-            "verdict": self.verdict,
-            "svg": self.svg.to_json_dict(),
-            "fi": self.fi.to_json_dict(),
-            "fields": [_field_record(j, es[j], eu[j], certs[j]) for j in sorted(es)],
-            "failed_js": self.failed_js,
-            "min_separation": self.min_separation,
-            "argmin_separation": self.argmin_separation,
-            "n_dom": self.n_dom,
-            "lambda_dom": self.lambda_dom,
-            "invariance_max_residual": self.invariance_max_residual,
-            "norm_floor_log": [[n, v] for n, v in sorted(self.norm_floor_log.items())],
-            "witnesses": self.witnesses,
-            "notes": self.notes,
-            "thresholds": self.thresholds.to_json_dict(),
-            "window": list(self.window),
-            "jrange": list(self.jrange),
-        }
+        records = [_field_record(j, es[j], eu[j], certs[j]) for j in sorted(es)]
+        return _json_fields(self, skip=("es", "eu", "certs")) | {"fields": records}
 
 
 def _gap_search(
@@ -350,31 +326,26 @@ def _gap_search(
     want = math.log(thresholds.gap_lambda) - 1e-12
     x0, x1 = np.stack([sweep.eu_vec, sweep.es_vec], axis=1)  # sides u, s
     logs = np.zeros((2, len(js)))
-    gone = np.zeros((2, len(js)), dtype=bool)  # the image vanished: log norm -inf
     n_limit = min(thresholds.n_cap, hi - int(js[0]) + 1)
     rows = js - lo - 1
     # sites with j + n - 1 <= hi, a prefix of js, at n = 1 .. n_limit
     lives = np.searchsorted(js, hi + 1 - np.arange(1, n_limit + 1), side="right")
-    for n, live in enumerate(lives.tolist(), start=1):
-        x0, x1, logs, gone = x0[:, :live], x1[:, :live], logs[:, :live], gone[:, :live]
-        w0, w1 = _apply(sweep.seq.factors[:, rows[:live] + n], x0, x1)
-        nw = np.hypot(np.abs(w0), np.abs(w1))
-        gone = gone | (nw == 0.0)
-        vanished = np.count_nonzero(gone) > 0
-        if vanished:  # a vanished vector stays zero, and dividing by 1 keeps its log
-            nw = np.where(gone, 1.0, nw)
-        logs = logs + np.log(nw)
-        x0, x1 = _unit(w0, w1, nw)
-        gap = logs[0] - logs[1]
-        if vanished:
-            gap[gone[1]] = INF
-            gap[gone[0]] = NEG_INF
-            lost = np.flatnonzero(gone[0])
-            if lost.size and hi - int(js[lost[0]]) + 1 >= n_limit:
-                return None, None  # that site keeps the minimum at -inf to the last N
-        worst = float(gap.min())
-        if worst >= want:
-            return n, math.exp(worst) if worst != INF else INF
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, and -inf - -inf: set below
+        for n, live in enumerate(lives.tolist(), start=1):
+            x0, x1, logs = x0[:, :live], x1[:, :live], logs[:, :live]
+            w0, w1 = _apply(sweep.seq.factors[:, rows[:live] + n], x0, x1)
+            nw = np.hypot(np.abs(w0), np.abs(w1))
+            logs = logs + np.log(nw)
+            gap = logs[0] - logs[1]
+            x0, x1 = _unit(w0, w1, nw)  # a vanished image stays zero
+            lost = np.flatnonzero(logs[0] == NEG_INF)
+            if lost.size:
+                gap[lost] = NEG_INF
+                if hi - int(js[lost[0]]) + 1 >= n_limit:
+                    return None, None  # that site keeps the minimum at -inf to the last N
+            worst = float(gap.min())
+            if worst >= want:
+                return n, math.exp(worst) if worst != INF else INF
     return None, None
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .cocycle import MatrixSequence, _as_index, _project, _screen
+from .cocycle import MatrixSequence, _as_index, _json_fields, _project, _screen
 from .errors import InvalidSpec, SingularMatrix
 from .matrix2c import DET_REL_TOL, Mat2C, singular_values
 from .projective import ProjPoint, project
@@ -286,12 +286,7 @@ class GeneratorSpec:
             raise InvalidSpec(f"empty window [{lo}, {hi}]")
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "window": list(self.window),
-            "params": self.params,
-            "seed": self.seed,
-        }
+        return _json_fields(self)
 
     @staticmethod
     def from_json_dict(doc: dict) -> "GeneratorSpec":
@@ -492,8 +487,10 @@ def _first_singular(m, dt, count: int) -> int | None:
     only |det| <= 2.5e-12 can fail ``inverse``'s test; those sites take it
     with the scalar sigma1."""
     adet = np.broadcast_to(abs(dt), (count,))
-    for k in np.flatnonzero(adet <= 2.5 * DET_REL_TOL).tolist():
-        s1 = singular_values(Mat2C(*_stack(m, count)[:, k].tolist()))[0]
+    near = np.flatnonzero(adet <= 2.5 * DET_REL_TOL).tolist()
+    stack = _stack(m, count) if near else None  # built once, and only for a near-singular site
+    for k in near:
+        s1 = singular_values(Mat2C(*stack[:, k].tolist()))[0]
         if adet[k] <= DET_REL_TOL * s1 * s1:
             return k
     return None

@@ -628,14 +628,18 @@ class TestBoundaryValidation:
         assert "n_max" in err
 
     # each of these once escaped the loader as a raw OverflowError or ValueError,
-    # except the five-pair entry, whose fifth pair was ignored
+    # except the five-pair entry, whose fifth pair was ignored, and the string
+    # or boolean bound, which float() read as a number
     @pytest.mark.parametrize("where,text", [
         ("j", "1e999"),
         ("bound_M", "1" + "0" * 400),
         ("window", '["a", "b"]'),
         ("m", "[[1.7e308, 1.7e308], [0, 0], [0, 0], [1, 0]]"),
         ("m", "[[1, 0], [0, 0], [0, 0], [1, 0], [5, 5]]"),
-    ], ids=["j-inf", "bound-400-digits", "window-strings", "entry-overflows", "entry-five-pairs"])
+        ("bound_M", '"4"'),
+        ("bound_M", "true"),
+    ], ids=["j-inf", "bound-400-digits", "window-strings", "entry-overflows", "entry-five-pairs",
+            "bound-string", "bound-true"])
     def test_malformed_file_exit2(self, tmp_path, capsys, where, text):
         path = tmp_path / "s.json"
         run(capsys, "gen", "--family", "diagonal", "--window", "0", "9", "--out", str(path))
@@ -664,6 +668,19 @@ class TestBoundaryValidation:
         assert code == 2
         assert out == ""
         assert err.startswith("domsplit dom: malformed sequence document")
+
+    def test_duplicate_site_exit2(self, tmp_path, capsys):
+        """A file that lists a site twice is refused: it once loaded, and the
+        last entry won."""
+        path = tmp_path / "s.json"
+        run(capsys, "gen", "--family", "conjugated_dominated", "--seed", "3",
+            "--window", "-30", "30", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["entries"].append({"j": 10, "m": [[2, 0], [0, 0], [0, 0], [1, 0]]})
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "dom", "--input", str(path), "--jrange", "-6", "6")
+        assert (code, out) == (2, "")
+        assert err == "domsplit dom: malformed sequence document: entry j=10 appears twice\n"
 
     def test_spec_fractional_seed_exit2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

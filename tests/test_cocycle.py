@@ -407,10 +407,15 @@ def scalar_load(doc):
     the loader's stack."""
     try:
         lo, hi = (cocycle._as_index(x) for x in doc["window"])
+        if isinstance(doc["bound_M"], (str, bool)):  # a JSON number only, as j and window
+            raise TypeError(f"bound_M {doc['bound_M']!r} is not a number")
         bound = float(doc["bound_M"])
         entries = {}
         for rec in doc["entries"]:
-            entries[cocycle._as_index(rec["j"])] = Mat2C(*[complex(re, im) for re, im in rec["m"]])
+            j = cocycle._as_index(rec["j"])
+            if j in entries:  # each site once: the last entry would win silently
+                raise ValueError(f"entry j={j} appears twice")
+            entries[j] = Mat2C(*[complex(re, im) for re, im in rec["m"]])
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InvalidSpec(f"malformed sequence document: {exc}") from exc
     seq = MatrixSequence(entries, bound, source=doc.get("source"))
@@ -471,6 +476,26 @@ class TestLoaderStack:
         assert cocycle._entry_stack(doc["entries"], -30, 30) is not None
         back = MatrixSequence.from_json_dict(doc)
         assert back.factors.tobytes() == seq.factors.tobytes() and back.rescue_layers == seq.rescue_layers
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["entries"].append({"j": 2, "m": [[2, 0], [0, 0], [0, 0], [1, 0]]}),
+         "entry j=2 appears twice"),
+        (lambda doc: doc["entries"].insert(0, dict(doc["entries"][-1])), "entry j=6 appears twice"),
+        (lambda doc: doc.update(bound_M="4"), "bound_M '4' is not a number"),
+        (lambda doc: doc.update(bound_M=True), "bound_M True is not a number"),
+    ], ids=["duplicate-appended", "duplicate-first", "bound-string", "bound-true"])
+    def test_refusals_name_their_cause(self, edit, message):
+        doc = json.loads(json.dumps(_BASE_DOC))
+        edit(doc)
+        want = (InvalidSpec, f"malformed sequence document: {message}")
+        assert _load_outcome(lambda: MatrixSequence.from_json_dict(doc)) == want
+        assert _load_outcome(lambda: scalar_load(doc)) == want
+
+    def test_unordered_entries_load(self):
+        doc = json.loads(json.dumps(_BASE_DOC))
+        doc["entries"].reverse()
+        back = MatrixSequence.from_json_dict(doc)
+        assert back.factors.tobytes() == MatrixSequence.from_json_dict(_BASE_DOC).factors.tobytes()
 
 
 def _load_outcome(load):
@@ -550,6 +575,9 @@ _LOADER_TEXTS = {
     "cr-broken": json.dumps(_BASE_DOC, indent=1).replace("\n", "\r").replace(
         '"bound_M"', "bound_M"),
     "truncated": _base_text()[:700],
+    "bound-string": _base_text(bound_M="4"),
+    "bound-true": _base_text(bound_M=True),
+    "duplicate-site": _base_text(entries=_BASE_DOC["entries"] + _BASE_DOC["entries"][-1:]),
 }
 
 
