@@ -21,7 +21,7 @@ from . import __version__
 from .avalanche import RESIDUAL_ENVELOPE, ap_report
 from .cocycle import (MatrixSequence, _dist, _sequence_text, estimate_fields,
                       invariance_residuals, load_sequence)
-from .conditions import Thresholds, _field_record, check_domination, fi_profile, svg_profile
+from .conditions import Thresholds, _field_records, check_domination, fi_profile, svg_profile
 from .errors import (
     DomsplitError,
     InvalidSpec,
@@ -30,7 +30,6 @@ from .errors import (
 )
 from .generators import (DIAGONAL_DEFAULTS, RATE_MODES, GeneratorSpec, build_with_truth,
                          family_params)
-from .projective import ProjPoint
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -49,13 +48,12 @@ def _log2str(x: float) -> str:
     return f"2^{x / _LN2:.4f}"
 
 
-def _point_str(p: ProjPoint) -> str:
-    z = p.affine
-    if z is None:
-        return "inf"
-    if z.imag == 0:
-        return f"{z.real:.12g}"
-    return f"{z.real:.12g}{z.imag:+.12g}i"
+def _point_str(p) -> str:
+    """The text of a field record's point: "inf", or its [re, im]."""
+    if p == "inf":
+        return p
+    re, im = p
+    return f"{re:.12g}" if im == 0 else f"{re:.12g}{im:+.12g}i"
 
 
 def _atomic_write(path: str, payload: str) -> None:
@@ -186,10 +184,9 @@ def _pairs(table: dict) -> _Columns:
     return _Columns((np.array(ns, dtype=np.int64), np.array([table[n] for n in ns], dtype=float)))
 
 
-def _fit_doc(fit, table: bool) -> dict:
-    """A fit's JSON document with its sup_log as columns, and with its table
-    when ``table`` is set."""
-    doc = fit.to_json_dict()
+def _fit_doc(doc: dict, fit, table: bool) -> dict:
+    """The fit's document ``doc``, as ``to_json_dict`` wrote it, with sup_log
+    swapped for columns in place, and its table added when ``table`` is set."""
     doc["sup_log"] = _pairs(fit.sup_log)
     if table:
         doc["table"] = _Columns(fit.table_columns())
@@ -437,15 +434,10 @@ def _cmd_profile(args) -> int:
     command = args.command
     seq, cfg = _resolve_sequence(args)
     thresholds = Thresholds(n_max=args.nmax, mu_min=args.mu_min, epsilon=args.epsilon)
-    if command == "svg":
-        fit = svg_profile(seq, args.nmax, thresholds)
-    else:
-        fit = fi_profile(seq, args.nmax, thresholds)
+    fit = (svg_profile if command == "svg" else fi_profile)(seq, args.nmax, thresholds)
     cfg.update({"nmax": args.nmax, "epsilon": args.epsilon, "mu_min": args.mu_min})
 
-    fit_pts = sum(
-        1 for n, v in fit.sup_log.items() if n >= fit.n_lo and math.isfinite(v)
-    )
+    fit_pts = sum(1 for n, v in fit.sup_log.items() if n >= fit.n_lo and math.isfinite(v))
     if any(v == math.inf for v in fit.sup_log.values()):
         code = EXIT_FAIL  # a denominator product vanished
     elif fit.passed:
@@ -456,7 +448,8 @@ def _cmd_profile(args) -> int:
         code = EXIT_FAIL
 
     if args.format == "json":
-        payload = _dump_json(_report_doc(command, cfg, _fit_doc(fit, args.table)))
+        doc = _fit_doc(fit.to_json_dict(), fit, args.table)
+        payload = _dump_json(_report_doc(command, cfg, doc))
     elif args.format == "csv":
         payload = _csv_table(fit.table_columns(), ["j", "n", "ratio_log"])
     else:
@@ -477,22 +470,19 @@ def _cmd_profile(args) -> int:
 def _cmd_split(args) -> int:
     seq, cfg = _resolve_sequence(args)
     sweep = estimate_fields(seq, args.jrange, args.nmax, args.tol)
-    jrange = sweep.jrange
-    es, eu, failed = sweep.es, sweep.eu, sweep.failed
+    jrange, failed = sweep.jrange, sweep.failed
     cfg.update({"nmax": args.nmax, "tol": args.tol, "jrange": list(jrange)})
 
-    fields = []
+    fields = _field_records(sweep)
     sep_column = _dist(sweep.es_vec, sweep.eu_vec)
     seps = sep_column.tolist()
-    if args.table:  # site k's steps are column k of the step grid's s and u halves
-        s_steps, u_steps = (_site_steps(g) for g in np.split(sweep.steps, 2, axis=1))
-    for (j, cert), sep in zip(sweep.certs.items(), seps):
-        rec = _field_record(j, es[j], eu[j], cert)
+    if args.table:  # site j's steps are column j - jrange[0] of the step grid's s and u halves
+        site = sweep.js - jrange[0]
+        s_steps, u_steps = (_site_steps(g[:, site]) for g in np.split(sweep.steps, 2, axis=1))
+    for k, (rec, sep) in enumerate(zip(fields, seps)):
         rec["separation"] = sep
         if args.table:
-            k = cert.rows[2]
             rec["s_steps"], rec["u_steps"] = s_steps[k], u_steps[k]
-        fields.append(rec)
 
     result = {
         "fields": fields,
@@ -513,8 +503,8 @@ def _cmd_split(args) -> int:
         lines = [f"invariant directions over jrange {list(jrange)} (window {seq.window})"]
         for rec in fields:
             lines.append(
-                f"  j={rec['j']:4d}  Es={_point_str(es[rec['j']])}"
-                f"  Eu={_point_str(eu[rec['j']])}  sep={rec['separation']:.6g}"
+                f"  j={rec['j']:4d}  Es={_point_str(rec['Es'])}"
+                f"  Eu={_point_str(rec['Eu'])}  sep={rec['separation']:.6g}"
                 f"  n*=({rec['n_star_s']},{rec['n_star_u']})"
             )
         if failed:
@@ -542,7 +532,8 @@ def _cmd_dom(args) -> int:
 
     if args.format == "json":
         result = report.to_json_dict()
-        result["svg"], result["fi"] = (_fit_doc(fit, args.table) for fit in (report.svg, report.fi))
+        for key, fit in (("svg", report.svg), ("fi", report.fi)):
+            _fit_doc(result[key], fit, args.table)
         result["norm_floor_log"] = _pairs(report.norm_floor_log)
         payload = _dump_json(_report_doc("dom", cfg, result))
     elif args.format == "csv":
@@ -566,11 +557,7 @@ def _cmd_dom(args) -> int:
         payload = "\n".join(lines) + "\n"
     _atomic_write(args.out, payload)
 
-    if report.verdict == "dominated":
-        return EXIT_OK
-    if report.verdict == "not_dominated":
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    return {"dominated": EXIT_OK, "not_dominated": EXIT_FAIL}.get(report.verdict, EXIT_INCONCLUSIVE)
 
 
 def _cmd_ap(args) -> int:

@@ -51,6 +51,7 @@ about three times the cost, some hundred times a sweep.
 from __future__ import annotations
 
 import cmath
+import copy
 import json
 import math
 import operator
@@ -295,7 +296,7 @@ class MatrixSequence:
         entries = [{"j": j, "m": m} for j, m in zip(self.indices(), parts)]
         doc = {"window": [self._lo, self._hi], "bound_M": self.bound_M, "entries": entries}
         if self.source is not None:
-            doc["source"] = self.source
+            doc["source"] = copy.deepcopy(self.source)
         return doc
 
     @staticmethod
@@ -330,19 +331,22 @@ _PAIRS = {"pairs": True}  # field metadata: an {n: value} table, written as [n, 
 def _json_fields(obj, skip: tuple[str, ...] = ()) -> dict:
     """The JSON document of a report dataclass: every field that takes part
     in == and is not in ``skip``, under its own name.  A value with its own
-    ``to_json_dict`` is written as that document, a tuple as a list, and the
-    table of a field marked ``_PAIRS`` as its [n, value] pairs in ascending
-    n; any other value as it is."""
+    ``to_json_dict`` is written as that document, a tuple or a flat list as
+    a new list, the table of a field marked ``_PAIRS`` as its [n, value]
+    pairs in ascending n, another dict as a deep copy, and a scalar as it
+    is: the document shares no list or dict with the report."""
     doc = {}
     for f in fields(obj):
         if f.compare and f.name not in skip:
             value = getattr(obj, f.name)
-            if isinstance(value, tuple):
+            if isinstance(value, (tuple, list)):
                 value = list(value)
             elif "pairs" in f.metadata:
                 value = [[n, v] for n, v in sorted(value.items())]
             elif hasattr(value, "to_json_dict"):
                 value = value.to_json_dict()
+            elif isinstance(value, dict):
+                value = copy.deepcopy(value)
             doc[f.name] = value
     return doc
 
@@ -924,10 +928,11 @@ class ProductSweep:
     (2, K) array (rows s, u).  The consecutive distances ``steps`` are a
     (min(n_max, L), 2S) array over all S sites of jrange, converged or not:
     s columns then u columns, row n holding d(pt_n, pt_{n+1}) and nan where
-    there is none, since no column has room past depth L.  The per-site
-    dicts ``es``, ``eu`` and ``certs`` are built from those columns when
-    first read.  ``seq`` is the swept sequence, the one source of the factor
-    stack and kept factor values that the later stages read.
+    there is none, since no column has room past depth L.  ``rates``, one
+    fit over the converged sites' step columns alone, and the per-site dicts
+    ``es``, ``eu`` and ``certs``, whose rates are those, are built from the
+    columns when first read.  ``seq`` is the swept sequence, the one source
+    of the factor stack and kept factor values that the later stages read.
     ``log_s2_room`` is the array of the log sigma1 grid's shape that
     ``log_s2_grid`` is written into; the sweep allocates it in one block
     with the log sigma1 grid and ``steps``.  ``vanished`` says whether a
@@ -959,17 +964,23 @@ class ProductSweep:
         return dict(zip(self.js.tolist(), map(ProjPoint, *self.eu_vec.tolist())))
 
     @cached_property
+    def rates(self) -> tuple[list[float | None], list[float | None]]:
+        """The converged sites' fitted s and u rates, in ascending j: one
+        ``_fit_rates`` over their 2K step columns, j's at j - jrange[0]."""
+        k = len(self.js)
+        site = self.js - self.jrange[0] if k else self.js
+        rates = _fit_rates(self.steps[:, np.concatenate([site, site + self.steps.shape[1] // 2])])
+        return rates[:k], rates[k:]
+
+    @cached_property
     def certs(self) -> dict[int, ConvergenceCert]:
-        """Each converged site's certificate: site k reads column k of the step
-        grid's s and u halves, and their rates from one fit down the grid."""
-        rates = _fit_rates(self.steps)
-        half = len(rates) // 2
-        rows = (self.steps[:, :half], self.steps[:, half:])
-        sites = (self.js - self.jrange[0]).tolist() if half else []
-        return {
-            j: ConvergenceCert(ns, nu, rates[k], rates[half + k], self.tol, (*rows, k))
-            for j, k, ns, nu in zip(self.js.tolist(), sites, *self.n_star.tolist())
-        }
+        """Each converged site's certificate: site j reads column j - jrange[0]
+        of the step grid's s and u halves, and its rates from ``rates``."""
+        rows = np.split(self.steps, 2, axis=1)
+        sites = (self.js - self.jrange[0]).tolist() if len(self.js) else []
+        columns = (self.js.tolist(), sites, *self.n_star.tolist(), *self.rates)
+        return {j: ConvergenceCert(ns, nu, rs, ru, self.tol, (*rows, k))
+                for j, k, ns, nu, rs, ru in zip(*columns)}
 
     @cached_property
     def log_s2_grid(self) -> np.ndarray:

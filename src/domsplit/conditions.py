@@ -178,7 +178,9 @@ def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, 
     return svg_fit, fi_fit
 
 
-def _require_window(seq: MatrixSequence, n_max: int) -> None:
+def _require_window(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()):
+    if thresholds.n_max not in (n_max, Thresholds.n_max):
+        raise InvalidSpec(f"n_max={n_max} differs from thresholds.n_max={thresholds.n_max}")
     if len(seq) < n_max + 2:
         raise WindowExceeded(
             f"window length {len(seq)} too short for n_max={n_max} (needs >= n_max + 2)"
@@ -187,22 +189,24 @@ def _require_window(seq: MatrixSequence, n_max: int) -> None:
 
 def svg_profile(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
     """Worst-case gap ratios sigma2(B_n)/sigma1(B_{n+1}), n = 0 .. n_max, and
-    their decay fit.  n_max sets the depth; ``thresholds.n_max`` is not read."""
-    _require_window(seq, n_max)
+    their decay fit.  n_max sets the depth; a ``thresholds.n_max`` other than
+    n_max and the default 40 (an explicit 40 looks the same) is refused."""
+    _require_window(seq, n_max, thresholds)
     svg_fit, _ = _svg_fi_fits(product_sweep(seq, n_max), thresholds)
     return svg_fit
 
 
 def fi_profile(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
     """Worst-case norm ratios sigma1(B_n)/sigma1(B_{n+1}), n = 1 .. n_max, and
-    their growth fit.  n_max sets the depth; ``thresholds.n_max`` is not read.
+    their growth fit.  n_max sets the depth; a ``thresholds.n_max`` other than
+    n_max and the default 40 (an explicit 40 looks the same) is refused.
 
     Passes when the fitted growth stays below (1 - epsilon) times the fitted
     SVG rate and the fitted constant stays moderate; on a finite window an
     exploding constant is how an Example-1-style failure shows up, since the
     per-n supremum saturates at the window edge instead of growing with n.
     """
-    _require_window(seq, n_max)
+    _require_window(seq, n_max, thresholds)
     _, fi_fit = _svg_fi_fits(product_sweep(seq, n_max), thresholds)
     return fi_fit
 
@@ -221,12 +225,13 @@ def _norm_floor(sweep: ProductSweep) -> np.ndarray:
 
 def ueg_check(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
     """Uniform exponential growth of inf_j ||A_n(j)||, n = 1 .. n_max, for
-    unimodular input.  n_max sets the depth; ``thresholds.n_max`` is not read."""
+    unimodular input.  n_max sets the depth; a ``thresholds.n_max`` other
+    than n_max and the default 40 (an explicit 40 looks the same) is refused."""
     a, b, c, d = seq.factors
     off = np.flatnonzero(np.abs(a * d - b * c - 1.0) > 1e-10)
     if off.size:
         raise NotUnimodular(f"det(B({seq.lo + int(off[0])})) differs from 1 beyond 1e-10")
-    _require_window(seq, n_max)
+    _require_window(seq, n_max, thresholds)
     floor = _norm_floor(product_sweep(seq, n_max))
     n_lo = max(thresholds.fit_n_lo, 1)
     slope, intercept, resid = _fit_line(np.arange(n_lo, n_max + 1.0), floor[n_lo - 1:])
@@ -235,30 +240,27 @@ def ueg_check(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Threshol
     return RateFit(slope, intercept, n_lo, n_max, resid, dict(enumerate(floor.tolist(), 1)), passed)
 
 
-def _field_record(j: int, es: ProjPoint, eu: ProjPoint, cert: ConvergenceCert) -> dict:
-    """The report record of site j: E^s and E^u as [re, im] of the affine
-    coordinate or "inf", n* and the fitted rates of both sides."""
+def _field_records(sweep: ProductSweep) -> list[dict]:
+    """Each converged site's report record, in ascending j, from the sweep's
+    columns: E^s and E^u as [re, im] of v2 / v1 by Python's complex division,
+    as ``ProjPoint.affine`` takes it, or "inf" where v1 == 0; n* and the
+    fitted rates of both sides.  A per-site column joins the records here."""
 
-    def point(p: ProjPoint):
-        z = p.affine
-        return "inf" if z is None else [z.real, z.imag]
+    def point(v1: complex, v2: complex):
+        return "inf" if v1 == 0 else [(z := v2 / v1).real, z.imag]
 
-    return {
-        "j": j,
-        "Es": point(es),
-        "Eu": point(eu),
-        "n_star_s": cert.n_star_s,
-        "n_star_u": cert.n_star_u,
-        "rate_s": cert.rate_s,
-        "rate_u": cert.rate_u,
-    }
+    keys = ("j", "Es", "Eu", "n_star_s", "n_star_u", "rate_s", "rate_u")
+    points = (list(map(point, *vec.tolist())) for vec in (sweep.es_vec, sweep.eu_vec))
+    columns = (sweep.js.tolist(), *points, *sweep.n_star.tolist(), *sweep.rates)
+    return [dict(zip(keys, row)) for row in zip(*columns)]
 
 
 class _SweepField:
     """A report field that, unless one was given, reads the attribute of the
     same name of the report's sweep, which builds it when first read.  The
     certificate gives none; a caller may, through ``dataclasses.replace``
-    (the benchmark's own tests perturb a field that way)."""
+    (the benchmark's own tests perturb a field that way), and the report's
+    JSON document, read from the sweep, still writes the sweep's fields."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -282,7 +284,8 @@ class DominationReport:
     collapse, vanished product); estimator failure alone is inconclusive.
     The fields ``es``, ``eu`` and ``certs`` live in ``sweep`` alone, which
     builds them when they are first read; the report keeps a copy only of a
-    value passed to it in their place.
+    value passed to it in their place, which its document, written from the
+    sweep's columns, does not read.
     """
 
     verdict: str
@@ -306,8 +309,7 @@ class DominationReport:
     sweep: ProductSweep = dc_field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
-        es, eu, certs = self.es, self.eu, self.certs
-        records = [_field_record(j, es[j], eu[j], certs[j]) for j in sorted(es)]
+        records = _field_records(self.sweep)
         return _json_fields(self, skip=("es", "eu", "certs")) | {"fields": records}
 
 

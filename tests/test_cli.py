@@ -371,6 +371,61 @@ class TestDom:
         assert got == want and got[0] == 0
 
 
+def object_record(j, es, eu, cert):
+    """A site's field record built from its ProjPoints and certificate: the
+    per-site objects that the records were once written from."""
+    def point(p):
+        z = p.affine
+        return "inf" if z is None else [z.real, z.imag]
+    return {"j": j, "Es": point(es), "Eu": point(eu), "n_star_s": cert.n_star_s,
+            "n_star_u": cert.n_star_u, "rate_s": cert.rate_s, "rate_u": cert.rate_u}
+
+
+class TestFieldRecords:
+    @pytest.mark.parametrize("jrange", [(), ("--jrange", "-6", "6")])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_dom_and_split_write_the_object_records(self, capsys, family, seed, jrange):
+        """dom's fields are split's records less separation, and each is the
+        record of the sweep's ProjPoints and certificate."""
+        argv = ("--family", family, "--seed", str(seed), "--window", "-30", "30", *jrange,
+                "--format", "json")
+        _, dom, _ = run(capsys, "dom", *argv)
+        _, split, _ = run(capsys, "split", *argv)
+        dom = json.loads(dom)["result"]["fields"]
+        split = json.loads(split)["result"]["fields"]
+        assert [{k: v for k, v in rec.items() if k != "separation"} for rec in split] == dom
+        seq, _ = cli._resolve_sequence(cli._build_parser().parse_args(["dom", *argv]))
+        sweep = estimate_fields(seq, tuple(map(int, jrange[1:])) or None, 40, 1e-9)
+        want = [object_record(j, sweep.es[j], sweep.eu[j], sweep.certs[j])
+                for j in sorted(sweep.es)]
+        assert dom == json.loads(_dump_json(want))
+
+    @pytest.mark.parametrize("verb, fmt", [
+        ("dom", ("--format", "json")), ("dom", ("--format", "json", "--table")),
+        *[("split", f) for f in (("--format", "json"), ("--format", "json", "--table"),
+                                 ("--format", "csv"), ("--format", "text"), ("--table",))],
+    ])
+    @pytest.mark.parametrize("case", [
+        ("conjugated_dominated", "3", ("--jrange", "-6", "6")),
+        ("conjugated_dominated", "3", ()),  # some sites fail
+        ("diagonal", "0", ()),  # E^s at infinity
+        ("unitary", "2", ()),  # no site converges
+    ])
+    def test_verbs_read_no_per_site_object(self, capsys, verb, fmt, case):
+        family, seed, jrange = case
+        argv = (verb, "--family", family, "--seed", seed, "--window", "-45", "45", *jrange,
+                *fmt)
+        want = run(capsys, *argv)
+        built = AssertionError("a verb read a per-site object")
+        raising = property(mock.Mock(side_effect=built))
+        with mock.patch.multiple(cocycle.ProductSweep, es=raising, eu=raising, certs=raising):
+            got = run(capsys, *argv)
+            with pytest.raises(AssertionError, match="per-site"):
+                estimate_fields(rank_one_window(5), None, 10, 1e-9).certs
+        assert got == want and "internal error" not in got[2]
+
+
 class TestAp:
     def test_generated_family_passes(self, capsys):
         code, out, _ = run(capsys, "ap", "--family", "ap_family", "--params", '{"mu": 1e4}',

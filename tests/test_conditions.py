@@ -469,3 +469,20 @@ class TestFitLine:
         assert _fit_line(ns[:0], ns[:0]) == (-math.inf, -math.inf, 0.0)
         assert _fit_line(ns, np.array([-math.inf, -math.inf])) == (-math.inf, -math.inf, 0.0)
         assert _fit_line(ns, np.array([math.inf, -1.5])) == (0.0, -1.5, 0.0)
+
+
+class TestProfileDepth:
+    SEQ = family("diagonal", (0, 60), params={"lplus": 2.0, "lminus": 0.5})
+
+    @pytest.mark.parametrize("profile", [svg_profile, fi_profile, ueg_check])
+    def test_second_depth_refused(self, profile):
+        with pytest.raises(InvalidSpec, match=r"^n_max=20 differs from thresholds.n_max=5$"):
+            profile(self.SEQ, 20, Thresholds(n_max=5))
+
+    @pytest.mark.parametrize("profile", [svg_profile, fi_profile, ueg_check])
+    def test_same_or_default_depth_runs(self, profile):
+        """The depth given twice alike, or with default thresholds, runs; an
+        explicit n_max = 40 looks like the default, and runs too."""
+        fits = [profile(self.SEQ, 20, t) for t in (Thresholds(n_max=20), Thresholds(),
+                                                   Thresholds(n_max=40))]
+        assert fits[0] == fits[1] == fits[2] and fits[0].n_hi == 20

@@ -3,6 +3,8 @@ in ==, less the ones the report skips, under its own name, plus the report's
 named extras; an {n: value} table marked as such is written as ascending
 [n, value] pairs, and any other dict as it is."""
 
+import copy
+import dataclasses
 from dataclasses import fields
 
 import pytest
@@ -59,3 +61,51 @@ def test_unmarked_dicts_stay_dicts():
     assert GeneratorSpec("diagonal", (-5, 5)).to_json_dict()["params"] == {}
     params = {"lplus": 3.0}
     assert GeneratorSpec("diagonal", (-5, 5), params).to_json_dict()["params"] == params
+
+
+def edit_every_container(doc):
+    """Appends to every list and adds a key to every dict of a document,
+    the nested ones included."""
+    for value in list(doc.values() if isinstance(doc, dict) else doc):
+        if isinstance(value, (list, dict)):
+            edit_every_container(value)
+    if isinstance(doc, dict):
+        doc["edited"] = True
+    else:
+        doc.append("edited")
+
+
+FAILING = check_domination(build_with_truth(GeneratorSpec("conjugated_dominated", (-45, 45),
+                                                           seed=3))[0])
+NESTED = GeneratorSpec("random_singular", (-8, 8), {"insertions": [-5, 7],
+                                                    "lplus_range": [2.0, 3.0]}, 1)
+
+
+@pytest.mark.parametrize("report", [*(r for r, _, _ in REPORTS.values()), FAILING, NESTED,
+                                    build_with_truth(NESTED)[0]],
+                         ids=[*REPORTS, "failing", "nested", "sequence"])
+def test_document_shares_nothing_with_the_report(report):
+    """Editing a document's lists and dicts, nested ones included, edits
+    neither the report nor its next document."""
+    first = report.to_json_dict()
+    want = copy.deepcopy(first)
+    edit_every_container(first)
+    assert report.to_json_dict() == want
+
+
+def test_editing_the_document_leaves_the_report():
+    assert FAILING.failed_js and FAILING.notes
+    doc = FAILING.to_json_dict()
+    doc["failed_js"].append(99)
+    doc["notes"].append("x")
+    assert 99 not in FAILING.failed_js and FAILING.notes[-1] != "x"
+    assert build_with_truth(NESTED)[0].source == NESTED.to_json_dict()
+
+
+def test_replaced_fields_are_not_written():
+    """A report given its own es, eu or certs answers them, but writes its
+    document from its sweep."""
+    replaced = dataclasses.replace(DOM, es={}, eu={}, certs={})
+    assert replaced.es == {} and replaced.certs == {}
+    assert replaced.to_json_dict() == DOM.to_json_dict()
+    assert len(DOM.to_json_dict()["fields"]) == len(DOM.sweep.js) > 0

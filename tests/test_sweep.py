@@ -1162,6 +1162,24 @@ def test_one_column_fit_matches_the_wide_stack(build, jrange):
         assert (alone is None and rate is None) or alone.hex() == rate.hex(), c
 
 
+def test_rates_fit_the_converged_columns_once():
+    """``rates`` fits the 2K step columns of the K converged sites, in one
+    call, and ``certs`` reads those rates; each is the rate of its column in
+    the stack of all 2S sites' columns."""
+    sweep = estimate_fields(family("conjugated_dominated", (-45, 45), seed=3), None, 40, 1e-9)
+    k, s = len(sweep.js), sweep.steps.shape[1] // 2
+    assert 0 < k < s and sweep.failed
+    fit = mock.Mock(side_effect=_fit_rates)
+    with mock.patch.object(cocycle, "_fit_rates", fit):
+        certs = sweep.certs
+        rates = sweep.rates
+    assert [call.args[0].shape for call in fit.call_args_list] == [(sweep.steps.shape[0], 2 * k)]
+    wide = _fit_rates(sweep.steps)
+    site = (sweep.js - sweep.jrange[0]).tolist()
+    assert rates == ([wide[c] for c in site], [wide[s + c] for c in site])
+    assert hexed(certs) == hexed(eager_fields(sweep)[2])
+
+
 def test_invariance_fallback_builds_no_fields():
     seq = rank_one_window(5)
     sweep = estimate_fields(seq, None, 10, 1e-9)
