@@ -249,7 +249,7 @@ class MatrixSequence:
         self.rescue_layers = int(out[-1]) + 1 if out.size else 0
         self._lo, self._hi = lo, lo + factors.shape[1] - 1
         self.bound_M = float(bound_M)
-        self.source = source
+        self.source = copy.deepcopy(source)  # shares no dict with the caller's
 
     @property
     def window(self) -> tuple[int, int]:

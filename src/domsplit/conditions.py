@@ -111,18 +111,6 @@ class RateFit:
         return _json_fields(self) | {"mu": self.mu}
 
 
-def _fit_line(ns: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    """(slope, intercept, max abs residual) of the least-squares line through
-    the points (ns[k], ys[k]) of the finite ys, ns a float row.  With no
-    finite point it is (-inf, -inf, 0), and with one a flat line through it."""
-    finite = np.isfinite(ys)
-    xs, ys = ns[finite, None], ys[finite, None]  # one column each
-    if len(ys) < 2:
-        return (0.0, float(ys[0, 0]), 0.0) if len(ys) else (NEG_INF, NEG_INF, 0.0)
-    slope, intercept = (float(v[0]) for v in _fit_lines(xs, ys, np.ones(ys.shape, dtype=bool)))
-    return slope, intercept, float(np.abs(ys - (intercept + slope * xs)).max())
-
-
 def _log_ratio_grid(num: np.ndarray, den: np.ndarray, vanished: bool) -> np.ndarray:
     """max(num[k, j], num[k, j + 1]) - den[k, j] in the log domain over a
     staircase whose row k holds den.shape[1] - k cells, +inf where the
@@ -145,76 +133,79 @@ def _sup_row(grid: np.ndarray, count: int) -> np.ndarray:
     return sup[np.minimum(np.arange(count), len(sup) - 1)]
 
 
+def _rate_fit(sup: np.ndarray, first: int, n_lo: int, passes, rows: tuple = ()) -> RateFit:
+    """The RateFit of a profile's sup row, entry k at n = first + k: the line
+    of ``_fit_lines`` through its finite log sups over max(n_lo, first) ..
+    n_max, (-inf, -inf) with no point and flat through one.  It passes only
+    on evidence: at least one n, no +inf ratio (a vanished product), and the
+    profile's own ``passes(rate, log_c)``; all-zero ratios (rank one) count."""
+    n_lo = max(n_lo, first)
+    n_max = first + len(sup) - 1
+    ys = sup[n_lo - first:]
+    finite = np.isfinite(ys)
+    xs, ys = np.arange(n_lo, n_max + 1.0)[finite, None], ys[finite, None]  # one column each
+    if len(ys) < 2:
+        rate, log_c, resid = (0.0, float(ys[0, 0]), 0.0) if len(ys) else (NEG_INF, NEG_INF, 0.0)
+    else:
+        rate, log_c = (float(v[0]) for v in _fit_lines(xs, ys, np.ones(ys.shape, dtype=bool)))
+        resid = float(np.abs(ys - (log_c + rate * xs)).max())
+    passed = n_lo <= n_max and not (sup == INF).any() and passes(rate, log_c)
+    return RateFit(rate, log_c, n_lo, n_max, resid, dict(enumerate(sup.tolist(), first)), passed,
+                   rows)
+
+
 def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, RateFit]:
-    lo = sweep.window[0]
-    n_max = sweep.n_max
+    lo, n_max, n_lo = sweep.window[0], sweep.n_max, thresholds.fit_n_lo
     ls1, ls2 = sweep.log_s1_grid, sweep.log_s2_grid
     # svg: sigma2(B_n) / sigma1(B_{n+1}), n = 0 .. n_max; fi: sigma1(B_n) /
     # sigma1(B_{n+1}), n = 1 .. n_max; each row one start shorter than its numerator
-    vanished = sweep.vanished
-    svg_grid = _log_ratio_grid(ls2[:-1], ls1[1:, :-1], vanished)
-    fi_grid = _log_ratio_grid(ls1[1:-1], ls1[2:, :-2], vanished)
-    svg_sup = _sup_row(svg_grid, n_max + 1)
-    fi_sup = _sup_row(fi_grid, n_max)
-
-    n_lo = thresholds.fit_n_lo
-    fi_lo = max(n_lo, 1)
-    slope, intercept, resid = _fit_line(np.arange(n_lo, n_max + 1.0), svg_sup[n_lo:])
-    # a fit over no n at all is no evidence; one whose ratios are all exactly
-    # zero (rank one, -inf in the log) is, and passes
-    svg_ok = n_lo <= n_max and -slope > math.log(thresholds.mu_min) and not (svg_sup == INF).any()
-    svg_fit = RateFit(slope, intercept, n_lo, n_max, resid, dict(enumerate(svg_sup.tolist())),
-                      svg_ok, (lo, 0, svg_grid))
-
-    fslope, fintercept, fresid = _fit_line(np.arange(fi_lo, n_max + 1.0), fi_sup[fi_lo - 1:])
-    fi_ok = (
-        fi_lo <= n_max
-        and fslope < (1.0 - thresholds.epsilon) * -slope
-        and fintercept <= thresholds.fi_log_c_max
-        and not (fi_sup == INF).any()
-    )
-    fi_fit = RateFit(fslope, fintercept, fi_lo, n_max, fresid, dict(enumerate(fi_sup.tolist(), 1)),
-                     fi_ok, (lo, 1, fi_grid))
-    return svg_fit, fi_fit
+    svg_grid = _log_ratio_grid(ls2[:-1], ls1[1:, :-1], sweep.vanished)
+    fi_grid = _log_ratio_grid(ls1[1:-1], ls1[2:, :-2], sweep.vanished)
+    svg = _rate_fit(_sup_row(svg_grid, n_max + 1), 0, n_lo,
+                    lambda rate, log_c: -rate > math.log(thresholds.mu_min), (lo, 0, svg_grid))
+    fi = _rate_fit(_sup_row(fi_grid, n_max), 1, n_lo,
+                   lambda rate, log_c: (rate < (1.0 - thresholds.epsilon) * -svg.rate
+                                        and log_c <= thresholds.fi_log_c_max),
+                   (lo, 1, fi_grid))
+    return svg, fi
 
 
-def _require_window(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()):
-    if thresholds.n_max not in (n_max, Thresholds.n_max):
+def _profile_sweep(seq: MatrixSequence, n_max: int, thresholds: Thresholds | None = None):
+    """The ``product_sweep`` of a profile to depth n_max, whose window must
+    hold n_max + 2 entries, and whose given ``thresholds`` must share n_max."""
+    if thresholds is not None and thresholds.n_max != n_max:
         raise InvalidSpec(f"n_max={n_max} differs from thresholds.n_max={thresholds.n_max}")
     if len(seq) < n_max + 2:
         raise WindowExceeded(
             f"window length {len(seq)} too short for n_max={n_max} (needs >= n_max + 2)"
         )
+    return product_sweep(seq, n_max)
 
 
-def svg_profile(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
+def svg_profile(seq: MatrixSequence, n_max: int, thresholds: Thresholds | None = None) -> RateFit:
     """Worst-case gap ratios sigma2(B_n)/sigma1(B_{n+1}), n = 0 .. n_max, and
-    their decay fit.  n_max sets the depth; a ``thresholds.n_max`` other than
-    n_max and the default 40 (an explicit 40 looks the same) is refused."""
-    _require_window(seq, n_max, thresholds)
-    svg_fit, _ = _svg_fi_fits(product_sweep(seq, n_max), thresholds)
-    return svg_fit
+    their decay fit, which passes on a fitted mu above ``mu_min``.  n_max sets
+    the depth; given thresholds must have the same n_max, and None gives the
+    defaults at this depth."""
+    return _svg_fi_fits(_profile_sweep(seq, n_max, thresholds), thresholds or Thresholds())[0]
 
 
-def fi_profile(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
+def fi_profile(seq: MatrixSequence, n_max: int, thresholds: Thresholds | None = None) -> RateFit:
     """Worst-case norm ratios sigma1(B_n)/sigma1(B_{n+1}), n = 1 .. n_max, and
-    their growth fit.  n_max sets the depth; a ``thresholds.n_max`` other than
-    n_max and the default 40 (an explicit 40 looks the same) is refused.
+    their growth fit.  n_max sets the depth; given thresholds must have the
+    same n_max, and None gives the defaults at this depth.
 
     Passes when the fitted growth stays below (1 - epsilon) times the fitted
     SVG rate and the fitted constant stays moderate; on a finite window an
     exploding constant is how an Example-1-style failure shows up, since the
     per-n supremum saturates at the window edge instead of growing with n.
     """
-    _require_window(seq, n_max, thresholds)
-    _, fi_fit = _svg_fi_fits(product_sweep(seq, n_max), thresholds)
-    return fi_fit
+    return _svg_fi_fits(_profile_sweep(seq, n_max, thresholds), thresholds or Thresholds())[1]
 
 
 def norm_floor(seq: MatrixSequence, n_max: int) -> dict[int, float]:
     """{n: inf_j log sigma1(B_n(j))} for n = 1 .. n_max."""
-    _require_window(seq, n_max)
-    return dict(enumerate(_norm_floor(product_sweep(seq, n_max)).tolist(), 1))
+    return dict(enumerate(_norm_floor(_profile_sweep(seq, n_max)).tolist(), 1))
 
 
 def _norm_floor(sweep: ProductSweep) -> np.ndarray:
@@ -223,21 +214,20 @@ def _norm_floor(sweep: ProductSweep) -> np.ndarray:
     return sweep.log_s1_grid[1:sweep.n_max + 1].min(axis=1)
 
 
-def ueg_check(seq: MatrixSequence, n_max: int, thresholds: Thresholds = Thresholds()) -> RateFit:
+def ueg_check(seq: MatrixSequence, n_max: int, thresholds: Thresholds | None = None) -> RateFit:
     """Uniform exponential growth of inf_j ||A_n(j)||, n = 1 .. n_max, for
-    unimodular input.  n_max sets the depth; a ``thresholds.n_max`` other
-    than n_max and the default 40 (an explicit 40 looks the same) is refused."""
+    unimodular input: passes on a fitted rate of at least log ueg_lambda_min
+    with the floor finite.  n_max sets the depth; given thresholds must have
+    the same n_max, and None gives the defaults at this depth."""
     a, b, c, d = seq.factors
     off = np.flatnonzero(np.abs(a * d - b * c - 1.0) > 1e-10)
     if off.size:
         raise NotUnimodular(f"det(B({seq.lo + int(off[0])})) differs from 1 beyond 1e-10")
-    _require_window(seq, n_max, thresholds)
-    floor = _norm_floor(product_sweep(seq, n_max))
-    n_lo = max(thresholds.fit_n_lo, 1)
-    slope, intercept, resid = _fit_line(np.arange(n_lo, n_max + 1.0), floor[n_lo - 1:])
-    passed = (n_lo <= n_max and slope >= math.log(thresholds.ueg_lambda_min)
-              and bool(np.isfinite(floor).all()))
-    return RateFit(slope, intercept, n_lo, n_max, resid, dict(enumerate(floor.tolist(), 1)), passed)
+    floor = _norm_floor(_profile_sweep(seq, n_max, thresholds))
+    thresholds = thresholds or Thresholds()
+    return _rate_fit(floor, 1, thresholds.fit_n_lo,
+                     lambda rate, log_c: (rate >= math.log(thresholds.ueg_lambda_min)
+                                          and bool(np.isfinite(floor).all())))
 
 
 def _field_records(sweep: ProductSweep) -> list[dict]:

@@ -30,6 +30,7 @@ family does not read at all is refused the same way.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import operator
 from collections.abc import Mapping
@@ -43,16 +44,6 @@ from .matrix2c import DET_REL_TOL, Mat2C, singular_values
 from .projective import ProjPoint, project
 
 RATE_MODES = ("perstep", "constant")
-FAMILIES = (
-    "example1",
-    "diagonal",
-    "conjugated_dominated",
-    "schrodinger",
-    "random_bounded",
-    "random_singular",
-    "unitary",
-    "ap_family",
-)
 
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -279,6 +270,8 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a copy: editing the caller's dict afterwards leaves the spec as it is
+        object.__setattr__(self, "params", copy.deepcopy(self.params))
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}")
         lo, hi = self.window
@@ -497,7 +490,8 @@ def _first_singular(m, dt, count: int) -> int | None:
 
 
 def _conjugated(spec: GeneratorSpec):
-    """The stack, ground truth and lambda+ per site of conjugated_dominated."""
+    """The stack, ground truth and lambda+ per site of conjugated_dominated,
+    from the spec's window, seed and conjugated params alone."""
     lo, hi = spec.window
     sep_lo = _param(spec, "sep_lo", 0.35, _real)
     sep_hi = _param(spec, "sep_hi", 0.95, _real)
@@ -596,13 +590,7 @@ def _rank_one(strength: complex, image: tuple[complex, complex], through: tuple[
 
 
 def _build_random_singular(spec: GeneratorSpec):
-    base_spec = GeneratorSpec(
-        family="conjugated_dominated",
-        window=spec.window,
-        params={k: v for k, v in spec.params.items() if k not in ("insertions", "misaligned")},
-        seed=spec.seed,
-    )
-    factors, truth, lplus = _conjugated(base_spec)
+    factors, truth, lplus = _conjugated(spec)
     insertions = _param(spec, "insertions", (), _indices)
     misaligned = _param(spec, "misaligned", False, _bool)
     lo, hi = spec.window
@@ -689,8 +677,8 @@ def _build_ap_family(spec: GeneratorSpec):
 
 _CONJUGATED_PARAMS = ("sep_lo", "sep_hi", "theta", "lplus_range", "lminus_range", "rate_mode")
 
-# family -> (builder, the params it reads); random_singular hands its other
-# params on to the conjugated_dominated base it inserts into
+# family -> (builder, the params it reads), in the order of FAMILIES;
+# random_singular reads the conjugated params for the base it inserts into
 _BUILDERS = {
     "example1": (_build_example1, ()),
     "diagonal": (_build_diagonal, ("lplus", "lminus")),
@@ -701,6 +689,7 @@ _BUILDERS = {
     "unitary": (_build_unitary, ("angle",)),
     "ap_family": (_build_ap_family, ("mu",)),
 }
+FAMILIES = tuple(_BUILDERS)
 
 
 def family_params(family: str) -> tuple[str, ...]:

@@ -281,8 +281,20 @@ class TestEmptyFits:
 
     def test_ueg(self):
         seq = family("diagonal", (0, 30), params={"lplus": 2.0, "lminus": 0.5})
-        assert not ueg_check(seq, 1, Thresholds(fit_n_lo=2)).passed
-        assert ueg_check(seq, 3, Thresholds(fit_n_lo=2)).passed
+        assert not ueg_check(seq, 1, Thresholds(n_max=1, fit_n_lo=2)).passed
+        assert ueg_check(seq, 3, Thresholds(n_max=3, fit_n_lo=2)).passed
+
+    def test_one_rule_for_the_three_profiles(self):
+        """On one window, a fit over no n fails svg, fi and ueg alike, and
+        all-zero ratios pass svg."""
+        seq = family("diagonal", (0, 30), params={"lplus": 2.0, "lminus": 0.5})
+        profiles = (svg_profile, fi_profile, ueg_check)
+        assert [p(seq, 3, Thresholds(n_max=3)).passed for p in profiles] == [True] * 3
+        past = Thresholds(n_max=3, fit_n_lo=4)
+        assert [p(seq, 3, past).passed for p in profiles] == [False] * 3
+        rank_one = MatrixSequence({j: Mat2C(1.0, 0.0, 0.0, 0.0) for j in range(0, 31)}, 2.0)
+        fit = svg_profile(rank_one, 3, Thresholds(n_max=3))
+        assert fit.passed and {fit.sup_log[n] for n in (2, 3)} == {-math.inf}
 
     def test_rank_one_ratios_still_pass(self):
         entries = {j: Mat2C(1.0, 0.0, 0.0, 0.0) for j in range(0, 12)}
@@ -451,38 +463,51 @@ class TestMetamorphic:
         return Mat2C(m.a.conjugate(), m.c.conjugate(), m.b.conjugate(), m.d.conjugate())
 
 
-class TestFitLine:
-    def test_matches_polyfit(self):
-        from domsplit.conditions import _fit_line
+class TestRateFit:
+    @staticmethod
+    def fit(sup, first=1, n_lo=2, passes=lambda rate, log_c: True):
+        from domsplit.conditions import _rate_fit
 
+        return _rate_fit(np.array(sup), first, n_lo, passes)
+
+    def test_matches_polyfit(self):
+        # n = 1 .. 8: n = 1 lies below n_lo, and the -inf at n = 6 is skipped
+        sup = [5.0, 0.3, -1.1, -2.9, -3.2, -math.inf, -6.0, -7.5]
+        fit = self.fit(sup)
         ns = np.array([2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
-        ys = np.array([0.3, -1.1, -2.9, -3.2, -6.0, math.inf])
-        slope, intercept, resid = _fit_line(ns, ys)
-        want = np.polyfit(ns[:-1], ys[:-1], 1)
-        assert abs(slope - want[0]) <= 1e-12 and abs(intercept - want[1]) <= 1e-12
-        assert abs(resid - np.abs(ys[:-1] - np.polyval(want, ns[:-1])).max()) <= 1e-12
+        ys = np.array([0.3, -1.1, -2.9, -3.2, -6.0, -7.5])
+        want = np.polyfit(ns, ys, 1)
+        assert abs(fit.rate - want[0]) <= 1e-12 and abs(fit.log_c - want[1]) <= 1e-12
+        assert abs(fit.residual_max - np.abs(ys - np.polyval(want, ns)).max()) <= 1e-12
+        assert (fit.n_lo, fit.n_hi, fit.passed) == (2, 8, True)
+        assert fit.sup_log == dict(zip(range(1, 9), sup))
 
     def test_fallbacks(self):
-        from domsplit.conditions import _fit_line
-
-        ns = np.array([2.0, 3.0])
-        assert _fit_line(ns[:0], ns[:0]) == (-math.inf, -math.inf, 0.0)
-        assert _fit_line(ns, np.array([-math.inf, -math.inf])) == (-math.inf, -math.inf, 0.0)
-        assert _fit_line(ns, np.array([math.inf, -1.5])) == (0.0, -1.5, 0.0)
+        """No point gives (-inf, -inf), one a flat line through it; a range
+        of no n, or a +inf ratio, fails whatever the profile's own test says."""
+        lines = [(f.rate, f.log_c, f.residual_max, f.passed) for f in (
+            self.fit([1.0, 2.0], n_lo=3), self.fit([-math.inf, -math.inf], first=0, n_lo=0),
+            self.fit([math.inf, -1.5]), self.fit([1.0, math.inf, -1.5]))]
+        assert lines == [(-math.inf, -math.inf, 0.0, False), (-math.inf, -math.inf, 0.0, True),
+                         (0.0, -1.5, 0.0, False), (0.0, -1.5, 0.0, False)]
 
 
 class TestProfileDepth:
     SEQ = family("diagonal", (0, 60), params={"lplus": 2.0, "lminus": 0.5})
 
     @pytest.mark.parametrize("profile", [svg_profile, fi_profile, ueg_check])
-    def test_second_depth_refused(self, profile):
-        with pytest.raises(InvalidSpec, match=r"^n_max=20 differs from thresholds.n_max=5$"):
-            profile(self.SEQ, 20, Thresholds(n_max=5))
+    @pytest.mark.parametrize("n_max", [5, None, 40])
+    def test_second_depth_refused(self, profile, n_max):
+        """Given thresholds are read whole: their default n_max = 40, given
+        explicitly or not, is a second depth like any other."""
+        thresholds = Thresholds() if n_max is None else Thresholds(n_max=n_max)
+        message = f"^n_max=20 differs from thresholds.n_max={thresholds.n_max}$"
+        with pytest.raises(InvalidSpec, match=message):
+            profile(self.SEQ, 20, thresholds)
 
     @pytest.mark.parametrize("profile", [svg_profile, fi_profile, ueg_check])
     def test_same_or_default_depth_runs(self, profile):
-        """The depth given twice alike, or with default thresholds, runs; an
-        explicit n_max = 40 looks like the default, and runs too."""
-        fits = [profile(self.SEQ, 20, t) for t in (Thresholds(n_max=20), Thresholds(),
-                                                   Thresholds(n_max=40))]
-        assert fits[0] == fits[1] == fits[2] and fits[0].n_hi == 20
+        """The depth given twice alike, or with no thresholds, runs."""
+        fits = [profile(self.SEQ, 20, t) for t in (Thresholds(n_max=20), None)]
+        assert fits[0] == fits[1] and fits[0].n_hi == 20
+        assert profile(self.SEQ, 40, Thresholds()) == profile(self.SEQ, 40)

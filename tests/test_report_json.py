@@ -11,6 +11,7 @@ import pytest
 
 from domsplit import (
     GeneratorSpec,
+    MatrixSequence,
     Thresholds,
     ap_report,
     build_with_truth,
@@ -100,6 +101,20 @@ def test_editing_the_document_leaves_the_report():
     doc["notes"].append("x")
     assert 99 not in FAILING.failed_js and FAILING.notes[-1] != "x"
     assert build_with_truth(NESTED)[0].source == NESTED.to_json_dict()
+
+
+def test_caller_dicts_are_copied_on_the_way_in():
+    """Editing the params dict given to a spec, or the document a sequence
+    was read from, nested dicts included, edits neither."""
+    params = {"lplus": 3.0, "lminus": 0.5}
+    spec = GeneratorSpec("diagonal", (0, 3), params)
+    params["lplus"] = 9.0
+    assert spec.params == {"lplus": 3.0, "lminus": 0.5}
+    doc = SEQ.to_json_dict() | {"source": NESTED.to_json_dict()}
+    seq = MatrixSequence.from_json_dict(doc)
+    doc["source"]["params"]["insertions"].append(0)
+    doc["source"]["seed"] = 7
+    assert seq.source == NESTED.to_json_dict()
 
 
 def test_replaced_fields_are_not_written():
