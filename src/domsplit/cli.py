@@ -152,10 +152,14 @@ def _encode(o, nl: str, out: list[str]) -> None:
 
 def _cell_texts(a, quote: str) -> list[str]:
     """The texts of the cells of an int or float array: repr's, with inf,
-    -inf and nan between ``quote``s.  orjson writes every int and every
-    positional float as repr does, so one orjson pass gives those; the
-    finite cells repr writes with an exponent are taken again with repr,
-    whatever exponent form orjson gives them, and the others are named by
+    -inf and nan between ``quote``s.  orjson writes every int, every
+    positional float and every float below 1e-10 in magnitude as repr does,
+    so one orjson pass gives those: the last have an exponent of two or
+    three digits, which both write as ``e-NN`` or ``e-NNN`` after the same
+    shortest digits.  The other finite cells repr writes with an exponent, in
+    [1e-10, 1e-4) and from 1e16 up, are taken again with repr, whatever
+    form orjson gives them (3.8.3 writes ``0.000015`` and ``1e16`` where
+    repr writes ``1.5e-05`` and ``1e+16``), and the others are named by
     mask."""
     import orjson  # here, not at module import: only reports with grids need it
 
@@ -166,8 +170,9 @@ def _cell_texts(a, quote: str) -> list[str]:
     if a.dtype.kind == "f":
         mag = np.abs(a)
         finite = mag < math.inf
-        # repr writes 0 and 1e-4 <= |x| < 1e16 positionally
-        redo = np.flatnonzero((a != 0) & ((mag < 1e-4) | (mag >= 1e16)) & finite).tolist()
+        # repr writes 0 and 1e-4 <= |x| < 1e16 positionally; below 1e-10 the
+        # exponent has two or three digits, which orjson writes as repr does
+        redo = np.flatnonzero(((mag >= 1e-10) & (mag < 1e-4)) | ((mag >= 1e16) & finite)).tolist()
         for i, text in zip(redo, map(float.__repr__, a[redo].tolist())):
             texts[i] = text
         if np.count_nonzero(finite) < len(a):

@@ -888,13 +888,20 @@ class _DirectionRuns:
         """Layer n at each column: room says the column may look at depth n;
         pts is its unit direction as a (2, W) array, meaningful where neither
         flag is set.  Either flag is None where it holds at no column.  Room
-        only shrinks as n grows, so a column without it is done."""
+        only shrinks as n grows, so a column without it is done.  pts is None
+        on a layer where every column is degenerate or vanished: then the
+        flags are taken as ever, but no step is taken, nothing closes, and
+        every live run restarts."""
         self.done |= ~room
         live = ~self.done
         if vanished is not None:
             # the scalar scan raises ProductVanished before it reads this layer
             self.done |= live & vanished
             live &= ~vanished
+        if pts is None:
+            np.copyto(self.run, 0, where=live)
+            np.copyto(self.prev_ok, False, where=live)
+            return
         ok = live if degenerate is None else live & ~degenerate
         step = ok & self.prev_ok
         d = _dist(self.prev, pts)
@@ -1078,6 +1085,10 @@ def product_sweep(
     u_n(j) from layer n at start j - n, since B_n(j - n) is the forward
     product starting there.  The sites are a contiguous range, so the
     directions are taken only on the rows that the columns with room read.
+    A layer on which every one of those rows is degenerate, vanished rows
+    included, takes no direction at all: no right vector, u image or
+    distance, since every live run restarts there, as the scalar rule's
+    does on a degenerate product.
     The s columns run on the top right singular vector, whose complement is
     s_n(j) and has the same chordal steps; the complement is taken only for
     the certified fields.  A site fails when either side runs out of room
@@ -1155,15 +1166,6 @@ def product_sweep(
         s_rows = slice(first - a, first - a + s_end)
         u_rows = slice(first + u_start - n - a, last + 1 - n - a)
         p, r, q, aq, s1sq = (x[a:b] for x in (p, r, q, aq, s1sq))
-        v0, v1 = _right_vectors(p, r, q, aq, s1sq)
-        pts[0, :s_end], pts[1, :s_end] = v0[s_rows], v1[s_rows]
-        u = pts[:, n_sites + u_start:]
-        u[0], u[1] = _apply(core[:, a + u_rows.start:a + u_rows.stop], v0[u_rows], v1[u_rows])
-        # |core v| = sigma1(core) = 1 wherever the row has not vanished, so the
-        # sum of its squared parts cannot over- or underflow
-        nu = np.sqrt((u.real * u.real + u.imag * u.imag).sum(axis=0))
-        nu[nu == 0.0] = 1.0
-        u *= 1.0 / nu
 
         def columns(flag):
             """flag over the rows a .. b - 1 as a flag per column, None where
@@ -1174,8 +1176,24 @@ def product_sweep(
             out[:s_end], out[n_sites + u_start:] = flag[s_rows], flag[u_rows]
             return out
 
+        # a vanished row is zero in the quadratic, so degenerate too: when
+        # every row is, no column takes a direction at this layer
+        degenerate = _degenerate(p, r, s1sq)
+        if np.count_nonzero(degenerate) == b - a:
+            directions = degenerate = None
+        else:
+            v0, v1 = _right_vectors(p, r, q, aq, s1sq)
+            pts[0, :s_end], pts[1, :s_end] = v0[s_rows], v1[s_rows]
+            u = pts[:, n_sites + u_start:]
+            u[0], u[1] = _apply(core[:, a + u_rows.start:a + u_rows.stop], v0[u_rows], v1[u_rows])
+            # |core v| = sigma1(core) = 1 wherever the row has not vanished, so
+            # the sum of its squared parts cannot over- or underflow
+            nu = np.sqrt((u.real * u.real + u.imag * u.imag).sum(axis=0))
+            nu[nu == 0.0] = 1.0
+            u *= 1.0 / nu
+            directions, degenerate = pts, columns(degenerate)
         runs.advance(n, depth >= n, None if vanished is None else columns(vanished[a:b]),
-                     columns(_degenerate(p, r, s1sq)), pts, tol)
+                     degenerate, directions, tol)
 
     # log 0 = -inf on vanished rows, and past the staircase log inf = inf,
     # which the running sum leaves as it is

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -355,6 +356,21 @@ class TestDom:
         code, _, _ = run(capsys, "dom", "--family", "unitary", "--seed", "1",
                          "--window", "-15", "15")
         assert code == 3
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        # every sweep layer is degenerate, and the tables hold log ratios of
+        # about 1e-16
+        (("dom", "--family", "unitary", "--window", "-45", "45", "--format", "json", "--table"),
+         3, "e453b577716e06984c5d7afb0396fc55b548f53e1a380d3ab6ed5be262521964"),
+        (("dom", "--family", "unitary", "--window", "-45", "45", "--format", "csv"),
+         3, "ae649d1255e311672b293699c627c06bc628227e73d8c2d728b3ae14cc414c0e"),
+        # steps below 1e-10 and in [1e-10, 1e-4) in the sites' step tables
+        (("split", "--family", "example1", "--window", "-45", "45", "--format", "json", "--table"),
+         0, "5a6ad6ddfb9ca8eba9a4cfe2181dba1dd2c0003a481d041d3809e7cb83324170"),
+    ])
+    def test_report_bytes_are_pinned(self, capsys, argv, code, digest):
+        got, out, _ = run(capsys, *argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_text_and_csv_build_no_fields(self, capsys, fmt):
@@ -1217,6 +1233,14 @@ _EDGES = np.array([np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), np.nextaf
 _EDGE_FLOATS = np.concatenate([_EDGES, -_EDGES, [math.inf, -math.inf, math.nan]])
 _EDGE_INTS = np.resize([-(2 ** 63), 2 ** 63 - 1, -1, 0, 1], len(_EDGE_FLOATS))
 _EDGE_COLUMNS = [_EDGE_INTS, _EDGE_FLOATS, _EDGE_FLOATS[::-1]]
+# the edges of _cell_texts' bands (orjson's text below 1e-10, repr's in
+# [1e-10, 1e-4) and from 1e16 up), 1e-9 and 1e-5, where repr's exponent
+# takes a padding zero, and the least subnormal: each with its two
+# neighbours, of both signs, and +-0, as bit patterns
+_BAND_EDGES = np.array([1e-10, 1e-9, 1e-5, 1e-4, 1e16, 5e-324])
+_BAND_CELLS = np.concatenate([np.nextafter(_BAND_EDGES, 0), _BAND_EDGES,
+                              np.nextafter(_BAND_EDGES, math.inf), [0.0]])
+_EDGE_BITS = np.concatenate([_BAND_CELLS, -_BAND_CELLS]).view(np.uint64).tolist()
 _EMPTY_COLUMNS = [np.array([], dtype=np.int64), np.array([])]
 
 
@@ -1310,6 +1334,17 @@ class TestReportEncoder:
         cells = cells[np.isfinite(cells)]
         assert len(cells) >= 100_000
         assert cli._cell_texts(cells, '"') == list(map(float.__repr__, cells.tolist()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=64))
+    @example(bits=_EDGE_BITS)
+    def test_cell_texts_are_repr_on_bit_patterns(self, bits):
+        # orjson's own text is kept for every cell below 1e-10 in magnitude:
+        # this pins that it writes those cells as repr does
+        cells = np.array(bits, dtype=np.uint64).view(np.float64)
+        names = {math.inf: '"inf"', -math.inf: '"-inf"'}
+        want = [repr(x) if math.isfinite(x) else names.get(x, '"nan"') for x in cells.tolist()]
+        assert cli._cell_texts(cells, '"') == want
 
     def test_unserialisable_values_raise(self):
         with pytest.raises(TypeError):

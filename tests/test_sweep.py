@@ -30,6 +30,7 @@ from domsplit import (
     Thresholds,
     ZeroVector,
     act,
+    backward_scan,
     build_with_truth,
     check_domination,
     dist,
@@ -50,6 +51,8 @@ from domsplit.conditions import _certificate, _gap_search, _norm_floor, _svg_fi_
 from domsplit.matrix2c import DEGENERATE_REL_TOL, ENTRY_ZERO_TOL, _prescale
 
 from conftest import (
+    _direction_run,
+    _point_steps,
     column_rows,
     prescaled_log_abs_dets,
     rank_one_window,
@@ -1388,3 +1391,151 @@ def test_gram_on_non_contiguous_stacks(z):
     for layout in layouts:
         assert np.array_equal(layout, z)
         assert [g.tobytes() for g in cocycle._gram(layout)] == want
+
+
+# A layer on which every direction row is degenerate (or vanished) takes no
+# direction: the sweep skips the right vectors, u images and distances there.
+
+def unitary(seed):
+    return family("unitary", (-45, 45), seed=seed)
+
+
+def tiny_sites(seed):
+    """A unitary window whose factors at sites 0 .. 2 are 1.2e-300 I: a raw
+    product through one of them vanishes where the core's largest entry is
+    at most 1 / 1.2, and every other product is a scaled unitary, so the
+    layers that hold vanished rows hold only degenerate ones beside them."""
+    seq = unitary(seed)
+    entries = {j: seq[j] for j in seq.indices()}
+    for j in range(3):
+        entries[j] = Mat2C(1.2e-300 + 0j, 0j, 0j, 1.2e-300 + 0j)
+    return MatrixSequence(entries, seq.bound_M)
+
+
+def until_vanished(scan):
+    """The products of a scan up to the first one that vanishes."""
+    try:
+        yield from scan
+    except ProductVanished:
+        return
+
+
+def scalar_columns(seq, n_max, jrange, tol):
+    """The scalar direction rule at every site of jrange, converged or not:
+    (failed sites, n_star as (2, S) with -1 where a side did not stop, the
+    steps as the sweep's (depth, 2S) grid, and each side's stopping point)."""
+    sites = range(jrange[0], jrange[1] + 1)
+    n_star = np.full((2, len(sites)), -1, dtype=np.int64)
+    steps = np.full((min(n_max, len(seq)), 2 * len(sites)), np.nan)
+    points = {}
+    for k, j in enumerate(sites):
+        scans = (("s", forward_scan(seq, j, min(n_max, seq.hi - j + 1))),
+                 ("u", backward_scan(seq, j, min(n_max, j - seq.lo))))
+        for side, (name, scan) in enumerate(scans):
+            stop, pts, table = _direction_run(_point_steps(until_vanished(scan), name), tol)
+            for n, d in table.items():
+                steps[n, side * len(sites) + k] = d
+            if stop is not None:
+                n_star[side, k] = stop
+                points[name, j] = pts[stop]
+    failed = [j for k, j in enumerate(sites) if (n_star[:, k] < 0).any()]
+    return failed, n_star, steps, points
+
+
+def assert_matches_scalar_columns(seq, sweep):
+    failed, n_star, steps, points = scalar_columns(seq, sweep.n_max, sweep.jrange, sweep.tol)
+    assert sweep.failed == failed
+    assert np.array_equal(sweep.n_star, n_star[:, sweep.js - sweep.jrange[0]])
+    assert np.array_equal(np.isnan(sweep.steps), np.isnan(steps))
+    fin = ~np.isnan(steps)
+    assert np.abs(sweep.steps[fin] - steps[fin]).max(initial=0.0) <= TOL
+    for j in sweep.js.tolist():
+        assert dist(sweep.es[j], points["s", j]) <= TOL, j
+        assert dist(sweep.eu[j], points["u", j]) <= TOL, j
+
+
+def skipped_layers(seq, n_max, jrange, tol=1e-9):
+    """The sweep, and for each layer the direction stage fed: whether it was
+    skipped (no directions), whether a column read a vanished row there, and
+    whether one read a degenerate row (not recorded on a skipped layer)."""
+    layers = []
+    advance = cocycle._DirectionRuns.advance
+
+    def spied(runs, n, room, vanished, degenerate, pts, tol):
+        layers.append((pts is None, vanished is not None, degenerate is not None))
+        return advance(runs, n, room, vanished, degenerate, pts, tol)
+
+    with mock.patch.object(cocycle._DirectionRuns, "advance", spied):
+        sweep = estimate_fields(seq, jrange, n_max, tol)
+    return sweep, layers
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+@pytest.mark.parametrize("jrange", [None, (-6, 6)])
+def test_all_degenerate_layers_take_no_direction(seed, jrange):
+    """A unitary window has no singular-value gap: every layer is degenerate,
+    so the sweep never takes a right vector, and no site gets a step."""
+    seq = unitary(seed)
+    skip = AssertionError("a direction was taken on a degenerate layer")
+    with mock.patch.object(cocycle, "_right_vectors", side_effect=skip):
+        sweep = estimate_fields(seq, jrange, 40, 1e-9)
+    lo, hi = sweep.jrange
+    assert sweep.failed == list(range(lo, hi + 1)) and not len(sweep.js)
+    assert np.isnan(sweep.steps).all()
+
+
+def test_degenerate_and_vanished_rows_in_one_layer():
+    """Unitary factors with the complementary projections at sites 0 and 1:
+    layers hold vanished rows, degenerate rows and rank-one rows through one
+    projection, which have a direction, so these layers are not skipped."""
+    seq = vanishing(unitary(0))
+    sweep, layers = skipped_layers(seq, 40, None)
+    assert sweep.vanished and not any(s for s, _, _ in layers)
+    assert any(v and d for _, v, d in layers)
+    assert_matches_scalar_columns(seq, sweep)
+
+
+def test_skip_on_some_layers():
+    """The same window at sites 10 .. 20: layers 1 .. 8 read only unitary
+    products and are skipped; from layer 9 on a u column reads B_n(1), rank
+    one, and the directions are taken."""
+    seq = vanishing(unitary(1))
+    sweep, layers = skipped_layers(seq, 40, (10, 20))
+    assert [s for s, _, _ in layers[:9]] == [True] * 8 + [False]
+    assert_matches_scalar_columns(seq, sweep)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_skip_on_layers_with_vanished_rows(seed):
+    """Vanished rows count as degenerate: layers that hold them beside
+    degenerate rows alone are skipped, and every site fails as the scalar
+    rule's does."""
+    seq = tiny_sites(seed)
+    sweep, layers = skipped_layers(seq, 40, (-6, 6))
+    assert any(s and v for s, v, _ in layers)
+    assert_matches_scalar_columns(seq, sweep)
+
+
+def test_restart_matches_an_all_degenerate_layer():
+    """``advance`` without directions leaves the state that an advance with
+    every column flagged degenerate leaves, whatever its points."""
+    rng = np.random.default_rng(31)
+    width, depth = 16, 30
+    skipped, fed = (cocycle._DirectionRuns(np.empty((depth, width))) for _ in range(2))
+    room_to = rng.integers(4, depth + 1, width)
+    near = np.array([[1.0], [0.0]], dtype=complex)
+    for n in range(1, depth + 1):
+        room = room_to >= n
+        vanished = rng.random(width) < 0.05 if n % 4 == 0 else None
+        pts = near + 1e-3 * (rng.standard_normal((2, width)) + 1j * rng.standard_normal((2, width)))
+        pts /= np.sqrt((np.abs(pts) ** 2).sum(axis=0))
+        if rng.random() < 0.4:
+            skipped.advance(n, room, vanished, None, None, 1e-2)
+            fed.advance(n, room, vanished, np.ones(width, dtype=bool), pts, 1e-2)
+        else:
+            degenerate = rng.random(width) < 0.1 if n % 3 == 0 else None
+            for runs in (skipped, fed):
+                runs.advance(n, room, vanished, degenerate, pts, 1e-2)
+        for name in ("run", "done", "n_star", "prev_ok", "prev", "cand", "steps"):
+            assert np.array_equal(getattr(skipped, name), getattr(fed, name), equal_nan=True), (n, name)
+    assert (skipped.n_star >= 0).any() and (skipped.run > 0).any()
