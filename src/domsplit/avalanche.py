@@ -29,6 +29,7 @@ from .cocycle import (
     forward_scan,
     product_sweep,
 )
+from .conditions import _outcome
 from .errors import Degenerate, InvalidSpec, ProductVanished, WindowExceeded, ZeroMatrix
 from .matrix2c import Mat2C, mul, singular_values, svd2
 from .projective import dist, expanding_image, most_contracted
@@ -195,7 +196,9 @@ class ApReport:
 
     ``rows`` holds (lo, 3, the padded residual grid), whose row n - 3 holds
     residual(j, n) at starts j = lo .. hi - n + 1; ``residuals`` is built
-    from it when first read.
+    from it when first read.  ``outcome`` is the audit's ``_outcome``, which
+    ``ap_report`` decides, and ``passed``, the one the JSON document writes,
+    is ``outcome == "pass"``.
     """
 
     mu: float
@@ -207,6 +210,7 @@ class ApReport:
     fitted_slope: float | None  # trend of max_j residual(j, n)/n against n
     passed: bool
     rows: tuple = dc_field(repr=False, compare=False)
+    outcome: str = dc_field(compare=False)
 
     @cached_property
     def residuals(self) -> dict[tuple[int, int], float]:
@@ -292,8 +296,9 @@ def ap_report(
         column = np.full((depths.stop, 1), np.nan)
         column[depths.start:, 0] = np.divide(per_n_max, depths)
         slope = _fit_rates(column[:np.flatnonzero(column > 0).max(initial=0) + 1])[0]
-    # a window too short for a residual (L < 3) has no evidence, and cannot pass
-    passed = ok and c_fit is not None and c_fit <= envelope
+    # a window too short for a residual (L < 3) has no evidence either way
+    audit = ok and c_fit is not None and c_fit <= envelope
+    outcome = _outcome(c_fit is not None and not audit, audit)
     return ApReport(
         mu=mu,
         ap3_worst=ap3,
@@ -302,6 +307,7 @@ def ap_report(
         envelope=envelope,
         c_fit=c_fit,
         fitted_slope=slope,
-        passed=passed,
+        passed=outcome == "pass",
         rows=(lo, 3, grid),
+        outcome=outcome,
     )

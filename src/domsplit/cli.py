@@ -21,7 +21,8 @@ from . import __version__
 from .avalanche import RESIDUAL_ENVELOPE, ap_report
 from .cocycle import (MatrixSequence, _dist, _sequence_text, estimate_fields,
                       invariance_residuals, load_sequence)
-from .conditions import Thresholds, _field_records, check_domination, fi_profile, svg_profile
+from .conditions import (Thresholds, _field_records, _outcome, check_domination, fi_profile,
+                         svg_profile)
 from .errors import (
     DomsplitError,
     InvalidSpec,
@@ -35,6 +36,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+# every report verb's exit code: its report's outcome, or dom's verdict
+_EXIT = {"pass": EXIT_OK, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE,
+         "dominated": EXIT_OK, "not_dominated": EXIT_FAIL}
+_PASS_FAIL = {"pass": "pass", "fail": "FAIL"}  # an inconclusive one also says why
 
 _LN2 = math.log(2.0)
 _DEFAULTS = Thresholds()
@@ -442,34 +447,25 @@ def _cmd_profile(args) -> int:
     fit = (svg_profile if command == "svg" else fi_profile)(seq, args.nmax, thresholds)
     cfg.update({"nmax": args.nmax, "epsilon": args.epsilon, "mu_min": args.mu_min})
 
-    fit_pts = sum(1 for n, v in fit.sup_log.items() if n >= fit.n_lo and math.isfinite(v))
-    if any(v == math.inf for v in fit.sup_log.values()):
-        code = EXIT_FAIL  # a denominator product vanished
-    elif fit.passed:
-        code = EXIT_OK  # includes the vacuous case of exactly-zero ratios
-    elif fit_pts < 2:
-        code = EXIT_INCONCLUSIVE  # no rate could be fitted either way
-    else:
-        code = EXIT_FAIL
-
     if args.format == "json":
         doc = _fit_doc(fit.to_json_dict(), fit, args.table)
         payload = _dump_json(_report_doc(command, cfg, doc))
     elif args.format == "csv":
         payload = _csv_table(fit.table_columns(), ["j", "n", "ratio_log"])
     else:
+        verdict = _PASS_FAIL.get(fit.outcome, "inconclusive (fewer than two points to fit)")
         lines = [
             f"{command} profile over window {seq.window}, n <= {args.nmax}",
             f"  fitted mu   : {fit.mu:.6g} (rate {fit.rate:.6g}/step)",
             f"  fitted C    : {_log2str(fit.log_c)}",
             f"  fit residual: {fit.residual_max:.3g}",
-            f"  verdict     : {'pass' if fit.passed else 'FAIL'}",
+            f"  verdict     : {verdict}",
         ]
         for n, v in sorted(fit.sup_log.items()):
             lines.append(f"    n={n:3d}  sup ratio {_log2str(v)}")
         payload = "\n".join(lines) + "\n"
     _atomic_write(args.out, payload)
-    return code
+    return _EXIT[fit.outcome]
 
 
 def _cmd_split(args) -> int:
@@ -518,8 +514,8 @@ def _cmd_split(args) -> int:
             lines.append(f"  min separation: {min(seps):.6g}")
         payload = "\n".join(lines) + "\n"
     _atomic_write(args.out, payload)
-    # a jrange that held no site (the default one on a short window) is no evidence
-    return EXIT_OK if len(sweep.js) and not failed else EXIT_INCONCLUSIVE
+    # split witnesses nothing, and a jrange with no site (short window) is no evidence
+    return _EXIT[_outcome(False, len(sweep.js) > 0 and not failed)]
 
 
 def _cmd_dom(args) -> int:
@@ -562,19 +558,13 @@ def _cmd_dom(args) -> int:
         payload = "\n".join(lines) + "\n"
     _atomic_write(args.out, payload)
 
-    return {"dominated": EXIT_OK, "not_dominated": EXIT_FAIL}.get(report.verdict, EXIT_INCONCLUSIVE)
+    return _EXIT[report.verdict]
 
 
 def _cmd_ap(args) -> int:
     seq, cfg = _resolve_sequence(args)
     report = ap_report(seq, args.mu, args.nmax, envelope=args.envelope)
     cfg.update({"nmax": args.nmax, "mu": args.mu, "envelope": args.envelope})
-    if report.passed:
-        code, verdict = EXIT_OK, "pass"
-    elif report.c_fit is None:  # no residual, so no evidence either way
-        code, verdict = EXIT_INCONCLUSIVE, "inconclusive (window too short for a residual)"
-    else:
-        code, verdict = EXIT_FAIL, "FAIL"
 
     if args.format == "json":
         result = report.to_json_dict()
@@ -584,6 +574,7 @@ def _cmd_ap(args) -> int:
     elif args.format == "csv":
         payload = _csv_table(report.residual_columns(), ["j", "n", "residual", "bound"])
     else:
+        verdict = _PASS_FAIL.get(report.outcome, "inconclusive (window too short for a residual)")
         lines = [
             f"avalanche audit at mu = {args.mu:g} over window {seq.window}",
             f"  ap3 worst gap ratio : {report.ap3_worst:.6g} (allowed {1 / args.mu:.6g})",
@@ -594,7 +585,7 @@ def _cmd_ap(args) -> int:
         ]
         payload = "\n".join(lines) + "\n"
     _atomic_write(args.out, payload)
-    return code
+    return _EXIT[report.outcome]
 
 
 _COMMANDS = {"gen": _cmd_gen, "svg": _cmd_profile, "fi": _cmd_profile, "split": _cmd_split,

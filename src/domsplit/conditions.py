@@ -33,6 +33,7 @@ from .projective import ProjPoint
 
 INF = float("inf")
 NEG_INF = float("-inf")
+_VERDICTS = {"pass": "dominated", "fail": "not_dominated", "inconclusive": "inconclusive"}
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,8 @@ class RateFit:
     table are natural-log ratios; +-inf mark vanished / rank-one products.
     ``rows`` holds the table: (first j, first n, the padded ratio grid whose
     row k holds depth first n + k at grid.shape[1] - k starts from first j).
+    ``outcome`` is the fit's ``_outcome``, which ``_rate_fit`` decides, and
+    ``passed``, the one the JSON document writes, is ``outcome == "pass"``.
     """
 
     rate: float
@@ -97,6 +100,7 @@ class RateFit:
     sup_log: dict[int, float] = dc_field(repr=False, metadata=_PAIRS)
     passed: bool = False
     rows: tuple = dc_field(default=(), repr=False, compare=False)
+    outcome: str = dc_field(default="inconclusive", compare=False)
 
     @property
     def mu(self) -> float:
@@ -109,6 +113,12 @@ class RateFit:
 
     def to_json_dict(self) -> dict:
         return _json_fields(self) | {"mu": self.mu}
+
+
+def _outcome(witnessed: bool, gates_hold: bool) -> str:
+    """The evidence rule of every report: "fail" on a witness, a concrete
+    violation; else "pass" when every gate holds, else "inconclusive"."""
+    return "fail" if witnessed else "pass" if gates_hold else "inconclusive"
 
 
 def _log_ratio_grid(num: np.ndarray, den: np.ndarray, vanished: bool) -> np.ndarray:
@@ -136,9 +146,11 @@ def _sup_row(grid: np.ndarray, count: int) -> np.ndarray:
 def _rate_fit(sup: np.ndarray, first: int, n_lo: int, passes, rows: tuple = ()) -> RateFit:
     """The RateFit of a profile's sup row, entry k at n = first + k: the line
     of ``_fit_lines`` through its finite log sups over max(n_lo, first) ..
-    n_max, (-inf, -inf) with no point and flat through one.  It passes only
-    on evidence: at least one n, no +inf ratio (a vanished product), and the
-    profile's own ``passes(rate, log_c)``; all-zero ratios (rank one) count."""
+    n_max, (-inf, -inf) with no point and flat through one.  Its ``_outcome``
+    is witnessed by a +inf ratio (a vanished denominator) or by two or more
+    fitted points whose line fails the profile's own ``passes(rate, log_c)``,
+    and passes on at least one n and that test: all-zero ratios (rank one)
+    pass; a failed test on fewer than two points is inconclusive."""
     n_lo = max(n_lo, first)
     n_max = first + len(sup) - 1
     ys = sup[n_lo - first:]
@@ -149,9 +161,10 @@ def _rate_fit(sup: np.ndarray, first: int, n_lo: int, passes, rows: tuple = ()) 
     else:
         rate, log_c = (float(v[0]) for v in _fit_lines(xs, ys, np.ones(ys.shape, dtype=bool)))
         resid = float(np.abs(ys - (log_c + rate * xs)).max())
-    passed = n_lo <= n_max and not (sup == INF).any() and passes(rate, log_c)
-    return RateFit(rate, log_c, n_lo, n_max, resid, dict(enumerate(sup.tolist(), first)), passed,
-                   rows)
+    holds = passes(rate, log_c)
+    outcome = _outcome((sup == INF).any() or len(ys) > 1 and not holds, n_lo <= n_max and holds)
+    return RateFit(rate, log_c, n_lo, n_max, resid, dict(enumerate(sup.tolist(), first)),
+                   outcome == "pass", rows, outcome)
 
 
 def _svg_fi_fits(sweep: ProductSweep, thresholds: Thresholds) -> tuple[RateFit, RateFit]:
@@ -359,12 +372,12 @@ def check_domination(
 
 def _certificate(thresholds: Thresholds, sweep: ProductSweep, notes: list[str]) -> DominationReport:
     """The verdict from one sweep's log-sigma grids and fields, and from its
-    sequence, the only one that the stages read."""
+    sequence, the only one that the stages read: the ``_VERDICTS`` name of
+    the ``_outcome`` of its witnesses and of its five gates."""
     lo, hi = sweep.window
     witnesses: list[str] = []
     svg_fit, fi_fit = _svg_fi_fits(sweep, thresholds)
     floor = _norm_floor(sweep)
-    j_lo, j_hi = sweep.jrange
     failed = sweep.failed
 
     edge_failures = [j for j in failed if min(j - lo, hi - j + 1) < 12]
@@ -400,21 +413,10 @@ def _certificate(thresholds: Thresholds, sweep: ProductSweep, notes: list[str]) 
             f"<= sep_min at j = {argmin}"
         )
 
-    if witnesses:
-        verdict = "not_dominated"
-    elif (
-        not failed
-        and min_sep is not None
-        and min_sep > thresholds.sep_min
-        and n_dom is not None
-        and not vanished
-    ):
-        verdict = "dominated"
-    else:
-        verdict = "inconclusive"
-
+    gates = (not failed and min_sep is not None and min_sep > thresholds.sep_min
+             and n_dom is not None and not vanished)
     return DominationReport(
-        verdict=verdict,
+        verdict=_VERDICTS[_outcome(bool(witnesses), gates)],
         svg=svg_fit,
         fi=fi_fit,
         failed_js=failed,
@@ -428,6 +430,6 @@ def _certificate(thresholds: Thresholds, sweep: ProductSweep, notes: list[str]) 
         notes=notes,
         thresholds=thresholds,
         window=(lo, hi),
-        jrange=(j_lo, j_hi),
+        jrange=tuple(sweep.jrange),
         sweep=sweep,
     )

@@ -17,12 +17,14 @@ from domsplit import (
     InvalidSpec,
     Mat2C,
     MatrixSequence,
+    Thresholds,
     build_with_truth,
     dist,
     dump_sequence,
     estimate_fields,
     invariance_residual,
     load_sequence,
+    ueg_check,
 )
 from domsplit import DomsplitError, __version__, cli, cocycle
 from domsplit.cli import _dump_json, main
@@ -1402,6 +1404,81 @@ def _verb_runs(draw):
     return argv
 
 
+# the README's exit codes of the outcomes, and of dom's verdicts
+_README_EXIT = {"pass": 0, "dominated": 0, "fail": 1, "not_dominated": 1, "inconclusive": 3}
+
+
+def _recorded_main(argv):
+    """main(argv)'s exit code, stdout and stderr, and the arguments and the
+    result of the library call that made the verb's report: svg_profile,
+    fi_profile, estimate_fields, check_domination or ap_report; (None, None)
+    when the verb stopped before one returned."""
+    calls = []
+
+    def recorder(fn):
+        def call(*args, **kwargs):
+            calls.append((args, fn(*args, **kwargs)))
+            return calls[-1][1]
+        return call
+
+    names = ("svg_profile", "fi_profile", "estimate_fields", "check_domination", "ap_report")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.multiple(cli, **{name: recorder(getattr(cli, name)) for name in names}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    args, report = calls[0] if calls else (None, None)
+    return code, out.getvalue(), err.getvalue(), args, report
+
+
+def _fit_rule_oracle(fit, holds: bool) -> str:
+    """The profile verbs' evidence rule, written out from the fit's fields as
+    an oracle for ``RateFit.outcome``: a +inf ratio fails; a fit over some n
+    whose profile test ``holds`` passes; else fewer than two finite ratios
+    at n >= n_lo are inconclusive, and more fail."""
+    if any(v == math.inf for v in fit.sup_log.values()):
+        return "fail"
+    if fit.n_lo <= fit.n_hi and holds:
+        return "pass"
+    points = sum(1 for n, v in fit.sup_log.items() if n >= fit.n_lo and math.isfinite(v))
+    return "inconclusive" if points < 2 else "fail"
+
+
+def _verb_rule_oracle(verb, args, report) -> str:
+    """The outcome, or dom's verdict, of each verb's evidence rule written
+    out from the report's fields: the oracle for the library's outcome."""
+    if verb in ("svg", "fi"):
+        seq, n_max, t = args
+        if verb == "svg":
+            holds = -report.rate > math.log(t.mu_min)
+        else:
+            svg = cli.svg_profile(seq, n_max, t)
+            holds = report.rate < (1.0 - t.epsilon) * -svg.rate and report.log_c <= t.fi_log_c_max
+        return _fit_rule_oracle(report, holds)
+    if verb == "split":
+        return "pass" if len(report.js) and not report.failed else "inconclusive"
+    if verb == "ap":
+        if report.conditions_pass and report.c_fit is not None and report.c_fit <= report.envelope:
+            return "pass"
+        return "inconclusive" if report.c_fit is None else "fail"
+    sep, sep_min = report.min_separation, report.thresholds.sep_min
+    vanished = any(v == -math.inf for v in report.norm_floor_log.values())
+    if vanished or (sep is not None and sep <= sep_min):
+        return "not_dominated"
+    if not report.failed_js and sep is not None and sep > sep_min and report.n_dom is not None:
+        return "dominated"
+    return "inconclusive"
+
+
+def _outcome_of(verb, report) -> str:
+    """The report's own outcome, or dom's verdict; split, which has no report
+    object, passes when it estimated every site of a jrange that held one."""
+    if verb == "dom":
+        return report.verdict
+    if verb == "split":
+        return "pass" if len(report.js) and not report.failed else "inconclusive"
+    return report.outcome
+
+
 class TestVerbContract:
     """Every verb, on short windows with thresholds at their edges, exits
     with a code the README names, writes strict JSON, and exits 0 or 1 only
@@ -1410,24 +1487,115 @@ class TestVerbContract:
     @settings(max_examples=250, deadline=None)
     @given(_verb_runs())
     def test_exit_codes_match_the_report(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        out, err = out.getvalue(), err.getvalue()
+        code, out, err, args, report = _recorded_main(argv)
         assert code in (0, 1, 2, 3), err
         assert "internal error" not in err
         if code == 2:
             return
-        result = json.loads(out, parse_constant=_refuse)["result"]
+        if report is None:  # a library error before the report
+            assert code == 3 and out == "" and err
+            return
         verb = argv[0]
+        outcome = _outcome_of(verb, report)
+        assert code == _README_EXIT[outcome], err
+        assert outcome == _verb_rule_oracle(verb, args, report)
+        result = json.loads(out, parse_constant=_refuse)["result"]
         if verb == "dom":
             assert (code == 1) == bool(result["witnesses"])
             if code == 0:
                 assert result["fields"] and not result["failed_js"]
         elif verb == "ap" and code in (0, 1):
             assert result["c_fit"] is not None
-        elif verb in ("svg", "fi") and code == 0:
-            assert result["passed"]
+        elif verb in ("svg", "fi", "ap"):
+            assert result["passed"] == (code == 0)
+
+
+def _evidence_file(tmp_path, name):
+    """The rank-one window diag(1, 0) at j = 0 .. 29, whose ratios are all
+    exactly zero, or a conjugated_dominated window with complementary
+    projections at sites 0 and 1, through which every product vanishes."""
+    path = tmp_path / f"{name}.json"
+    if name == "rank1":
+        seq = MatrixSequence({j: Mat2C(1.0, 0.0, 0.0, 0.0) for j in range(30)}, 2.0)
+    else:
+        seq = vanishing(build_with_truth(GeneratorSpec(
+            "conjugated_dominated", (-45, 45), {"rate_mode": "constant"}, 1))[0])
+    dump_sequence(seq, str(path))
+    return str(path)
+
+
+_AP_FAMILY = ["--family", "ap_family", "--params", '{"mu": 1e3}', "--mu", "1e3", "--nmax", "3"]
+_CD3 = ["--family", "conjugated_dominated", "--seed", "3", "--window", "-30", "30",
+        "--jrange", "-6", "6"]
+# a gap factor of 1.5 per step: the gap of 2 takes N = 2
+_SLOW_GAP = ["--family", "diagonal", "--lplus", "1.5", "--lminus", "1", "--window", "-30", "30",
+             "--jrange", "-6", "6"]
+
+
+class TestOneEvidenceRule:
+    """Each report's outcome, which its verb's exit code reads, is the one
+    its verb's evidence rule gives, on the edges of that rule."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (["svg", "--family", "example1", "--window", "-20", "20", "--nmax", "1"], "inconclusive"),
+        (["fi", "--family", "example1", "--window", "-20", "20", "--nmax", "1"], "inconclusive"),
+        (["fi", "--family", "diagonal", "--window", "-25", "25", "--nmax", "2"], "inconclusive"),
+        (["svg", "--input", "@rank1", "--nmax", "10"], "pass"),
+        (["fi", "--input", "@rank1", "--nmax", "10"], "pass"),
+        (["svg", "--input", "@vanish"], "fail"),
+        (["fi", "--input", "@vanish"], "fail"),
+        (["svg", "--family", "diagonal", "--window", "-25", "25"], "pass"),
+        (["svg", "--family", "unitary", "--window", "-25", "25", "--nmax", "20"], "fail"),
+        (["ap", *_AP_FAMILY, "--window", "0", "0"], "inconclusive"),
+        (["ap", *_AP_FAMILY, "--window", "0", "1"], "inconclusive"),
+        (["ap", *_AP_FAMILY, "--window", "0", "2"], "pass"),
+        (["ap", "--family", "unitary", "--window", "0", "30", "--mu", "1e3", "--nmax", "10"],
+         "fail"),
+        (["dom", "--family", "example1", "--window", "-40", "40", "--jrange", "-20", "20"],
+         "not_dominated"),
+        (["dom", "--family", "unitary", "--window", "-45", "45"], "inconclusive"),
+        (["dom", *_CD3], "dominated"),
+        (["dom", *_SLOW_GAP, "--ncap", "2"], "dominated"),
+        (["dom", *_SLOW_GAP, "--ncap", "1"], "inconclusive"),  # no gap depth N within ncap
+        (["dom", "--input", "@vanish"], "not_dominated"),
+        (["split", "--family", "example1", "--window", "0", "6"], "inconclusive"),
+        (["split", *_CD3], "pass"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_verb_outcome(self, tmp_path, argv, want):
+        argv = [_evidence_file(tmp_path, a[1:]) if a.startswith("@") else a for a in argv]
+        code, _, err, args, report = _recorded_main([*argv, "--format", "json"])
+        outcome = _outcome_of(argv[0], report)
+        assert (outcome, code) == (want, _README_EXIT[want]), err
+        assert outcome == _verb_rule_oracle(argv[0], args, report)
+
+    @pytest.mark.parametrize("spec, n_max, want", [
+        (("schrodinger", (0, 40), {"energy": 3.0}), 10, "pass"),
+        (("schrodinger", (0, 40), {"energy": 3.0}), 1, "inconclusive"),
+        (("schrodinger", (0, 40), {"energy": 0.0}), 10, "fail"),
+        (("diagonal", (0, 30), {"lplus": 2.0, "lminus": 0.5}), 3, "pass"),
+    ], ids=["hyperbolic", "nmax1", "elliptic", "diagonal"])
+    def test_ueg_outcome(self, spec, n_max, want):
+        seq, _ = build_with_truth(GeneratorSpec(*spec))
+        t = Thresholds(n_max=n_max)
+        fit = ueg_check(seq, n_max, t)
+        holds = (fit.rate >= math.log(t.ueg_lambda_min)
+                 and all(math.isfinite(v) for v in fit.sup_log.values()))
+        assert fit.outcome == _fit_rule_oracle(fit, holds) == want
+        assert fit.passed == (want == "pass")
+
+    @pytest.mark.parametrize("verb, family, n_max, code, verdict", [
+        ("svg", "example1", "1", 3, "inconclusive (fewer than two points to fit)"),
+        ("fi", "example1", "1", 3, "inconclusive (fewer than two points to fit)"),
+        ("svg", "diagonal", "10", 0, "pass"),
+        ("fi", "diagonal", "10", 0, "pass"),
+        ("svg", "unitary", "10", 1, "FAIL"),
+        ("fi", "example1", "10", 1, "FAIL"),
+    ])
+    def test_text_verdict_reads_the_outcome(self, capsys, verb, family, n_max, code, verdict):
+        got, out, err = run(capsys, verb, "--family", family, "--window", "-20", "20",
+                            "--nmax", n_max)
+        assert got == code, err
+        assert f"  verdict     : {verdict}\n" in out
 
 
 class TestStrictJson:

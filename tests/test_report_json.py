@@ -38,8 +38,11 @@ def test_document_holds_the_compared_fields(name):
     report, skip, extras = REPORTS[name]
     compared = {f.name for f in fields(report) if f.compare}
     assert set(report.to_json_dict()) == (compared - set(skip)) | set(extras)
-    # the fields left out of == are the bulky or derived ones
-    assert {f.name for f in fields(report) if not f.compare} <= {"rows", "sweep"}
+    # the fields left out of == are the bulky or derived ones: the document
+    # writes a report's outcome as its passed
+    assert {f.name for f in fields(report) if not f.compare} <= {"rows", "sweep", "outcome"}
+    if hasattr(report, "outcome"):
+        assert report.passed == (report.outcome == "pass")
 
 
 def test_nested_reports_and_tuples():
