@@ -196,9 +196,8 @@ class ApReport:
 
     ``rows`` holds (lo, 3, the padded residual grid), whose row n - 3 holds
     residual(j, n) at starts j = lo .. hi - n + 1; ``residuals`` is built
-    from it when first read.  ``outcome`` is the audit's ``_outcome``, which
-    ``ap_report`` decides, and ``passed``, the one the JSON document writes,
-    is ``outcome == "pass"``.
+    from it when first read.  ``passed``, the audit, is the one decision the
+    report stores and its JSON document writes; ``outcome`` is read off it.
     """
 
     mu: float
@@ -210,7 +209,10 @@ class ApReport:
     fitted_slope: float | None  # trend of max_j residual(j, n)/n against n
     passed: bool
     rows: tuple = dc_field(repr=False, compare=False)
-    outcome: str = dc_field(compare=False)
+
+    @property
+    def outcome(self) -> str:  # a residual that fails is a witness; no c_fit, no evidence
+        return _outcome(self.c_fit is not None and not self.passed, self.passed)
 
     @cached_property
     def residuals(self) -> dict[tuple[int, int], float]:
@@ -298,7 +300,6 @@ def ap_report(
         slope = _fit_rates(column[:np.flatnonzero(column > 0).max(initial=0) + 1])[0]
     # a window too short for a residual (L < 3) has no evidence either way
     audit = ok and c_fit is not None and c_fit <= envelope
-    outcome = _outcome(c_fit is not None and not audit, audit)
     return ApReport(
         mu=mu,
         ap3_worst=ap3,
@@ -307,7 +308,6 @@ def ap_report(
         envelope=envelope,
         c_fit=c_fit,
         fitted_slope=slope,
-        passed=outcome == "pass",
+        passed=audit,
         rows=(lo, 3, grid),
-        outcome=outcome,
     )

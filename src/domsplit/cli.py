@@ -543,9 +543,9 @@ def _cmd_dom(args) -> int:
         lines = [
             f"dominated-splitting certificate over window {seq.window}",
             f"  verdict        : {report.verdict}",
-            f"  svg            : {'pass' if report.svg.passed else 'FAIL'}"
+            f"  svg            : {_PASS_FAIL.get(report.svg.outcome, 'inconclusive')}"
             f" (mu {report.svg.mu:.6g})",
-            f"  fi             : {'pass' if report.fi.passed else 'FAIL'}"
+            f"  fi             : {_PASS_FAIL.get(report.fi.outcome, 'inconclusive')}"
             f" (rate {report.fi.rate:+.6g}, C {_log2str(report.fi.log_c)})",
             f"  min separation : {report.min_separation}",
             f"  N_dom          : {report.n_dom} (gap factor {report.lambda_dom})",

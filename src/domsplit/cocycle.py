@@ -657,39 +657,37 @@ def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 2.0 * np.abs(p[0] * q[1] - p[1] * q[0])
 
 
-def _pow2_rescue(*zs: np.ndarray) -> np.ndarray | None:
-    """The exponents k = -floor(log2 s) of the exact 2^k rescue of
-    ``rescale_pow2``, where s, the largest real or imaginary part of a row
-    of zs, leaves (1e-280, 1e280); 0 on other rows, None when no row needs
-    it."""
-    s = np.maximum.reduce([np.abs(x) for z in zs for x in (z.real, z.imag)])
-    far = ~((s > 1e-280) & (s < 1e280))
+def _pow2_exponents(s: np.ndarray, far: np.ndarray) -> np.ndarray | None:
+    """k = -floor(log2 s), which takes s into [1, 2) by an exact 2^k, where
+    far holds and 0 elsewhere, in s's shape; None when far holds nowhere."""
     if not np.count_nonzero(far):
         return None
-    k = np.zeros(len(s), dtype=np.int64)
+    k = np.zeros(s.shape, dtype=np.int64)
     k[far] = -np.floor(np.log2(s[far])).astype(np.int64)
     return k
+
+
+def _pow2_rescue(*zs: np.ndarray) -> np.ndarray | None:
+    """The exponents of ``rescale_pow2``'s exact 2^k rescue of each vector
+    of zs, arrays of one shape: those of s, its largest real or imaginary
+    part, where s leaves (1e-280, 1e280), and 0 on the other vectors and on
+    zero vectors, which stay zero; None when no vector needs it."""
+    s = np.maximum.reduce([np.abs(x) for z in zs for x in (z.real, z.imag)])
+    return _pow2_exponents(s, ~((s > 1e-280) & (s < 1e280)) & (s != 0.0))
 
 
 def _project(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
     """``project`` over arrays of vectors (v0, v1): the canonical unit
     representatives as a (2, K) array, each within rounding of the scalar
-    function's.  Raises ZeroVector if any vector is zero."""
+    function's, normalised by ``_unit``; a lead near the subnormals takes a
+    2^k rescue of its own.  Raises ZeroVector if any vector is zero."""
     if not len(v0):  # a sweep without sites, as the avalanche audit runs it
         return np.empty((2, 0), dtype=complex)
-    with np.errstate(over="ignore"):  # an inf norm is taken again after the rescue
+    with np.errstate(over="ignore"):  # an inf norm is taken again after _unit's rescue
         norm = np.hypot(np.abs(v0), np.abs(v1))
     if np.count_nonzero(norm <= _VEC_ZERO_TOL):
         raise ZeroVector("cannot project a zero vector")
-    # a vector's largest part lies in [norm / 2, norm], so norms within
-    # (4e-280, 5e279) leave every one inside the rescue's band (1e-280, 1e280)
-    # with a factor 2 to spare for rounding
-    if not (norm.min() > 4e-280 and norm.max() < 5e279):
-        k = _pow2_rescue(v0, v1)
-        if k is not None:
-            v0, v1 = _ldexp_c(v0, k), _ldexp_c(v1, k)
-            norm = np.hypot(np.abs(v0), np.abs(v1))
-    x, y = v0 / norm, v1 / norm
+    x, y = _unit(v0, v1, norm)
     # _phase_to_first_positive with x as the lead; x = 0 is the point at infinity
     at_inf = x == 0
     lead = np.where(at_inf, 1.0, x)
@@ -759,18 +757,19 @@ def _right_vectors(p, r, q, aq, s1sq):
 
 
 def _unit(w0: np.ndarray, w1: np.ndarray, nw: np.ndarray):
-    """(w0 / nw, w1 / nw) for nw the norm of each vector (w0, w1); a zero
-    vector is divided by 1 and stays zero.  As rescale_pow2 in svd2: numpy's
-    complex division takes the reciprocal of nw, which overflows for a
-    subnormal nw, so the vectors with 0 < nw < 1e-280 are scaled by an exact
-    2^k and their norm taken again first."""
-    if np.count_nonzero(nw < 1e-280):
-        nw = np.where(nw == 0.0, 1.0, nw)
-        small = nw < 1e-280
-        if np.count_nonzero(small):  # not when every such vector is zero, as in a vanished run
-            k = np.where(small, -np.floor(np.log2(nw)), 0).astype(np.int64)
+    """(w0 / nw, w1 / nw) for nw the norm of each vector (w0, w1), arrays of
+    one shape; a zero vector stays zero.  numpy's complex division takes the
+    reciprocal of nw, which overflows for a subnormal nw, and nw overflows
+    past 1.3e308, so when a norm leaves (4e-280, 5e279) the vectors get
+    ``_pow2_rescue``'s exact 2^k, as ``rescale_pow2`` in svd2, and their norms
+    are taken again.  A largest part lies in [nw / 2, nw], so in-band norms
+    leave every part in the rescue's band with a factor 2 to spare."""
+    if not (nw.min() > 4e-280 and nw.max() < 5e279):
+        k = _pow2_rescue(w0, w1)
+        if k is not None:
             w0, w1 = _ldexp_c(w0, k), _ldexp_c(w1, k)
-            nw = np.where(small, np.hypot(np.abs(w0), np.abs(w1)), nw)
+            nw = np.hypot(np.abs(w0), np.abs(w1))
+        nw = np.where(nw == 0.0, 1.0, nw)
     return w0 / nw, w1 / nw
 
 
@@ -798,21 +797,17 @@ def _degenerate(p: np.ndarray, r: np.ndarray, s1sq: np.ndarray) -> np.ndarray:
 
 def _prescale_rows(z: np.ndarray):
     """``_prescale`` over a (4, m) stack of matrices [[a, b], [c, d]]: the
-    rows whose largest entry modulus leaves (1e-120, 1e120) scaled by an
-    exact 2^k.  Returns (z, k, zero), k None where no row needs it; ``zero``
-    flags the rows that are the zero matrix (every entry at most
-    ENTRY_ZERO_TOL), which stay as they are.  The moduli are exact, as
-    ``_prescale`` takes them: hypot of the parts is Python's complex abs,
-    bit for bit, where numpy's complex modulus can differ by an ulp and so
-    move a row across a threshold."""
+    rows whose largest entry modulus leaves (1e-120, 1e120) scaled by the
+    exact 2^k of ``_pow2_exponents``.  Returns (z, k, zero), k None where no
+    row needs it; ``zero`` flags the rows that are the zero matrix (every
+    entry at most ENTRY_ZERO_TOL), which stay as they are.  The moduli are
+    exact, as ``_prescale`` takes them: hypot of the parts is Python's
+    complex abs, bit for bit, where numpy's complex modulus can differ by an
+    ulp and so move a row across a threshold."""
     biggest = np.hypot(z.real, z.imag).max(axis=0)
     zero = biggest <= ENTRY_ZERO_TOL
-    scaled = ~zero & ((biggest <= 1e-120) | (biggest >= 1e120))
-    if not np.count_nonzero(scaled):
-        return z, None, zero
-    k = np.zeros(len(biggest), dtype=np.int64)
-    k[scaled] = -np.floor(np.log2(biggest[scaled])).astype(np.int64)
-    return _ldexp_c(z, k), k, zero
+    k = _pow2_exponents(biggest, ~zero & ((biggest <= 1e-120) | (biggest >= 1e120)))
+    return (z, None, zero) if k is None else (_ldexp_c(z, k), k, zero)
 
 
 def _factor_values(z: np.ndarray) -> tuple:
@@ -885,14 +880,16 @@ class _DirectionRuns:
         steps.fill(np.nan)
 
     def advance(self, n, room, vanished, degenerate, pts, tol):
-        """Layer n at each column: room says the column may look at depth n;
-        pts is its unit direction as a (2, W) array, meaningful where neither
-        flag is set.  Either flag is None where it holds at no column.  Room
-        only shrinks as n grows, so a column without it is done.  pts is None
-        on a layer where every column is degenerate or vanished: then the
-        flags are taken as ever, but no step is taken, nothing closes, and
-        every live run restarts."""
-        self.done |= ~room
+        """Layer n at each column.  room = (s_end, u_start): the s columns of
+        the sites before s_end and the u columns from site u_start on may look
+        at depth n; s_end only falls and u_start only rises, so the rest are
+        done.  pts is each unit direction as a (2, W) array, meaningful where
+        neither flag is set; a flag is None where it holds at no column.  pts
+        is None on a layer where every column is degenerate or vanished: the
+        flags still count, but no step is taken and every live run restarts."""
+        s_end, u_start = room
+        half = len(self.done) // 2
+        self.done[s_end:half + u_start] = True
         live = ~self.done
         if vanished is not None:
             # the scalar scan raises ProductVanished before it reads this layer
@@ -1083,8 +1080,9 @@ def product_sweep(
     sites, to depth n_max, as one rule over 2S columns, the s side of each
     site and then its u side: s_n(j) is read from layer n at start j and
     u_n(j) from layer n at start j - n, since B_n(j - n) is the forward
-    product starting there.  The sites are a contiguous range, so the
-    directions are taken only on the rows that the columns with room read.
+    product starting there.  The sites are a contiguous range, so a layer
+    hands ``_DirectionRuns.advance`` the bounds of the columns whose start is
+    one of its rows, and takes directions only on the rows those read.
     A layer on which every one of those rows is degenerate, vanished rows
     included, takes no direction at all: no right vector, u image or
     distance, since every live run restarts there, as the scalar rule's
@@ -1119,9 +1117,8 @@ def product_sweep(
     block = np.empty(2 * cells + rows * 2 * n_sites)
     # one column per side of each site, s columns then u columns.  At layer n
     # the s column of site j reads start j (s_n(j)) and its u column start
-    # j - n (u_n(j)); a column has room while n <= its depth.
+    # j - n (u_n(j)), while that start is a row of the layer.
     runs = _DirectionRuns(block[2 * cells:].reshape(rows, 2 * n_sites))
-    depth = np.concatenate([size - sites, sites])
     pts = np.zeros((2, 2 * n_sites), dtype=complex)
 
     # buffers allocated once: raw and core take turns as (4, m) views of the
@@ -1158,9 +1155,9 @@ def product_sweep(
             continue
         # the rows a .. b - 1 hold what the columns with room read: the s
         # columns of the sites before s_end and the u columns from site
-        # u_start on.  The directions and sigma2 / sigma1 do not change under
-        # the 2^k prescale or the 1/sigma1 renormalisation, so the raw
-        # quadratic answers for core.
+        # u_start on, the ones whose start is a row here.  The directions and
+        # sigma2 / sigma1 do not change under the 2^k prescale or the
+        # 1/sigma1 renormalisation, so the raw quadratic answers for core.
         a, b = max(first - n, 0), min(last + 1, m)
         s_end, u_start = min(max(m - first, 0), n_sites), min(max(n - first, 0), n_sites)
         s_rows = slice(first - a, first - a + s_end)
@@ -1192,7 +1189,7 @@ def product_sweep(
             nu[nu == 0.0] = 1.0
             u *= 1.0 / nu
             directions, degenerate = pts, columns(degenerate)
-        runs.advance(n, depth >= n, None if vanished is None else columns(vanished[a:b]),
+        runs.advance(n, (s_end, u_start), None if vanished is None else columns(vanished[a:b]),
                      degenerate, directions, tol)
 
     # log 0 = -inf on vanished rows, and past the staircase log inf = inf,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -269,6 +270,16 @@ class TestApReport:
         seq = family("unitary", (0, 20), params={"angle": 0.5})
         rep = ap_report(seq, 10.0, 10)
         assert not rep.conditions_pass and not rep.passed
+
+    def test_outcome_reads_passed(self):
+        """The report stores one decision: a copy with another ``passed``,
+        as a caller may build it, carries it in ``outcome`` too."""
+        seq = family("ap_family", (0, 40), {"mu": 1e4}, 0)
+        ap = ap_report(seq, 1e4, 10)
+        assert ap.c_fit is not None and (ap.passed, ap.outcome) == (True, "pass")
+        assert dataclasses.replace(ap, passed=False).outcome == "fail"
+        short = ap_report(family("ap_family", (0, 1), {"mu": 1e4}, 0), 1e4, 10)
+        assert (short.passed, short.outcome) == (False, "inconclusive")
 
     def test_needs_nmax_three(self):
         seq = family("diagonal", (0, 20))

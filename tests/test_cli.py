@@ -1598,6 +1598,17 @@ class TestOneEvidenceRule:
         assert f"  verdict     : {verdict}\n" in out
 
 
+    def test_dom_text_prints_each_fit_outcome(self, capsys):
+        """dom's svg and fi lines print each fit's outcome: fits over no n
+        are inconclusive, not FAIL."""
+        got, out, err = run(capsys, "dom", "--family", "diagonal", "--window", "-25", "25",
+                            "--nmax", "1")
+        assert got == 3, err
+        assert "  svg            : inconclusive (mu inf)\n" in out
+        assert "  fi             : inconclusive (rate -inf, C 2^-inf)\n" in out
+        assert "FAIL" not in out
+
+
 class TestStrictJson:
     """Reports of vanished and rank-one products hold no Infinity or NaN."""
 

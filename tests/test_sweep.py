@@ -48,7 +48,7 @@ from domsplit import ap_report, cocycle
 from domsplit.cli import main
 from domsplit.cocycle import _apply, _fit_rates, _project
 from domsplit.conditions import _certificate, _gap_search, _norm_floor, _svg_fi_fits
-from domsplit.matrix2c import DEGENERATE_REL_TOL, ENTRY_ZERO_TOL, _prescale
+from domsplit.matrix2c import DEGENERATE_REL_TOL, ENTRY_ZERO_TOL, _prescale, rescale_pow2
 
 from conftest import (
     _direction_run,
@@ -1227,6 +1227,40 @@ def three_hypot_right_vectors(p, r, q, s1sq):
     return w0 / nw, w1 / nw
 
 
+# vectors (w0, w1) at every scale that ``_unit`` meets: zero, subnormal,
+# near 1e-290, in band, near 1e300, and parts of 1.5e308, whose norm overflows
+_UNIT_COLUMNS = [
+    (0j, 0j),
+    (5e-324 + 0j, -5e-324j),
+    (complex(3e-310, -1e-311), 2e-309 + 0j),
+    (1e-290 + 3e-291j, -2e-290 + 0j),
+    (complex(0.3, -0.4), 1.2 + 0.5j),
+    (0j, -2.0 + 0j),
+    (1e300 + 0j, complex(-2e299, 1e299)),
+    (complex(1.5e308, 0.0), -1.5e308j),
+]
+
+
+def test_unit_rescues_as_rescale_pow2():
+    """``_unit`` over the (2, K) arrays that ``_gap_search`` passes, the sides
+    u and s of K sites: the bits of ``rescale_pow2`` and a division by the
+    hypot of the moduli, column by column, with zero vectors unchanged."""
+    cols = _UNIT_COLUMNS
+    w0 = np.array([[a for a, _ in cols], [b for _, b in cols[::-1]]])
+    w1 = np.array([[b for _, b in cols], [a for a, _ in cols[::-1]]])
+    with np.errstate(over="ignore"):  # the 1.5e308 column's norm is inf
+        nw = np.hypot(np.abs(w0), np.abs(w1))
+    got0, got1 = cocycle._unit(w0, w1, nw)
+    assert got0.shape == got1.shape == (2, len(cols))
+    for i in range(2):
+        for k in range(len(cols)):
+            v = np.array(rescale_pow2((complex(w0[i, k]), complex(w1[i, k]))))
+            norm = np.hypot(np.abs(v[0]), np.abs(v[1]))
+            want = v if norm == 0.0 else v / norm
+            assert np.array([got0[i, k], got1[i, k]]).tobytes() == want.tobytes(), (i, k)
+    assert np.isfinite(got0).all() and np.isfinite(got1).all()
+
+
 # a row whose Gram off-diagonal q is subnormal and whose p = r: its
 # eigenvector row has a subnormal norm, whose reciprocal overflows
 _SUBNORMAL_Q = np.array([[5e-324 + 5e-324j], [1 + 1j], [1 + 1j], [0j]])
@@ -1516,16 +1550,47 @@ def test_skip_on_layers_with_vanished_rows(seed):
     assert_matches_scalar_columns(seq, sweep)
 
 
+def test_room_bounds_match_the_depth_rule():
+    """A column has room at layer n exactly when its start is a row of the
+    layer: the s column of site j while n <= L - (j - lo) and the u column
+    while n <= j - lo.  The bounds that the sweep hands ``advance`` keep
+    just those columns, on a jrange that runs out of room on both sides."""
+    seq, _ = build_with_truth(GeneratorSpec("conjugated_dominated", (-20, 20), seed=1))
+    bounds = []
+    advance = cocycle._DirectionRuns.advance
+
+    def spied(runs, n, room, *args):
+        bounds.append((n, room))
+        return advance(runs, n, room, *args)
+
+    with mock.patch.object(cocycle._DirectionRuns, "advance", spied):
+        product_sweep(seq, 40, (-19, 19), 1e-300)  # no run stops at tol 1e-300
+    sites = np.arange(-19, 20) - seq.lo
+    depth = np.concatenate([len(seq) - sites, sites])
+    half = len(sites)
+    assert [n for n, _ in bounds] == list(range(1, len(bounds) + 1)) and len(bounds) >= 20
+    for n, (s_end, u_start) in bounds:
+        kept = np.ones(2 * half, dtype=bool)
+        kept[s_end:half + u_start] = False
+        assert np.array_equal(kept, depth >= n), n
+
+
 def test_restart_matches_an_all_degenerate_layer():
     """``advance`` without directions leaves the state that an advance with
     every column flagged degenerate leaves, whatever its points."""
     rng = np.random.default_rng(31)
     width, depth = 16, 30
     skipped, fed = (cocycle._DirectionRuns(np.empty((depth, width))) for _ in range(2))
-    room_to = rng.integers(4, depth + 1, width)
+    half = width // 2
+    s_end, u_start = half, 0
     near = np.array([[1.0], [0.0]], dtype=complex)
     for n in range(1, depth + 1):
-        room = room_to >= n
+        # the row bounds: s_end falls and u_start rises at random layers
+        if n > 3 and rng.random() < 0.2:
+            s_end = max(s_end - int(rng.integers(1, 3)), 0)
+        if n > 3 and rng.random() < 0.2:
+            u_start = min(u_start + int(rng.integers(1, 3)), half)
+        room = (s_end, u_start)
         vanished = rng.random(width) < 0.05 if n % 4 == 0 else None
         pts = near + 1e-3 * (rng.standard_normal((2, width)) + 1j * rng.standard_normal((2, width)))
         pts /= np.sqrt((np.abs(pts) ** 2).sum(axis=0))
