@@ -57,6 +57,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -359,14 +360,19 @@ def _entry_stack(records, lo: int, hi: int) -> np.ndarray | None:
     entry by entry, for the errors that loop raises."""
     try:
         js = [rec["j"] for rec in records]
-        parts = np.array([rec["m"] for rec in records])
+        ms = [rec["m"] for rec in records]
+        pairs = list(chain.from_iterable(ms))
+        if not (set(map(len, ms)) == {4} and set(map(len, pairs)) == {2}
+                and set(map(type, js)) <= {int, float}  # not True for 1, nor a str
+                and js == list(range(lo, hi + 1))):
+            return None
+        # unary + refuses a str (which fromiter would parse), None, a list
+        # and a dict, and gives a bool's int, as complex(re, im) reads it
+        parts = np.fromiter(map(operator.pos, chain.from_iterable(pairs)), dtype=float,
+                            count=2 * len(pairs))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError):
         return None
-    if not (parts.shape == (len(js), 4, 2) and parts.dtype.kind in "bif"
-            and set(map(type, js)) <= {int, float}  # not True for 1, nor a str
-            and len(js) == hi - lo + 1 and js == list(range(lo, hi + 1))):
-        return None
-    return np.ascontiguousarray(parts, dtype=float).view(complex).reshape(-1, 4).T
+    return parts.view(complex).reshape(-1, 4).T
 
 
 # orjson reads what json reads, to the bit, except that it refuses NaN,

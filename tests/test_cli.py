@@ -26,8 +26,10 @@ from domsplit import (
     load_sequence,
     ueg_check,
 )
-from domsplit import DomsplitError, __version__, cli, cocycle
+from domsplit import DomsplitError, __version__, avalanche, cli, cocycle, conditions
+from domsplit.avalanche import ApReport
 from domsplit.cli import _dump_json, main
+from domsplit.conditions import RateFit
 from domsplit.generators import FAMILIES
 
 from conftest import column_rows, rank_one_window, vanishing
@@ -1374,6 +1376,137 @@ class TestReportEncoder:
         assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out
         if argv[0] != "split":  # the grids the CLI writes from columns
             assert _report_tables(doc["result"], argv[0]) == _library_tables(argv)
+
+
+# cells of each of _cell_texts' bands: the names, [1e-10, 1e-4) and >= 1e16
+# (repr's exponent forms), below 1e-10, positional, and the band edges
+_STAIR_CELLS = st.sampled_from([math.inf, -math.inf, math.nan, 1.5e-5, -3e-10, 1e16, 2.5e300,
+                                -7e22, 4e-300, 0.5, -0.0, 123.25, *_BAND_CELLS.tolist()])
+_STAIR_PAD = 12345.0  # past the staircase: no row may read it
+
+
+def _stair_grid(count, width, cells):
+    """A count x width grid whose row k holds cells at its first width - k
+    columns, in (k, column) order, and ``_STAIR_PAD`` past them."""
+    grid = np.full((count, width), _STAIR_PAD)
+    cells = iter(cells)
+    for k in range(count):
+        grid[k, :max(width - k, 0)] = [next(cells) for _ in range(max(width - k, 0))]
+    return grid
+
+
+_BAND_GRID = _stair_grid(4, 5, [math.inf, -math.inf, math.nan, 1e-10, 9.99e-5, 1e16, 1.5e17,
+                                -2e-9, 3e-11, 0.1, -1e300, 5e-324, 42.0, -0.0])
+
+
+@st.composite
+def _staircases(draw):
+    """(j0, n0, grid) of a staircase table: count may exceed width or be 0."""
+    count, width = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(_STAIR_CELLS | st.floats(), min_size=count * width,
+                          max_size=count * width))
+    return draw(st.integers(-5, 5)), draw(st.integers(0, 4)), _stair_grid(count, width, cells)
+
+
+_STAIR_EXAMPLES = [
+    (-3, 0, _stair_grid(5, 2, [0.5, -1.5, 2.5])),  # count > width: depths past the last start
+    (2, 1, np.empty((0, 4))),  # count 0: no row
+    (0, 3, _stair_grid(3, 1, [7.0])),  # width 1
+    (-7, 1, _BAND_GRID),  # a negative j0, the names and repr's exponent forms
+]
+
+
+class TestStaircaseWriter:
+    """``_table_text`` writes a report table from its staircase grid: the
+    rows of ``RateFit.table_columns`` / ``ApReport.residual_columns``, as
+    json.dumps and csv.writer write them."""
+
+    @staticmethod
+    def _fit_rows(rows):
+        return column_rows(RateFit(0.0, 0.0, 0, 0, 0.0, {}, rows=rows).table_columns())
+
+    @staticmethod
+    def _ap_rows(rows, mu):
+        report = ApReport(mu, 0.0, 0.0, True, 1.0, None, None, False, rows=rows)
+        return column_rows(report.residual_columns())
+
+    @settings(max_examples=300, deadline=None)
+    @given(_staircases(), st.integers(0, 2))
+    @example(rows=_STAIR_EXAMPLES[0], depth=1)
+    @example(rows=_STAIR_EXAMPLES[1], depth=0)
+    @example(rows=_STAIR_EXAMPLES[1], depth=2)
+    @example(rows=_STAIR_EXAMPLES[2], depth=1)
+    @example(rows=_STAIR_EXAMPLES[3], depth=2)
+    def test_json_matches_the_rows(self, rows, depth):
+        doc, want = cli._Staircase((*rows, None)), self._fit_rows(rows)
+        for _ in range(depth):
+            doc, want = {"t": [doc]}, {"t": [want]}
+        assert _dump_json(doc) == json.dumps(_named(want), sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_staircases())
+    @example(rows=_STAIR_EXAMPLES[0])
+    @example(rows=_STAIR_EXAMPLES[1])
+    @example(rows=_STAIR_EXAMPLES[2])
+    @example(rows=_STAIR_EXAMPLES[3])
+    def test_csv_matches_csv_writer(self, rows):
+        header = ["j", "n", "ratio_log"]
+        text = cli._csv_staircase(cli._Staircase((*rows, None)), header)
+        assert text == csv_writer_text(self._fit_rows(rows), header)
+
+    @pytest.mark.parametrize("mu", [10.0, 1e3, 1e4])
+    @pytest.mark.parametrize("rows", _STAIR_EXAMPLES, ids=["deep", "empty", "width1", "bands"])
+    def test_ap_bound_column(self, rows, mu):
+        table, want = cli._Staircase((*rows, mu ** -0.5)), self._ap_rows(rows, mu)
+        assert _dump_json({"r": [table]}) == json.dumps(
+            {"r": [_named(want)]}, sort_keys=True, indent=2) + "\n"
+        header = ["j", "n", "residual", "bound"]
+        assert cli._csv_staircase(table, header) == csv_writer_text(want, header)
+
+    def test_empty_table_texts(self):
+        table = cli._Staircase((0, 0, np.empty((0, 3)), None))
+        assert _dump_json({"t": table}) == '{\n  "t": []\n}\n'
+        assert cli._csv_staircase(table, ["j", "n", "ratio_log"]) == "j,n,ratio_log\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["svg", "--family", "conjugated_dominated", "--window", "-8", "8", "--nmax", "5"],
+        ["fi", "--family", "conjugated_dominated", "--window", "-8", "8", "--nmax", "5"],
+        ["dom", "--family", "conjugated_dominated", "--window", "-8", "8", "--nmax", "5"],
+        ["ap", "--family", "ap_family", "--params", '{"mu": 1e3}', "--mu", "1e3",
+         "--window", "0", "12", "--nmax", "5"],
+    ], ids=["svg", "fi", "dom", "ap"])
+    def test_verbs_write_from_the_grid(self, capsys, argv):
+        # no verb builds the (j, n) columns: those stay library API and oracles
+        refuse = mock.Mock(side_effect=AssertionError("a verb read the table columns"))
+        with contextlib.ExitStack() as stack:
+            for module in (cocycle, conditions, avalanche):
+                stack.enter_context(mock.patch.object(module, "_staircase_cells", refuse))
+            stack.enter_context(mock.patch.object(RateFit, "table_columns", refuse))
+            stack.enter_context(mock.patch.object(ApReport, "residual_columns", refuse))
+            for fmt in (["--format", "json", "--table"], ["--format", "csv"]):
+                code, out, err = run(capsys, *argv, *fmt)
+                assert code in (0, 1, 3) and not err and out
+
+
+class TestIntLists:
+    """A non-empty list of plain ints is written with one join, as
+    json.dumps writes it; a list that holds a bool takes the item path."""
+
+    @pytest.mark.parametrize("items", [[], [7], [-3, 0, 12, -(2 ** 70)], [1, True, 0, False],
+                                       [True], [0, 1.0]],
+                             ids=["empty", "one", "negative", "bool-mixed", "bool", "float"])
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_matches_json(self, items, depth):
+        doc = {"failed_js": items}
+        for _ in range(depth):
+            doc = {"x": [doc]}
+        assert _dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("items,calls", [([4, -5, 6], 1), ([4, True, 6], 4), ([], 1)])
+    def test_item_path_only_off_plain_ints(self, items, calls):
+        with mock.patch.object(cli, "_scalar", wraps=cli._scalar) as scalar:
+            _dump_json(items)
+        assert scalar.call_count == calls
 
 
 _EDGE_THRESHOLDS = st.sampled_from(["0", "1e-300", "1e-9", "1", "2", "1e300"])

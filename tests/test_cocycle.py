@@ -491,6 +491,30 @@ class TestLoaderStack:
         assert _load_outcome(lambda: MatrixSequence.from_json_dict(doc)) == want
         assert _load_outcome(lambda: scalar_load(doc)) == want
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m[0].__setitem__(0, "1.5"), "complex() can't take second arg if first is a string"),
+        (lambda m: m[2].__setitem__(1, None),
+         "complex() second argument must be a number, not 'NoneType'"),
+        (lambda m: m.pop(), "Mat2C.__init__() missing 1 required positional argument: 'd'"),
+        (lambda m: m.append([5.0, 5.0]),
+         "Mat2C.__init__() takes 5 positional arguments but 6 were given"),
+    ], ids=["str", "none", "three-pairs", "five-pairs"])
+    def test_malformed_m_takes_the_entry_loop(self, edit, message):
+        # np.fromiter would read the str "1.5" as 1.5: the stack refuses it
+        doc = json.loads(json.dumps(_BASE_DOC))
+        edit(doc["entries"][3]["m"])
+        assert cocycle._entry_stack(doc["entries"], -6, 6) is None
+        want = (InvalidSpec, f"malformed sequence document: {message}")
+        assert _load_outcome(lambda: MatrixSequence.from_json_dict(doc)) == want
+        assert _load_outcome(lambda: scalar_load(doc)) == want
+
+    def test_bool_part_reads_as_its_int(self):
+        doc = json.loads(json.dumps(_BASE_DOC))
+        doc["entries"][3]["m"][1][0] = True
+        seq = MatrixSequence.from_json_dict(doc)
+        assert _load_outcome(lambda: seq) == _load_outcome(lambda: scalar_load(doc))
+        assert seq.factors[1, 3].real == 1.0
+
     def test_unordered_entries_load(self):
         doc = json.loads(json.dumps(_BASE_DOC))
         doc["entries"].reverse()
