@@ -78,11 +78,10 @@ def _dump_json(doc: dict) -> str:
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
     the small skeleton of a report is written in Python, and each grid in
-    one pass over its values: a report table, which the CLI passes as a
-    ``_Staircase`` straight from the report's grid, or a list of [n, value]
-    pairs or another grid, which it passes as ``_Columns`` of the report's
-    arrays or of texts made already; ``_cell_texts`` makes the number
-    texts.  That gives the bytes json.dumps would."""
+    one pass over its columns: a table or a list of [n, value] pairs, which
+    the CLI passes as ``_Columns`` straight from the report's arrays, whose
+    cell texts ``_cell_texts`` makes, or as columns of texts made already.
+    That gives the bytes json.dumps would."""
     out: list[str] = []
     _encode(doc, "\n", out)
     out.append("\n")
@@ -93,16 +92,6 @@ class _Columns(tuple):
     """A grid given as its columns, int or float arrays or lists of cell
     texts, of one length: the report holds the list of rows read across
     them."""
-
-    __slots__ = ()
-
-
-class _Staircase(tuple):
-    """A report table given as (j0, n0, grid, scale): the staircase grid
-    whose row k holds depth n0 + k at grid.shape[1] - k starts from j0,
-    and, for ap, the scale mu^(-1/2) of its bound column n mu^(-1/2), else
-    None.  The report holds its [j, n, value] or [j, n, residual, bound]
-    rows in (j, n) order, which ``_table_text`` writes from the grid."""
 
     __slots__ = ()
 
@@ -134,18 +123,11 @@ def _encode(o, nl: str, out: list[str]) -> None:
     elif type(o) is _Columns:
         texts = [a if type(a) is list else _cell_texts(a, '"') for a in o]
         out.append(_grid(texts, nl) if len(o[0]) else "[]")
-    elif type(o) is _Staircase:
-        row, item = nl + "  ", nl + "    "
-        out.append(_table_text(o, '"', "[" + row + "[" + item, row + "]," + row + "[" + item,
-                               "," + item, row + "]" + nl + "]") or "[]")
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
         inner = nl + "  "
-        if type(o[0]) is int and set(map(type, o)) == {int}:  # failed_js; a bool is no int here
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
-            return
         sep = "[" + inner
         for item in o:
             out.append(sep)
@@ -205,34 +187,25 @@ def _cell_texts(a, quote: str) -> list[str]:
     return texts
 
 
-def _table_text(table: _Staircase, quote: str, head: str, sep: str, cell: str,
-                tail: str) -> str:
-    """The text of a ``_Staircase``'s rows in (j, n) order, or "" when it
-    has none: ``head``, the rows with ``sep`` between them, then ``tail``;
-    a row is its j, n, value and bound texts with ``cell`` between them.
-    The values are read off the grid by one mask and take one
-    ``_cell_texts`` pass.  Each j is one text, with the ``sep`` before it
-    and the ``cell`` after it, and each n and each bound one text, with the
-    ``cell`` after and before it: the rows share them, and only the values
-    are new texts."""
-    j0, n0, grid, scale = table
+def _staircase_columns(rows: tuple, scale: float | None = None) -> _Columns:
+    """A report's staircase rows (j0, n0, grid), whose row k holds depth
+    n0 + k at grid.shape[1] - k starts from j0, as the columns of its
+    [j, n, value] rows in (j, n) order: the values read off the grid by one
+    mask, and j and n as texts, one per start and one per depth, which
+    their rows share.  With ``scale``, ap's mu^(-1/2), a bound column
+    n * scale follows, one text per depth; it is finite, so it takes no
+    quote."""
+    j0, n0, grid = rows
     count, width = grid.shape
-    values = _cell_texts(grid.T[np.arange(count) < width - np.arange(width)[:, None]], quote)
-    if not values:
-        return ""
     counts = np.minimum(count, width - np.arange(width)).tolist()  # the depths at each start
-    starts = []
+    starts: list[str] = []
     for j, c in zip(range(j0, j0 + width), counts):
-        starts += [f"{sep}{j}{cell}"] * c
-    fields = [starts, _by_row([f"{n}{cell}" for n in range(n0, n0 + count)], counts), values]
+        starts += [str(j)] * c
+    columns = [starts, _by_row([str(n) for n in range(n0, n0 + count)], counts),
+               grid.T[np.arange(count) < width - np.arange(width)[:, None]]]
     if scale is not None:
-        bounds = _cell_texts(np.arange(n0, n0 + count) * scale, quote)
-        fields.append(_by_row([cell + text for text in bounds], counts))
-    parts = [tail] * (len(fields) * len(values) + 1)
-    for k, texts in enumerate(fields):
-        parts[k:-1:len(fields)] = texts
-    parts[0] = f"{head}{j0}{cell}"
-    return "".join(parts)
+        columns.append(_by_row(_cell_texts(np.arange(n0, n0 + count) * scale, ""), counts))
+    return _Columns(columns)
 
 
 def _by_row(texts: list[str], counts: list[int]) -> list[str]:
@@ -242,13 +215,6 @@ def _by_row(texts: list[str], counts: list[int]) -> list[str]:
     for c in counts:
         rows += texts[:c]
     return rows
-
-
-def _csv_staircase(table: _Staircase, header: list[str]) -> str:
-    """The CSV text of the header, then the table's rows: csv.writer's, as
-    ``_csv_table``'s."""
-    head = ",".join(header) + "\n"
-    return _table_text(table, "", head, "\n", ",", "\n") or head
 
 
 def _pairs(table: dict) -> _Columns:
@@ -263,7 +229,7 @@ def _fit_doc(doc: dict, fit, table: bool) -> dict:
     swapped for columns in place, and its table added when ``table`` is set."""
     doc["sup_log"] = _pairs(fit.sup_log)
     if table:
-        doc["table"] = _Staircase((*fit.rows, None))
+        doc["table"] = _staircase_columns(fit.rows)
     return doc
 
 
@@ -515,7 +481,7 @@ def _cmd_profile(args) -> int:
         doc = _fit_doc(fit.to_json_dict(), fit, args.table)
         payload = _dump_json(_report_doc(command, cfg, doc))
     elif args.format == "csv":
-        payload = _csv_staircase(_Staircase((*fit.rows, None)), ["j", "n", "ratio_log"])
+        payload = _csv_table(_staircase_columns(fit.rows), ["j", "n", "ratio_log"])
     else:
         verdict = _PASS_FAIL.get(fit.outcome, "inconclusive (fewer than two points to fit)")
         lines = [
@@ -602,7 +568,7 @@ def _cmd_dom(args) -> int:
         result["norm_floor_log"] = _pairs(report.norm_floor_log)
         payload = _dump_json(_report_doc("dom", cfg, result))
     elif args.format == "csv":
-        payload = _csv_staircase(_Staircase((*report.svg.rows, None)), ["j", "n", "ratio_log"])
+        payload = _csv_table(_staircase_columns(report.svg.rows), ["j", "n", "ratio_log"])
     else:
         lines = [
             f"dominated-splitting certificate over window {seq.window}",
@@ -629,15 +595,15 @@ def _cmd_ap(args) -> int:
     seq, cfg = _resolve_sequence(args)
     report = ap_report(seq, args.mu, args.nmax, envelope=args.envelope)
     cfg.update({"nmax": args.nmax, "mu": args.mu, "envelope": args.envelope})
-    residuals = _Staircase((*report.rows, report.mu ** -0.5))
 
     if args.format == "json":
         result = report.to_json_dict()
         if args.table:
-            result["residuals"] = residuals
+            result["residuals"] = _staircase_columns(report.rows, report.mu ** -0.5)
         payload = _dump_json(_report_doc("ap", cfg, result))
     elif args.format == "csv":
-        payload = _csv_staircase(residuals, ["j", "n", "residual", "bound"])
+        payload = _csv_table(_staircase_columns(report.rows, report.mu ** -0.5),
+                             ["j", "n", "residual", "bound"])
     else:
         verdict = _PASS_FAIL.get(report.outcome, "inconclusive (window too short for a residual)")
         lines = [
